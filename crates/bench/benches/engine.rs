@@ -2,7 +2,7 @@
 //! and small end-to-end simulations.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use wsdf::routing::{RouteMode, VcScheme};
+use wsdf::routing::{DetourOracle, RouteMode, VcScheme};
 use wsdf::workload::tenancy::ServingSpec;
 use wsdf::{Bench, PatternSpec, ServingReport, Session, Workload, WorkloadReport, WorkloadUnits};
 use wsdf_sim::{Metrics, SimConfig, TrafficPattern};
@@ -161,6 +161,27 @@ fn bench_resilience(c: &mut Criterion) {
             },
         );
     }
+    g.finish();
+}
+
+fn bench_detour_build(c: &mut Criterion) {
+    let mut g = c.benchmark_group("routing");
+    g.sample_size(20);
+    // The detour-table build alone, on the fabric and fault density of a
+    // mid-sweep resilience point: every faulted point rebuilds it.
+    let net = SwitchlessFabric::build(&SlParams::radix16().with_wgroups(10)).net;
+    let fs = FaultSet::sample(
+        &net,
+        &FaultSpec {
+            link_fraction: 0.1,
+            router_fraction: 0.05,
+            ..Default::default()
+        },
+    );
+    g.meta("link_fraction", 0.1);
+    g.bench_function("detour_build", |b| {
+        b.iter(|| DetourOracle::build(&net, fs.map()));
+    });
     g.finish();
 }
 
@@ -358,6 +379,7 @@ criterion_group!(
     bench_parallel_scaling,
     bench_collectives,
     bench_resilience,
+    bench_detour_build,
     bench_serving,
     bench_idle,
     bench_exchange,

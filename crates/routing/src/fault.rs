@@ -7,9 +7,13 @@
 //! instead routes any fabric with arbitrary dead links/routers, using the
 //! classic fault-tolerant discipline:
 //!
-//! * Build the **live graph** (surviving routers and channels) and a BFS
+//! * Build the **live graph** (surviving routers and links) and a BFS
 //!   spanning order per connected component (root = lowest live router id;
-//!   routers ranked by `(BFS level, id)`).
+//!   routers ranked by `(BFS level, id)`). A router-router link enters the
+//!   live graph only when **both** of its channels survive: a link usable
+//!   one way only is dropped whole, because up\*/down\* connectivity (and
+//!   the component a [`ReachMap`] reports) assumes every edge runs both
+//!   ways.
 //! * Route **up\*/down\***: every path is zero or more *up* edges (toward
 //!   the root in rank order) followed by zero or more *down* edges. Any
 //!   two routers of one component are connected by such a path (through
@@ -19,8 +23,17 @@
 //! * The phase rides the VC: **VC 0 = up phase, VC 1 = down phase**, so
 //!   the VC order is monotone along every route (2 VCs total) and the
 //!   per-hop decision is a pure table lookup on `(destination router,
-//!   phase, current router)` — precomputed shortest *legal* paths via a
-//!   two-state backward BFS per destination.
+//!   phase, current router)`. Each entry is the **lowest port among hops
+//!   on a shortest legal path** from that router and phase.
+//!
+//! The tables come from a bit-parallel multi-source BFS (Then et al.,
+//! "The More the Merrier", VLDB 2014): one level-synchronous two-state
+//! BFS settles 256 destinations at once, one bit each in a `[u64; 4]`
+//! mask per router and phase. Every router pulls the next level from its
+//! own port-ordered out-edges (an up edge carries the neighbour's up
+//! frontier, a down edge its down frontier), and a newly settled
+//! (destination, phase) bit takes the first such edge, which is the
+//! lowest-port rule above. The build is single-threaded.
 //!
 //! Endpoint pairs in different components (or with a dead attach router)
 //! get an explicit [`PathVerdict::Unreachable`]; asking `route` for such a
@@ -28,13 +41,15 @@
 //! [`ReachMap`] is the cheap per-endpoint summary workloads use to filter
 //! traffic down to routable pairs.
 //!
-//! Table memory is `2 × routers × destination-routers` bytes (plus the
-//! build-time BFS): meant for C-group/W-group-scale resilience studies,
-//! not the full 18560-chip system in one piece.
+//! Table memory is `2 × routers × destination-routers` bytes; the build
+//! adds six `[u64; 4]` masks (192 bytes) of scratch per router. Meant for
+//! C-group/W-group-scale resilience studies, not the full 18560-chip
+//! system in one piece.
 
 use wsdf_sim::{
     FaultMap, NetworkDesc, PacketHeader, RouteChoice, RouteOracle, SplitMix64, Terminus,
 };
+use wsdf_topo::fault::undirected_links;
 
 /// Reachability of one endpoint pair under a fault set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -144,6 +159,23 @@ impl DetourOracle {
     /// Precompute detour tables for `net` under `faults` (which must be
     /// sealed — see [`FaultMap::seal`]).
     pub fn build(net: &NetworkDesc, faults: &FaultMap) -> Self {
+        Self::build_with(net, faults, bit_parallel_tables)
+    }
+
+    /// [`DetourOracle::build`] with the scalar per-destination table fill
+    /// it replaced: the oracle the bit-parallel fill is checked against.
+    #[cfg(test)]
+    fn build_reference(net: &NetworkDesc, faults: &FaultMap) -> Self {
+        Self::build_with(net, faults, reference_tables)
+    }
+
+    /// Live graph, components and destinations, with the next-hop tables
+    /// filled by `tables(adj, dsts)`.
+    fn build_with(
+        net: &NetworkDesc,
+        faults: &FaultMap,
+        tables: fn(&[Edges], &[u32]) -> Vec<u8>,
+    ) -> Self {
         faults
             .validate(net)
             .expect("fault map does not match network");
@@ -162,21 +194,28 @@ impl DetourOracle {
         }
 
         // Live adjacency, port-ordered (determinism: ties resolve to the
-        // lowest port).
-        let mut adj: Vec<Vec<(u8, u32)>> = vec![Vec::new(); nr];
-        for (c, ch) in net.channels.iter().enumerate() {
-            if faults.channel_dead(c as u32) {
+        // lowest port). A link enters only when both of its channels
+        // survive, so an unpaired channel (`a == b`) never does:
+        // up*/down* connectivity within a component needs every edge
+        // usable both ways.
+        let mut adj: Vec<Edges> = vec![Vec::new(); nr];
+        for (a, b) in undirected_links(net) {
+            if a == b || faults.channel_dead(a) || faults.channel_dead(b) {
                 continue;
             }
-            if let (
-                Terminus::Router {
-                    router: r1,
-                    port: p1,
-                },
-                Terminus::Router { router: r2, .. },
-            ) = (ch.src, ch.dst)
-            {
-                if !faults.router_dead(r1) && !faults.router_dead(r2) {
+            for c in [a, b] {
+                let ch = &net.channels[c as usize];
+                if let (
+                    Terminus::Router {
+                        router: r1,
+                        port: p1,
+                    },
+                    Terminus::Router { router: r2, .. },
+                ) = (ch.src, ch.dst)
+                {
+                    if faults.router_dead(r1) || faults.router_dead(r2) {
+                        continue;
+                    }
                     // The table encodes `port | DOWN_BIT` in one byte, and
                     // 0x7F | DOWN_BIT would collide with NO_HOP: ports must
                     // stay below 0x7F (the engine caps radix far lower).
@@ -217,8 +256,16 @@ impl DetourOracle {
         }
 
         // Rank order: (level, id); an edge v→w is *up* iff w outranks v.
+        // Each edge's port becomes the table byte for taking it: down
+        // edges carry DOWN_BIT (taking one enters, or stays in, VC 1).
         let rank = |r: u32| (level[r as usize], r);
-        let is_up = |v: u32, w: u32| rank(w) < rank(v);
+        for (v, edges) in adj.iter_mut().enumerate() {
+            for (e, w) in edges.iter_mut() {
+                if rank(*w) > rank(v as u32) {
+                    *e |= DOWN_BIT;
+                }
+            }
+        }
 
         // Destinations: live attach routers of endpoints.
         let mut dst_index = vec![u32::MAX; nr];
@@ -229,83 +276,7 @@ impl DetourOracle {
                 dsts.push(r);
             }
         }
-
-        // Per destination: two-state backward BFS for shortest legal
-        // distances, then a forward pass picking each router's best hop.
-        const UNREACH: u32 = u32::MAX;
-        let mut table = vec![NO_HOP; dsts.len() * 2 * nr];
-        let mut du = vec![UNREACH; nr];
-        let mut dd = vec![UNREACH; nr];
-        let mut bfs: std::collections::VecDeque<(u32, bool)> = std::collections::VecDeque::new();
-        for (di, &d) in dsts.iter().enumerate() {
-            du.fill(UNREACH);
-            dd.fill(UNREACH);
-            du[d as usize] = 0;
-            dd[d as usize] = 0;
-            bfs.clear();
-            bfs.push_back((d, false)); // (router, in down phase)
-            bfs.push_back((d, true));
-            while let Some((w, down)) = bfs.pop_front() {
-                // Incoming edges mirror outgoing ones (fabric links are
-                // wired in pairs); walk w's neighbors as predecessors.
-                for &(_, v) in &adj[w as usize] {
-                    if comp_of[v as usize] != comp_of[d as usize] {
-                        continue;
-                    }
-                    if down {
-                        // Predecessors of (w, D) cross a down edge v→w.
-                        if is_up(w, v) {
-                            // v→w is down ⟺ w→v is up.
-                            let nd = dd[w as usize] + 1;
-                            if dd[v as usize] == UNREACH {
-                                dd[v as usize] = nd;
-                                bfs.push_back((v, true));
-                            }
-                            if du[v as usize] == UNREACH {
-                                du[v as usize] = nd;
-                                bfs.push_back((v, false));
-                            }
-                        }
-                    } else {
-                        // Predecessors of (w, U) cross an up edge v→w.
-                        if is_up(v, w) {
-                            let nd = du[w as usize] + 1;
-                            if du[v as usize] == UNREACH {
-                                du[v as usize] = nd;
-                                bfs.push_back((v, false));
-                            }
-                        }
-                    }
-                }
-            }
-            // Forward pass: best legal hop per (router, phase).
-            for v in 0..nr as u32 {
-                if comp_of[v as usize] != comp_of[d as usize] || v == d {
-                    continue;
-                }
-                let mut best_u: (u32, u8) = (UNREACH, NO_HOP);
-                let mut best_d: (u32, u8) = (UNREACH, NO_HOP);
-                for &(p, w) in &adj[v as usize] {
-                    if is_up(v, w) {
-                        if du[w as usize] != UNREACH && du[w as usize] + 1 < best_u.0 {
-                            best_u = (du[w as usize] + 1, p);
-                        }
-                    } else if dd[w as usize] != UNREACH {
-                        let c = dd[w as usize] + 1;
-                        if c < best_u.0 {
-                            best_u = (c, p | DOWN_BIT);
-                        }
-                        if c < best_d.0 {
-                            best_d = (c, p | DOWN_BIT);
-                        }
-                    }
-                }
-                debug_assert_eq!(best_u.0, du[v as usize], "router {v} → {d}");
-                debug_assert_eq!(best_d.0, dd[v as usize], "router {v} → {d}");
-                table[(di * 2) * nr + v as usize] = best_u.1;
-                table[(di * 2 + 1) * nr + v as usize] = best_d.1;
-            }
-        }
+        let table = tables(&adj, &dsts);
 
         // Endpoint components.
         let comp: Vec<u32> = ep_router
@@ -351,6 +322,175 @@ impl DetourOracle {
             comp: self.comp.clone(),
         }
     }
+}
+
+/// One router's live out-edges `(table byte, neighbour)` in port order.
+/// The byte is the entry for taking that edge: its port, plus [`DOWN_BIT`]
+/// on a down edge.
+type Edges = Vec<(u8, u32)>;
+
+/// Words of a destination mask.
+const LANES: usize = 4;
+/// Destinations settled per bit-parallel BFS pass: one mask bit each.
+const BATCH: usize = 64 * LANES;
+/// One bit per destination of a batch.
+type Mask = [u64; LANES];
+
+/// Next-hop tables for `dsts` over the live graph `adj`, laid out as
+/// `DetourOracle::table`: the bit-parallel BFS of the module docs, one
+/// pass per [`BATCH`] destinations. Level `k` of a pass holds the
+/// (router, phase, destination) states at shortest legal distance `k`.
+fn bit_parallel_tables(adj: &[Edges], dsts: &[u32]) -> Vec<u8> {
+    let nr = adj.len();
+    let mut table = vec![NO_HOP; dsts.len() * 2 * nr];
+    // Per router, `[up, down]` masks: states settled so far, states of the
+    // previous level, states of the level being built.
+    let none = [[0u64; LANES]; 2];
+    let mut seen = vec![none; nr];
+    let mut front = vec![none; nr];
+    let mut next = vec![none; nr];
+    for (bi, batch) in dsts.chunks(BATCH).enumerate() {
+        front.fill(none);
+        for (b, &d) in batch.iter().enumerate() {
+            for mask in &mut front[d as usize] {
+                mask[b / 64] |= 1 << (b % 64);
+            }
+        }
+        seen.copy_from_slice(&front);
+        // Entry of (batch bit b, phase p, router v): rows[(2b + p)·nr + v].
+        let rows = &mut table[bi * BATCH * 2 * nr..];
+        loop {
+            let mut settled = false;
+            for v in 0..nr {
+                let mut new = none;
+                for &(e, w) in &adj[v] {
+                    let f = &front[w as usize];
+                    if e & DOWN_BIT == 0 {
+                        settle(&mut new[0], &f[0], &seen[v][0], e, rows, v, nr);
+                    } else {
+                        settle(&mut new[0], &f[1], &seen[v][0], e, rows, v, nr);
+                        settle(&mut new[1], &f[1], &seen[v][1], e, rows, nr + v, nr);
+                    }
+                }
+                // Only router v reads seen[v]: it absorbs the level now.
+                for (s, n) in seen[v].iter_mut().zip(&new) {
+                    for (s, n) in s.iter_mut().zip(n) {
+                        *s |= n;
+                    }
+                }
+                settled |= new != none;
+                next[v] = new;
+            }
+            if !settled {
+                break;
+            }
+            std::mem::swap(&mut front, &mut next);
+        }
+    }
+    table
+}
+
+/// Settle, in one phase of one router, the states of `cand` neither
+/// `seen` nor already in `new`: add them to `new` and record `entry` as
+/// their next hop at `rows[2b·nr + at]` for batch bit `b`.
+#[inline]
+fn settle(
+    new: &mut Mask,
+    cand: &Mask,
+    seen: &Mask,
+    entry: u8,
+    rows: &mut [u8],
+    at: usize,
+    nr: usize,
+) {
+    for i in 0..LANES {
+        let mut m = cand[i] & !seen[i] & !new[i];
+        new[i] |= m;
+        while m != 0 {
+            let b = i * 64 + m.trailing_zeros() as usize;
+            rows[2 * b * nr + at] = entry;
+            m &= m - 1;
+        }
+    }
+}
+
+/// The scalar fill [`bit_parallel_tables`] replaced, kept as its test
+/// oracle: per destination, a two-state backward BFS for shortest legal
+/// distances, then a forward pass picking each router's best hop.
+#[cfg(test)]
+fn reference_tables(adj: &[Edges], dsts: &[u32]) -> Vec<u8> {
+    const UNREACH: u32 = u32::MAX;
+    let nr = adj.len();
+    let is_up = |e: u8| e & DOWN_BIT == 0;
+    let mut table = vec![NO_HOP; dsts.len() * 2 * nr];
+    let mut du = vec![UNREACH; nr];
+    let mut dd = vec![UNREACH; nr];
+    let mut bfs: std::collections::VecDeque<(u32, bool)> = std::collections::VecDeque::new();
+    for (di, &d) in dsts.iter().enumerate() {
+        du.fill(UNREACH);
+        dd.fill(UNREACH);
+        du[d as usize] = 0;
+        dd[d as usize] = 0;
+        bfs.clear();
+        bfs.push_back((d, false)); // (router, in down phase)
+        bfs.push_back((d, true));
+        while let Some((w, down)) = bfs.pop_front() {
+            // Links enter the live graph in pairs, so incoming edges
+            // mirror outgoing ones: walk w's neighbours as predecessors.
+            // The edge v→w runs opposite to w→v (tagged `e`).
+            for &(e, v) in &adj[w as usize] {
+                if down {
+                    // Predecessors of (w, D) cross a down edge v→w.
+                    if is_up(e) {
+                        let nd = dd[w as usize] + 1;
+                        if dd[v as usize] == UNREACH {
+                            dd[v as usize] = nd;
+                            bfs.push_back((v, true));
+                        }
+                        if du[v as usize] == UNREACH {
+                            du[v as usize] = nd;
+                            bfs.push_back((v, false));
+                        }
+                    }
+                } else if !is_up(e) {
+                    // Predecessors of (w, U) cross an up edge v→w.
+                    let nd = du[w as usize] + 1;
+                    if du[v as usize] == UNREACH {
+                        du[v as usize] = nd;
+                        bfs.push_back((v, false));
+                    }
+                }
+            }
+        }
+        // Forward pass: best legal hop per (router, phase).
+        for v in 0..nr as u32 {
+            if v == d {
+                continue;
+            }
+            let mut best_u: (u32, u8) = (UNREACH, NO_HOP);
+            let mut best_d: (u32, u8) = (UNREACH, NO_HOP);
+            for &(e, w) in &adj[v as usize] {
+                if is_up(e) {
+                    if du[w as usize] != UNREACH && du[w as usize] + 1 < best_u.0 {
+                        best_u = (du[w as usize] + 1, e);
+                    }
+                } else if dd[w as usize] != UNREACH {
+                    let c = dd[w as usize] + 1;
+                    if c < best_u.0 {
+                        best_u = (c, e);
+                    }
+                    if c < best_d.0 {
+                        best_d = (c, e);
+                    }
+                }
+            }
+            debug_assert_eq!(best_u.0, du[v as usize], "router {v} → {d}");
+            debug_assert_eq!(best_d.0, dd[v as usize], "router {v} → {d}");
+            table[(di * 2) * nr + v as usize] = best_u.1;
+            table[(di * 2 + 1) * nr + v as usize] = best_d.1;
+        }
+    }
+    table
 }
 
 impl RouteOracle for DetourOracle {
@@ -488,6 +628,28 @@ mod tests {
     }
 
     #[test]
+    fn one_way_dead_link_drops_the_whole_link() {
+        let net = grid();
+        // Kill only the 1 → 4 channel: the 4 → 1 channel survives, but a
+        // link usable one way must not enter the live graph.
+        let mut faults = FaultMap::pristine(&net);
+        let c = net
+            .channels
+            .iter()
+            .position(|ch| (ch.src.router(), ch.dst.router()) == (Some(1), Some(4)))
+            .unwrap();
+        faults.kill_channel(c as u32);
+        faults.seal(&net);
+        let o = DetourOracle::build(&net, &faults);
+        let reach = o.reach_map();
+        assert_eq!(reach.unreachable_pairs(), 0, "grid stays connected");
+        walk_all_pairs(&net, &o, &reach);
+        let map = PortMap::new(&net);
+        let w = Walker::new(&map, &o);
+        assert_eq!(w.walk(4, 1, NO_INTERMEDIATE).unwrap().network_hops(), 3);
+    }
+
+    #[test]
     fn dead_router_partitions_reachability_not_the_rest() {
         let net = grid();
         let mut faults = FaultMap::pristine(&net);
@@ -552,6 +714,48 @@ mod tests {
         };
         let mut rng = SplitMix64::new(0);
         o.route(0, 0, 0, &pkt, &mut rng);
+    }
+
+    #[test]
+    fn bit_parallel_tables_match_the_reference() {
+        use wsdf_topo::{FaultSet, FaultSpec, SlParams, SwParams, SwitchFabric, SwitchlessFabric};
+        let fabrics = [
+            ("grid", grid()),
+            (
+                "switchless 1 W-group",
+                SwitchlessFabric::build(&SlParams::radix16().with_wgroups(1)).net,
+            ),
+            (
+                "switchless 10 W-groups",
+                SwitchlessFabric::build(&SlParams::radix16().with_wgroups(10)).net,
+            ),
+            (
+                "switch-based",
+                SwitchFabric::build(&SwParams::radix16()).net,
+            ),
+        ];
+        for (name, net) in &fabrics {
+            for seed in 1..=4u64 {
+                for frac in [0.0, 0.02, 0.1, 0.3] {
+                    let fs = FaultSet::sample(
+                        net,
+                        &FaultSpec {
+                            seed,
+                            link_fraction: frac,
+                            router_fraction: frac / 2.0,
+                            ..Default::default()
+                        },
+                    );
+                    let a = DetourOracle::build(net, fs.map());
+                    let b = DetourOracle::build_reference(net, fs.map());
+                    let case = format!("{name}, seed {seed}, fraction {frac}");
+                    assert!(a.table == b.table, "table differs: {case}");
+                    assert_eq!(a.comp, b.comp, "{case}");
+                    assert_eq!(a.dst_index, b.dst_index, "{case}");
+                    assert_eq!(a.eject_port, b.eject_port, "{case}");
+                }
+            }
+        }
     }
 
     #[test]
