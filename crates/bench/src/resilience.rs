@@ -3,8 +3,8 @@
 //!
 //! For each family (one radix-16 W-group switch-less, one radix-16 group
 //! switch-based — the same fabrics as `repro collectives`) the suite runs
-//! a [`wsdf::resilience_sweep`] over link/router fault fractions at BSP
-//! partition counts {1, 2, 4} and *verifies the reports are
+//! a [`wsdf::Session::resilience`] sweep over link/router fault fractions
+//! at BSP partition counts {1, 2, 4} and *verifies the reports are
 //! bit-identical* before emitting one. A mismatch is a determinism bug and
 //! panics. The zero-fault point uses the pristine oracle, so the suite
 //! doubles as a regression guard for the pristine sweep path.

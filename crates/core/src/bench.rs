@@ -1,9 +1,10 @@
 //! Fabric + oracle bundles and workload construction.
 //!
 //! [`Bench`] keeps its routing oracle in a closed enum ([`BenchOracle`])
-//! rather than a `Box<dyn RouteOracle>`: [`Bench::run`] matches on it once
-//! per simulation and enters the *monomorphized* engine with the concrete
-//! oracle type, so the per-flit hot path never pays virtual dispatch. The
+//! rather than a `Box<dyn RouteOracle>`: every [`crate::Session`] run kind
+//! matches on it once per simulation and enters the *monomorphized*
+//! engine with the concrete oracle type, so the per-flit hot path never
+//! pays virtual dispatch. The
 //! enum still implements [`RouteOracle`] itself (one match per call) for
 //! callers that need a uniform oracle view, e.g. route walkers.
 
@@ -84,19 +85,6 @@ pub enum BenchOracle {
     /// Fault-aware up*/down* detour routing (any fabric with dead
     /// links/routers — see [`Bench::with_fault_set`]).
     Detour(DetourOracle),
-}
-
-impl BenchOracle {
-    /// Borrow as a trait object (route walkers, diagnostics).
-    pub fn as_dyn(&self) -> &dyn RouteOracle {
-        match self {
-            BenchOracle::Sl(o) => o,
-            BenchOracle::Sw(o) => o,
-            BenchOracle::Mesh(o) => o,
-            BenchOracle::Switch(o) => o,
-            BenchOracle::Detour(o) => o,
-        }
-    }
 }
 
 impl RouteOracle for BenchOracle {
@@ -404,8 +392,7 @@ impl Bench {
     /// Prepare a cloned config for a run: raise the VC count to the
     /// oracle's requirement and fill in the partition map with `kind`
     /// (unless an explicit map was given). This is the single config
-    /// normalization point every run kind — [`crate::Session`] and the
-    /// deprecated free functions alike — goes through.
+    /// normalization point every [`crate::Session`] run kind goes through.
     pub(crate) fn prepare_cfg(&self, cfg: &SimConfig, kind: PartitionerKind) -> SimConfig {
         let mut cfg = cfg.clone();
         cfg.num_vcs = cfg.num_vcs.max(self.oracle.num_vcs());
@@ -444,71 +431,6 @@ impl Bench {
                 wsdf_sim::simulate_traced_on(net, cfg, o, pattern, pool, faults, trace)
             }
         }
-    }
-
-    /// Run one simulation with an explicit config and pattern. The config's
-    /// VC count is raised to the oracle's requirement automatically.
-    #[deprecated(
-        since = "0.6.0",
-        note = "use the wsdf Session builder: \
-                 Session::bench(&b).metrics(&pattern)"
-    )]
-    pub fn run(&self, cfg: &SimConfig, pattern: &dyn TrafficPattern) -> SimResult<Metrics> {
-        let cfg = self.prepare_cfg(cfg, SessionConfig::from_env().partitioner);
-        self.run_prepared(&cfg, pattern, wsdf_exec::global_pool(), None)
-    }
-
-    /// [`Bench::run`] on an explicit [`BspPool`] executor instead of the
-    /// process-wide pool. Metrics are bit-identical for any pool size —
-    /// the determinism matrix in `tests/determinism_and_vcs.rs` pins this
-    /// down — so the pool choice is purely a scheduling concern.
-    #[deprecated(
-        since = "0.6.0",
-        note = "use the wsdf Session builder: \
-                 Session::bench(&b).pool(pool).metrics(&pattern)"
-    )]
-    pub fn run_on(
-        &self,
-        cfg: &SimConfig,
-        pattern: &dyn TrafficPattern,
-        pool: &BspPool,
-    ) -> SimResult<Metrics> {
-        let cfg = self.prepare_cfg(cfg, SessionConfig::from_env().partitioner);
-        self.run_prepared(&cfg, pattern, pool, None)
-    }
-
-    /// Type-erased variant of [`Bench::run`] built on
-    /// [`wsdf_sim::simulate_dyn`]; useful when a caller already holds the
-    /// oracle as `&dyn RouteOracle` or wants uniform treatment across
-    /// heterogeneous benches at the cost of per-flit virtual dispatch.
-    #[deprecated(
-        since = "0.6.0",
-        note = "use the wsdf Session builder: \
-                 Session::bench(&b).dyn_dispatch().metrics(&pattern)"
-    )]
-    pub fn run_dyn(&self, cfg: &SimConfig, pattern: &dyn TrafficPattern) -> SimResult<Metrics> {
-        let cfg = self.prepare_cfg(cfg, SessionConfig::from_env().partitioner);
-        self.run_dyn_prepared(&cfg, pattern, wsdf_exec::global_pool(), None)
-    }
-
-    /// Type-erased engine entry on an already-prepared config — the
-    /// dynamic-dispatch sibling of [`Bench::run_prepared`].
-    pub(crate) fn run_dyn_prepared(
-        &self,
-        cfg: &SimConfig,
-        pattern: &dyn TrafficPattern,
-        pool: &BspPool,
-        trace: Option<&Tracer>,
-    ) -> SimResult<Metrics> {
-        wsdf_sim::simulate_traced_on(
-            self.fabric.net(),
-            cfg,
-            self.oracle.as_dyn(),
-            pattern,
-            pool,
-            self.fault_map(),
-            trace,
-        )
     }
 }
 
@@ -638,12 +560,14 @@ mod tests {
         let b = Bench::single_mesh(4, 2, 1);
         let pat = b.pattern(PatternSpec::Uniform, 0.3);
         let a = run_quick(&b, pat.as_ref());
-        let d = Session::bench(&b)
-            .sim(quick_cfg())
-            .dyn_dispatch()
-            .metrics(pat.as_ref())
+        // The same run type-erased: per-flit virtual dispatch through the
+        // enum's own `RouteOracle` impl.
+        let cfg = b.prepare_cfg(&quick_cfg(), PartitionerKind::Blocks);
+        let oracle: &dyn RouteOracle = &b.oracle;
+        let d = wsdf_sim::Simulation::new(b.fabric.net(), &cfg, oracle)
             .unwrap()
-            .report;
+            .run(pat.as_ref())
+            .unwrap();
         assert_eq!(a.packets_created, d.packets_created);
         assert_eq!(a.packets_ejected, d.packets_ejected);
         assert_eq!(a.latency_sum, d.latency_sum);

@@ -2,7 +2,8 @@
 //!
 //! Where [`mod@crate::sweep`] asks *"what latency at what offered rate?"*,
 //! this module asks the closed-loop question: *"how long does this
-//! collective take on this fabric?"* [`run_workload`] drives a
+//! collective take on this fabric?"*
+//! [`Session::workload`](crate::Session::workload) drives a
 //! [`wsdf_workload::Workload`] DAG through the bench's monomorphized
 //! engine to quiescence and wraps the outcome in a [`WorkloadReport`] —
 //! completion cycles, achieved bandwidth per phase, and the packet-latency
@@ -11,7 +12,6 @@
 
 use crate::bench::{Bench, BenchOracle};
 use crate::json::{self, Value};
-use crate::session::SessionConfig;
 use wsdf_exec::BspPool;
 use wsdf_sim::{Metrics, SimConfig, SimResult, Tracer};
 use wsdf_workload::{run_collective_traced_on, Workload, WorkloadOutcome};
@@ -351,31 +351,13 @@ pub(crate) fn opt_num(v: &Value, k: &str) -> Result<f64, String> {
     }
 }
 
-/// Run `wl` closed-loop on `bench`, on an explicit executor.
+/// Run `wl` closed-loop on `bench` with an already-prepared config — the
+/// [`crate::Session`] workload run kind and the resilience sweep's
+/// collective probe both route through here.
 ///
 /// Dispatches on the bench's oracle enum once, so the whole run uses the
-/// monomorphized engine — same discipline as [`Bench::run`]. The config's
-/// VC count is raised to the oracle's requirement automatically; its
-/// open-loop window fields are ignored (the run ends at quiescence).
-#[deprecated(
-    since = "0.6.0",
-    note = "use the wsdf Session builder: \
-             Session::bench(&b).pool(pool).workload(&wl, &units)"
-)]
-pub fn run_workload_on(
-    bench: &Bench,
-    cfg: &SimConfig,
-    wl: &Workload,
-    units: &WorkloadUnits,
-    pool: &BspPool,
-) -> SimResult<WorkloadReport> {
-    let cfg = bench.prepare_cfg(cfg, SessionConfig::from_env().partitioner);
-    run_workload_impl(bench, &cfg, wl, units, pool, None)
-}
-
-/// The closed-loop core on an already-prepared config — every entry
-/// point ([`crate::Session`], the deprecated free functions, the
-/// resilience sweep's collective probe) routes through here.
+/// monomorphized engine. The config's open-loop window fields are ignored
+/// (the run ends at quiescence).
 pub(crate) fn run_workload_impl(
     bench: &Bench,
     cfg: &SimConfig,
@@ -394,22 +376,6 @@ pub(crate) fn run_workload_impl(
         BenchOracle::Detour(o) => run_collective_traced_on(net, cfg, o, wl, pool, faults, trace),
     }?;
     Ok(WorkloadReport::build(&bench.label, wl, &out, units))
-}
-
-/// [`run_workload_on`] on the process-wide executor.
-#[deprecated(
-    since = "0.6.0",
-    note = "use the wsdf Session builder: \
-             Session::bench(&b).workload(&wl, &units)"
-)]
-pub fn run_workload(
-    bench: &Bench,
-    cfg: &SimConfig,
-    wl: &Workload,
-    units: &WorkloadUnits,
-) -> SimResult<WorkloadReport> {
-    let cfg = bench.prepare_cfg(cfg, SessionConfig::from_env().partitioner);
-    run_workload_impl(bench, &cfg, wl, units, wsdf_exec::global_pool(), None)
 }
 
 #[cfg(test)]

@@ -18,11 +18,6 @@
 //!   when streaming telemetry is enabled via [`Session::trace`], the
 //!   deterministic JSONL trace and its digest.
 //!
-//! The historical free-function runners (`sweep`, `adaptive_sweep`,
-//! `run_workload`, `run_serving`, `resilience_sweep` and their `*_on`
-//! variants) still work but are deprecated shims over the same
-//! internals; new code should use [`Session`].
-//!
 //! ```no_run
 //! use wsdf::{AdaptiveConfig, Bench, PatternSpec, Session};
 //! use wsdf_topo::SlParams;
@@ -64,20 +59,12 @@ pub mod sweep;
 pub use wsdf_sim::json;
 
 pub use bench::{Bench, BenchFaults, BenchOracle, Fabric, LivePattern, PatternSpec};
-#[allow(deprecated)]
-pub use collective::{run_workload, run_workload_on};
 pub use collective::{LatencySummary, PhaseReport, WorkloadReport, WorkloadUnits};
 pub use report::{Curve, Figure, Point};
-#[allow(deprecated)]
-pub use resilience::{resilience_sweep, resilience_sweep_on};
 pub use resilience::{ResilienceConfig, ResiliencePoint, ResilienceReport};
 pub use scenario::{PartitionerKind, Partitioning, Scenario, ScenarioOutcome, Stepping};
-#[allow(deprecated)]
-pub use serving::{run_serving, run_serving_on};
 pub use serving::{ClassStat, JobRecord, ServingReport};
 pub use session::{Outcome, Session, SessionConfig, TraceOutcome};
-#[allow(deprecated)]
-pub use sweep::{adaptive_sweep, adaptive_sweep_on, sweep, sweep_on};
 pub use sweep::{saturation_rate, AdaptiveConfig, SaturationReport, SweepConfig, SweepPoint};
 pub use wsdf_sim::{SharedBuf, TraceConfig, TraceRec};
 pub use wsdf_workload::Workload;

@@ -3,7 +3,8 @@
 //!
 //! Where [`mod@crate::sweep`] asks *"what does the pristine fabric do?"*,
 //! this module asks the production question: **how gracefully does it
-//! degrade when links and routers die?** [`resilience_sweep`] walks a list
+//! degrade when links and routers die?**
+//! [`Session::resilience`](crate::Session::resilience) walks a list
 //! of fault fractions; at each fraction it samples a deterministic
 //! [`FaultSet`], degrades the bench ([`Bench::with_fault_set`]), and
 //! measures:
@@ -18,7 +19,8 @@
 //!   unreachable ordered pairs.
 //!
 //! The zero-fault point runs the *pristine* bench (same oracle, same hot
-//! path), so it is bit-identical to an ordinary [`crate::sweep()`] point at
+//! path), so it is bit-identical to an ordinary
+//! [`Session::sweep`](crate::Session::sweep) point at
 //! the same rate — the resilience axis costs the pristine path nothing.
 //! Every number is a deterministic function of `(bench, config)`:
 //! identical across BSP partition and worker counts, like everything else
@@ -28,14 +30,14 @@ use crate::bench::{Bench, PatternSpec};
 use crate::collective::WorkloadUnits;
 use crate::json::{self, Value};
 use crate::scenario::PartitionerKind;
-use crate::session::SessionConfig;
 use crate::sweep::SweepConfig;
 use wsdf_exec::BspPool;
 use wsdf_sim::{SimConfig, TraceRec, Tracer};
 use wsdf_topo::{FaultSet, FaultSpec};
 use wsdf_workload::Workload;
 
-/// Configuration of a [`resilience_sweep`].
+/// Configuration of a resilience sweep
+/// ([`Session::resilience`](crate::Session::resilience)).
 #[derive(Debug, Clone)]
 pub struct ResilienceConfig {
     /// Simulation template (VCs raised per bench automatically).
@@ -123,7 +125,7 @@ pub struct ResiliencePoint {
     pub skipped_cycles: u64,
 }
 
-/// Result of a [`resilience_sweep`]: one point per fault fraction.
+/// Result of a resilience sweep: one point per fault fraction.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResilienceReport {
     /// Bench label.
@@ -295,34 +297,13 @@ fn live_chips(bench: &Bench) -> Vec<u32> {
         .collect()
 }
 
-/// Run a resilience sweep on an explicit executor. See the module docs.
-#[deprecated(
-    since = "0.6.0",
-    note = "use the wsdf Session builder: \
-             Session::bench(&b).pool(pool).resilience(&cfg, spec)"
-)]
-pub fn resilience_sweep_on(
-    bench: &Bench,
-    cfg: &ResilienceConfig,
-    spec: PatternSpec,
-    pool: &BspPool,
-) -> ResilienceReport {
-    resilience_impl(
-        bench,
-        cfg,
-        spec,
-        pool,
-        SessionConfig::from_env().partitioner,
-        None,
-    )
-}
-
-/// The fault-injection core behind [`resilience_sweep`] and the
-/// [`crate::Session`] resilience run kind. When telemetry is attached
-/// with the `epochs` stream enabled, each fault fraction is delimited by
-/// a [`TraceRec::Epoch`] record *before* its probes — every fraction is
-/// an independent simulation starting at cycle 0, so the epoch records
-/// are the segment boundaries of the concatenated stream.
+/// Run a resilience sweep — the fault-injection core behind the
+/// [`crate::Session`] resilience run kind. See the module docs. When
+/// telemetry is attached with the `epochs` stream enabled, each fault
+/// fraction is delimited by a [`TraceRec::Epoch`] record *before* its
+/// probes — every fraction is an independent simulation starting at
+/// cycle 0, so the epoch records are the segment boundaries of the
+/// concatenated stream.
 pub(crate) fn resilience_impl(
     bench: &Bench,
     cfg: &ResilienceConfig,
@@ -333,7 +314,7 @@ pub(crate) fn resilience_impl(
 ) -> ResilienceReport {
     assert!(
         bench.faults.is_none(),
-        "resilience_sweep degrades the bench itself; pass the pristine bench"
+        "Session::resilience degrades the bench itself; pass the pristine bench"
     );
     let net = bench.fabric.net();
     let units = WorkloadUnits::default();
@@ -404,27 +385,6 @@ pub(crate) fn resilience_impl(
         pattern: pattern_name(spec),
         points,
     }
-}
-
-/// [`resilience_sweep_on`] on the process-wide executor.
-#[deprecated(
-    since = "0.6.0",
-    note = "use the wsdf Session builder: \
-             Session::bench(&b).resilience(&cfg, spec)"
-)]
-pub fn resilience_sweep(
-    bench: &Bench,
-    cfg: &ResilienceConfig,
-    spec: PatternSpec,
-) -> ResilienceReport {
-    resilience_impl(
-        bench,
-        cfg,
-        spec,
-        wsdf_exec::global_pool(),
-        SessionConfig::from_env().partitioner,
-        None,
-    )
 }
 
 #[cfg(test)]

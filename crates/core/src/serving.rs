@@ -1,10 +1,11 @@
 //! Multi-tenant serving runs on a [`Bench`], and their reports.
 //!
-//! [`run_serving`] materializes a [`ServingSpec`] (seeded arrivals ×
-//! class mix × placements) against the bench's live endpoints, drives all
-//! jobs concurrently through [`wsdf_workload::tenancy::MultiJobDriver`],
-//! then re-runs one instance of each job class **alone** on the same
-//! fabric to obtain the isolated-run interference baseline. The
+//! [`Session::serving`](crate::Session::serving) materializes a
+//! [`ServingSpec`] (seeded arrivals × class mix × placements) against the
+//! bench's live endpoints, drives all jobs concurrently through
+//! [`wsdf_workload::tenancy::MultiJobDriver`], then re-runs one instance
+//! of each job class **alone** on the same fabric to obtain the
+//! isolated-run interference baseline. The
 //! [`ServingReport`] carries per-job completion records, job-CT
 //! percentiles from a [`LatencyHistogram`], per-class slowdown vs. the
 //! isolated baseline, Jain's fairness index over class throughputs, and
@@ -13,7 +14,6 @@
 use crate::bench::{Bench, BenchOracle};
 use crate::collective::{field, int, opt_int, opt_num};
 use crate::json::{self, Value};
-use crate::session::SessionConfig;
 use wsdf_exec::BspPool;
 use wsdf_sim::Tracer;
 use wsdf_sim::{LatencyHistogram, SimConfig};
@@ -340,34 +340,20 @@ pub fn jain_fairness(xs: &[f64]) -> f64 {
     sum * sum / (xs.len() as f64 * sq)
 }
 
-/// Run a serving spec on `bench`, on an explicit executor.
+/// Run a serving spec on `bench` with an already-prepared config — the
+/// core of the [`crate::Session`] serving run kind.
 ///
 /// Materializes the jobs against the bench's live endpoints (so
 /// placements avoid faulted regions), runs them all concurrently, then
 /// runs one instance per served class in isolation for the interference
-/// baseline. Dispatches on the bench's oracle enum once — same
-/// monomorphization discipline as [`crate::collective::run_workload_on`].
-/// Errors are human-readable strings (spec materialization and engine
-/// failures both).
-#[deprecated(
-    since = "0.6.0",
-    note = "use the wsdf Session builder: \
-             Session::bench(&b).pool(pool).serving(&spec)"
-)]
-pub fn run_serving_on(
-    bench: &Bench,
-    cfg: &SimConfig,
-    spec: &ServingSpec,
-    pool: &BspPool,
-) -> Result<ServingReport, String> {
-    let cfg = bench.prepare_cfg(cfg, SessionConfig::from_env().partitioner);
-    run_serving_impl(bench, &cfg, spec, pool, None)
-}
-
-/// The multi-tenant core on an already-prepared config. Telemetry covers
-/// the *concurrent* run only — the per-class isolated baselines are
-/// auxiliary reference simulations and stay untraced, so the job stream
-/// in the trace corresponds one-to-one with the report's job table.
+/// baseline. Dispatches on the bench's oracle enum once. Errors are
+/// human-readable strings (spec materialization and engine failures
+/// both).
+///
+/// Telemetry covers the *concurrent* run only — the per-class isolated
+/// baselines are auxiliary reference simulations and stay untraced, so
+/// the job stream in the trace corresponds one-to-one with the report's
+/// job table.
 pub(crate) fn run_serving_impl(
     bench: &Bench,
     cfg: &SimConfig,
@@ -431,21 +417,6 @@ pub(crate) fn run_serving_impl(
         out.metrics.busy_cycles,
         out.metrics.skipped_cycles,
     ))
-}
-
-/// [`run_serving_on`] on the process-wide executor.
-#[deprecated(
-    since = "0.6.0",
-    note = "use the wsdf Session builder: \
-             Session::bench(&b).serving(&spec)"
-)]
-pub fn run_serving(
-    bench: &Bench,
-    cfg: &SimConfig,
-    spec: &ServingSpec,
-) -> Result<ServingReport, String> {
-    let cfg = bench.prepare_cfg(cfg, SessionConfig::from_env().partitioner);
-    run_serving_impl(bench, &cfg, spec, wsdf_exec::global_pool(), None)
 }
 
 #[cfg(test)]

@@ -1,10 +1,7 @@
 //! The unified run frontend: one builder for every run kind, with
 //! optional streaming telemetry.
 //!
-//! Historically each run kind had its own free-function entry point
-//! (`sweep`, `adaptive_sweep`, `run_workload`, `run_serving`,
-//! `resilience_sweep`, plus `Bench::run*` for raw metrics), each reading
-//! the environment on its own. [`Session`] collapses them into one path:
+//! [`Session`] is the one entry point for every run kind:
 //!
 //! ```no_run
 //! use wsdf::{AdaptiveConfig, Bench, PatternSpec, Session};
@@ -176,7 +173,6 @@ pub struct Session<'a> {
     stepping: Option<Stepping>,
     partitioner: Option<PartitionerKind>,
     pool: Option<&'a BspPool>,
-    dyn_dispatch: bool,
     trace: Option<(TraceConfig, SinkSpec)>,
 }
 
@@ -189,7 +185,6 @@ impl<'a> Session<'a> {
             stepping: None,
             partitioner: None,
             pool: None,
-            dyn_dispatch: false,
             trace: None,
         }
     }
@@ -243,15 +238,6 @@ impl<'a> Session<'a> {
     /// Results are bit-identical for any pool size.
     pub fn pool(mut self, pool: &'a BspPool) -> Session<'a> {
         self.pool = Some(pool);
-        self
-    }
-
-    /// Use per-flit dynamic oracle dispatch instead of the monomorphized
-    /// engine (the old `Bench::run_dyn` behavior; only affects
-    /// [`Session::metrics`]). Results are identical — this is purely a
-    /// compile-time/runtime trade.
-    pub fn dyn_dispatch(mut self) -> Session<'a> {
-        self.dyn_dispatch = true;
         self
     }
 
@@ -361,28 +347,21 @@ impl<'a> Session<'a> {
         }))
     }
 
-    /// Run one open-loop simulation and return its raw [`Metrics`] — the
-    /// successor of `Bench::run` / `Bench::run_on` / `Bench::run_dyn`.
+    /// Run one open-loop simulation and return its raw [`Metrics`].
     pub fn metrics(self, pattern: &dyn TrafficPattern) -> Result<Outcome<Metrics>, String> {
         let bench = self.need_bench("metrics")?;
         let cfg = bench.prepare_cfg(&self.merge_sim(&SimConfig::default()), self.pk());
         let pool = self.pool.unwrap_or_else(|| wsdf_exec::global_pool());
-        let dyn_dispatch = self.dyn_dispatch;
         let active = Self::start_trace(self.trace)?;
-        let tracer = active.as_ref().map(|a| &a.tracer);
-        let report = if dyn_dispatch {
-            bench.run_dyn_prepared(&cfg, pattern, pool, tracer)
-        } else {
-            bench.run_prepared(&cfg, pattern, pool, tracer)
-        }
-        .map_err(|e| format!("session metrics run failed: {e}"))?;
+        let report = bench
+            .run_prepared(&cfg, pattern, pool, active.as_ref().map(|a| &a.tracer))
+            .map_err(|e| format!("session metrics run failed: {e}"))?;
         let trace = Self::finish_trace(active)?;
         Ok(Outcome { report, trace })
     }
 
-    /// Run a fixed-grid load-latency sweep — the successor of `sweep` /
-    /// `sweep_on`. The session's sim/partitions/stepping overrides apply
-    /// on top of `cfg.sim`.
+    /// Run a fixed-grid load-latency sweep. The session's
+    /// sim/partitions/stepping overrides apply on top of `cfg.sim`.
     pub fn sweep(
         self,
         cfg: &SweepConfig,
@@ -410,8 +389,7 @@ impl<'a> Session<'a> {
         Ok(Outcome { report, trace })
     }
 
-    /// Run a saturation-seeking adaptive sweep — the successor of
-    /// `adaptive_sweep` / `adaptive_sweep_on`.
+    /// Run a saturation-seeking adaptive sweep.
     pub fn adaptive(
         self,
         cfg: &AdaptiveConfig,
@@ -440,8 +418,7 @@ impl<'a> Session<'a> {
         Ok(Outcome { report, trace })
     }
 
-    /// Run a collective workload DAG closed-loop — the successor of
-    /// `run_workload` / `run_workload_on`.
+    /// Run a collective workload DAG closed-loop.
     pub fn workload(
         self,
         wl: &Workload,
@@ -464,9 +441,8 @@ impl<'a> Session<'a> {
         Ok(Outcome { report, trace })
     }
 
-    /// Run a multi-tenant serving mix — the successor of `run_serving` /
-    /// `run_serving_on`. The trace's job stream covers the concurrent
-    /// run only (isolated baselines are untraced).
+    /// Run a multi-tenant serving mix. The trace's job stream covers the
+    /// concurrent run only (isolated baselines are untraced).
     pub fn serving(self, spec: &ServingSpec) -> Result<Outcome<ServingReport>, String> {
         let bench = self.need_bench("serving")?;
         let cfg = bench.prepare_cfg(&self.merge_sim(&SimConfig::default()), self.pk());
@@ -477,10 +453,9 @@ impl<'a> Session<'a> {
         Ok(Outcome { report, trace })
     }
 
-    /// Run a fault-injection resilience sweep — the successor of
-    /// `resilience_sweep` / `resilience_sweep_on`. With the `epochs`
-    /// stream enabled, each fault fraction is delimited by an `epoch`
-    /// record in the trace.
+    /// Run a fault-injection resilience sweep. With the `epochs` stream
+    /// enabled, each fault fraction is delimited by an `epoch` record in
+    /// the trace.
     pub fn resilience(
         self,
         cfg: &ResilienceConfig,

@@ -3,14 +3,16 @@
 //!
 //! Two drivers share one measurement core:
 //!
-//! * [`sweep`] — the classic fixed-grid runner: walk a caller-supplied
-//!   list of offered rates in order, stop early past saturation. Used by
-//!   the figure harness, whose x-axes mirror the paper's.
-//! * [`adaptive_sweep`] — the saturation-seeking runner: a geometric
-//!   coarse scan brackets the saturation knee, then bisection narrows the
-//!   bracket to a configurable relative tolerance. It finds the saturation
-//!   throughput with strictly fewer simulations than a dense grid and
-//!   returns a [`SaturationReport`].
+//! * [`Session::sweep`](crate::Session::sweep) — the classic fixed-grid
+//!   runner: walk a caller-supplied list of offered rates in order, stop
+//!   early past saturation. Used by the figure harness, whose x-axes
+//!   mirror the paper's.
+//! * [`Session::adaptive`](crate::Session::adaptive) — the
+//!   saturation-seeking runner: a geometric coarse scan brackets the
+//!   saturation knee, then bisection narrows the bracket to a configurable
+//!   relative tolerance. It finds the saturation throughput with strictly
+//!   fewer simulations than a dense grid and returns a
+//!   [`SaturationReport`].
 //!
 //! Every measured point carries the full latency distribution summary
 //! (p50/p95/p99/max) from the engine's streaming
@@ -18,7 +20,6 @@
 
 use crate::bench::{Bench, PatternSpec};
 use crate::scenario::PartitionerKind;
-use crate::session::SessionConfig;
 use wsdf_exec::BspPool;
 use wsdf_sim::{Metrics, SimConfig, Tracer};
 
@@ -66,9 +67,10 @@ pub struct SweepConfig {
     pub latency_blowup: f64,
     /// ... or once accepted/offered drops below this.
     pub min_acceptance: f64,
-    /// Fixed-grid driver only ([`sweep`]): keep at most this many points
-    /// past saturation before stopping the walk (the figures show the
-    /// "knee" and one diverging point). The adaptive driver ignores it —
+    /// Fixed-grid driver only ([`Session::sweep`](crate::Session::sweep)):
+    /// keep at most this many points past saturation before stopping the
+    /// walk (the figures show the "knee" and one diverging point). The
+    /// adaptive driver ignores it —
     /// bisection keeps every point it measures, saturated or not, because
     /// the saturated probes *are* the knee refinement.
     pub post_saturation_points: usize,
@@ -100,7 +102,7 @@ impl SweepConfig {
 }
 
 /// Configuration of the adaptive saturation-seeking driver
-/// ([`adaptive_sweep`]).
+/// ([`Session::adaptive`](crate::Session::adaptive)).
 #[derive(Debug, Clone)]
 pub struct AdaptiveConfig {
     /// Shared sweep settings (simulation template, saturation rule).
@@ -137,7 +139,7 @@ impl AdaptiveConfig {
     }
 }
 
-/// Result of an [`adaptive_sweep`]: the located saturation point plus every
+/// Result of an adaptive sweep: the located saturation point plus every
 /// point measured along the way (sorted by offered load, ready for
 /// [`crate::report::Curve`]).
 #[derive(Debug, Clone, PartialEq)]
@@ -284,64 +286,12 @@ fn latency_max_cycles(m: &Metrics) -> f64 {
 
 /// Run a fixed-grid sweep: one simulation per offered per-chip rate, in
 /// order, stopping early past saturation (see
-/// [`SweepConfig::post_saturation_points`]).
+/// [`SweepConfig::post_saturation_points`]). The [`crate::Session`] sweep
+/// run kind and the resilience probe both route through here.
 ///
-/// Every point runs on the *same* persistent executor
-/// ([`wsdf_exec::global_pool`], built on first use and shared
-/// process-wide), so worker threads — and their partition-pinned cache
-/// state — are reused across sweep points instead of being re-created per
-/// simulation.
-#[deprecated(
-    since = "0.6.0",
-    note = "use the wsdf Session builder: \
-             Session::bench(&b).sweep(spec, rates)"
-)]
-pub fn sweep(
-    bench: &Bench,
-    cfg: &SweepConfig,
-    spec: PatternSpec,
-    rates_chip: &[f64],
-) -> Vec<SweepPoint> {
-    sweep_impl(
-        bench,
-        cfg,
-        spec,
-        rates_chip,
-        wsdf_exec::global_pool(),
-        SessionConfig::from_env().partitioner,
-        None,
-    )
-}
-
-/// [`sweep`] on an explicit [`BspPool`] executor (results are pool-size
-/// independent; used by the resilience sweep to keep one pool across every
-/// fault fraction).
-#[deprecated(
-    since = "0.6.0",
-    note = "use the wsdf Session builder: \
-             Session::bench(&b).pool(pool).sweep(spec, rates)"
-)]
-pub fn sweep_on(
-    bench: &Bench,
-    cfg: &SweepConfig,
-    spec: PatternSpec,
-    rates_chip: &[f64],
-    pool: &BspPool,
-) -> Vec<SweepPoint> {
-    sweep_impl(
-        bench,
-        cfg,
-        spec,
-        rates_chip,
-        pool,
-        SessionConfig::from_env().partitioner,
-        None,
-    )
-}
-
-/// The fixed-grid sweep core every entry point routes through — the
-/// [`crate::Session`] run kind, the deprecated free functions, and the
-/// resilience probe alike.
+/// Every point runs on the *same* persistent executor, so worker threads —
+/// and their partition-pinned cache state — are reused across sweep points
+/// instead of being re-created per simulation.
 pub(crate) fn sweep_impl(
     bench: &Bench,
     cfg: &SweepConfig,
@@ -374,7 +324,8 @@ pub(crate) fn sweep_impl(
 /// rate; inside it, latency climbs steeply).
 const ANCHOR_SLACK: f64 = 1.5;
 
-/// Run an adaptive saturation-seeking sweep on the process-wide executor.
+/// Run an adaptive saturation-seeking sweep — the core behind the
+/// [`crate::Session`] adaptive run kind.
 ///
 /// Phase 1 anchors the zero-load reference: the start rate is probed, then
 /// validated by one geometrically slower probe — backing off further while
@@ -388,54 +339,11 @@ const ANCHOR_SLACK: f64 = 1.5;
 /// [`AdaptiveConfig::max_points`] budget runs out; rates measured during
 /// back-off seed the bracket directly and are never re-simulated.
 ///
-/// All simulations reuse the persistent [`wsdf_exec::global_pool`]
-/// executor, so partition state stays pinned to warm worker threads across
-/// the whole search. The driver's decisions depend only on merged metrics,
-/// which are bit-identical for any partition/worker count — the report is
-/// therefore deterministic too (covered by the determinism matrix in
-/// `tests/determinism_and_vcs.rs`).
-#[deprecated(
-    since = "0.6.0",
-    note = "use the wsdf Session builder: \
-             Session::bench(&b).adaptive(spec, &cfg)"
-)]
-pub fn adaptive_sweep(bench: &Bench, cfg: &AdaptiveConfig, spec: PatternSpec) -> SaturationReport {
-    adaptive_impl(
-        bench,
-        cfg,
-        spec,
-        wsdf_exec::global_pool(),
-        SessionConfig::from_env().partitioner,
-        None,
-    )
-}
-
-/// [`adaptive_sweep`] on an explicit [`BspPool`] executor (results are
-/// pool-size independent; used by the scenario runner to pin worker
-/// counts for digest reproducibility).
-#[deprecated(
-    since = "0.6.0",
-    note = "use the wsdf Session builder: \
-             Session::bench(&b).pool(pool).adaptive(spec, &cfg)"
-)]
-pub fn adaptive_sweep_on(
-    bench: &Bench,
-    cfg: &AdaptiveConfig,
-    spec: PatternSpec,
-    pool: &BspPool,
-) -> SaturationReport {
-    adaptive_impl(
-        bench,
-        cfg,
-        spec,
-        pool,
-        SessionConfig::from_env().partitioner,
-        None,
-    )
-}
-
-/// The saturation-seeking core behind [`adaptive_sweep`] and the
-/// [`crate::Session`] adaptive run kind.
+/// All simulations reuse one persistent executor, so partition state stays
+/// pinned to warm worker threads across the whole search. The driver's
+/// decisions depend only on merged metrics, which are bit-identical for
+/// any partition/worker count — the report is therefore deterministic too
+/// (covered by the determinism matrix in `tests/determinism_and_vcs.rs`).
 pub(crate) fn adaptive_impl(
     bench: &Bench,
     cfg: &AdaptiveConfig,

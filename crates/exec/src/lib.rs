@@ -1,10 +1,10 @@
 //! # wsdf-exec — persistent partition-pinned BSP executor
 //!
 //! The simulation engine advances all BSP partitions once per cycle. Doing
-//! that by spawning scoped threads every cycle (the original rayon-shim
-//! approach) costs a thread create + join per worker per cycle — enough to
-//! eat all parallelism at engine granularity. [`BspPool`] replaces it with
-//! workers that live as long as the pool:
+//! that by spawning scoped threads every cycle costs a thread create +
+//! join per worker per cycle — enough to eat all parallelism at engine
+//! granularity. [`BspPool`] replaces it with workers that live as long as
+//! the pool:
 //!
 //! * **Spawn once** — `BspPool::new(n)` starts `n - 1` background workers;
 //!   the *calling* thread always executes slot 0, so a 1-worker pool is a
@@ -541,9 +541,9 @@ mod tests {
         let outer_calls = AtomicUsize::new(0);
         pool.broadcast(3, |_| {
             outer_calls.fetch_add(1, Ordering::Relaxed);
-            // A job that itself broadcasts (e.g. a rayon-shim scope task
-            // using par_iter_mut) must not dead-lock or corrupt the
-            // barrier: it degrades to an inline loop over its slots.
+            // A job that itself broadcasts (a nested parallel section)
+            // must not dead-lock or corrupt the barrier: it degrades to
+            // an inline loop over its slots.
             pool.broadcast(2, |_| {
                 inner_calls.fetch_add(1, Ordering::Relaxed);
             });

@@ -20,11 +20,13 @@ pub struct SimConfig {
     /// whenever they arrive). 0 = open-loop snapshot only.
     pub drain_cycles: u64,
     /// Abort if no flit moves anywhere for this many consecutive cycles while
-    /// flits are in flight (deadlock detector). 0 disables.
+    /// flits are in flight or, in a closed-loop run, while the workload
+    /// driver names no future release (deadlock detector). 0 disables.
     pub watchdog_cycles: u64,
     /// Global RNG seed.
     pub seed: u64,
-    /// Number of BSP partitions; 1 = sequential. `0` = auto (rayon threads).
+    /// Number of BSP partitions; 1 = sequential. `0` = auto (executor
+    /// workers).
     pub partitions: usize,
     /// Explicit router→partition assignment (length = `num_routers`,
     /// partition ids dense in `0..P`, every partition non-empty). When set

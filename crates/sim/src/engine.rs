@@ -44,10 +44,19 @@
 //!
 //! [`Simulation`] is generic over its [`RouteOracle`], so the per-flit
 //! route computation compiles to direct calls — no vtable dispatch in the
-//! cycle loop. Heterogeneous callers (sweeps over benches with different
-//! oracle types) use [`simulate_dyn`], which instantiates the same engine
-//! with `&dyn RouteOracle` at the API boundary; the blanket
-//! `impl RouteOracle for &T` makes both paths share one implementation.
+//! cycle loop. Callers that only know the oracle at runtime dispatch on
+//! it once and enter with the concrete type (see [`simulate_traced_on`]
+//! and `wsdf::Bench`), or build a `Simulation<&dyn RouteOracle>`: the
+//! blanket `impl RouteOracle for &T` makes both share one implementation.
+//!
+//! ## One cycle loop
+//!
+//! Open-loop ([`Simulation::run_on`]) and closed-loop
+//! ([`Simulation::run_closed_loop_on`]) runs share one private loop: an
+//! open-loop run is a closed-loop run whose driver injects nothing and is
+//! always done, with a measurement window and a hard stop. Stepping, the
+//! storm reseed, the arrival hand-off, the quiescence exit, the deadlock
+//! watchdog and the idle fast-forward therefore exist once.
 //!
 //! ## Fixed-capacity channel queues
 //!
@@ -80,7 +89,8 @@ pub enum SimError {
     /// The network or configuration failed validation.
     Invalid(String),
     /// The deadlock watchdog fired: no flit moved for the configured window
-    /// while flits were in flight.
+    /// while flits were in flight or the workload driver named no future
+    /// release.
     Deadlock {
         /// Cycle at which the watchdog gave up.
         cycle: u64,
@@ -556,8 +566,9 @@ pub struct ExchangeEdge {
 ///
 /// The oracle is a type parameter (owned by value; pass `&MyOracle` thanks
 /// to the blanket `impl RouteOracle for &T` to borrow instead), which
-/// monomorphizes the entire cycle loop. Use [`simulate_dyn`] when the
-/// oracle type is only known at runtime.
+/// monomorphizes the entire cycle loop. When the oracle type is only known
+/// at runtime, `Simulation<&dyn RouteOracle>` runs the same engine with
+/// per-flit virtual dispatch.
 pub struct Simulation<O: RouteOracle> {
     cfg: SimConfig,
     oracle: O,
@@ -572,7 +583,6 @@ pub struct Simulation<O: RouteOracle> {
     /// endpoint id → attach router id (canonical arrival ordering).
     ep_router: Vec<u32>,
     now: u64,
-    stall: u64,
     endpoints_total: u64,
     packet_len: u8,
     /// Event-driven stepping enabled (compiled in from the config).
@@ -599,6 +609,18 @@ pub struct Simulation<O: RouteOracle> {
 /// the event engine declares a saturation storm and drops to dense
 /// stepping (hysteresis against entering on a single bursty cycle).
 const STORM_ENTER: u32 = 4;
+
+/// What distinguishes the two run kinds inside the one cycle loop.
+struct Plan {
+    /// Measurement window `[start, end)`; open-loop injection stops at
+    /// `end`.
+    window: (u64, u64),
+    /// Hard stop: no cycle at or past it is simulated.
+    stop: u64,
+    /// Closed loop: collect arrival events and measure every simulated
+    /// cycle.
+    closed: bool,
+}
 
 impl<O: RouteOracle> Simulation<O> {
     /// Compile `net` under `cfg` with `oracle`. Fails on structural errors
@@ -980,7 +1002,6 @@ impl<O: RouteOracle> Simulation<O> {
             ep_loc,
             ep_router: net.endpoints.iter().map(|ed| ed.router).collect(),
             now: 0,
-            stall: 0,
             endpoints_total: net.num_endpoints() as u64,
             packet_len: cfg.packet_len,
             event: cfg.event_driven,
@@ -1117,71 +1138,169 @@ impl<O: RouteOracle> Simulation<O> {
     ) -> SimResult<Metrics> {
         let warm = self.cfg.warmup_cycles;
         let meas_end = warm + self.cfg.measure_cycles;
-        let total = meas_end + self.cfg.drain_cycles;
+        let plan = Plan {
+            window: (warm, meas_end),
+            stop: meas_end + self.cfg.drain_cycles,
+            closed: false,
+        };
+        self.run_loop(pool, pattern, &mut NoDriver, plan)
+    }
+
+    /// The cycle loop behind both run kinds. Each iteration hands the
+    /// driver its injection point, advances the network one BSP
+    /// broadcast, and — at the barrier, where partition state is globally
+    /// consistent — hands the driver the cycle's packet [`Arrival`]s, then
+    /// decides between exiting, tripping the watchdog, stepping the next
+    /// cycle, or fast-forwarding over idle ones.
+    fn run_loop<P: TrafficPattern + ?Sized, W: WorkloadDriver>(
+        &mut self,
+        pool: &BspPool,
+        pattern: &P,
+        driver: &mut W,
+        plan: Plan,
+    ) -> SimResult<Metrics> {
+        let (measure_start, measure_end) = plan.window;
+        let watchdog = self.cfg.watchdog_cycles;
         let ranges = self.slot_ranges(pool);
+        let mut events: Vec<Arrival> = Vec::new();
+        let mut stall = 0;
         if self.event {
             self.init_gen(pattern);
         }
-        while self.now < total {
-            let (moved, in_flight) = self.step(pool, pattern, &ranges, warm, meas_end, false);
-            self.emit_trace_batch();
+        while self.now < plan.stop {
+            {
+                // Serial injection point: deterministic by construction
+                // (runs between broadcasts, in whatever order the driver
+                // submits — the driver owns that order).
+                let Simulation {
+                    partitions,
+                    oracle,
+                    ep_loc,
+                    now,
+                    event,
+                    storm,
+                    ..
+                } = self;
+                let mut inj = Injector {
+                    parts: partitions,
+                    ep_loc,
+                    oracle,
+                    now: *now,
+                    // During a storm the wheels are unmaintained; skipping
+                    // submission wakes keeps stale buckets from piling up
+                    // (the post-storm reseed re-wakes queued endpoints).
+                    event: *event && !*storm,
+                };
+                driver.pre_cycle(*now, &mut inj);
+            }
+            let cycle = self.now;
+            let (moved, in_flight) = self.step(
+                pool,
+                pattern,
+                &ranges,
+                measure_start,
+                measure_end,
+                plan.closed,
+            );
             if self.update_regime(moved) {
                 // Storm over: the wheels and the emission schedule went
                 // stale while stepping densely — rebuild both.
                 self.reseed();
                 self.init_gen(pattern);
             }
-            if self.cfg.watchdog_cycles > 0 {
-                if moved == 0 && in_flight > 0 {
-                    self.stall += 1;
-                    if self.stall >= self.cfg.watchdog_cycles {
-                        return Err(SimError::Deadlock {
-                            cycle: self.now,
-                            in_flight: in_flight as u64,
-                        });
-                    }
-                } else {
-                    self.stall = 0;
-                }
+            // Hand this cycle's arrival events over in canonical order:
+            // ascending ejecting-router id, ties preserving each router's
+            // own ejection sequence (the stable sort keeps the
+            // within-partition order, which is ascending-local-router and
+            // therefore ascending-global within any one partition). This
+            // reproduces the single-partition dense order for *any*
+            // router→partition assignment, contiguous or not.
+            events.clear();
+            for p in &mut self.partitions {
+                events.append(&mut p.arrivals);
             }
-            // Early drain exit: nothing in flight and nothing queued.
-            if self.now >= meas_end && in_flight == 0 && self.backlog() == 0 {
+            let ep_router = &self.ep_router;
+            events.sort_by_key(|a| ep_router[a.dst as usize]);
+            driver.on_arrivals(cycle, &events);
+            // Merge the driver's job-lifecycle records (stamped `cycle`)
+            // into this cycle's batch before the canonical sort, keeping
+            // the emitted stream cycle-monotonic.
+            if self.tracer.is_some() {
+                driver.drain_trace(&mut self.trace_batch);
+            }
+            self.emit_trace_batch();
+
+            // Quiescence: nothing in flight or queued, the driver done,
+            // and (open loop) the measurement window over.
+            let finished = |sim: &Self, driver: &W| {
+                in_flight == 0
+                    && (plan.closed || sim.now >= measure_end)
+                    && driver.done()
+                    && sim.backlog() == 0
+            };
+            if finished(self, driver) {
                 break;
             }
-            // Idle fast-forward: jump to the earliest cycle at which
-            // anything can happen. Cycles in between would have been
-            // strict no-op steps, so metrics stay bit-identical; the
-            // watchdog advances as if they had been stepped (they all
-            // have moved == 0).
-            if self.event && !self.storm {
-                let bound = if self.now < meas_end { meas_end } else { total };
-                let gen_live = self.now < meas_end;
-                let target = self.next_event_cycle(gen_live).min(bound);
-                if target > self.now {
-                    let delta = target - self.now;
-                    if self.cfg.watchdog_cycles > 0 && in_flight > 0 {
-                        let left = self.cfg.watchdog_cycles - self.stall;
-                        if delta >= left {
-                            self.now += left;
-                            return Err(SimError::Deadlock {
-                                cycle: self.now,
-                                in_flight: in_flight as u64,
-                            });
-                        }
-                        self.stall += delta;
-                    }
-                    self.now = target;
-                    self.skipped_cycles += delta;
-                    // The dense loop re-checks the drain exit after every
-                    // cycle; the jump may have crossed measure_end.
-                    if self.now >= meas_end && in_flight == 0 && self.backlog() == 0 {
-                        break;
-                    }
+            // The driver's next release, capped at the next window edge.
+            // Consulted only when it matters: for a jump, or for the
+            // stall rule on an idle cycle with nothing in flight.
+            let may_jump = self.event && !self.storm;
+            let release = if may_jump || moved == 0 && in_flight == 0 {
+                let edge = if self.now < measure_end {
+                    measure_end
+                } else {
+                    plan.stop
+                };
+                driver.next_release().map(|r| r.min(edge))
+            } else {
+                None
+            };
+            // Watchdog: an idle cycle counts toward a deadlock only while
+            // flits are in flight or the driver names no future release —
+            // a promised arrival is a wait, not a stall.
+            let counts = in_flight > 0 || release.is_none_or(|r| r == u64::MAX);
+            stall = if moved == 0 && counts { stall + 1 } else { 0 };
+            // Idle fast-forward: jump to the earlier of the network's next
+            // event and the release. Cycles in between would have been
+            // strict no-op steps, so metrics stay bit-identical, and the
+            // stall advances as if they had been stepped. With the watchdog
+            // off nothing would end a jump to `u64::MAX`: keep stepping.
+            let target = match release {
+                Some(rel) if may_jump => self.next_event_cycle(self.now < measure_end).min(rel),
+                _ => self.now,
+            };
+            let skip = if watchdog > 0 || target < u64::MAX {
+                target - self.now
+            } else {
+                0
+            };
+            if watchdog > 0 && counts && skip >= watchdog - stall {
+                self.now += watchdog - stall;
+                return Err(SimError::Deadlock {
+                    cycle: self.now,
+                    in_flight: in_flight.max(0) as u64,
+                });
+            }
+            if skip > 0 {
+                if counts {
+                    stall += skip;
+                }
+                self.now = target;
+                self.skipped_cycles += skip;
+                // A stepped loop re-checks quiescence after every cycle;
+                // the jump may have crossed the measurement end.
+                if finished(self, driver) {
+                    break;
                 }
             }
         }
         self.finish_trace();
-        Ok(self.collect())
+        let measured = if plan.closed {
+            self.now
+        } else {
+            self.cfg.measure_cycles
+        };
+        Ok(self.collect(measured))
     }
 
     /// Earliest cycle ≥ `now` at which any partition has pending work:
@@ -1397,15 +1516,10 @@ impl<O: RouteOracle> Simulation<O> {
             .sum()
     }
 
-    /// Merge per-partition metrics into the final result.
-    fn collect(&self) -> Metrics {
-        self.collect_with(self.cfg.measure_cycles)
-    }
-
-    /// [`collect`](Self::collect) with an explicit rate denominator —
-    /// closed-loop runs measure over every cycle actually simulated, not
-    /// the configured open-loop window.
-    fn collect_with(&self, measure_cycles: u64) -> Metrics {
+    /// Merge per-partition metrics into the final result, with rates
+    /// normalized over `measure_cycles` (closed-loop runs measure every
+    /// cycle actually simulated, not the configured open-loop window).
+    fn collect(&self, measure_cycles: u64) -> Metrics {
         let mut m = Metrics {
             measure_cycles,
             endpoints: self.endpoints_total,
@@ -1444,118 +1558,22 @@ impl<O: RouteOracle> Simulation<O> {
     /// The whole run is measured (`measure_start = 0`, no drain phase);
     /// the returned [`Metrics::measure_cycles`] equals the cycles actually
     /// simulated. The deadlock watchdog stays armed: if nothing moves for
-    /// `watchdog_cycles` consecutive cycles before quiescence — flits stuck
-    /// *or* a driver that never finishes — the run fails with
-    /// [`SimError::Deadlock`] instead of spinning forever.
+    /// `watchdog_cycles` consecutive cycles before quiescence while flits
+    /// are stuck *or* the driver names no future release (a driver that
+    /// never finishes), the run fails with [`SimError::Deadlock`] instead
+    /// of spinning forever. Idle cycles before a promised
+    /// [`next_release`](WorkloadDriver::next_release) do not count.
     pub fn run_closed_loop_on<W: WorkloadDriver>(
         &mut self,
         pool: &BspPool,
         driver: &mut W,
     ) -> SimResult<Metrics> {
-        let idle = IdlePattern;
-        let mut events: Vec<Arrival> = Vec::new();
-        let ranges = self.slot_ranges(pool);
-        self.stall = 0;
-        loop {
-            {
-                // Serial injection point: deterministic by construction
-                // (runs between broadcasts, in whatever order the driver
-                // submits — the driver owns that order).
-                let Simulation {
-                    partitions,
-                    oracle,
-                    ep_loc,
-                    now,
-                    event,
-                    storm,
-                    ..
-                } = self;
-                let mut inj = Injector {
-                    parts: partitions,
-                    ep_loc,
-                    oracle,
-                    now: *now,
-                    // During a storm the wheels are unmaintained; skipping
-                    // submission wakes keeps stale buckets from piling up
-                    // (the post-storm reseed re-wakes queued endpoints).
-                    event: *event && !*storm,
-                };
-                driver.pre_cycle(*now, &mut inj);
-            }
-            let cycle = self.now;
-            let (moved, in_flight) = self.step(pool, &idle, &ranges, 0, u64::MAX, true);
-            if self.update_regime(moved) {
-                // No open-loop schedule to re-arm here: the driver owns
-                // injection, and reseed re-wakes its queued submissions.
-                self.reseed();
-            }
-            // Drain this cycle's arrival events and put them in canonical
-            // order: ascending ejecting-router id, ties preserving each
-            // router's own ejection sequence (the stable sort keeps the
-            // within-partition order, which is ascending-local-router and
-            // therefore ascending-global within any one partition). This
-            // reproduces the single-partition dense order for *any*
-            // router→partition assignment, contiguous or not.
-            events.clear();
-            for p in &mut self.partitions {
-                events.append(&mut p.arrivals);
-            }
-            let ep_router = &self.ep_router;
-            events.sort_by_key(|a| ep_router[a.dst as usize]);
-            driver.on_arrivals(cycle, &events);
-            // Merge the driver's job-lifecycle records (stamped `cycle`)
-            // into this cycle's batch before the canonical sort, keeping
-            // the emitted stream cycle-monotonic.
-            if self.tracer.is_some() {
-                driver.drain_trace(&mut self.trace_batch);
-            }
-            self.emit_trace_batch();
-            if in_flight == 0 && self.backlog() == 0 && driver.done() {
-                break;
-            }
-            if self.cfg.watchdog_cycles > 0 {
-                if moved == 0 {
-                    self.stall += 1;
-                    if self.stall >= self.cfg.watchdog_cycles {
-                        return Err(SimError::Deadlock {
-                            cycle: self.now,
-                            in_flight: in_flight.max(0) as u64,
-                        });
-                    }
-                } else {
-                    self.stall = 0;
-                }
-            }
-            // Idle fast-forward to the earlier of the network's next event
-            // and the driver's next release — but only when the driver
-            // promises one ([`WorkloadDriver::next_release`]; `None` keeps
-            // the dense schedule). Skipped cycles all have moved == 0, so
-            // the closed-loop watchdog (which counts every unmoved cycle)
-            // advances across the jump exactly as if they were stepped.
-            if self.event && !self.storm {
-                if let Some(rel) = driver.next_release() {
-                    let target = self.next_event_cycle(false).min(rel);
-                    if target > self.now && (self.cfg.watchdog_cycles > 0 || target < u64::MAX) {
-                        let delta = target - self.now;
-                        if self.cfg.watchdog_cycles > 0 {
-                            let left = self.cfg.watchdog_cycles - self.stall;
-                            if delta >= left {
-                                self.now += left;
-                                return Err(SimError::Deadlock {
-                                    cycle: self.now,
-                                    in_flight: in_flight.max(0) as u64,
-                                });
-                            }
-                            self.stall += delta;
-                        }
-                        self.now = target;
-                        self.skipped_cycles += delta;
-                    }
-                }
-            }
-        }
-        self.finish_trace();
-        Ok(self.collect_with(self.now))
+        let plan = Plan {
+            window: (0, u64::MAX),
+            stop: u64::MAX,
+            closed: true,
+        };
+        self.run_loop(pool, &IdlePattern, driver, plan)
     }
 }
 
@@ -1587,10 +1605,12 @@ pub trait WorkloadDriver {
     /// contribution to the event-driven engine's next-event computation.
     ///
     /// `None` (the default) means "unknown": the engine steps every cycle
-    /// densely, which is always correct. `Some(c)` promises that
-    /// `pre_cycle` is a no-op strictly before cycle `c` (use `u64::MAX`
-    /// when nothing is scheduled at all), letting the engine fast-forward
-    /// idle stretches; the promise must be consistent with the determinism
+    /// densely, which is always correct, and idle cycles count toward the
+    /// deadlock watchdog. `Some(c)` promises that `pre_cycle` is a no-op
+    /// strictly before cycle `c` (use `u64::MAX` when nothing is scheduled
+    /// at all), letting the engine fast-forward idle stretches; while `c`
+    /// is finite, idle cycles with nothing in flight are a wait for it,
+    /// not a stall. The promise must be consistent with the determinism
     /// contract above, i.e. derived from cycle numbers and observed
     /// arrivals only.
     fn next_release(&self) -> Option<u64> {
@@ -1683,6 +1703,22 @@ impl Injector<'_> {
 /// [`Injector`].
 struct IdlePattern;
 
+/// The driver bound of an open-loop run: injects nothing and is always
+/// done, so the pattern's emission schedule and the window edges alone
+/// drive the loop.
+struct NoDriver;
+
+impl WorkloadDriver for NoDriver {
+    fn pre_cycle(&mut self, _now: u64, _inj: &mut Injector<'_>) {}
+    fn on_arrivals(&mut self, _now: u64, _arrivals: &[Arrival]) {}
+    fn done(&self) -> bool {
+        true
+    }
+    fn next_release(&self) -> Option<u64> {
+        Some(u64::MAX)
+    }
+}
+
 impl TrafficPattern for IdlePattern {
     fn rate(&self, _src: u32) -> f64 {
         0.0
@@ -1714,35 +1750,10 @@ pub fn effective_partitions(requested: usize, routers: usize, workers: usize) ->
     n.clamp(1, routers.max(1))
 }
 
-/// One-shot convenience: compile and run with a statically known oracle.
-///
-/// `O` is taken by value; pass `&oracle` (the blanket `impl RouteOracle
-/// for &T`) to borrow. The cycle loop monomorphizes per oracle type.
-pub fn simulate<O: RouteOracle, P: TrafficPattern + ?Sized>(
-    net: &NetworkDesc,
-    cfg: &SimConfig,
-    oracle: O,
-    pattern: &P,
-) -> SimResult<Metrics> {
-    Simulation::new(net, cfg, oracle)?.run(pattern)
-}
-
-/// [`simulate`] on an explicit executor instead of the process-wide pool.
-/// Worker count never affects results, only wall-clock time.
-pub fn simulate_on<O: RouteOracle, P: TrafficPattern + ?Sized>(
-    net: &NetworkDesc,
-    cfg: &SimConfig,
-    oracle: O,
-    pattern: &P,
-    pool: &BspPool,
-) -> SimResult<Metrics> {
-    Simulation::new(net, cfg, oracle)?.run_on(pool, pattern)
-}
-
 /// The full-surface one-shot entry point: optional [`FaultMap`] (`None`
 /// is byte-for-byte the pristine path) and optional streaming telemetry
-/// ([`Tracer`]). This is the function every higher-level run kind bottoms
-/// out in; prefer the `wsdf::Session` builder for anything user-facing.
+/// ([`Tracer`]). Every open-loop run kind of the `wsdf::Session` builder
+/// bottoms out here; prefer `Session` for anything user-facing.
 pub fn simulate_traced_on<O: RouteOracle, P: TrafficPattern + ?Sized>(
     net: &NetworkDesc,
     cfg: &SimConfig,
@@ -1757,38 +1768,6 @@ pub fn simulate_traced_on<O: RouteOracle, P: TrafficPattern + ?Sized>(
         sim.attach_trace(t);
     }
     sim.run_on(pool, pattern)
-}
-
-/// [`simulate_on`] with an optional [`FaultMap`]: `None` is byte-for-byte
-/// the pristine path (same compilation, same hot path); `Some` arms the
-/// dead-channel asserts and sizes auto partitions by live routers. See
-/// [`Simulation::with_faults`].
-#[deprecated(
-    since = "0.6.0",
-    note = "use the wsdf Session builder (or simulate_traced_on) instead"
-)]
-pub fn simulate_faulted_on<O: RouteOracle, P: TrafficPattern + ?Sized>(
-    net: &NetworkDesc,
-    cfg: &SimConfig,
-    oracle: O,
-    pattern: &P,
-    pool: &BspPool,
-    faults: Option<&FaultMap>,
-) -> SimResult<Metrics> {
-    simulate_traced_on(net, cfg, oracle, pattern, pool, faults, None)
-}
-
-/// Type-erased entry point for heterogeneous sweeps: same engine, same
-/// semantics, but dispatched through `dyn` references. This is the only
-/// place a `dyn RouteOracle` enters the engine; prefer [`simulate`] when
-/// the oracle type is known at compile time.
-pub fn simulate_dyn(
-    net: &NetworkDesc,
-    cfg: &SimConfig,
-    oracle: &dyn RouteOracle,
-    pattern: &dyn TrafficPattern,
-) -> SimResult<Metrics> {
-    simulate(net, cfg, oracle, pattern)
 }
 
 #[cfg(test)]
@@ -1877,13 +1856,10 @@ mod tests {
     #[test]
     fn ring_delivers_traffic() {
         let net = ring(8);
-        let m = simulate(
-            &net,
-            &small_cfg(),
-            &RingOracle { n: 8 },
-            &UniformPattern::new(8, 0.1),
-        )
-        .unwrap();
+        let m = Simulation::new(&net, &small_cfg(), &RingOracle { n: 8 })
+            .unwrap()
+            .run(&UniformPattern::new(8, 0.1))
+            .unwrap();
         assert!(m.packets_ejected > 0, "no packets delivered");
         let lat = m.avg_latency().unwrap();
         // Zero-load-ish: inj 1 + avg 4 ring hops + ej 1 + serialization 3.
@@ -1895,13 +1871,10 @@ mod tests {
     fn throughput_tracks_offered_load_below_saturation() {
         let net = ring(8);
         // Uni ring uniform saturation ≈ 2/avg_dist/... keep well below.
-        let m = simulate(
-            &net,
-            &small_cfg(),
-            &RingOracle { n: 8 },
-            &UniformPattern::new(8, 0.2),
-        )
-        .unwrap();
+        let m = Simulation::new(&net, &small_cfg(), &RingOracle { n: 8 })
+            .unwrap()
+            .run(&UniformPattern::new(8, 0.2))
+            .unwrap();
         let acc = m.accepted_rate();
         assert!(
             (acc - 0.2).abs() < 0.04,
@@ -1912,13 +1885,10 @@ mod tests {
     #[test]
     fn saturated_ring_keeps_running_without_deadlock() {
         let net = ring(8);
-        let m = simulate(
-            &net,
-            &small_cfg(),
-            &RingOracle { n: 8 },
-            &UniformPattern::new(8, 1.0),
-        )
-        .unwrap();
+        let m = Simulation::new(&net, &small_cfg(), &RingOracle { n: 8 })
+            .unwrap()
+            .run(&UniformPattern::new(8, 1.0))
+            .unwrap();
         // Uniform on a unidirectional 8-ring: avg distance 4 hops, 8 links of
         // 1 flit/cycle → ideal capacity 0.25 flits/cycle/node. Wormhole +
         // round-robin arbitration lands at roughly 60-70% of ideal.
@@ -1936,13 +1906,10 @@ mod tests {
         let run = |parts: usize| {
             let mut c = cfg.clone();
             c.partitions = parts;
-            simulate(
-                &net,
-                &c,
-                &RingOracle { n: 16 },
-                &UniformPattern::new(16, 0.3),
-            )
-            .unwrap()
+            Simulation::new(&net, &c, &RingOracle { n: 16 })
+                .unwrap()
+                .run(&UniformPattern::new(16, 0.3))
+                .unwrap()
         };
         let a = run(1);
         let b = run(2);
@@ -1960,14 +1927,10 @@ mod tests {
             let pool = BspPool::new(workers);
             let mut c = cfg.clone();
             c.partitions = 4;
-            let m = simulate_on(
-                &net,
-                &c,
-                &RingOracle { n: 16 },
-                &UniformPattern::new(16, 0.3),
-                &pool,
-            )
-            .unwrap();
+            let m = Simulation::new(&net, &c, &RingOracle { n: 16 })
+                .unwrap()
+                .run_on(&pool, &UniformPattern::new(16, 0.3))
+                .unwrap();
             assert_eq!(m.packets_ejected, a.packets_ejected, "workers={workers}");
             assert_eq!(m.latency_sum, a.latency_sum, "workers={workers}");
             assert_eq!(
@@ -2069,7 +2032,10 @@ mod tests {
         let net = ring(8);
         let cfg = small_cfg();
         let pattern = UniformPattern::new(8, 0.3);
-        let a = simulate(&net, &cfg, &RingOracle { n: 8 }, &pattern).unwrap();
+        let a = Simulation::new(&net, &cfg, &RingOracle { n: 8 })
+            .unwrap()
+            .run(&pattern)
+            .unwrap();
         let faults = crate::fault::FaultMap::pristine(&net);
         let b = Simulation::with_faults(&net, &cfg, &RingOracle { n: 8 }, Some(&faults))
             .unwrap()
@@ -2086,8 +2052,14 @@ mod tests {
         let cfg = small_cfg();
         let oracle = RingOracle { n: 8 };
         let pattern = UniformPattern::new(8, 0.3);
-        let a = simulate(&net, &cfg, &oracle, &pattern).unwrap();
-        let b = simulate_dyn(&net, &cfg, &oracle, &pattern).unwrap();
+        let a = Simulation::new(&net, &cfg, &oracle)
+            .unwrap()
+            .run(&pattern)
+            .unwrap();
+        let b = Simulation::<&dyn RouteOracle>::new(&net, &cfg, &oracle)
+            .unwrap()
+            .run(&pattern as &dyn TrafficPattern)
+            .unwrap();
         assert_eq!(a.packets_created, b.packets_created);
         assert_eq!(a.packets_ejected, b.packets_ejected);
         assert_eq!(a.latency_sum, b.latency_sum);
@@ -2100,13 +2072,10 @@ mod tests {
     #[test]
     fn zero_rate_runs_clean() {
         let net = ring(4);
-        let m = simulate(
-            &net,
-            &small_cfg(),
-            &RingOracle { n: 4 },
-            &UniformPattern::new(4, 0.0),
-        )
-        .unwrap();
+        let m = Simulation::new(&net, &small_cfg(), &RingOracle { n: 4 })
+            .unwrap()
+            .run(&UniformPattern::new(4, 0.0))
+            .unwrap();
         assert_eq!(m.packets_created, 0);
         assert_eq!(m.packets_ejected, 0);
     }
@@ -2215,6 +2184,99 @@ mod tests {
         assert!(matches!(err, SimError::Deadlock { .. }));
     }
 
+    /// Clockwise ring routing without a dateline: one VC, always VC 0, so
+    /// the ring's cyclic channel dependency closes under load.
+    struct NoDateline;
+    impl RouteOracle for NoDateline {
+        fn route(
+            &self,
+            router: u32,
+            _: u8,
+            _: u8,
+            pkt: &PacketHeader,
+            _: &mut SplitMix64,
+        ) -> RouteChoice {
+            RouteChoice {
+                out_port: if pkt.dst == router { 0 } else { 1 },
+                out_vc: 0,
+            }
+        }
+        fn initial_vc(&self, _: &PacketHeader) -> u8 {
+            0
+        }
+        fn num_vcs(&self) -> u8 {
+            1
+        }
+    }
+
+    #[test]
+    fn routing_deadlock_reported_alike_by_every_run_kind() {
+        let net = ring(8);
+        let cfg = |event_driven: bool, partitions: usize| SimConfig {
+            num_vcs: 1,
+            buffer_flits: 4,
+            event_driven,
+            partitions,
+            ..small_cfg()
+        };
+        // Open loop: saturating uniform traffic closes the cycle. Dense
+        // stepping and event stepping (whose fast-forward must carry the
+        // stall across jumps) agree on every partition count.
+        for event in [false, true] {
+            for partitions in [1, 2, 4] {
+                let err = Simulation::new(&net, &cfg(event, partitions), NoDateline)
+                    .unwrap()
+                    .run(&UniformPattern::new(8, 1.0))
+                    .unwrap_err();
+                assert_eq!(
+                    err,
+                    SimError::Deadlock {
+                        cycle: 521,
+                        in_flight: 64
+                    },
+                    "open loop, event={event} P={partitions}"
+                );
+            }
+        }
+        /// Every endpoint bursts 40 packets five hops ahead; never done,
+        /// and nothing further is ever scheduled.
+        struct Flood {
+            sent: bool,
+        }
+        impl WorkloadDriver for Flood {
+            fn pre_cycle(&mut self, _now: u64, inj: &mut Injector<'_>) {
+                if !std::mem::replace(&mut self.sent, true) {
+                    for s in 0..inj.endpoints() {
+                        for i in 0..40 {
+                            inj.submit(s, (s + 5) % 8, u64::from(s) * 40 + i, 4);
+                        }
+                    }
+                }
+            }
+            fn on_arrivals(&mut self, _now: u64, _arrivals: &[Arrival]) {}
+            fn done(&self) -> bool {
+                false
+            }
+            fn next_release(&self) -> Option<u64> {
+                Some(u64::MAX)
+            }
+        }
+        for event in [false, true] {
+            let err = Simulation::new(&net, &cfg(event, 1), NoDateline)
+                .unwrap()
+                .run_closed_loop(&mut Flood { sent: false })
+                .unwrap_err();
+            assert_eq!(
+                err,
+                SimError::Deadlock {
+                    cycle: 509,
+                    in_flight: 64
+                },
+                "closed loop, event={event}"
+            );
+        }
+    }
+
     #[test]
     fn vc_mismatch_is_rejected() {
         struct Greedy;
@@ -2240,8 +2302,8 @@ mod tests {
             }
         }
         let net = ring(4);
-        let err = simulate(&net, &small_cfg(), &Greedy, &UniformPattern::new(4, 0.1)).unwrap_err();
-        assert!(matches!(err, SimError::Invalid(_)));
+        let err = Simulation::new(&net, &small_cfg(), &Greedy).err();
+        assert!(matches!(err, Some(SimError::Invalid(_))));
     }
 }
 
@@ -2258,13 +2320,10 @@ mod channel_stat_tests {
         let net = ring(8);
         let mut cfg = small_cfg();
         cfg.per_channel_stats = true;
-        let m = simulate(
-            &net,
-            &cfg,
-            &RingOracle { n: 8 },
-            &UniformPattern::new(8, 0.3),
-        )
-        .unwrap();
+        let m = Simulation::new(&net, &cfg, &RingOracle { n: 8 })
+            .unwrap()
+            .run(&UniformPattern::new(8, 0.3))
+            .unwrap();
         let inj_total: u64 = net
             .channels
             .iter()

@@ -59,11 +59,9 @@ pub mod wake;
 
 pub use channel::{ChannelClass, ChannelDesc, ChannelId, RingFull, Terminus, TimedRing};
 pub use config::SimConfig;
-#[allow(deprecated)]
-pub use engine::simulate_faulted_on;
 pub use engine::{
-    effective_partitions, simulate, simulate_dyn, simulate_on, simulate_traced_on, ExchangeEdge,
-    Injector, SimError, SimResult, Simulation, WorkloadDriver,
+    effective_partitions, simulate_traced_on, ExchangeEdge, Injector, SimError, SimResult,
+    Simulation, WorkloadDriver,
 };
 pub use fault::FaultMap;
 pub use flit::{Flit, FlitKind, PacketHeader};

@@ -373,9 +373,9 @@ impl RouterRt {
     /// state changes.
     ///
     /// Generic over the oracle so the per-flit route computation
-    /// monomorphizes — no virtual dispatch on the hot path. The type-erased
-    /// entry point ([`crate::engine::simulate_dyn`]) instantiates this with
-    /// `O = &dyn RouteOracle` at the API boundary instead.
+    /// monomorphizes — no virtual dispatch on the hot path. A type-erased
+    /// `Simulation<&dyn RouteOracle>` instantiates this with
+    /// `O = &dyn RouteOracle` instead.
     pub fn cycle<O: RouteOracle + ?Sized>(
         &mut self,
         ctx: &mut CycleCtx<'_>,

@@ -178,6 +178,65 @@ fn serving_reports_bit_identical_across_schedules() {
     }
 }
 
+/// Arrivals further apart than the watchdog window leave the fabric idle
+/// but healthy in between: a promised arrival is a wait, not a deadlock.
+/// Both stepping modes must serve every job and agree on everything but
+/// the busy/skipped split.
+#[test]
+fn idle_gaps_between_arrivals_are_not_deadlocks() {
+    let class = |collective: &str, participants: u32| JobClass {
+        name: collective.into(),
+        collective: collective.into(),
+        flits: 10,
+        microbatches: 1,
+        participants,
+        placement: Placement::Block,
+        slo_cycles: 0,
+        weight: 1.0,
+    };
+    // One mix per family, in `families()` order: switch-less, then
+    // switch-based.
+    let specs = [
+        ServingSpec {
+            arrivals: ArrivalProcess::Trace {
+                cycles: vec![0, 6_000],
+            },
+            classes: vec![class("ring_allreduce", 6)],
+            ..acceptance_spec()
+        },
+        ServingSpec {
+            arrivals: ArrivalProcess::Poisson {
+                rate_per_kcycle: 0.4,
+                horizon: 20_000,
+            },
+            classes: vec![class("rd_allreduce", 4)],
+            ..acceptance_spec()
+        },
+    ];
+    for ((name, bench), spec) in families().iter().zip(&specs) {
+        let event = run_cell(bench, spec, 1, 1, true, false);
+        let dense = run_cell(bench, spec, 1, 1, false, false);
+        let arrivals = spec.arrivals.cycles(spec.seed, spec.max_jobs);
+        // Some arrival comes more than two watchdog windows after the
+        // previous one (or after cycle 0), and no job runs anywhere near
+        // a window, so the fabric sits idle past the window.
+        let window = SimConfig::default().watchdog_cycles;
+        let mut prev = 0;
+        assert!(
+            arrivals
+                .iter()
+                .any(|&a| a - std::mem::replace(&mut prev, a) > 2 * window),
+            "{name}: the mix must idle past the watchdog window"
+        );
+        assert_eq!(event.jobs.len(), arrivals.len(), "{name}");
+        assert_eq!(
+            sans_stepping_split(&event),
+            sans_stepping_split(&dense),
+            "{name}: event vs dense"
+        );
+    }
+}
+
 /// Cases per arrival-process property (same harness style as
 /// `tests/proptests.rs`: seeded SplitMix64 sampling, bit-reproducible).
 const CASES: usize = 24;
