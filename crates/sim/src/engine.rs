@@ -58,6 +58,21 @@
 //! storm reseed, the arrival hand-off, the quiescence exit, the deadlock
 //! watchdog and the idle fast-forward therefore exist once.
 //!
+//! ## Pending-work bitmaps
+//!
+//! Each partition keeps two bitmaps per local router, one `u64` each:
+//! `flit_pend` (bit = input port whose flit ring holds a flit) and
+//! `credit_pend` (bit = output port whose credit ring holds a credit).
+//! Every ring push and mailbox delivery sets the consumer's bit, and the
+//! router clears it when the ring drains, so absorption walks only ports
+//! with work. They also make dense cycles — saturation storms and
+//! `event_driven: false` — cheap on sparse fabrics: agents still run in
+//! ascending order, but a router with nothing buffered and no bit set, or
+//! an endpoint with nothing queued, no injection credit in flight and no
+//! open-loop emission due, is skipped, since its step would be a strict
+//! no-op. Debug builds assert that each bit is set iff its ring is
+//! non-empty, at every storm reseed and at the end of every run.
+//!
 //! ## Fixed-capacity channel queues
 //!
 //! Channel queues are [`TimedRing`]s sized when the network is compiled:
@@ -77,7 +92,8 @@ use crate::network::NetworkDesc;
 use crate::oracle::RouteOracle;
 use crate::pattern::TrafficPattern;
 use crate::router::{
-    Arrival, CreditTarget, CycleCtx, EndpointRt, FlitTarget, Msg, PortIn, PortOut, RouterRt,
+    mark_pending, Arrival, CreditTarget, CycleCtx, EndpointRt, FlitTarget, Msg, PortIn, PortOut,
+    RouterRt,
 };
 use crate::telemetry::{self, PartTrace, TraceRec, Tracer};
 use crate::wake::{ep_code, router_code, WakeWheel, EP_BIT};
@@ -136,11 +152,15 @@ struct Partition {
     flit_cons: Vec<u32>,
     /// Local credit queue index → wake code of the consuming agent.
     credit_cons: Vec<u32>,
+    /// Local flit queue index → consuming router's input port.
+    flit_cons_port: Vec<u8>,
     /// Local credit queue index → consuming router's output port.
     credit_cons_port: Vec<u8>,
-    /// Pending-credit bitmap per local router (bit = output port); lets
-    /// credit absorption touch only ports with credits actually in flight.
-    /// Maintained in dense mode too.
+    /// Pending-work bitmaps per local router: bit = input port whose flit
+    /// ring, or output port whose credit ring, holds an entry. They let
+    /// absorption touch only ports with work and let dense cycles skip
+    /// idle routers; maintained in every stepping mode.
+    flit_pend: Vec<u64>,
     credit_pend: Vec<u64>,
     /// Worklist dedup stamps: last cycle each local router / endpoint was
     /// enqueued (the wheel allows duplicate pushes).
@@ -182,8 +202,10 @@ impl Partition {
                     self.flit_qs[idx as usize]
                         .try_push(arrive, flit)
                         .expect("remote flit ring overflow: capacity bound violated");
+                    let code = self.flit_cons[idx as usize];
+                    mark_pending(&mut self.flit_pend, code, self.flit_cons_port[idx as usize]);
                     if event {
-                        self.wheel.push(arrive, self.flit_cons[idx as usize]);
+                        self.wheel.push(arrive, code);
                     }
                 }
                 Msg::Credit { ch, arrive, vc } => {
@@ -192,9 +214,11 @@ impl Partition {
                         .try_push(arrive, vc)
                         .expect("remote credit ring overflow: capacity bound violated");
                     let code = self.credit_cons[idx as usize];
-                    if code & EP_BIT == 0 {
-                        self.credit_pend[code as usize] |= 1 << self.credit_cons_port[idx as usize];
-                    }
+                    mark_pending(
+                        &mut self.credit_pend,
+                        code,
+                        self.credit_cons_port[idx as usize],
+                    );
                     if event {
                         self.wheel.push(arrive, code);
                     }
@@ -203,14 +227,55 @@ impl Partition {
         }
     }
 
+    /// Debug-build invariant: every local router's pending bit is set iff
+    /// the flit or credit ring behind that port holds an entry. Both
+    /// stepping modes read the same bitmaps, so the dense/event
+    /// equivalence suites cannot see a missed bit; this check can.
+    #[cfg(debug_assertions)]
+    fn assert_pending_bitmaps(&self) {
+        fn expected<T: Copy>(
+            rings: &[TimedRing<T>],
+            cons: &[u32],
+            port: &[u8],
+            n: usize,
+        ) -> Vec<u64> {
+            let mut want = vec![0u64; n];
+            for (q, ring) in rings.iter().enumerate() {
+                if !ring.is_empty() {
+                    mark_pending(&mut want, cons[q], port[q]);
+                }
+            }
+            want
+        }
+        let n = self.routers.len();
+        assert_eq!(
+            self.flit_pend,
+            expected(&self.flit_qs, &self.flit_cons, &self.flit_cons_port, n),
+            "pending-flit bitmap out of step with the flit rings"
+        );
+        assert_eq!(
+            self.credit_pend,
+            expected(
+                &self.credit_qs,
+                &self.credit_cons,
+                &self.credit_cons_port,
+                n
+            ),
+            "pending-credit bitmap out of step with the credit rings"
+        );
+    }
+
     /// Advance all endpoints and routers one cycle, appending outbound
     /// cross-partition messages to `outboxes` (this partition's row of the
     /// write-side mailbox buffer). Monomorphizes per oracle/pattern.
     ///
-    /// With `event` set, only the agents on this cycle's worklist run: the
-    /// wake-wheel bucket for `now` (queue pushes, deliveries, self-wakes,
-    /// closed-loop submissions) plus every endpoint whose open-loop
-    /// emission schedule fires now. An agent off the worklist would have
+    /// A dense cycle (`event` clear: a saturation storm or dense stepping)
+    /// visits every agent in ascending order but skips the idle ones
+    /// ([`RouterRt::idle`], [`EndpointRt::idle`]), whose step would be a
+    /// strict no-op. With `event` set, only the agents on this cycle's
+    /// worklist run: the wake-wheel bucket for `now` (queue pushes,
+    /// deliveries, self-wakes, closed-loop submissions) plus every
+    /// endpoint whose open-loop emission schedule fires now. An agent off the worklist would have
     /// been a strict no-op in the dense loop — no flit or credit due,
     /// nothing buffered, nothing to generate — so both modes execute the
     /// identical sequence of state changes, in the identical order
@@ -242,7 +307,9 @@ impl Partition {
             wheel,
             flit_cons,
             credit_cons,
+            flit_cons_port,
             credit_cons_port,
+            flit_pend,
             credit_pend,
             r_seen,
             e_seen,
@@ -280,17 +347,25 @@ impl Partition {
             wheel,
             flit_cons,
             credit_cons,
+            flit_cons_port,
             credit_cons_port,
+            flit_pend,
             credit_pend,
             out_min,
             trace,
         };
         if !event {
             for ep in endpoints.iter_mut() {
+                if ep.idle(&ctx, pattern, packet_len) {
+                    continue;
+                }
                 ep.absorb_credits(&mut ctx);
                 ep.cycle(&mut ctx, oracle, pattern, packet_len);
             }
             for (lr, r) in routers.iter_mut().enumerate() {
+                if r.idle(&ctx, lr as u32) {
+                    continue;
+                }
                 r.cycle(&mut ctx, oracle, lr as u32);
             }
             return;
@@ -590,8 +665,8 @@ pub struct Simulation<O: RouteOracle> {
     /// Cycles actually simulated / fast-forwarded over (metrics).
     busy_cycles: u64,
     skipped_cycles: u64,
-    /// Saturation storm: event stepping has fallen back to dense cycles
-    /// because nearly every agent is active anyway
+    /// Saturation storm: event stepping has fallen back to dense cycles,
+    /// which skip idle agents without any wheel bookkeeping
     /// (see [`update_regime`](Self::update_regime)).
     storm: bool,
     /// Consecutive saturated cycles observed while not yet in a storm.
@@ -756,7 +831,9 @@ impl<O: RouteOracle> Simulation<O> {
                 wheel: WakeWheel::disabled(),
                 flit_cons: Vec::new(),
                 credit_cons: Vec::new(),
+                flit_cons_port: Vec::new(),
                 credit_cons_port: Vec::new(),
+                flit_pend: Vec::new(),
                 credit_pend: Vec::new(),
                 r_seen: Vec::new(),
                 e_seen: Vec::new(),
@@ -942,7 +1019,7 @@ impl<O: RouteOracle> Simulation<O> {
         }
 
         // Consumer maps (queue index → wake code) for the wake wheel and
-        // the pending-credit bitmaps: a channel's flits wake its dst, its
+        // the pending-work bitmaps: a channel's flits wake its dst, its
         // credits wake its src (the flit producer absorbs credit returns).
         let mut flit_cons: Vec<Vec<u32>> =
             flit_caps.iter().map(|v| vec![u32::MAX; v.len()]).collect();
@@ -950,14 +1027,22 @@ impl<O: RouteOracle> Simulation<O> {
             .iter()
             .map(|v| vec![u32::MAX; v.len()])
             .collect();
+        let mut flit_cons_port: Vec<Vec<u8>> =
+            flit_caps.iter().map(|v| vec![0u8; v.len()]).collect();
         let mut credit_cons_port: Vec<Vec<u8>> =
             credit_caps.iter().map(|v| vec![0u8; v.len()]).collect();
         for (c, ch) in net.channels.iter().enumerate() {
             let (fp, fq) = flit_loc[c];
-            flit_cons[fp as usize][fq as usize] = match ch.dst {
-                Terminus::Router { router, .. } => router_code(local_router(router).1),
-                Terminus::Endpoint { endpoint } => ep_code(ep_loc[endpoint as usize].1 as usize),
-            };
+            match ch.dst {
+                Terminus::Router { router, port } => {
+                    flit_cons[fp as usize][fq as usize] = router_code(local_router(router).1);
+                    flit_cons_port[fp as usize][fq as usize] = port;
+                }
+                Terminus::Endpoint { endpoint } => {
+                    flit_cons[fp as usize][fq as usize] =
+                        ep_code(ep_loc[endpoint as usize].1 as usize);
+                }
+            }
             let (cp, cq) = credit_loc[c];
             match ch.src {
                 Terminus::Router { router, port } => {
@@ -982,7 +1067,9 @@ impl<O: RouteOracle> Simulation<O> {
         for (p, part) in partitions.iter_mut().enumerate() {
             part.flit_cons = std::mem::take(&mut flit_cons[p]);
             part.credit_cons = std::mem::take(&mut credit_cons[p]);
+            part.flit_cons_port = std::mem::take(&mut flit_cons_port[p]);
             part.credit_cons_port = std::mem::take(&mut credit_cons_port[p]);
+            part.flit_pend = vec![0; part.routers.len()];
             part.credit_pend = vec![0; part.routers.len()];
             part.r_seen = vec![u64::MAX; part.routers.len()];
             part.e_seen = vec![u64::MAX; part.endpoints.len()];
@@ -1276,6 +1363,7 @@ impl<O: RouteOracle> Simulation<O> {
             };
             if watchdog > 0 && counts && skip >= watchdog - stall {
                 self.now += watchdog - stall;
+                self.check_pending();
                 return Err(SimError::Deadlock {
                     cycle: self.now,
                     in_flight: in_flight.max(0) as u64,
@@ -1294,6 +1382,7 @@ impl<O: RouteOracle> Simulation<O> {
                 }
             }
         }
+        self.check_pending();
         self.finish_trace();
         let measured = if plan.closed {
             self.now
@@ -1329,13 +1418,14 @@ impl<O: RouteOracle> Simulation<O> {
 
     /// Saturation-storm hysteresis on the merged per-cycle `moved` count.
     ///
-    /// Near saturation almost every agent runs every cycle, so wake-wheel
-    /// maintenance and jump checks are pure overhead: once at least a
-    /// quarter of all agents move flits for [`STORM_ENTER`] consecutive
-    /// cycles, the engine enters a *storm* and steps densely (the `event`
-    /// flag handed to the cycle workers goes false — no wheel pushes, no
-    /// worklists, no fast-forwards). The first globally idle cycle
-    /// (`moved == 0`) ends the storm; the caller must then
+    /// Under heavy load wake-wheel maintenance and jump checks cost more
+    /// than they save: once the merged flit-movement count reaches a
+    /// quarter of the agent count for [`STORM_ENTER`] consecutive cycles,
+    /// the engine enters a *storm* and steps densely (the `event` flag
+    /// handed to the cycle workers goes false — no wheel pushes, no
+    /// worklists, no fast-forwards; idle agents are still skipped through
+    /// the pending-work bitmaps, see the module docs). The first globally
+    /// idle cycle (`moved == 0`) ends the storm; the caller must then
     /// [`reseed`](Self::reseed) the wheels from live queue/agent state
     /// before event stepping resumes — this returns `true` exactly then.
     ///
@@ -1376,6 +1466,7 @@ impl<O: RouteOracle> Simulation<O> {
     /// `[now, now + max_latency)` — older entries were absorbed by the
     /// dense cycles themselves — so the wheel's no-alias bound holds.
     fn reseed(&mut self) {
+        self.check_pending();
         let now = self.now;
         for part in &mut self.partitions {
             let Partition {
@@ -1409,6 +1500,16 @@ impl<O: RouteOracle> Simulation<O> {
                     wheel.push(now, ep_code(le));
                 }
             }
+        }
+    }
+
+    /// Debug builds: assert every partition's pending bitmaps against its
+    /// rings (see `Partition::assert_pending_bitmaps`). Runs at every storm
+    /// reseed and at the end of every run; free in release builds.
+    fn check_pending(&self) {
+        #[cfg(debug_assertions)]
+        for part in &self.partitions {
+            part.assert_pending_bitmaps();
         }
     }
 
@@ -1672,11 +1773,13 @@ impl Injector<'_> {
             0,
             "packet id {id:#x} overlaps the reserved VC-stamp bits"
         );
-        assert!(
-            (dst as usize) < self.ep_loc.len(),
-            "dst {dst} out of range ({} endpoints)",
-            self.ep_loc.len()
-        );
+        for (name, ep) in [("src", src), ("dst", dst)] {
+            assert!(
+                (ep as usize) < self.ep_loc.len(),
+                "{name} {ep} out of range ({} endpoints)",
+                self.ep_loc.len()
+            );
+        }
         let (p, e) = self.ep_loc[src as usize];
         let part = &mut self.parts[p as usize];
         let mut pkt = PacketHeader {
@@ -2275,6 +2378,56 @@ mod tests {
                 "closed loop, event={event}"
             );
         }
+    }
+
+    /// Submits one packet from `src` to endpoint 0 on the first cycle.
+    struct SubmitFrom(u32);
+    impl WorkloadDriver for SubmitFrom {
+        fn pre_cycle(&mut self, _now: u64, inj: &mut Injector<'_>) {
+            inj.submit(self.0, 0, 0, 1);
+        }
+        fn on_arrivals(&mut self, _now: u64, _arrivals: &[Arrival]) {}
+        fn done(&self) -> bool {
+            true
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "src 4 out of range (4 endpoints)")]
+    fn submit_rejects_out_of_range_src() {
+        let net = ring(4);
+        let mut sim = Simulation::new(&net, &small_cfg(), &RingOracle { n: 4 }).unwrap();
+        let _ = sim.run_closed_loop(&mut SubmitFrom(4));
+    }
+
+    #[test]
+    fn routers_over_the_port_limit_are_rejected() {
+        // Two routers with an endpoint each, linked on their last port.
+        let pair = |ports: u8| {
+            let mut net = NetworkDesc::new();
+            for r in 0..2 {
+                net.add_router(ports);
+                let e = net.add_endpoint(r);
+                net.attach_endpoint(e, r, 0, 1, 1);
+            }
+            net.connect(
+                (0, ports - 1),
+                (1, ports - 1),
+                1,
+                1,
+                ChannelClass::ShortReach,
+            );
+            Simulation::new(&net, &small_cfg(), &RingOracle { n: 2 }).err()
+        };
+        // Valid by index, but port 69 overflows the 64-bit per-router
+        // pending bitmaps.
+        assert_eq!(
+            pair(70),
+            Some(SimError::Invalid(
+                "router 0 has 70 ports; the engine supports at most 64".into()
+            ))
+        );
+        assert_eq!(pair(crate::MAX_PORTS as u8), None);
     }
 
     #[test]

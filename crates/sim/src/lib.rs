@@ -66,7 +66,7 @@ pub use engine::{
 pub use fault::FaultMap;
 pub use flit::{Flit, FlitKind, PacketHeader};
 pub use metrics::{ClassCounters, LatencyHistogram, Metrics};
-pub use network::{EndpointDesc, NetworkDesc, RouterDesc};
+pub use network::{EndpointDesc, NetworkDesc, RouterDesc, MAX_PORTS};
 pub use oracle::{RouteChoice, RouteOracle};
 pub use pattern::TrafficPattern;
 pub use rng::SplitMix64;

@@ -7,6 +7,12 @@
 
 use crate::channel::{ChannelClass, ChannelDesc, Terminus};
 
+/// Most ports one router may have. The engine keeps its per-router
+/// pending-work bitmaps in one `u64` each (bit = port) and its per-input
+/// switch-allocation quotas in a fixed array of this length;
+/// [`NetworkDesc::validate`] rejects larger routers.
+pub const MAX_PORTS: usize = 64;
+
 /// Static description of one router.
 #[derive(Debug, Clone, Copy)]
 pub struct RouterDesc {
@@ -119,11 +125,20 @@ impl NetworkDesc {
         ));
     }
 
-    /// Structural validation: indices in range, no port used twice in the
-    /// same direction, latency ≥ 1, width ≥ 1.
+    /// Structural validation: at most [`MAX_PORTS`] ports per router,
+    /// indices in range, no port used twice in the same direction,
+    /// latency ≥ 1, width ≥ 1.
     pub fn validate(&self) -> Result<(), String> {
         let nr = self.routers.len() as u32;
         let ne = self.endpoints.len() as u32;
+        for (i, r) in self.routers.iter().enumerate() {
+            if r.ports as usize > MAX_PORTS {
+                return Err(format!(
+                    "router {i} has {} ports; the engine supports at most {MAX_PORTS}",
+                    r.ports
+                ));
+            }
+        }
         for (i, e) in self.endpoints.iter().enumerate() {
             if e.router >= nr {
                 return Err(format!(

@@ -22,6 +22,7 @@
 use crate::channel::{ChannelClass, TimedRing};
 use crate::flit::{Flit, PacketHeader};
 use crate::metrics::Metrics;
+use crate::network::MAX_PORTS;
 use crate::oracle::{RouteChoice, RouteOracle};
 use crate::pattern::TrafficPattern;
 use crate::rng::SplitMix64;
@@ -220,6 +221,13 @@ pub struct CycleCtx<'a> {
     /// queue drains. Maintained in dense mode too — it is what lets
     /// credit absorption touch only ports with credits in flight.
     pub credit_pend: &'a mut [u64],
+    /// Local flit queue index → consuming router's input port (unused for
+    /// endpoint-consumed queues).
+    pub flit_cons_port: &'a [u8],
+    /// Pending-flit bitmap per partition-local router (bit = in port): the
+    /// arrival-side twin of `credit_pend`, cleared by
+    /// `RouterRt::absorb_arrivals` once the ring drains.
+    pub flit_pend: &'a mut [u64],
     /// Earliest arrival among this cycle's outbound cross-partition
     /// messages (reset to `u64::MAX` each advance). Their wheel wakes only
     /// register at delivery, so the engine caps idle fast-forwards here —
@@ -244,14 +252,17 @@ impl CycleCtx<'_> {
         self.outboxes[slot as usize].push(msg);
     }
 
-    /// Push a flit into a locally owned ring and wake its consumer.
+    /// Push a flit into a locally owned ring, mark the consuming router's
+    /// pending bit, and wake the consumer.
     #[inline]
     fn push_flit(&mut self, q: u32, arrive: u64, flit: Flit) {
         self.flit_qs[q as usize]
             .try_push(arrive, flit)
             .expect("flit ring overflow: capacity bound violated");
+        let code = self.flit_cons[q as usize];
+        mark_pending(self.flit_pend, code, self.flit_cons_port[q as usize]);
         if self.event {
-            self.wheel.push(arrive, self.flit_cons[q as usize]);
+            self.wheel.push(arrive, code);
         }
     }
 
@@ -263,12 +274,19 @@ impl CycleCtx<'_> {
             .try_push(arrive, vc)
             .expect("credit ring overflow: capacity bound violated");
         let code = self.credit_cons[q as usize];
-        if code & EP_BIT == 0 {
-            self.credit_pend[code as usize] |= 1 << self.credit_cons_port[q as usize];
-        }
+        mark_pending(self.credit_pend, code, self.credit_cons_port[q as usize]);
         if self.event {
             self.wheel.push(arrive, code);
         }
+    }
+}
+
+/// Set `port`'s bit in the pending bitmap of the router behind wake `code`
+/// after a push into one of its rings (endpoint consumers keep no bitmap).
+#[inline]
+pub(crate) fn mark_pending(pend: &mut [u64], code: u32, port: u8) {
+    if code & EP_BIT == 0 {
+        pend[code as usize] |= 1 << port;
     }
 }
 
@@ -366,11 +384,13 @@ impl RouterRt {
     /// One simulation cycle: arrivals, credit returns, RC, VA, SA, traversal.
     ///
     /// `lidx` is this router's partition-local index (its slot in the
-    /// partition's pending-credit bitmap). Under event-driven stepping the
-    /// engine only calls this for routers on the cycle's worklist; a
+    /// partition's pending-flit and pending-credit bitmaps). The engine
+    /// calls this only for routers that may have work: under event-driven
+    /// stepping those on the cycle's worklist, in dense cycles those with
+    /// a flit buffered or a pending-flit or pending-credit bit set. A
     /// router not called would have done nothing — no flit or credit due,
-    /// nothing buffered — so both modes execute the identical sequence of
-    /// state changes.
+    /// nothing buffered — so every stepping mode executes the identical
+    /// sequence of state changes.
     ///
     /// Generic over the oracle so the per-flit route computation
     /// monomorphizes — no virtual dispatch on the hot path. A type-erased
@@ -383,13 +403,21 @@ impl RouterRt {
         lidx: u32,
     ) {
         self.absorb_credits(ctx, lidx);
-        self.absorb_arrivals(ctx);
+        self.absorb_arrivals(ctx, lidx);
         if self.buffered == 0 {
             return;
         }
         self.route_compute(oracle, ctx.now);
         self.vc_allocate();
         self.switch_allocate(ctx);
+    }
+
+    /// True when [`cycle`](Self::cycle) would be a strict no-op: nothing
+    /// buffered and no flit or credit ring pending on any port. Dense
+    /// cycles skip such routers.
+    #[inline]
+    pub(crate) fn idle(&self, ctx: &CycleCtx<'_>, lidx: u32) -> bool {
+        self.buffered == 0 && (ctx.flit_pend[lidx as usize] | ctx.credit_pend[lidx as usize]) == 0
     }
 
     /// Pull returned credits into output VC counters.
@@ -422,11 +450,22 @@ impl RouterRt {
     }
 
     /// Pull arrived flits into input buffers.
-    fn absorb_arrivals(&mut self, ctx: &mut CycleCtx<'_>) {
-        for port in 0..self.ports as usize {
-            let Some(pin) = self.in_ports[port] else {
-                continue;
-            };
+    ///
+    /// Driven by the partition's pending-flit bitmap, like
+    /// [`absorb_credits`](Self::absorb_credits): only input ports whose
+    /// ring holds a flit are touched (the bit is set by
+    /// [`CycleCtx::push_flit`]/mailbox delivery and cleared here once the
+    /// ring drains).
+    fn absorb_arrivals(&mut self, ctx: &mut CycleCtx<'_>, lidx: u32) {
+        let mut pend = ctx.flit_pend[lidx as usize];
+        if pend == 0 {
+            return;
+        }
+        let mut left = pend;
+        while left != 0 {
+            let port = left.trailing_zeros() as usize;
+            left &= left - 1;
+            let pin = self.in_ports[port].expect("pending flit on unwired port");
             let q = &mut ctx.flit_qs[pin.flit_q as usize];
             while let Some((_, flit)) = q.pop_due(ctx.now) {
                 // The sender stamped its allocated VC into the flit (see the
@@ -438,7 +477,11 @@ impl RouterRt {
                 self.buffered += 1;
                 *ctx.moved += 1;
             }
+            if q.is_empty() {
+                pend &= !(1 << port);
+            }
         }
+        ctx.flit_pend[lidx as usize] = pend;
     }
 
     /// Route computation for fresh head flits.
@@ -546,7 +589,7 @@ impl RouterRt {
         self.sa_scratch.sort_unstable();
         // Per-input-port quotas (only the ports this router has — a fixed
         // 256-entry array would memset 512 B per busy router per cycle).
-        let mut in_quota = [0u16; 64];
+        let mut in_quota = [0u16; MAX_PORTS];
         debug_assert!(self.ports as usize <= in_quota.len());
         for (q, pin) in in_quota.iter_mut().zip(&self.in_ports) {
             *q = pin.map_or(0, |pi| pi.width as u16 * self.speedup as u16);
@@ -932,14 +975,9 @@ impl EndpointRt {
         pattern: &P,
         packet_len: u8,
     ) {
-        let rate = pattern.rate(self.id);
-        if rate <= 0.0 {
+        let Some(target) = self.emission_due(pattern, packet_len, ctx.now) else {
             return;
-        }
-        let target = emission_target(ctx.now, rate / packet_len as f64);
-        if target <= self.emitted {
-            return;
-        }
+        };
         let mut rng = SplitMix64::for_event(self.seed, self.gen_stream_id(), ctx.now);
         while self.emitted < target {
             self.emitted += 1;
@@ -968,6 +1006,42 @@ impl EndpointRt {
             }
             self.queue.push_back(pkt);
         }
+    }
+
+    /// The open-loop schedule's emission target for cycle `now` when it
+    /// exceeds the packets emitted so far, else `None`: the one test that
+    /// decides whether [`generate`](Self::generate) has work, shared with
+    /// [`idle`](Self::idle) so the two can never disagree.
+    #[inline]
+    fn emission_due<P: TrafficPattern + ?Sized>(
+        &self,
+        pattern: &P,
+        packet_len: u8,
+        now: u64,
+    ) -> Option<u64> {
+        let rate = pattern.rate(self.id);
+        if rate <= 0.0 {
+            return None;
+        }
+        let target = emission_target(now, rate / packet_len as f64);
+        (target > self.emitted).then_some(target)
+    }
+
+    /// True when this cycle's [`absorb_credits`](Self::absorb_credits) and
+    /// [`cycle`](Self::cycle) would be strict no-ops — nothing queued, no
+    /// injection credit in flight, no open-loop emission due — so they
+    /// change no state and draw from no RNG stream. Dense cycles skip such
+    /// endpoints.
+    #[inline]
+    pub(crate) fn idle<P: TrafficPattern + ?Sized>(
+        &self,
+        ctx: &CycleCtx<'_>,
+        pattern: &P,
+        packet_len: u8,
+    ) -> bool {
+        self.queue.is_empty()
+            && ctx.credit_qs[self.inj_credit_q as usize].is_empty()
+            && !(ctx.injecting && self.emission_due(pattern, packet_len, ctx.now).is_some())
     }
 
     /// Stream id of the per-cycle keyed generation RNG (distinct from the

@@ -529,8 +529,11 @@ impl SwParams {
         if self.groups > 1 && self.globals == 0 {
             return Err("multi-group network needs global ports".into());
         }
-        if self.radix() > 64 {
-            return Err("radix exceeds engine port limit (64)".into());
+        if self.radix() as usize > wsdf_sim::MAX_PORTS {
+            return Err(format!(
+                "radix exceeds engine port limit ({})",
+                wsdf_sim::MAX_PORTS
+            ));
         }
         Ok(())
     }
