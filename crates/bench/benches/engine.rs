@@ -217,8 +217,8 @@ fn bench_idle(c: &mut Criterion) {
     // the whole fabric goes quiet and the engine fast-forwards the gap.
     // (A ring over *adjacent chips* never records a skipped cycle: the
     // mesh-local pairs complete early and release their next step
-    // immediately, keeping some wake due every single cycle — that
-    // variant measures only the active-set win, not fast-forward.)
+    // immediately, keeping some agent's work due every single cycle —
+    // that variant measures only the active-set win, not fast-forward.)
     {
         let participants: Vec<u32> = (0..bench.scope.num_chips())
             .step_by(bench.scope.chips_per_cgroup as usize)

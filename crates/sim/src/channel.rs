@@ -267,13 +267,6 @@ impl<T: Copy> TimedRing<T> {
         Some(e)
     }
 
-    /// Arrival cycles of every queued entry, oldest first. Used when the
-    /// event-driven engine reseeds its wake wheels from live queue state
-    /// after a dense storm interval.
-    pub fn dues(&self) -> impl Iterator<Item = u64> + '_ {
-        (0..self.len).map(move |i| self.buf[(self.head + i) % self.cap].0)
-    }
-
     /// Remove and return the oldest entry iff it has arrived by `now`.
     /// This is the consumer-side primitive of every absorb loop.
     #[inline]

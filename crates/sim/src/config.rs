@@ -90,14 +90,6 @@ pub fn resolve_event_driven(get: impl Fn(&str) -> Option<String>) -> bool {
 }
 
 impl SimConfig {
-    /// Table IV defaults with an explicit VC count.
-    pub fn with_vcs(num_vcs: u8) -> Self {
-        SimConfig {
-            num_vcs,
-            ..Default::default()
-        }
-    }
-
     /// Total simulated cycles (excluding drain).
     pub fn total_cycles(&self) -> u64 {
         self.warmup_cycles + self.measure_cycles

@@ -55,23 +55,28 @@
 //! ([`Simulation::run_closed_loop_on`]) runs share one private loop: an
 //! open-loop run is a closed-loop run whose driver injects nothing and is
 //! always done, with a measurement window and a hard stop. Stepping, the
-//! storm reseed, the arrival hand-off, the quiescence exit, the deadlock
+//! storm regime, the arrival hand-off, the quiescence exit, the deadlock
 //! watchdog and the idle fast-forward therefore exist once.
 //!
 //! ## Pending-work bitmaps
 //!
-//! Each partition keeps two bitmaps per local router, one `u64` each:
-//! `flit_pend` (bit = input port whose flit ring holds a flit) and
-//! `credit_pend` (bit = output port whose credit ring holds a credit).
-//! Every ring push and mailbox delivery sets the consumer's bit, and the
-//! router clears it when the ring drains, so absorption walks only ports
-//! with work. They also make dense cycles — saturation storms and
-//! `event_driven: false` — cheap on sparse fabrics: agents still run in
-//! ascending order, but a router with nothing buffered and no bit set, or
-//! an endpoint with nothing queued, no injection credit in flight and no
-//! open-loop emission due, is skipped, since its step would be a strict
-//! no-op. Debug builds assert that each bit is set iff its ring is
-//! non-empty, at every storm reseed and at the end of every run.
+//! The bitmaps (`router::Pending`) are the one record of which agents have
+//! work. Each partition keeps a pending-flit and a pending-credit word
+//! per local router (bit = port whose ring holds an entry) and one
+//! summary bit per local router (a pending port or a buffered flit) and
+//! per local endpoint (a queued packet or an injection credit in
+//! flight). Every ring push, mailbox delivery and closed-loop submission
+//! marks its consumer; a router clears a port bit when the ring drains,
+//! and an agent clears its summary bit after a step that leaves it idle.
+//!
+//! Every executed cycle — event-driven, storm or dense — marks the
+//! endpoints whose open-loop emission is due, then steps the endpoints
+//! and then the routers whose bit is set, in ascending order. Any other
+//! agent's step would be a strict no-op. Between cycles the same bits
+//! give the next-event cycle for the idle fast-forward: a busy agent is
+//! due now, any other at the earliest front of its pending rings. Debug
+//! builds assert that every bit is exact at every storm exit and at both
+//! run exits.
 //!
 //! ## Fixed-capacity channel queues
 //!
@@ -92,11 +97,10 @@ use crate::network::NetworkDesc;
 use crate::oracle::RouteOracle;
 use crate::pattern::TrafficPattern;
 use crate::router::{
-    mark_pending, Arrival, CreditTarget, CycleCtx, EndpointRt, FlitTarget, Msg, PortIn, PortOut,
-    RouterRt,
+    clear_bit, Arrival, Consumer, CreditTarget, CycleCtx, EndpointRt, FlitTarget, Msg, Ones,
+    Pending, PortIn, PortOut, RouterRt,
 };
 use crate::telemetry::{self, PartTrace, TraceRec, Tracer};
-use crate::wake::{ep_code, router_code, WakeWheel, EP_BIT};
 use wsdf_exec::BspPool;
 
 /// Engine errors.
@@ -146,37 +150,17 @@ struct Partition {
     /// Packet-arrival events of this cycle (closed-loop runs only; stays
     /// empty — and unallocated — in open-loop runs).
     arrivals: Vec<Arrival>,
-    /// This partition's wake wheel ([`WakeWheel::disabled`] when dense).
-    wheel: WakeWheel,
-    /// Local flit queue index → wake code of the consuming agent.
-    flit_cons: Vec<u32>,
-    /// Local credit queue index → wake code of the consuming agent.
-    credit_cons: Vec<u32>,
-    /// Local flit queue index → consuming router's input port.
-    flit_cons_port: Vec<u8>,
-    /// Local credit queue index → consuming router's output port.
-    credit_cons_port: Vec<u8>,
-    /// Pending-work bitmaps per local router: bit = input port whose flit
-    /// ring, or output port whose credit ring, holds an entry. They let
-    /// absorption touch only ports with work and let dense cycles skip
-    /// idle routers; maintained in every stepping mode.
-    flit_pend: Vec<u64>,
-    credit_pend: Vec<u64>,
-    /// Worklist dedup stamps: last cycle each local router / endpoint was
-    /// enqueued (the wheel allows duplicate pushes).
-    r_seen: Vec<u64>,
-    e_seen: Vec<u64>,
+    /// Which local agents and ports have work (see [`Pending`]).
+    pend: Pending,
     /// Next open-loop emission cycle per local endpoint (`u64::MAX` if its
     /// schedule never fires), and the minimum over them.
     next_gen: Vec<u64>,
     gen_min: u64,
-    /// Per-cycle worklist scratch (kept to avoid re-allocating).
-    work_r: Vec<u32>,
-    work_e: Vec<u32>,
     /// Earliest arrival cycle among the cross-partition messages this
     /// partition emitted on its latest advance (`u64::MAX` if none). After
-    /// the barrier those messages sit undelivered in the read mailboxes
-    /// with no wheel wake yet, so this bounds the idle fast-forward.
+    /// the barrier those messages sit undelivered in the read mailboxes,
+    /// their consumers not yet marked, so this bounds the idle
+    /// fast-forward.
     out_min: u64,
     /// Opt-in telemetry state ([`Simulation::attach_trace`]); `None`
     /// keeps the hot path allocation- and branch-cost-free apart from one
@@ -186,15 +170,9 @@ struct Partition {
 
 impl Partition {
     /// Deliver one source partition's mailbox into the channel queues this
-    /// partition owns, registering consumer wakes (the producer partition
-    /// cannot reach this wheel, so remote messages wake at delivery).
-    fn deliver(
-        &mut self,
-        msgs: &mut Vec<Msg>,
-        flit_loc: &[(u32, u32)],
-        credit_loc: &[(u32, u32)],
-        event: bool,
-    ) {
+    /// partition owns, marking each consumer (the producer partition
+    /// cannot reach these bitmaps, so remote messages mark at delivery).
+    fn deliver(&mut self, msgs: &mut Vec<Msg>, flit_loc: &[(u32, u32)], credit_loc: &[(u32, u32)]) {
         for msg in msgs.drain(..) {
             match msg {
                 Msg::Flit { ch, arrive, flit } => {
@@ -202,84 +180,90 @@ impl Partition {
                     self.flit_qs[idx as usize]
                         .try_push(arrive, flit)
                         .expect("remote flit ring overflow: capacity bound violated");
-                    let code = self.flit_cons[idx as usize];
-                    mark_pending(&mut self.flit_pend, code, self.flit_cons_port[idx as usize]);
-                    if event {
-                        self.wheel.push(arrive, code);
-                    }
+                    self.pend.flit_pushed(idx);
                 }
                 Msg::Credit { ch, arrive, vc } => {
                     let (_, idx) = credit_loc[ch as usize];
                     self.credit_qs[idx as usize]
                         .try_push(arrive, vc)
                         .expect("remote credit ring overflow: capacity bound violated");
-                    let code = self.credit_cons[idx as usize];
-                    mark_pending(
-                        &mut self.credit_pend,
-                        code,
-                        self.credit_cons_port[idx as usize],
-                    );
-                    if event {
-                        self.wheel.push(arrive, code);
-                    }
+                    self.pend.credit_pushed(idx);
                 }
             }
         }
     }
 
-    /// Debug-build invariant: every local router's pending bit is set iff
-    /// the flit or credit ring behind that port holds an entry. Both
-    /// stepping modes read the same bitmaps, so the dense/event
-    /// equivalence suites cannot see a missed bit; this check can.
+    /// Debug-build invariant: the pending-work bitmaps are exact. A port
+    /// bit is set iff the ring behind it holds an entry; a router's bit
+    /// iff a port is pending or a flit buffered; an endpoint's bit iff a
+    /// packet is queued or an injection credit in flight. Ejection is
+    /// final at the router, so every endpoint-consumed flit ring stays
+    /// empty. Both stepping modes read the same bitmaps, so the
+    /// dense/event equivalence suites cannot see a missed bit; this check
+    /// can.
     #[cfg(debug_assertions)]
     fn assert_pending_bitmaps(&self) {
-        fn expected<T: Copy>(
-            rings: &[TimedRing<T>],
-            cons: &[u32],
-            port: &[u8],
-            n: usize,
-        ) -> Vec<u64> {
-            let mut want = vec![0u64; n];
-            for (q, ring) in rings.iter().enumerate() {
-                if !ring.is_empty() {
-                    mark_pending(&mut want, cons[q], port[q]);
-                }
+        use crate::router::set_bit;
+        let pend = &self.pend;
+        let mut flit = vec![0u64; self.routers.len()];
+        let mut credit = vec![0u64; self.routers.len()];
+        let mut routers = vec![0u64; pend.routers.len()];
+        let mut endpoints = vec![0u64; pend.endpoints.len()];
+        for (q, ring) in self.flit_qs.iter().enumerate() {
+            match pend.flit_cons[q] {
+                _ if ring.is_empty() => {}
+                Consumer::Router { lidx, port } => flit[lidx as usize] |= 1 << port,
+                Consumer::Endpoint(e) => panic!("ejection flit ring of endpoint {e} holds a flit"),
             }
-            want
         }
-        let n = self.routers.len();
+        for (q, ring) in self.credit_qs.iter().enumerate() {
+            match pend.credit_cons[q] {
+                Consumer::Router { lidx, port } if !ring.is_empty() => {
+                    credit[lidx as usize] |= 1 << port
+                }
+                // Injection-credit rings count through `EndpointRt::idle`.
+                _ => {}
+            }
+        }
+        for (lr, r) in self.routers.iter().enumerate() {
+            if r.buffered() > 0 || (flit[lr] | credit[lr]) != 0 {
+                set_bit(&mut routers, lr);
+            }
+        }
+        for (le, e) in self.endpoints.iter().enumerate() {
+            if !e.idle(&self.credit_qs) {
+                set_bit(&mut endpoints, le);
+            }
+        }
         assert_eq!(
-            self.flit_pend,
-            expected(&self.flit_qs, &self.flit_cons, &self.flit_cons_port, n),
+            pend.flit, flit,
             "pending-flit bitmap out of step with the flit rings"
         );
         assert_eq!(
-            self.credit_pend,
-            expected(
-                &self.credit_qs,
-                &self.credit_cons,
-                &self.credit_cons_port,
-                n
-            ),
+            pend.credit, credit,
             "pending-credit bitmap out of step with the credit rings"
+        );
+        assert_eq!(
+            pend.routers, routers,
+            "router pending bitmap out of step with the routers"
+        );
+        assert_eq!(
+            pend.endpoints, endpoints,
+            "endpoint pending bitmap out of step with the endpoints"
         );
     }
 
-    /// Advance all endpoints and routers one cycle, appending outbound
+    /// Advance the agents with work one cycle, appending outbound
     /// cross-partition messages to `outboxes` (this partition's row of the
     /// write-side mailbox buffer). Monomorphizes per oracle/pattern.
     ///
-    /// A dense cycle (`event` clear: a saturation storm or dense stepping)
-    /// visits every agent in ascending order but skips the idle ones
-    /// ([`RouterRt::idle`], [`EndpointRt::idle`]), whose step would be a
-    /// strict no-op. With `event` set, only the agents on this cycle's
-    /// worklist run: the wake-wheel bucket for `now` (queue pushes,
-    /// deliveries, self-wakes, closed-loop submissions) plus every
-    /// endpoint whose open-loop emission schedule fires now. An agent off the worklist would have
-    /// been a strict no-op in the dense loop — no flit or credit due,
-    /// nothing buffered, nothing to generate — so both modes execute the
-    /// identical sequence of state changes, in the identical order
-    /// (worklists are sorted; endpoints run before routers, as densely).
+    /// Every executed cycle — event, storm or dense — walks the
+    /// pending-work bitmaps: endpoints, then routers, in ascending order,
+    /// after marking every endpoint whose open-loop emission is due. An
+    /// agent without its bit set would have been a strict no-op — no
+    /// flit or credit due, nothing buffered, nothing to generate — so
+    /// every stepping mode executes the identical sequence of state
+    /// changes, in the identical order.
     #[allow(clippy::too_many_arguments)]
     fn advance<O: RouteOracle + ?Sized, P: TrafficPattern + ?Sized>(
         &mut self,
@@ -291,7 +275,6 @@ impl Partition {
         packet_len: u8,
         collect_arrivals: bool,
         outboxes: &mut [Vec<Msg>],
-        event: bool,
     ) {
         self.moved = 0;
         self.out_min = u64::MAX;
@@ -304,27 +287,17 @@ impl Partition {
             moved,
             in_flight,
             arrivals,
-            wheel,
-            flit_cons,
-            credit_cons,
-            flit_cons_port,
-            credit_cons_port,
-            flit_pend,
-            credit_pend,
-            r_seen,
-            e_seen,
+            pend,
             next_gen,
             gen_min,
-            work_r,
-            work_e,
             out_min,
             trace,
         } = self;
         // Telemetry cycle entry: flush any completed sampling window and
         // take the boundary queue-depth sample *before* this cycle's state
         // changes. Runs for every partition at every executed cycle (even
-        // with an empty event worklist), which is what makes the emitted
-        // stream independent of the stepping mode — see `crate::telemetry`.
+        // with no agent to step), which is what makes the emitted stream
+        // independent of the stepping mode — see `crate::telemetry`.
         let mut trace = trace.as_deref_mut();
         if let Some(t) = trace.as_deref_mut() {
             t.begin_cycle(now, routers);
@@ -343,113 +316,89 @@ impl Partition {
             injecting: now < measure_end,
             measure_start,
             measure_end,
-            event,
-            wheel,
-            flit_cons,
-            credit_cons,
-            flit_cons_port,
-            credit_cons_port,
-            flit_pend,
-            credit_pend,
+            pend,
             out_min,
             trace,
         };
-        if !event {
-            for ep in endpoints.iter_mut() {
-                if ep.idle(&ctx, pattern, packet_len) {
-                    continue;
-                }
-                ep.absorb_credits(&mut ctx);
-                ep.cycle(&mut ctx, oracle, pattern, packet_len);
-            }
-            for (lr, r) in routers.iter_mut().enumerate() {
-                if r.idle(&ctx, lr as u32) {
-                    continue;
-                }
-                r.cycle(&mut ctx, oracle, lr as u32);
-            }
-            return;
-        }
-
-        // Build the worklist: generation wakes first (deduped against the
-        // wheel with the same cycle stamps), then this cycle's bucket.
-        work_r.clear();
-        work_e.clear();
         let gen_due = ctx.injecting && *gen_min <= now;
         if gen_due {
-            for (e, ng) in next_gen.iter().enumerate() {
-                if *ng <= now && e_seen[e] != now {
-                    e_seen[e] = now;
-                    work_e.push(e as u32);
+            for (e, &ng) in next_gen.iter().enumerate() {
+                if ng <= now {
+                    ctx.pend.mark_endpoint(e);
                 }
             }
         }
-        let mut bucket = std::mem::take(ctx.wheel.bucket_mut(now));
-        for &code in &bucket {
-            if code & EP_BIT != 0 {
-                let e = (code & !EP_BIT) as usize;
-                if e_seen[e] != now {
-                    e_seen[e] = now;
-                    work_e.push(e as u32);
+        // Each word is copied before it is walked: a push made this cycle
+        // is due at `now + 1` or later, so a bit it sets in the current
+        // word would only have added a no-op visit.
+        for w in 0..ctx.pend.endpoints.len() {
+            for b in Ones(ctx.pend.endpoints[w]) {
+                let e = w * 64 + b;
+                let ep = &mut endpoints[e];
+                ep.absorb_credits(&mut ctx);
+                ep.cycle(&mut ctx, oracle, pattern, packet_len);
+                if ep.idle(ctx.credit_qs) {
+                    clear_bit(&mut ctx.pend.endpoints, e);
                 }
-            } else if r_seen[code as usize] != now {
-                r_seen[code as usize] = now;
-                work_r.push(code);
-            }
-        }
-        bucket.clear();
-        *ctx.wheel.bucket_mut(now) = bucket;
-
-        // Replay the dense iteration order: ascending ids, endpoints before
-        // routers. Near saturation the worklist covers most of the
-        // partition, and a stamp scan produces it already ordered for O(n) —
-        // cheaper than sorting the bucket-ordered list.
-        if work_e.len() >= endpoints.len() / 4 {
-            work_e.clear();
-            for (e, seen) in e_seen.iter().enumerate() {
-                if *seen == now {
-                    work_e.push(e as u32);
+                // Re-arm the emission schedule of an endpoint that fired.
+                if gen_due && next_gen[e] <= now {
+                    next_gen[e] = ep.next_gen_cycle(pattern, packet_len, now + 1);
                 }
             }
-        } else {
-            work_e.sort_unstable();
         }
-        if work_r.len() >= routers.len() / 4 {
-            work_r.clear();
-            for (r, seen) in r_seen.iter().enumerate() {
-                if *seen == now {
-                    work_r.push(r as u32);
-                }
-            }
-        } else {
-            work_r.sort_unstable();
-        }
-        for &e in work_e.iter() {
-            let ep = &mut endpoints[e as usize];
-            ep.absorb_credits(&mut ctx);
-            ep.cycle(&mut ctx, oracle, pattern, packet_len);
-            if ep.backlog() > 0 {
-                ctx.wheel.push(now + 1, ep_code(e as usize));
-            }
-        }
-        for &rc in work_r.iter() {
-            let r = &mut routers[rc as usize];
-            r.cycle(&mut ctx, oracle, rc);
-            if r.buffered() > 0 {
-                ctx.wheel.push(now + 1, router_code(rc as usize));
-            }
-        }
-
-        // Re-arm the emission schedule for every endpoint that fired.
         if gen_due {
-            for &e in work_e.iter() {
-                let ei = e as usize;
-                if next_gen[ei] <= now {
-                    next_gen[ei] = endpoints[ei].next_gen_cycle(pattern, packet_len, now + 1);
-                }
-            }
             *gen_min = next_gen.iter().copied().min().unwrap_or(u64::MAX);
         }
+        for w in 0..ctx.pend.routers.len() {
+            for b in Ones(ctx.pend.routers[w]) {
+                let lr = w * 64 + b;
+                let r = &mut routers[lr];
+                r.cycle(&mut ctx, oracle, lr as u32);
+                if r.idle(ctx.pend, lr as u32) {
+                    clear_bit(&mut ctx.pend.routers, lr);
+                }
+            }
+        }
+    }
+
+    /// Earliest cycle ≥ `now` at which this partition has work: the
+    /// earliest undelivered outbound message, the next open-loop emission
+    /// (while `gen_live`), and, over the agents whose pending-work bit is
+    /// set, `now` for a router with a buffered flit or an endpoint with a
+    /// queued packet, else the earliest front of their pending rings.
+    /// Ring dues are monotone within each ring and every entry is
+    /// consumed at its due cycle, so no earlier work can hide behind a
+    /// front.
+    fn next_event(&self, now: u64, gen_live: bool) -> u64 {
+        let mut t = self.out_min;
+        if gen_live {
+            t = t.min(self.gen_min);
+        }
+        for (w, &word) in self.pend.endpoints.iter().enumerate() {
+            for b in Ones(word) {
+                t = t.min(self.endpoints[w * 64 + b].next_due(now, &self.credit_qs));
+                if t <= now {
+                    return now;
+                }
+            }
+        }
+        for (w, &word) in self.pend.routers.iter().enumerate() {
+            for b in Ones(word) {
+                let lr = w * 64 + b;
+                let due = self.routers[lr].next_due(
+                    now,
+                    &self.flit_qs,
+                    &self.credit_qs,
+                    &self.pend,
+                    lr as u32,
+                );
+                t = t.min(due);
+                if t <= now {
+                    return now;
+                }
+            }
+        }
+        t
     }
 }
 
@@ -585,7 +534,6 @@ impl CycleShared<'_> {
         credit_loc: &[(u32, u32)],
         packet_len: u8,
         collect_arrivals: bool,
-        event: bool,
     ) {
         let part = &mut *self.parts.add(p);
         // Drain this partition's in-edges in ascending source order (the
@@ -594,7 +542,7 @@ impl CycleShared<'_> {
         for &e in &self.in_flat[self.in_start[p] as usize..self.in_start[p + 1] as usize] {
             let cell = &mut *self.read.add(e as usize);
             *self.drained.add(e as usize) += cell.len() as u64;
-            part.deliver(cell, flit_loc, credit_loc, event);
+            part.deliver(cell, flit_loc, credit_loc);
         }
         // This partition's out-edge cells are its outbox set; emit targets
         // were compiled to slot indices within this range.
@@ -610,7 +558,6 @@ impl CycleShared<'_> {
             packet_len,
             collect_arrivals,
             outboxes,
-            event,
         );
         for (i, ob) in outboxes.iter().enumerate() {
             if !ob.is_empty() {
@@ -660,13 +607,13 @@ pub struct Simulation<O: RouteOracle> {
     now: u64,
     endpoints_total: u64,
     packet_len: u8,
-    /// Event-driven stepping enabled (compiled in from the config).
+    /// Event-driven stepping enabled (compiled in from the config): idle
+    /// stretches may be fast-forwarded.
     event: bool,
     /// Cycles actually simulated / fast-forwarded over (metrics).
     busy_cycles: u64,
     skipped_cycles: u64,
-    /// Saturation storm: event stepping has fallen back to dense cycles,
-    /// which skip idle agents without any wheel bookkeeping
+    /// Saturation storm: event stepping has stopped fast-forwarding
     /// (see [`update_regime`](Self::update_regime)).
     storm: bool,
     /// Consecutive saturated cycles observed while not yet in a storm.
@@ -681,8 +628,8 @@ pub struct Simulation<O: RouteOracle> {
 }
 
 /// Consecutive cycles with ≥ a quarter of all agents moving flits before
-/// the event engine declares a saturation storm and drops to dense
-/// stepping (hysteresis against entering on a single bursty cycle).
+/// the event engine declares a saturation storm and stops fast-forwarding
+/// (hysteresis against entering on a single bursty cycle).
 const STORM_ENTER: u32 = 4;
 
 /// What distinguishes the two run kinds inside the one cycle loop.
@@ -828,19 +775,9 @@ impl<O: RouteOracle> Simulation<O> {
                 moved: 0,
                 in_flight: 0,
                 arrivals: Vec::new(),
-                wheel: WakeWheel::disabled(),
-                flit_cons: Vec::new(),
-                credit_cons: Vec::new(),
-                flit_cons_port: Vec::new(),
-                credit_cons_port: Vec::new(),
-                flit_pend: Vec::new(),
-                credit_pend: Vec::new(),
-                r_seen: Vec::new(),
-                e_seen: Vec::new(),
+                pend: Pending::default(),
                 next_gen: Vec::new(),
                 gen_min: u64::MAX,
-                work_r: Vec::new(),
-                work_e: Vec::new(),
                 out_min: u64::MAX,
                 trace: None,
             })
@@ -960,15 +897,13 @@ impl<O: RouteOracle> Simulation<O> {
             }
         }
 
-        // Endpoints: locate their injection/ejection channels.
+        // Endpoints: locate their injection channels. (Ejection is final
+        // at the router, so nothing on the endpoint side of an ejection
+        // channel needs wiring.)
         let mut inj_of = vec![usize::MAX; net.num_endpoints()];
-        let mut ej_of = vec![usize::MAX; net.num_endpoints()];
         for (c, ch) in net.channels.iter().enumerate() {
             if let Terminus::Endpoint { endpoint } = ch.src {
                 inj_of[endpoint as usize] = c;
-            }
-            if let Terminus::Endpoint { endpoint } = ch.dst {
-                ej_of[endpoint as usize] = c;
             }
         }
         let mut ep_loc = Vec::with_capacity(net.num_endpoints());
@@ -976,9 +911,7 @@ impl<O: RouteOracle> Simulation<O> {
             let p = part_of(ed.router as usize) as usize;
             ep_loc.push((p as u32, partitions[p].endpoints.len() as u32));
             let inj = inj_of[e];
-            let ej = ej_of[e];
             let inj_ch = &net.channels[inj];
-            let ej_ch = &net.channels[ej];
             let (ifp, ifq) = flit_loc[inj];
             let inj_to = if ifp as usize == p {
                 FlitTarget::Local(ifq)
@@ -990,17 +923,6 @@ impl<O: RouteOracle> Simulation<O> {
             };
             let (icp, icq) = credit_loc[inj];
             debug_assert_eq!(icp as usize, p, "inj credit queue must be local");
-            let (efp, efq) = flit_loc[ej];
-            debug_assert_eq!(efp as usize, p, "ejection flit queue must be local");
-            let (ecp, ecq) = credit_loc[ej];
-            let ej_credit_to = if ecp as usize == p {
-                CreditTarget::Local(ecq)
-            } else {
-                CreditTarget::Remote {
-                    slot: remote_slot(p as u32, ecp, channel_dead(ej)),
-                    ch: ej as u32,
-                }
-            };
             partitions[p].endpoints.push(EndpointRt::new(
                 e as u32,
                 cfg.num_vcs,
@@ -1010,73 +932,38 @@ impl<O: RouteOracle> Simulation<O> {
                 icq,
                 inj_ch.latency,
                 inj_ch.width,
-                efq,
-                ej_credit_to,
-                ej_ch.latency,
                 cfg.seed,
                 channel_dead(inj),
             ));
         }
 
-        // Consumer maps (queue index → wake code) for the wake wheel and
-        // the pending-work bitmaps: a channel's flits wake its dst, its
-        // credits wake its src (the flit producer absorbs credit returns).
-        let mut flit_cons: Vec<Vec<u32>> =
-            flit_caps.iter().map(|v| vec![u32::MAX; v.len()]).collect();
-        let mut credit_cons: Vec<Vec<u32>> = credit_caps
-            .iter()
-            .map(|v| vec![u32::MAX; v.len()])
-            .collect();
-        let mut flit_cons_port: Vec<Vec<u8>> =
-            flit_caps.iter().map(|v| vec![0u8; v.len()]).collect();
-        let mut credit_cons_port: Vec<Vec<u8>> =
-            credit_caps.iter().map(|v| vec![0u8; v.len()]).collect();
+        // Consumer maps for the pending-work bitmaps: a channel's flits are
+        // popped by its dst, its credits by its src (the flit producer
+        // absorbs credit returns). Ring indices were handed out in channel
+        // order, so pushing in channel order lines the maps up with them.
+        let consumer = |t: Terminus| match t {
+            Terminus::Router { router, port } => Consumer::Router {
+                lidx: local_idx[router as usize],
+                port,
+            },
+            Terminus::Endpoint { endpoint } => Consumer::Endpoint(ep_loc[endpoint as usize].1),
+        };
+        let mut flit_cons: Vec<Vec<Consumer>> = vec![Vec::new(); nparts];
+        let mut credit_cons: Vec<Vec<Consumer>> = vec![Vec::new(); nparts];
         for (c, ch) in net.channels.iter().enumerate() {
             let (fp, fq) = flit_loc[c];
-            match ch.dst {
-                Terminus::Router { router, port } => {
-                    flit_cons[fp as usize][fq as usize] = router_code(local_router(router).1);
-                    flit_cons_port[fp as usize][fq as usize] = port;
-                }
-                Terminus::Endpoint { endpoint } => {
-                    flit_cons[fp as usize][fq as usize] =
-                        ep_code(ep_loc[endpoint as usize].1 as usize);
-                }
-            }
+            debug_assert_eq!(flit_cons[fp as usize].len(), fq as usize);
+            flit_cons[fp as usize].push(consumer(ch.dst));
             let (cp, cq) = credit_loc[c];
-            match ch.src {
-                Terminus::Router { router, port } => {
-                    credit_cons[cp as usize][cq as usize] = router_code(local_router(router).1);
-                    credit_cons_port[cp as usize][cq as usize] = port;
-                }
-                Terminus::Endpoint { endpoint } => {
-                    credit_cons[cp as usize][cq as usize] =
-                        ep_code(ep_loc[endpoint as usize].1 as usize);
-                }
-            }
+            debug_assert_eq!(credit_cons[cp as usize].len(), cq as usize);
+            credit_cons[cp as usize].push(consumer(ch.src));
         }
-        // Wake dues never exceed now + max channel latency (self-wakes are
-        // now + 1), which bounds the wheel size — see `crate::wake`.
-        let maxlat = net
-            .channels
-            .iter()
-            .map(|c| c.latency as u64)
-            .max()
-            .unwrap_or(1)
-            .max(1);
-        for (p, part) in partitions.iter_mut().enumerate() {
-            part.flit_cons = std::mem::take(&mut flit_cons[p]);
-            part.credit_cons = std::mem::take(&mut credit_cons[p]);
-            part.flit_cons_port = std::mem::take(&mut flit_cons_port[p]);
-            part.credit_cons_port = std::mem::take(&mut credit_cons_port[p]);
-            part.flit_pend = vec![0; part.routers.len()];
-            part.credit_pend = vec![0; part.routers.len()];
-            part.r_seen = vec![u64::MAX; part.routers.len()];
-            part.e_seen = vec![u64::MAX; part.endpoints.len()];
+        for (part, (fc, cc)) in partitions
+            .iter_mut()
+            .zip(flit_cons.into_iter().zip(credit_cons))
+        {
+            part.pend = Pending::new(part.routers.len(), part.endpoints.len(), fc, cc);
             part.next_gen = vec![u64::MAX; part.endpoints.len()];
-            if cfg.event_driven {
-                part.wheel = WakeWheel::new(maxlat, part.routers.len(), part.endpoints.len());
-            }
         }
 
         Ok(Simulation {
@@ -1251,9 +1138,7 @@ impl<O: RouteOracle> Simulation<O> {
         let ranges = self.slot_ranges(pool);
         let mut events: Vec<Arrival> = Vec::new();
         let mut stall = 0;
-        if self.event {
-            self.init_gen(pattern);
-        }
+        self.init_gen(pattern);
         while self.now < plan.stop {
             {
                 // Serial injection point: deterministic by construction
@@ -1264,8 +1149,6 @@ impl<O: RouteOracle> Simulation<O> {
                     oracle,
                     ep_loc,
                     now,
-                    event,
-                    storm,
                     ..
                 } = self;
                 let mut inj = Injector {
@@ -1273,10 +1156,6 @@ impl<O: RouteOracle> Simulation<O> {
                     ep_loc,
                     oracle,
                     now: *now,
-                    // During a storm the wheels are unmaintained; skipping
-                    // submission wakes keeps stale buckets from piling up
-                    // (the post-storm reseed re-wakes queued endpoints).
-                    event: *event && !*storm,
                 };
                 driver.pre_cycle(*now, &mut inj);
             }
@@ -1289,12 +1168,7 @@ impl<O: RouteOracle> Simulation<O> {
                 measure_end,
                 plan.closed,
             );
-            if self.update_regime(moved) {
-                // Storm over: the wheels and the emission schedule went
-                // stale while stepping densely — rebuild both.
-                self.reseed();
-                self.init_gen(pattern);
-            }
+            self.update_regime(moved);
             // Hand this cycle's arrival events over in canonical order:
             // ascending ejecting-router id, ties preserving each router's
             // own ejection sequence (the stable sort keeps the
@@ -1392,58 +1266,48 @@ impl<O: RouteOracle> Simulation<O> {
         Ok(self.collect(measured))
     }
 
-    /// Earliest cycle ≥ `now` at which any partition has pending work:
-    /// the minimum wheel due time, plus (while injecting) the earliest
-    /// open-loop emission. Undelivered cross-partition messages pin the
-    /// next event to `now` — their consumer wakes are only registered at
-    /// delivery, so jumping over them would lose work.
+    /// Earliest cycle ≥ `now` at which any partition has pending work
+    /// (see `Partition::next_event`), stopping early once that is `now`.
+    /// Cross-partition messages sitting undelivered in the read mailboxes
+    /// have marked no consumer yet (that happens at delivery), so their
+    /// earliest arrival counts too: the set of pending event cycles — and
+    /// therefore the busy/skipped split — is the same for every partition
+    /// count.
     fn next_event_cycle(&self, gen_live: bool) -> u64 {
         let mut t = u64::MAX;
         for p in &self.partitions {
-            if let Some(d) = p.wheel.next_due(self.now) {
-                t = t.min(d);
+            if t <= self.now {
+                break;
             }
-            // Cross-partition messages sitting undelivered in the read
-            // mailboxes have no wheel wake yet (it registers at delivery),
-            // so their earliest arrival caps the jump: the set of pending
-            // event cycles — and therefore the busy/skipped split — is the
-            // same for every partition count.
-            t = t.min(p.out_min);
-            if gen_live {
-                t = t.min(p.gen_min);
-            }
+            t = t.min(p.next_event(self.now, gen_live));
         }
         t.max(self.now)
     }
 
     /// Saturation-storm hysteresis on the merged per-cycle `moved` count.
     ///
-    /// Under heavy load wake-wheel maintenance and jump checks cost more
+    /// Under heavy load the next-event search and jump checks cost more
     /// than they save: once the merged flit-movement count reaches a
     /// quarter of the agent count for [`STORM_ENTER`] consecutive cycles,
-    /// the engine enters a *storm* and steps densely (the `event` flag
-    /// handed to the cycle workers goes false — no wheel pushes, no
-    /// worklists, no fast-forwards; idle agents are still skipped through
-    /// the pending-work bitmaps, see the module docs). The first globally
-    /// idle cycle (`moved == 0`) ends the storm; the caller must then
-    /// [`reseed`](Self::reseed) the wheels from live queue/agent state
-    /// before event stepping resumes — this returns `true` exactly then.
+    /// the engine enters a *storm* and stops fast-forwarding. Storm cycles
+    /// step exactly like every other cycle, through the pending-work
+    /// bitmaps. The first globally idle cycle (`moved == 0`) ends the
+    /// storm.
     ///
-    /// Dense and event cycles execute identical state transitions, so the
-    /// regime switch cannot change results; and every input here (the
-    /// merged `moved` sum, the agent count) is partition- and
-    /// worker-invariant, so the regime schedule — and with it the
-    /// busy/skipped split — stays bit-identical across the determinism
-    /// matrix.
-    fn update_regime(&mut self, moved: u64) -> bool {
+    /// The regime decides jumps only, so it cannot change results; and
+    /// every input here (the merged `moved` sum, the agent count) is
+    /// partition- and worker-invariant, so the regime schedule — and with
+    /// it the busy/skipped split — stays bit-identical across the
+    /// determinism matrix.
+    fn update_regime(&mut self, moved: u64) {
         if !self.event {
-            return false;
+            return;
         }
         if self.storm {
             if moved == 0 {
                 self.storm = false;
                 self.storm_hot = 0;
-                return true;
+                self.check_pending();
             }
         } else if moved * 4 >= self.agents {
             self.storm_hot += 1;
@@ -1453,59 +1317,12 @@ impl<O: RouteOracle> Simulation<O> {
         } else {
             self.storm_hot = 0;
         }
-        false
-    }
-
-    /// Rebuild every wake wheel from live state after a dense storm
-    /// interval, during which the wheels went stale: pending flit/credit
-    /// ring entries wake their consumer at their due cycle; routers with
-    /// buffered flits and endpoints with queued (or partially serialized —
-    /// a packet stays queued until its tail goes) packets wake immediately.
-    /// Messages still undelivered in the mailboxes are covered by
-    /// `out_min`, which every advance tracks. All pending dues lie in
-    /// `[now, now + max_latency)` — older entries were absorbed by the
-    /// dense cycles themselves — so the wheel's no-alias bound holds.
-    fn reseed(&mut self) {
-        self.check_pending();
-        let now = self.now;
-        for part in &mut self.partitions {
-            let Partition {
-                routers,
-                endpoints,
-                flit_qs,
-                credit_qs,
-                wheel,
-                flit_cons,
-                credit_cons,
-                ..
-            } = part;
-            wheel.reset();
-            for (q, ring) in flit_qs.iter().enumerate() {
-                for due in ring.dues() {
-                    wheel.push(due.max(now), flit_cons[q]);
-                }
-            }
-            for (q, ring) in credit_qs.iter().enumerate() {
-                for due in ring.dues() {
-                    wheel.push(due.max(now), credit_cons[q]);
-                }
-            }
-            for (lr, r) in routers.iter().enumerate() {
-                if r.buffered() > 0 {
-                    wheel.push(now, router_code(lr));
-                }
-            }
-            for (le, e) in endpoints.iter().enumerate() {
-                if e.backlog() > 0 {
-                    wheel.push(now, ep_code(le));
-                }
-            }
-        }
     }
 
     /// Debug builds: assert every partition's pending bitmaps against its
-    /// rings (see `Partition::assert_pending_bitmaps`). Runs at every storm
-    /// reseed and at the end of every run; free in release builds.
+    /// rings and agents (see `Partition::assert_pending_bitmaps`). Runs at
+    /// every storm exit and at the end of every run; free in release
+    /// builds.
     fn check_pending(&self) {
         #[cfg(debug_assertions)]
         for part in &self.partitions {
@@ -1513,7 +1330,8 @@ impl<O: RouteOracle> Simulation<O> {
         }
     }
 
-    /// Prime the per-endpoint open-loop emission schedule (event mode).
+    /// Prime the per-endpoint open-loop emission schedule at run start;
+    /// every executed cycle keeps it current from then on.
     fn init_gen<P: TrafficPattern + ?Sized>(&mut self, pattern: &P) {
         let plen = self.packet_len;
         let from = self.now;
@@ -1548,7 +1366,6 @@ impl<O: RouteOracle> Simulation<O> {
         let packet_len = self.packet_len;
         let oracle = &self.oracle;
 
-        let event = self.event && !self.storm;
         let slots = ranges.len();
         let shared = CycleShared {
             parts: self.partitions.as_mut_ptr(),
@@ -1580,7 +1397,6 @@ impl<O: RouteOracle> Simulation<O> {
                         credit_loc,
                         packet_len,
                         collect_arrivals,
-                        event,
                     );
                 }
             }
@@ -1738,7 +1554,6 @@ pub struct Injector<'a> {
     ep_loc: &'a [(u32, u32)],
     oracle: &'a dyn RouteOracle,
     now: u64,
-    event: bool,
 }
 
 impl Injector<'_> {
@@ -1794,10 +1609,8 @@ impl Injector<'_> {
         self.oracle.tag_packet(&mut pkt, ep.rng_mut());
         ep.push_packet(pkt);
         part.metrics.packets_created += 1;
-        if self.event {
-            // The submission's bucket is drained inside the upcoming step.
-            part.wheel.push(self.now, ep_code(e as usize));
-        }
+        // Marked, the endpoint steps in the upcoming cycle.
+        part.pend.mark_endpoint(e as usize);
     }
 }
 

@@ -66,11 +66,6 @@ impl FaultMap {
         self.dead_router.len()
     }
 
-    /// Number of channels covered by the map.
-    pub fn num_channels(&self) -> usize {
-        self.dead_channel.len()
-    }
-
     /// Routers still alive.
     pub fn live_routers(&self) -> usize {
         self.dead_router.iter().filter(|&&d| !d).count()
@@ -79,11 +74,6 @@ impl FaultMap {
     /// Dead routers.
     pub fn dead_routers(&self) -> usize {
         self.dead_router.iter().filter(|&&d| d).count()
-    }
-
-    /// Dead channels (unidirectional count).
-    pub fn dead_channels(&self) -> usize {
-        self.dead_channel.iter().filter(|&&d| d).count()
     }
 
     /// True when nothing is marked dead.

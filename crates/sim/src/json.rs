@@ -75,6 +75,7 @@ impl Value {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -187,14 +188,6 @@ pub mod read {
             .ok_or_else(|| format!("{path}.{key}: expected string"))
     }
 
-    /// Required finite-number member.
-    pub fn f64_field(v: &Value, path: &str, key: &str) -> Result<f64, String> {
-        match req(v, path, key)? {
-            Value::Num(x) => Ok(*x),
-            _ => Err(format!("{path}.{key}: expected number")),
-        }
-    }
-
     /// Optional finite-number member.
     pub fn opt_f64_field(v: &Value, path: &str, key: &str) -> Result<Option<f64>, String> {
         match v.get(key) {
@@ -253,9 +246,17 @@ pub mod read {
     }
 }
 
+/// Deepest object/array nesting [`Value::parse`] accepts. The parser
+/// recurses once per level, so an unbounded depth would let a small
+/// hostile document overflow the stack; the deepest committed scenario
+/// nests 7 levels.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Objects and arrays currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -293,8 +294,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -302,6 +303,21 @@ impl Parser<'_> {
             Some(_) => self.number(),
             None => Err("unexpected end of input".into()),
         }
+    }
+
+    /// Parse one object or array one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Value, String> {
@@ -456,6 +472,26 @@ mod tests {
             v.get("o").unwrap().get("k").unwrap().as_f64(),
             Some(-2000.0)
         );
+    }
+
+    #[test]
+    fn nesting_is_capped_not_a_stack_overflow() {
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        let v = Value::parse(&deep(MAX_DEPTH)).unwrap();
+        let mut level = &v;
+        for _ in 1..MAX_DEPTH {
+            level = &level.as_arr().unwrap()[0];
+        }
+        assert_eq!(level, &Value::Arr(Vec::new()));
+        assert_eq!(
+            Value::parse(&deep(MAX_DEPTH + 1)),
+            Err("nesting deeper than 128 levels at byte 128".into())
+        );
+        // 100 KB of unclosed brackets once overflowed the stack.
+        let hostile = "[".repeat(100_000);
+        assert!(Value::parse(&hostile).is_err());
+        let mixed = r#"{"a":"#.repeat(100_000);
+        assert!(Value::parse(&mixed).is_err());
     }
 
     #[test]

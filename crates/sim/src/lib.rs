@@ -41,7 +41,6 @@
 
 #![deny(missing_docs)]
 
-pub mod arbiter;
 pub mod channel;
 pub mod config;
 pub mod engine;
@@ -55,7 +54,6 @@ pub mod pattern;
 pub mod rng;
 pub mod router;
 pub mod telemetry;
-pub mod wake;
 
 pub use channel::{ChannelClass, ChannelDesc, ChannelId, RingFull, Terminus, TimedRing};
 pub use config::SimConfig;

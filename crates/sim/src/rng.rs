@@ -59,12 +59,6 @@ impl SplitMix64 {
         z ^ (z >> 31)
     }
 
-    /// Uniform `u32`.
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform float in `[0, 1)`.
     #[inline]
     pub fn next_f64(&mut self) -> f64 {

@@ -27,7 +27,6 @@ use crate::oracle::{RouteChoice, RouteOracle};
 use crate::pattern::TrafficPattern;
 use crate::rng::SplitMix64;
 use crate::telemetry::PartTrace;
-use crate::wake::{WakeWheel, EP_BIT};
 use std::collections::VecDeque;
 
 /// Cross-partition message: a flit or credit addressed to a channel queue
@@ -203,35 +202,14 @@ pub struct CycleCtx<'a> {
     pub measure_start: u64,
     /// First cycle after the measurement window.
     pub measure_end: u64,
-    /// True when the engine runs event-driven and wheel wakes must be
-    /// recorded on every local queue push.
-    pub event: bool,
-    /// This partition's wake wheel (a [`WakeWheel::disabled`] stub in
-    /// dense mode).
-    pub wheel: &'a mut WakeWheel,
-    /// Local flit queue index → wake code of the consuming agent.
-    pub flit_cons: &'a [u32],
-    /// Local credit queue index → wake code of the consuming agent.
-    pub credit_cons: &'a [u32],
-    /// Local credit queue index → consuming router's output port (unused
-    /// for endpoint-consumed queues).
-    pub credit_cons_port: &'a [u8],
-    /// Pending-credit bitmap per partition-local router (bit = out port):
-    /// set on push, cleared by `RouterRt::absorb_credits` once the
-    /// queue drains. Maintained in dense mode too — it is what lets
-    /// credit absorption touch only ports with credits in flight.
-    pub credit_pend: &'a mut [u64],
-    /// Local flit queue index → consuming router's input port (unused for
-    /// endpoint-consumed queues).
-    pub flit_cons_port: &'a [u8],
-    /// Pending-flit bitmap per partition-local router (bit = in port): the
-    /// arrival-side twin of `credit_pend`, cleared by
-    /// `RouterRt::absorb_arrivals` once the ring drains.
-    pub flit_pend: &'a mut [u64],
+    /// This partition's pending-work bitmaps: every local ring push marks
+    /// its consumer here.
+    pub(crate) pend: &'a mut Pending,
     /// Earliest arrival among this cycle's outbound cross-partition
-    /// messages (reset to `u64::MAX` each advance). Their wheel wakes only
-    /// register at delivery, so the engine caps idle fast-forwards here —
-    /// keeping the jump schedule identical for every partition count.
+    /// messages (reset to `u64::MAX` each advance). They mark their
+    /// consumers only at delivery, so the engine caps idle fast-forwards
+    /// here — keeping the jump schedule identical for every partition
+    /// count.
     pub out_min: &'a mut u64,
     /// Opt-in telemetry buffer (`None` when tracing is off — the hot path
     /// pays one branch per emission site and nothing else). Observe-only:
@@ -242,9 +220,9 @@ pub struct CycleCtx<'a> {
 impl CycleCtx<'_> {
     #[inline]
     fn emit(&mut self, slot: u32, msg: Msg) {
-        // Tracked even on dense cycles: a storm interval's final cycle
-        // leaves its emissions undelivered in the mailboxes, and the first
-        // post-storm jump must not overshoot them.
+        // Tracked on every cycle: the emissions sit undelivered in the
+        // mailboxes, with no bit set yet, until the next executed cycle,
+        // and a jump must not overshoot them.
         let arrive = match &msg {
             Msg::Flit { arrive, .. } | Msg::Credit { arrive, .. } => *arrive,
         };
@@ -252,41 +230,142 @@ impl CycleCtx<'_> {
         self.outboxes[slot as usize].push(msg);
     }
 
-    /// Push a flit into a locally owned ring, mark the consuming router's
-    /// pending bit, and wake the consumer.
+    /// Push a flit into a locally owned ring and mark its consumer.
     #[inline]
     fn push_flit(&mut self, q: u32, arrive: u64, flit: Flit) {
         self.flit_qs[q as usize]
             .try_push(arrive, flit)
             .expect("flit ring overflow: capacity bound violated");
-        let code = self.flit_cons[q as usize];
-        mark_pending(self.flit_pend, code, self.flit_cons_port[q as usize]);
-        if self.event {
-            self.wheel.push(arrive, code);
-        }
+        self.pend.flit_pushed(q);
     }
 
-    /// Push a credit into a locally owned ring, mark the consuming
-    /// router's pending bit, and wake the consumer.
+    /// Push a credit into a locally owned ring and mark its consumer.
     #[inline]
     fn push_credit(&mut self, q: u32, arrive: u64, vc: u8) {
         self.credit_qs[q as usize]
             .try_push(arrive, vc)
             .expect("credit ring overflow: capacity bound violated");
-        let code = self.credit_cons[q as usize];
-        mark_pending(self.credit_pend, code, self.credit_cons_port[q as usize]);
-        if self.event {
-            self.wheel.push(arrive, code);
-        }
+        self.pend.credit_pushed(q);
     }
 }
 
-/// Set `port`'s bit in the pending bitmap of the router behind wake `code`
-/// after a push into one of its rings (endpoint consumers keep no bitmap).
+/// The agent that pops a channel ring.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Consumer {
+    /// The partition-local router `lidx`, through its input port `port`
+    /// (flit ring) or output port `port` (credit ring).
+    Router { lidx: u32, port: u8 },
+    /// The partition-local endpoint with this index.
+    Endpoint(u32),
+}
+
+/// One partition's pending-work bitmaps: the engine's only record of
+/// which agents have work.
+///
+/// * `flit` / `credit`, one word per local router: bit = input port whose
+///   flit ring, or output port whose credit ring, holds an entry. The
+///   router clears a bit when absorption drains the ring, so absorption
+///   walks only ports with work.
+/// * `routers` / `endpoints`, one bit per local agent: a router's bit
+///   means a pending port or a buffered flit; an endpoint's, a queued
+///   packet or an injection credit in flight.
+///
+/// Every ring push marks its consumer in both levels, and an agent clears
+/// its own summary bit after a step that leaves it idle. Every executed
+/// cycle visits exactly the agents whose summary bit is set; the step of
+/// any other agent would be a strict no-op.
+#[derive(Debug, Default)]
+pub(crate) struct Pending {
+    pub(crate) flit: Vec<u64>,
+    pub(crate) credit: Vec<u64>,
+    pub(crate) routers: Vec<u64>,
+    pub(crate) endpoints: Vec<u64>,
+    /// Local flit ring index → its consumer.
+    pub(crate) flit_cons: Vec<Consumer>,
+    /// Local credit ring index → its consumer.
+    pub(crate) credit_cons: Vec<Consumer>,
+}
+
+impl Pending {
+    /// All-clear bitmaps for `routers` × `endpoints` local agents.
+    pub(crate) fn new(
+        routers: usize,
+        endpoints: usize,
+        flit_cons: Vec<Consumer>,
+        credit_cons: Vec<Consumer>,
+    ) -> Self {
+        Pending {
+            flit: vec![0; routers],
+            credit: vec![0; routers],
+            routers: vec![0; routers.div_ceil(64)],
+            endpoints: vec![0; endpoints.div_ceil(64)],
+            flit_cons,
+            credit_cons,
+        }
+    }
+
+    /// A flit entered local ring `q`: mark its consumer.
+    #[inline]
+    pub(crate) fn flit_pushed(&mut self, q: u32) {
+        let c = self.flit_cons[q as usize];
+        self.mark(c, true);
+    }
+
+    /// A credit entered local ring `q`: mark its consumer.
+    #[inline]
+    pub(crate) fn credit_pushed(&mut self, q: u32) {
+        let c = self.credit_cons[q as usize];
+        self.mark(c, false);
+    }
+
+    #[inline]
+    fn mark(&mut self, c: Consumer, flit: bool) {
+        match c {
+            Consumer::Router { lidx, port } => {
+                let ports = if flit {
+                    &mut self.flit
+                } else {
+                    &mut self.credit
+                };
+                ports[lidx as usize] |= 1 << port;
+                set_bit(&mut self.routers, lidx as usize);
+            }
+            Consumer::Endpoint(e) => set_bit(&mut self.endpoints, e as usize),
+        }
+    }
+
+    /// Mark local endpoint `e` (a queued packet, or an emission due).
+    #[inline]
+    pub(crate) fn mark_endpoint(&mut self, e: usize) {
+        set_bit(&mut self.endpoints, e);
+    }
+}
+
 #[inline]
-pub(crate) fn mark_pending(pend: &mut [u64], code: u32, port: u8) {
-    if code & EP_BIT == 0 {
-        pend[code as usize] |= 1 << port;
+pub(crate) fn set_bit(words: &mut [u64], i: usize) {
+    words[i / 64] |= 1 << (i % 64);
+}
+
+#[inline]
+pub(crate) fn clear_bit(words: &mut [u64], i: usize) {
+    words[i / 64] &= !(1 << (i % 64));
+}
+
+/// The set-bit positions of one word, ascending. Iterating copies the
+/// word, so bits set meanwhile are not visited.
+pub(crate) struct Ones(pub(crate) u64);
+
+impl Iterator for Ones {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        if self.0 == 0 {
+            return None;
+        }
+        let i = self.0.trailing_zeros() as usize;
+        self.0 &= self.0 - 1;
+        Some(i)
     }
 }
 
@@ -305,9 +384,9 @@ pub struct RouterRt {
     va_ptr: Vec<u16>,
     /// Rotating priority pointer per output port (SA).
     sa_ptr: Vec<u16>,
-    /// Buffered flits across all input VCs. Non-zero keeps the router on
-    /// the event engine's worklist (it re-wakes itself every cycle until
-    /// it drains), and gates the RC/VA/SA stages in both modes.
+    /// Buffered flits across all input VCs. Non-zero keeps the router's
+    /// pending-work bit set, so it steps every cycle until it drains, and
+    /// gates the RC/VA/SA stages.
     buffered: u32,
     /// Crossbar input speedup (flits one input port may forward per cycle).
     speedup: u8,
@@ -384,13 +463,11 @@ impl RouterRt {
     /// One simulation cycle: arrivals, credit returns, RC, VA, SA, traversal.
     ///
     /// `lidx` is this router's partition-local index (its slot in the
-    /// partition's pending-flit and pending-credit bitmaps). The engine
-    /// calls this only for routers that may have work: under event-driven
-    /// stepping those on the cycle's worklist, in dense cycles those with
-    /// a flit buffered or a pending-flit or pending-credit bit set. A
-    /// router not called would have done nothing — no flit or credit due,
-    /// nothing buffered — so every stepping mode executes the identical
-    /// sequence of state changes.
+    /// partition's `Pending` bitmaps). The engine calls this only for
+    /// routers whose pending-work bit is set: a flit buffered, or a flit
+    /// or credit ring pending. A router not called would have done
+    /// nothing — no flit or credit due, nothing buffered — so skipping it
+    /// changes no state.
     ///
     /// Generic over the oracle so the per-flit route computation
     /// monomorphizes — no virtual dispatch on the hot path. A type-erased
@@ -413,22 +490,47 @@ impl RouterRt {
     }
 
     /// True when [`cycle`](Self::cycle) would be a strict no-op: nothing
-    /// buffered and no flit or credit ring pending on any port. Dense
-    /// cycles skip such routers.
+    /// buffered and no flit or credit ring pending on any port. A router
+    /// clears its pending-work bit after a step that leaves it idle.
     #[inline]
-    pub(crate) fn idle(&self, ctx: &CycleCtx<'_>, lidx: u32) -> bool {
-        self.buffered == 0 && (ctx.flit_pend[lidx as usize] | ctx.credit_pend[lidx as usize]) == 0
+    pub(crate) fn idle(&self, pend: &Pending, lidx: u32) -> bool {
+        self.buffered == 0 && (pend.flit[lidx as usize] | pend.credit[lidx as usize]) == 0
+    }
+
+    /// Earliest cycle ≥ `now` at which this router has work: `now` while
+    /// a flit is buffered, else the earliest front of its pending rings
+    /// (`u64::MAX` with none).
+    pub(crate) fn next_due(
+        &self,
+        now: u64,
+        flit_qs: &[TimedRing<Flit>],
+        credit_qs: &[TimedRing<u8>],
+        pend: &Pending,
+        lidx: u32,
+    ) -> u64 {
+        if self.buffered > 0 {
+            return now;
+        }
+        let flits = Ones(pend.flit[lidx as usize]).map(|port| {
+            let pin = self.in_ports[port].expect("pending flit on unwired port");
+            front_due(&flit_qs[pin.flit_q as usize])
+        });
+        let credits = Ones(pend.credit[lidx as usize]).map(|port| {
+            let pout = self.out_ports[port].expect("pending credit on unwired port");
+            front_due(&credit_qs[pout.credit_q as usize])
+        });
+        flits.chain(credits).min().unwrap_or(u64::MAX)
     }
 
     /// Pull returned credits into output VC counters.
     ///
-    /// Driven by the partition's pending-credit bitmap: only ports with
+    /// Driven by the partition's pending-credit word: only ports with
     /// credits actually in flight are touched (the bit is set by
     /// [`CycleCtx::push_credit`]/mailbox delivery and cleared here once
     /// the ring drains), instead of scanning every output port every
     /// cycle.
     fn absorb_credits(&mut self, ctx: &mut CycleCtx<'_>, lidx: u32) {
-        let mut pend = ctx.credit_pend[lidx as usize];
+        let mut pend = ctx.pend.credit[lidx as usize];
         if pend == 0 {
             return;
         }
@@ -446,18 +548,18 @@ impl RouterRt {
                 pend &= !(1 << port);
             }
         }
-        ctx.credit_pend[lidx as usize] = pend;
+        ctx.pend.credit[lidx as usize] = pend;
     }
 
     /// Pull arrived flits into input buffers.
     ///
-    /// Driven by the partition's pending-flit bitmap, like
+    /// Driven by the partition's pending-flit word, like
     /// [`absorb_credits`](Self::absorb_credits): only input ports whose
     /// ring holds a flit are touched (the bit is set by
     /// [`CycleCtx::push_flit`]/mailbox delivery and cleared here once the
     /// ring drains).
     fn absorb_arrivals(&mut self, ctx: &mut CycleCtx<'_>, lidx: u32) {
-        let mut pend = ctx.flit_pend[lidx as usize];
+        let mut pend = ctx.pend.flit[lidx as usize];
         if pend == 0 {
             return;
         }
@@ -481,7 +583,7 @@ impl RouterRt {
                 pend &= !(1 << port);
             }
         }
-        ctx.flit_pend[lidx as usize] = pend;
+        ctx.pend.flit[lidx as usize] = pend;
     }
 
     /// Route computation for fresh head flits.
@@ -789,6 +891,12 @@ fn eject(flit: Flit, arrive: u64, ctx: &mut CycleCtx<'_>) {
     }
 }
 
+/// Due cycle of a ring's oldest entry (`u64::MAX` when empty).
+#[inline]
+fn front_due<T: Copy>(ring: &TimedRing<T>) -> u64 {
+    ring.front().map_or(u64::MAX, |&(due, _)| due)
+}
+
 // --- VC stamping -----------------------------------------------------------
 //
 // A flit on the wire must tell the receiver which input VC to buffer it in.
@@ -820,9 +928,8 @@ fn strip_vc(mut flit: Flit) -> Flit {
 // --- Endpoint --------------------------------------------------------------
 
 /// Packets an open-loop endpoint must have emitted by the end of cycle `t`
-/// at `q` packets/cycle: `floor((t + 1) · q)`. Shared by dense generation
-/// and the event engine's next-emission scheduling so the two can never
-/// disagree.
+/// at `q` packets/cycle: `floor((t + 1) · q)`. Shared by generation and
+/// the engine's next-emission scheduling so the two can never disagree.
 #[inline]
 fn emission_target(t: u64, q: f64) -> u64 {
     ((t + 1) as f64 * q) as u64
@@ -851,11 +958,6 @@ pub struct EndpointRt {
     /// Injection channel latency/width.
     inj_latency: u32,
     inj_width: u8,
-    /// Local flit-queue index of the ejection channel (owned here).
-    ej_q: u32,
-    /// Ejection channel global id + latency for the credit return.
-    ej_credit_to: CreditTarget,
-    ej_credit_latency: u32,
     /// Persistent stream for closed-loop submission tagging (submissions
     /// happen in identical order under dense and event-driven stepping,
     /// so the stream positions stay identical too).
@@ -887,9 +989,6 @@ impl EndpointRt {
         inj_credit_q: u32,
         inj_latency: u32,
         inj_width: u8,
-        ej_q: u32,
-        ej_credit_to: CreditTarget,
-        ej_credit_latency: u32,
         seed: u64,
         inj_dead: bool,
     ) -> Self {
@@ -904,9 +1003,6 @@ impl EndpointRt {
             inj_credit_q,
             inj_latency,
             inj_width,
-            ej_q,
-            ej_credit_to,
-            ej_credit_latency,
             rng: SplitMix64::for_agent(seed, 0xE9D0 ^ ((id as u64) << 1 | 1)),
             seed,
             next_pkt: (id as u64) << 20,
@@ -931,7 +1027,8 @@ impl EndpointRt {
         self.queue.push_back(pkt);
     }
 
-    /// One cycle: eject arrived flits, generate new packets, inject flits.
+    /// One cycle: generate new packets, inject flits. (Ejection is final
+    /// at the router: see `RouterRt::send_one`.)
     ///
     /// Generic over oracle and pattern for the same monomorphization
     /// reason as [`RouterRt::cycle`].
@@ -942,21 +1039,10 @@ impl EndpointRt {
         pattern: &P,
         packet_len: u8,
     ) {
-        self.eject_arrived(ctx);
         if ctx.injecting {
             self.generate(ctx, oracle, pattern, packet_len);
         }
         self.inject_flits(ctx, oracle);
-    }
-
-    /// Drain the ejection queue: flits already became statistics inside
-    /// `send_one`/`eject`; here we only return credits upstream.
-    fn eject_arrived(&mut self, ctx: &mut CycleCtx<'_>) {
-        // Ejected flits are fully accounted at send time (see `send_one`);
-        // the ejection flit queue is unused and stays empty by construction.
-        debug_assert!(ctx.flit_qs[self.ej_q as usize].is_empty());
-        let _ = self.ej_credit_to;
-        let _ = self.ej_credit_latency;
     }
 
     /// Open-loop generation, closed form: by the end of cycle `t` exactly
@@ -975,9 +1061,14 @@ impl EndpointRt {
         pattern: &P,
         packet_len: u8,
     ) {
-        let Some(target) = self.emission_due(pattern, packet_len, ctx.now) else {
+        let rate = pattern.rate(self.id);
+        if rate <= 0.0 {
             return;
-        };
+        }
+        let target = emission_target(ctx.now, rate / packet_len as f64);
+        if target <= self.emitted {
+            return;
+        }
         let mut rng = SplitMix64::for_event(self.seed, self.gen_stream_id(), ctx.now);
         while self.emitted < target {
             self.emitted += 1;
@@ -1008,40 +1099,26 @@ impl EndpointRt {
         }
     }
 
-    /// The open-loop schedule's emission target for cycle `now` when it
-    /// exceeds the packets emitted so far, else `None`: the one test that
-    /// decides whether [`generate`](Self::generate) has work, shared with
-    /// [`idle`](Self::idle) so the two can never disagree.
+    /// True with nothing queued and no injection credit in flight. Unless
+    /// an open-loop emission is due (which the engine tracks in its
+    /// emission schedule), this cycle's
+    /// [`absorb_credits`](Self::absorb_credits) and [`cycle`](Self::cycle)
+    /// would be strict no-ops: no state change, no RNG draw. An endpoint
+    /// clears its pending-work bit after a step that leaves it idle.
     #[inline]
-    fn emission_due<P: TrafficPattern + ?Sized>(
-        &self,
-        pattern: &P,
-        packet_len: u8,
-        now: u64,
-    ) -> Option<u64> {
-        let rate = pattern.rate(self.id);
-        if rate <= 0.0 {
-            return None;
-        }
-        let target = emission_target(now, rate / packet_len as f64);
-        (target > self.emitted).then_some(target)
+    pub(crate) fn idle(&self, credit_qs: &[TimedRing<u8>]) -> bool {
+        self.queue.is_empty() && credit_qs[self.inj_credit_q as usize].is_empty()
     }
 
-    /// True when this cycle's [`absorb_credits`](Self::absorb_credits) and
-    /// [`cycle`](Self::cycle) would be strict no-ops — nothing queued, no
-    /// injection credit in flight, no open-loop emission due — so they
-    /// change no state and draw from no RNG stream. Dense cycles skip such
-    /// endpoints.
-    #[inline]
-    pub(crate) fn idle<P: TrafficPattern + ?Sized>(
-        &self,
-        ctx: &CycleCtx<'_>,
-        pattern: &P,
-        packet_len: u8,
-    ) -> bool {
-        self.queue.is_empty()
-            && ctx.credit_qs[self.inj_credit_q as usize].is_empty()
-            && !(ctx.injecting && self.emission_due(pattern, packet_len, ctx.now).is_some())
+    /// Earliest cycle ≥ `now` at which this endpoint has queue or credit
+    /// work: `now` while a packet is queued, else the due cycle of its
+    /// next injection credit (`u64::MAX` with none).
+    pub(crate) fn next_due(&self, now: u64, credit_qs: &[TimedRing<u8>]) -> u64 {
+        if self.queue.is_empty() {
+            front_due(&credit_qs[self.inj_credit_q as usize])
+        } else {
+            now
+        }
     }
 
     /// Stream id of the per-cycle keyed generation RNG (distinct from the
@@ -1052,8 +1129,8 @@ impl EndpointRt {
     }
 
     /// First cycle ≥ `from` at which this endpoint's open-loop schedule
-    /// emits a packet, or `u64::MAX` if it never does — the event
-    /// engine's per-endpoint generation wake-up.
+    /// emits a packet, or `u64::MAX` if it never does — the engine's
+    /// per-endpoint emission schedule.
     pub(crate) fn next_gen_cycle<P: TrafficPattern + ?Sized>(
         &self,
         pattern: &P,

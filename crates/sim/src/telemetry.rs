@@ -41,10 +41,11 @@
 //!   with activity is always executed, so the flushed deltas — and the
 //!   stamps — match the dense schedule byte for byte. Empty windows emit
 //!   nothing.
-//! * **Queue samples.** Router occupancancy is sampled at cycles divisible
+//! * **Queue samples.** Router occupancy is sampled at cycles divisible
 //!   by the stride, omitting zero depths. A skipped boundary cycle
-//!   provably has all queues empty (a non-empty router re-wakes itself
-//!   every cycle), so both stepping modes emit the same samples.
+//!   provably has all queues empty (a router with a buffered flit keeps
+//!   its pending-work bit, so the next event is the next cycle), so both
+//!   stepping modes emit the same samples.
 //! * **Ordering.** Each drained batch is sorted by `(cycle, kind, id)`;
 //!   batches are appended in execution order. Window stamps never exceed
 //!   the draining cycle and later batches only carry later stamps, so the

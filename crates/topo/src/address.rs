@@ -623,11 +623,6 @@ impl SwParams {
         ep / (self.switches_per_group() * self.terminals)
     }
 
-    /// Group-level global port index of switch `idx`'s `j`-th global port.
-    pub fn group_global_port(&self, idx: u32, j: u32) -> u32 {
-        idx * self.globals + j
-    }
-
     /// Peer of group `g`'s global port `q` (palmtree over instantiated
     /// groups, trunked like [`SlParams::global_peer`]).
     pub fn global_peer(&self, g: u32, q: u32) -> Option<(u32, u32)> {

@@ -245,11 +245,6 @@ impl FaultSet {
         &self.map
     }
 
-    /// Consume into the engine-facing map.
-    pub fn into_map(self) -> FaultMap {
-        self.map
-    }
-
     /// True when nothing failed (a pristine run).
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()

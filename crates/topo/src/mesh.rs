@@ -29,11 +29,6 @@ impl MeshFabric {
     pub fn endpoint(&self, x: u32, y: u32) -> u32 {
         y * self.m + x
     }
-
-    /// (x, y) of a router/endpoint id.
-    pub fn xy(&self, id: u32) -> (u32, u32) {
-        (id % self.m, id / self.m)
-    }
 }
 
 /// Class of the mesh link between two adjacent cores: inside one chiplet it

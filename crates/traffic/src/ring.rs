@@ -109,12 +109,6 @@ impl RingAllReduce {
         self.next[ep as usize]
     }
 
-    /// Ring rank (cycle position) of row-major chip index `i` in a
-    /// `side`×`side` grid, exposed for tests.
-    pub fn grid_cycle_rank(side: u32, i: u32) -> Option<u32> {
-        grid_cycle(side).map(|c| c[i as usize])
-    }
-
     /// Predecessor of an endpoint on its ring.
     pub fn predecessor(&self, ep: u32) -> u32 {
         self.prev[ep as usize]

@@ -1,13 +1,14 @@
 //! Dense vs event-driven stepping equivalence: the engine's event mode
-//! (active-set worklists + idle fast-forward, `SimConfig::event_driven`)
-//! must be a pure scheduling optimization. Every metric — including the
-//! full latency histogram and the optional per-endpoint/per-channel
-//! vectors — must be bit-identical to the dense loop, across partition
-//! counts {1, 2, 4} × worker counts {1, 2, 4}, on both evaluated topology
-//! families, in both the open-loop and the closed-loop (collective
-//! workload) schedules. The only permitted divergence is the stepping
-//! accounting itself: dense runs report `skipped_cycles == 0`, event runs
-//! split the same `cycles_run` into busy + skipped.
+//! (idle fast-forward, `SimConfig::event_driven`) must be a pure
+//! scheduling optimization. Every metric — including the full latency
+//! histogram and the optional per-endpoint/per-channel vectors — must be
+//! bit-identical to the dense loop, across partition counts {1, 2, 4} ×
+//! worker counts {1, 2, 4}, on both evaluated topology families, in both
+//! the open-loop and the closed-loop (collective workload) schedules. The
+//! only permitted divergence is the stepping accounting itself: dense
+//! runs report `skipped_cycles == 0`, event runs split the same
+//! `cycles_run` into busy + skipped — and that split is itself the same
+//! in every partitions × workers cell.
 
 use wsdf::exec::BspPool;
 use wsdf::routing::{RouteMode, VcScheme};
@@ -102,17 +103,28 @@ fn assert_equiv(dense: &Metrics, event: &Metrics, tag: &str) {
     );
 }
 
+/// The event engine's `(busy_cycles, skipped_cycles)` split per
+/// open-loop rate, for each family in [`families`]. It depends on neither
+/// the partition nor the worker count.
+fn open_loop_splits(name: &str) -> [(f64, (u64, u64)); 3] {
+    match name {
+        "switchless" => [(0.02, (99, 351)), (0.25, (515, 14)), (0.6, (595, 5))],
+        "switchbased" => [(0.02, (59, 391)), (0.25, (454, 14)), (0.6, (471, 5))],
+        _ => unreachable!("unknown family {name}"),
+    }
+}
+
 /// Open-loop runs: dense and event metrics are bit-identical over the
 /// full partitions × workers matrix on both topology families, at a
 /// light load (idle stretches to fast-forward), a moderate one
-/// (back-to-back work, worklists nearly full), and a saturating one
-/// (exercises the storm regime: dense fallback plus the post-storm wheel
-/// reseed when the fabric finally drains).
+/// (back-to-back work, most agents busy), and a saturating one
+/// (exercises the storm regime: no fast-forward until the fabric
+/// finally drains). The event split is pinned in every cell.
 #[test]
 fn open_loop_event_matches_dense_across_matrix() {
     let pools: Vec<BspPool> = [1usize, 2, 4].into_iter().map(BspPool::new).collect();
     for (name, bench) in families() {
-        for rate in [0.02f64, 0.25, 0.6] {
+        for (rate, split) in open_loop_splits(name) {
             let pattern = bench.pattern(PatternSpec::Uniform, rate);
             for parts in [1usize, 2, 4] {
                 for pool in &pools {
@@ -129,29 +141,36 @@ fn open_loop_event_matches_dense_across_matrix() {
                     assert!(dense.packets_ejected > 0, "{name}: no traffic");
                     let tag = format!("{name} rate={rate} p={parts} w={}", pool.workers());
                     assert_equiv(&dense, &event, &tag);
+                    assert_eq!(
+                        (event.busy_cycles, event.skipped_cycles),
+                        split,
+                        "{tag}: event split"
+                    );
                 }
             }
         }
     }
 }
 
-/// At light open-loop load the event engine must actually fast-forward —
-/// the optimization is observable through `skipped_cycles`, not just a
-/// no-op flag.
+/// At light open-loop load the event engine must actually fast-forward
+/// over in-flight traffic — the optimization is observable through
+/// `skipped_cycles`, not just a no-op flag. The load carries real packets,
+/// so a jump that overshot pending work would change the split (or lose
+/// the packets).
 #[test]
 fn light_load_actually_skips_cycles() {
     let (_, bench) = families().remove(0);
-    let pattern = bench.pattern(PatternSpec::Uniform, 0.005);
+    let pattern = bench.pattern(PatternSpec::Uniform, 0.02);
     let m = Session::bench(&bench)
         .sim(cfg(1, true))
         .metrics(pattern.as_ref())
         .unwrap()
         .report;
-    assert!(
-        m.skipped_cycles > 0,
-        "no cycles skipped at near-zero load (busy={}, run={})",
-        m.busy_cycles,
-        m.cycles_run
+    assert!(m.packets_ejected > 0, "no traffic at rate 0.02");
+    assert_eq!(
+        (m.busy_cycles, m.skipped_cycles),
+        (99, 351),
+        "busy/skipped split at light load"
     );
     assert_eq!(m.busy_cycles + m.skipped_cycles, m.cycles_run);
 }
@@ -159,11 +178,17 @@ fn light_load_actually_skips_cycles() {
 /// Closed-loop runs: the full `WorkloadReport` of a ring-allreduce — the
 /// completion cycle above all — is bit-identical between dense and event
 /// stepping over the same matrix. The stepping counters are compared by
-/// their own invariants (they are the one designed difference).
+/// their own invariants (they are the one designed difference), and the
+/// event split is pinned in every cell.
 #[test]
 fn closed_loop_event_matches_dense_across_matrix() {
     let pools: Vec<BspPool> = [1usize, 2, 4].into_iter().map(BspPool::new).collect();
     for (name, bench) in families() {
+        let split = match name {
+            "switchless" => (645, 0),
+            "switchbased" => (373, 2),
+            _ => unreachable!("unknown family {name}"),
+        };
         let participants: Vec<u32> = (0..bench.scope.num_chips())
             .map(|c| bench.scope.node_of(c, 0))
             .collect();
@@ -188,6 +213,11 @@ fn closed_loop_event_matches_dense_across_matrix() {
                     event.busy_cycles + event.skipped_cycles,
                     event.completion_cycles,
                     "{tag}"
+                );
+                assert_eq!(
+                    (event.busy_cycles, event.skipped_cycles),
+                    split,
+                    "{tag}: event split"
                 );
                 // Everything else must match exactly: normalize the
                 // stepping split and compare whole reports.

@@ -84,3 +84,15 @@ fn every_invalid_scenario_fails_with_its_pinned_error() {
         assert_eq!(got, want, "{file}: error drift");
     }
 }
+
+/// A hostile, deeply nested document is a parse error, not a stack
+/// overflow that takes the whole process down.
+#[test]
+fn deeply_nested_scenario_is_an_error_not_a_crash() {
+    let hostile = "[".repeat(100_000);
+    assert_eq!(
+        Scenario::from_json_str(&hostile).unwrap_err(),
+        "nesting deeper than 128 levels at byte 128"
+    );
+    assert!(Value::parse(&hostile).is_err());
+}
