@@ -83,6 +83,15 @@ fn bench_simulation_cycles(c: &mut Criterion) {
         let pat = bench.pattern(PatternSpec::Uniform, 0.5);
         b.iter(|| run(&bench, &quick_cfg(), pat.as_ref()));
     });
+    // The switch-based baseline's radix-16 switch: 16 ports × 16 VCs =
+    // 256 input VCs, the router `serving_mix` runs, under a load that
+    // keeps the switches busy.
+    g.meta("load", 0.6);
+    g.bench_function("switchbased_uniform", |b| {
+        let bench = Bench::switchbased(&SwParams::radix16().with_groups(2), RouteMode::Minimal);
+        let pat = bench.pattern(PatternSpec::Uniform, 0.6);
+        b.iter(|| run(&bench, &quick_cfg(), pat.as_ref()));
+    });
     g.finish();
 }
 

@@ -267,6 +267,12 @@ impl<T: Copy> TimedRing<T> {
         Some(e)
     }
 
+    /// Debug builds: the queued entries, oldest first.
+    #[cfg(debug_assertions)]
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &(u64, T)> + '_ {
+        (0..self.len).map(move |i| &self.buf[(self.head + i) % self.cap])
+    }
+
     /// Remove and return the oldest entry iff it has arrived by `now`.
     /// This is the consumer-side primitive of every absorb loop.
     #[inline]

@@ -97,8 +97,8 @@ use crate::network::NetworkDesc;
 use crate::oracle::RouteOracle;
 use crate::pattern::TrafficPattern;
 use crate::router::{
-    clear_bit, Arrival, Consumer, CreditTarget, CycleCtx, EndpointRt, FlitTarget, Msg, Ones,
-    Pending, PortIn, PortOut, RouterRt,
+    clear_bit, AllocScratch, Arrival, Consumer, CreditTarget, CycleCtx, EndpointRt, FlitTarget,
+    Msg, Ones, Pending, PortIn, PortOut, RouterRt,
 };
 use crate::telemetry::{self, PartTrace, TraceRec, Tracer};
 use wsdf_exec::BspPool;
@@ -152,6 +152,8 @@ struct Partition {
     arrivals: Vec<Arrival>,
     /// Which local agents and ports have work (see [`Pending`]).
     pend: Pending,
+    /// Allocator scratch shared by this partition's routers.
+    alloc: AllocScratch,
     /// Next open-loop emission cycle per local endpoint (`u64::MAX` if its
     /// schedule never fires), and the minimum over them.
     next_gen: Vec<u64>,
@@ -200,10 +202,12 @@ impl Partition {
     /// final at the router, so every endpoint-consumed flit ring stays
     /// empty. Both stepping modes read the same bitmaps, so the
     /// dense/event equivalence suites cannot see a missed bit; this check
-    /// can.
+    /// can. The allocator scratch, which every router step must leave
+    /// clear, is swept whole here as well.
     #[cfg(debug_assertions)]
     fn assert_pending_bitmaps(&self) {
         use crate::router::set_bit;
+        self.alloc.assert_clear();
         let pend = &self.pend;
         let mut flit = vec![0u64; self.routers.len()];
         let mut credit = vec![0u64; self.routers.len()];
@@ -288,6 +292,7 @@ impl Partition {
             in_flight,
             arrivals,
             pend,
+            alloc,
             next_gen,
             gen_min,
             out_min,
@@ -319,6 +324,7 @@ impl Partition {
             pend,
             out_min,
             trace,
+            alloc,
         };
         let gen_due = ctx.injecting && *gen_min <= now;
         if gen_due {
@@ -776,6 +782,7 @@ impl<O: RouteOracle> Simulation<O> {
                 in_flight: 0,
                 arrivals: Vec::new(),
                 pend: Pending::default(),
+                alloc: AllocScratch::default(),
                 next_gen: Vec::new(),
                 gen_min: u64::MAX,
                 out_min: u64::MAX,
@@ -963,6 +970,7 @@ impl<O: RouteOracle> Simulation<O> {
             .zip(flit_cons.into_iter().zip(credit_cons))
         {
             part.pend = Pending::new(part.routers.len(), part.endpoints.len(), fc, cc);
+            part.alloc = AllocScratch::for_routers(&part.routers);
             part.next_gen = vec![u64::MAX; part.endpoints.len()];
         }
 
@@ -1237,7 +1245,7 @@ impl<O: RouteOracle> Simulation<O> {
             };
             if watchdog > 0 && counts && skip >= watchdog - stall {
                 self.now += watchdog - stall;
-                self.check_pending();
+                self.check_invariants();
                 return Err(SimError::Deadlock {
                     cycle: self.now,
                     in_flight: in_flight.max(0) as u64,
@@ -1256,7 +1264,7 @@ impl<O: RouteOracle> Simulation<O> {
                 }
             }
         }
-        self.check_pending();
+        self.check_invariants();
         self.finish_trace();
         let measured = if plan.closed {
             self.now
@@ -1307,7 +1315,7 @@ impl<O: RouteOracle> Simulation<O> {
             if moved == 0 {
                 self.storm = false;
                 self.storm_hot = 0;
-                self.check_pending();
+                self.check_invariants();
             }
         } else if moved * 4 >= self.agents {
             self.storm_hot += 1;
@@ -1320,14 +1328,97 @@ impl<O: RouteOracle> Simulation<O> {
     }
 
     /// Debug builds: assert every partition's pending bitmaps against its
-    /// rings and agents (see `Partition::assert_pending_bitmaps`). Runs at
-    /// every storm exit and at the end of every run; free in release
-    /// builds.
-    fn check_pending(&self) {
+    /// rings and agents (see `Partition::assert_pending_bitmaps`), and
+    /// that flits and credits are conserved (see `assert_conservation`).
+    /// Runs at every storm exit and at the end of every run, the deadlock
+    /// exit included; free in release builds.
+    fn check_invariants(&self) {
         #[cfg(debug_assertions)]
-        for part in &self.partitions {
-            part.assert_pending_bitmaps();
+        {
+            for part in &self.partitions {
+                part.assert_pending_bitmaps();
+            }
+            self.assert_conservation();
         }
+    }
+
+    /// Debug-build invariant: flits and credits are conserved.
+    ///
+    /// * Every flit injected and not yet ejected is in a router-consumed
+    ///   flit ring, buffered in a router, or in an undelivered
+    ///   `Msg::Flit`: the partitions' `in_flight` counters add up to
+    ///   exactly that.
+    /// * For every channel into a router and every VC on it, each slot of
+    ///   the receiving input VC's buffer is accounted for exactly once: a
+    ///   credit held by the sender (output VC or endpoint), a credit on its
+    ///   way back (credit ring or undelivered `Msg::Credit`), a flit on its
+    ///   way (flit ring or undelivered `Msg::Flit`, VC from the stamp), or
+    ///   a flit in the buffer. The sum is `buffer_flits`.
+    /// * Ejection outputs hold all `buffer_flits` credits.
+    ///
+    /// O(rings + buffered flits + channels × VCs).
+    #[cfg(debug_assertions)]
+    fn assert_conservation(&self) {
+        use crate::router::flit_vc;
+        let vcs = self.cfg.num_vcs as usize;
+        let depth = self.cfg.buffer_flits as i64;
+        // Slots accounted per (channel, VC); the undelivered messages go
+        // in first, then each channel adds its rings and endpoints.
+        let mut slots = vec![0i64; self.flit_loc.len() * vcs];
+        let mut flits = 0i64;
+        for msg in self.exch.read.iter().chain(&self.exch.write).flatten() {
+            match *msg {
+                Msg::Flit { ch, flit, .. } => {
+                    slots[ch as usize * vcs + flit_vc(&flit) as usize] += 1;
+                    flits += 1;
+                }
+                Msg::Credit { ch, vc, .. } => slots[ch as usize * vcs + vc as usize] += 1,
+            }
+        }
+        for (c, (&(fp, fq), &(cp, cq))) in self.flit_loc.iter().zip(&self.credit_loc).enumerate() {
+            let (dst, src) = (&self.partitions[fp as usize], &self.partitions[cp as usize]);
+            let Consumer::Router { lidx, port } = dst.pend.flit_cons[fq as usize] else {
+                continue;
+            };
+            let row = &mut slots[c * vcs..][..vcs];
+            for (_, flit) in dst.flit_qs[fq as usize].iter() {
+                row[flit_vc(flit) as usize] += 1;
+                flits += 1;
+            }
+            for &(_, vc) in src.credit_qs[cq as usize].iter() {
+                row[vc as usize] += 1;
+            }
+            let receiver = &dst.routers[lidx as usize];
+            for (vc, n) in row.iter_mut().enumerate() {
+                let vc = vc as u8;
+                let held = match src.pend.credit_cons[cq as usize] {
+                    Consumer::Router { lidx, port } => {
+                        src.routers[lidx as usize].out_credits(port, vc)
+                    }
+                    Consumer::Endpoint(e) => src.endpoints[e as usize].inj_credits(vc),
+                };
+                *n += held as i64 + receiver.in_buffered(port, vc) as i64;
+                assert_eq!(
+                    *n, depth,
+                    "credit conservation violated on channel {c} VC {vc}: credits held, \
+                     credits and flits in flight, and buffered flits add up to {n}, \
+                     not buffer_flits {depth}"
+                );
+            }
+        }
+        let mut in_flight = 0;
+        for part in &self.partitions {
+            in_flight += part.in_flight;
+            for r in &part.routers {
+                flits += r.buffered() as i64;
+                r.assert_ejection_credits(self.cfg.buffer_flits);
+            }
+        }
+        assert_eq!(
+            in_flight, flits,
+            "flit conservation violated: in_flight counts {in_flight} flits, but rings, \
+             router buffers and undelivered messages hold {flits}"
+        );
     }
 
     /// Prime the per-endpoint open-loop emission schedule at run start;

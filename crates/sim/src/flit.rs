@@ -1,9 +1,12 @@
 //! Flits and packet headers.
 //!
 //! Packets are fixed-length flit sequences (4 flits by default, Table IV).
-//! Every flit carries a copy of the (small, `Copy`) packet header so routing
-//! state can be reconstructed at any hop without a side table — the engine
-//! never needs a global packet map on the hot path.
+//! A [`Flit`] is 32 bytes: the [`PacketHeader`] fields laid out flat beside
+//! the flit's [`FlitKind`], with no padding between them, so every hop
+//! copies one 40-byte ring entry (arrival cycle plus flit). Routing state
+//! can still be rebuilt at any hop without a side table
+//! ([`Flit::header`]), so the engine never needs a global packet map on
+//! the hot path.
 
 /// Sentinel for "no intermediate W-group" (minimal routing).
 pub const NO_INTERMEDIATE: u32 = u32::MAX;
@@ -73,25 +76,54 @@ impl PacketHeader {
     }
 }
 
-/// The unit of transfer and buffering.
+/// The unit of transfer and buffering: the owning packet's header fields,
+/// flat, plus the flit's position within the packet.
 #[derive(Debug, Clone, Copy)]
 pub struct Flit {
-    /// Header of the owning packet.
-    pub pkt: PacketHeader,
+    /// [`PacketHeader::id`] (the engine stamps the in-network VC into its
+    /// top bits while the flit is on a channel).
+    pub id: u64,
+    /// [`PacketHeader::created`].
+    pub created: u64,
+    /// [`PacketHeader::src`].
+    pub src: u32,
+    /// [`PacketHeader::dst`].
+    pub dst: u32,
+    /// [`PacketHeader::inter_w`].
+    pub inter_w: u32,
+    /// [`PacketHeader::len`].
+    pub len: u8,
     /// Position within the packet.
     pub kind: FlitKind,
-    /// Sequence number within the packet (0-based).
-    pub seq: u8,
 }
+
+const _: () = assert!(std::mem::size_of::<Flit>() == 32);
 
 impl Flit {
     /// Build the `seq`-th flit of the packet described by `pkt`.
     #[inline]
     pub fn new(pkt: PacketHeader, seq: u8) -> Self {
         Flit {
-            pkt,
+            id: pkt.id,
+            created: pkt.created,
+            src: pkt.src,
+            dst: pkt.dst,
+            inter_w: pkt.inter_w,
+            len: pkt.len,
             kind: FlitKind::at(seq, pkt.len),
-            seq,
+        }
+    }
+
+    /// The owning packet's header, rebuilt from the flat fields.
+    #[inline]
+    pub fn header(&self) -> PacketHeader {
+        PacketHeader {
+            id: self.id,
+            src: self.src,
+            dst: self.dst,
+            inter_w: self.inter_w,
+            created: self.created,
+            len: self.len,
         }
     }
 }
@@ -139,6 +171,7 @@ mod tests {
         assert!(flits[3].kind.is_tail());
         assert_eq!(flits.iter().filter(|f| f.kind.is_head()).count(), 1);
         assert_eq!(flits.iter().filter(|f| f.kind.is_tail()).count(), 1);
+        assert!(flits.iter().all(|f| f.header() == pkt));
     }
 
     #[test]

@@ -1,18 +1,32 @@
 //! Runtime router and endpoint state machines.
 //!
 //! One [`RouterRt`] is an input-queued virtual-channel router with
-//! credit-based flow control and separable round-robin allocation:
+//! credit-based flow control and separable round-robin allocation (Dally &
+//! Towles, *Principles and Practices of Interconnection Networks*,
+//! ch. 18–19). A busy router-cycle makes one walk over its occupied input
+//! VCs, in ascending flat id (`port × vcs + vc`), skipping empty ports and
+//! VCs through occupancy words:
 //!
-//! * **RC** — at each input VC whose front flit is a head without a route,
-//!   query the [`crate::RouteOracle`].
-//! * **VA** — input VCs request the exact output VC the oracle chose;
-//!   a rotating-priority arbiter per output VC picks one winner.
-//! * **SA** — each output port grants up to `width(out_channel)` flits per
-//!   cycle among input VCs holding that port, rotating priority; each input
-//!   port may forward at most `width(in_channel)` flits per cycle.
+//! * **RC** — an input VC whose front flit is a head without a route
+//!   queries the [`crate::RouteOracle`], in walk order, so the per-router
+//!   RNG stream sees the oracle calls in (port, VC) order.
+//! * **VA** — an ungranted input VC requests the exact output VC the oracle
+//!   chose, if that VC is free. Each output VC grants the first requester
+//!   at or after its rotating pointer, wrapping to the first requester; the
+//!   walk finds that winner without a sort (`VaSlot`).
+//! * **SA** — every granted input VC (held over, or granted by VA this
+//!   cycle) is a candidate on its output port. Each output port, in
+//!   ascending order, grants up to `width(out_channel)` flits per cycle,
+//!   visiting candidates from its rotating pointer onwards and wrapping
+//!   (`RotatedOnes`, again no sort); each input port may forward at most
+//!   `width(in_channel) × speedup` flits per cycle.
 //! * **ST/LT** — granted flits move onto the output channel (arriving
 //!   `latency` cycles later), a credit returns upstream, and a tail flit
 //!   releases its output VC.
+//!
+//! The requests and candidates live in an `AllocScratch` that the routers
+//! of one partition share: they step one at a time, and each step leaves
+//! the scratch clear.
 //!
 //! Endpoints ([`EndpointRt`]) are open-loop sources with unbounded packet
 //! queues plus sinks with bounded ejection bandwidth. All cross-router
@@ -215,6 +229,8 @@ pub struct CycleCtx<'a> {
     /// pays one branch per emission site and nothing else). Observe-only:
     /// nothing here may feed back into simulated state.
     pub trace: Option<&'a mut PartTrace>,
+    /// This partition's allocator scratch, shared by its routers.
+    pub(crate) alloc: &'a mut AllocScratch,
 }
 
 impl CycleCtx<'_> {
@@ -369,6 +385,156 @@ impl Iterator for Ones {
     }
 }
 
+/// The set-bit positions of a multi-word mask (bit `i` in word `i / 64`)
+/// at or after `ptr`, then before it, each ascending: a round-robin
+/// arbiter's priority order with its pointer at `ptr`. For any `n` that
+/// covers the set bits this is ascending `(i + n − ptr) % n`, with no
+/// sort. `ptr` must lie inside the mask (`ptr < 64 × mask.len()`).
+struct RotatedOnes<'a> {
+    mask: &'a [u64],
+    /// Unvisited bits of word `word`.
+    bits: u64,
+    word: usize,
+    /// Words still to load. The last load is the pointer's own word
+    /// again, masked to the bits `below` the pointer.
+    loads: usize,
+    below: u64,
+}
+
+impl<'a> RotatedOnes<'a> {
+    fn new(mask: &'a [u64], ptr: usize) -> Self {
+        let (word, bit) = (ptr / 64, ptr % 64);
+        RotatedOnes {
+            mask,
+            bits: mask[word] & (!0 << bit),
+            word,
+            loads: mask.len(),
+            below: (1 << bit) - 1,
+        }
+    }
+}
+
+impl Iterator for RotatedOnes<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        while self.bits == 0 {
+            if self.loads == 0 {
+                return None;
+            }
+            self.loads -= 1;
+            self.word = if self.word + 1 == self.mask.len() {
+                0
+            } else {
+                self.word + 1
+            };
+            self.bits = self.mask[self.word];
+            if self.loads == 0 {
+                self.bits &= self.below;
+            }
+        }
+        let i = self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        Some(self.word * 64 + i)
+    }
+}
+
+/// One output VC's round-robin VC arbiter, offered its requesters in
+/// ascending input-VC id: the winner is the first requester at or after
+/// the pointer, else the first requester — the requester with the
+/// smallest `(f + n − ptr) % n`, found without a sort.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct VaSlot {
+    first: u16,
+    at_ptr: u16,
+}
+
+impl VaSlot {
+    const NONE: u16 = u16::MAX;
+    const EMPTY: VaSlot = VaSlot {
+        first: Self::NONE,
+        at_ptr: Self::NONE,
+    };
+
+    /// Offer requester `f`, greater than every earlier offer; true on the
+    /// slot's first offer.
+    #[inline]
+    fn offer(&mut self, f: u16, ptr: u16) -> bool {
+        let fresh = self.first == Self::NONE;
+        if fresh {
+            self.first = f;
+        }
+        if f >= ptr && self.at_ptr == Self::NONE {
+            self.at_ptr = f;
+        }
+        fresh
+    }
+
+    #[inline]
+    fn winner(self) -> u16 {
+        if self.at_ptr == Self::NONE {
+            self.first
+        } else {
+            self.at_ptr
+        }
+    }
+}
+
+/// Allocation scratch of one partition. Its routers step one at a time, so
+/// they share it, and it stays cache-hot from router to router. Sized when
+/// the network is compiled, to the partition's largest router; every
+/// router step leaves it clear.
+#[derive(Debug, Default)]
+pub(crate) struct AllocScratch {
+    /// VC arbiter per output VC (flat id); `VaSlot::EMPTY` unless
+    /// requested in the current step.
+    va: Vec<VaSlot>,
+    /// Output VCs requested in the current step, in first-request order.
+    va_touched: Vec<u16>,
+    /// SA candidates: row `p` (`words` words from `p × words`) is a
+    /// bitmask over the input-VC flat ids holding output port `p`.
+    sa: Vec<u64>,
+    words: usize,
+    /// Output ports whose `sa` row has a candidate.
+    sa_ports: u64,
+}
+
+impl AllocScratch {
+    /// Scratch for the largest of `routers`.
+    pub(crate) fn for_routers(routers: &[RouterRt]) -> Self {
+        let ports = routers.iter().map(|r| r.ports as usize).max().unwrap_or(0);
+        let nflat = routers.iter().map(|r| r.inputs.len()).max().unwrap_or(0);
+        let words = nflat.div_ceil(64);
+        AllocScratch {
+            va: vec![VaSlot::EMPTY; nflat],
+            va_touched: Vec::with_capacity(nflat),
+            sa: vec![0; ports * words],
+            words,
+            sa_ports: 0,
+        }
+    }
+
+    /// Input VC `f` competes for output port `port` in SA.
+    #[inline]
+    fn candidate(&mut self, port: usize, f: usize) {
+        self.sa[port * self.words + f / 64] |= 1 << (f % 64);
+        self.sa_ports |= 1 << port;
+    }
+
+    /// Debug builds: every request and candidate is cleared.
+    #[cfg(debug_assertions)]
+    pub(crate) fn assert_clear(&self) {
+        assert!(
+            self.va_touched.is_empty()
+                && self.sa_ports == 0
+                && self.va.iter().all(|&v| v == VaSlot::EMPTY)
+                && self.sa.iter().all(|&w| w == 0),
+            "allocator scratch left dirty by a router step"
+        );
+    }
+}
+
 /// Runtime state of one router.
 #[derive(Debug, Clone)]
 pub struct RouterRt {
@@ -392,16 +558,13 @@ pub struct RouterRt {
     speedup: u8,
     /// Deterministic stream for adaptive oracles.
     rng: SplitMix64,
-    /// Scratch: VA requests (out-VC flat id, in-VC flat id).
-    va_scratch: Vec<(u16, u16)>,
-    /// Scratch: SA candidates (out port, in-VC flat id).
-    sa_scratch: Vec<(u8, u16)>,
-    /// Scratch: SA rotated candidate order.
-    sa_order: Vec<u16>,
     /// Occupancy bitmap per port: bit v set ⇔ input VC v has buffered
-    /// flits. Keeps RC/VA/SA scans proportional to occupied VCs, not to
-    /// ports × VCs (the hot-path cost at scale).
+    /// flits. Keeps the allocation walk proportional to occupied VCs, not
+    /// to ports × VCs (the hot-path cost at scale).
     occ: Vec<u64>,
+    /// Bit p set ⇔ `occ[p] != 0` ([`MAX_PORTS`] bounds the port count), so
+    /// the walk skips empty ports too.
+    occ_ports: u64,
 }
 
 impl RouterRt {
@@ -428,10 +591,8 @@ impl RouterRt {
             buffered: 0,
             speedup: speedup.max(1),
             rng: SplitMix64::for_agent(seed, 0x5157 ^ (id as u64) << 1),
-            va_scratch: Vec::new(),
-            sa_scratch: Vec::new(),
-            sa_order: Vec::new(),
             occ: vec![0; ports as usize],
+            occ_ports: 0,
         }
     }
 
@@ -453,6 +614,39 @@ impl RouterRt {
     /// Flits currently buffered in this router.
     pub fn buffered(&self) -> u32 {
         self.buffered
+    }
+
+    /// Debug builds: credits held by output VC `vc` of `port`.
+    #[cfg(debug_assertions)]
+    pub(crate) fn out_credits(&self, port: u8, vc: u8) -> u16 {
+        self.outputs[self.flat(port, vc)].credits
+    }
+
+    /// Debug builds: flits buffered in input VC `vc` of `port`.
+    #[cfg(debug_assertions)]
+    pub(crate) fn in_buffered(&self, port: u8, vc: u8) -> usize {
+        self.inputs[self.flat(port, vc)].buf.len()
+    }
+
+    /// Debug builds: ejection is final at the router, which returns each
+    /// ejected flit's credit at once, so every ejection output VC holds
+    /// all `buffer_flits` credits between cycles.
+    #[cfg(debug_assertions)]
+    pub(crate) fn assert_ejection_credits(&self, buffer_flits: u16) {
+        for (port, pout) in self.out_ports.iter().enumerate() {
+            if !pout.is_some_and(|p| p.is_ejection) {
+                continue;
+            }
+            for vc in 0..self.vcs {
+                let credits = self.out_credits(port as u8, vc);
+                assert_eq!(
+                    credits, buffer_flits,
+                    "credit conservation violated: router {} ejection port {port} VC {vc} \
+                     holds {credits} credits, not {buffer_flits}",
+                    self.id
+                );
+            }
+        }
     }
 
     #[inline]
@@ -484,9 +678,17 @@ impl RouterRt {
         if self.buffered == 0 {
             return;
         }
-        self.route_compute(oracle, ctx.now);
-        self.vc_allocate();
-        self.switch_allocate(ctx);
+        // The scratch leaves the context for the step: SA sends flits
+        // through the context while it walks the candidate rows.
+        let mut scratch = std::mem::take(ctx.alloc);
+        self.route_and_request(oracle, &mut scratch);
+        self.switch_allocate(ctx, &mut scratch);
+        debug_assert!(
+            scratch.va_touched.is_empty() && scratch.sa_ports == 0,
+            "router {} left the allocator scratch dirty",
+            self.id
+        );
+        *ctx.alloc = scratch;
     }
 
     /// True when [`cycle`](Self::cycle) would be a strict no-op: nothing
@@ -576,6 +778,7 @@ impl RouterRt {
                 let f = self.flat(port as u8, vc);
                 self.inputs[f].buf.push_back(strip_vc(flit));
                 self.occ[port] |= 1 << vc;
+                self.occ_ports |= 1 << port;
                 self.buffered += 1;
                 *ctx.moved += 1;
             }
@@ -586,165 +789,125 @@ impl RouterRt {
         ctx.pend.flit[lidx as usize] = pend;
     }
 
-    /// Route computation for fresh head flits.
-    fn route_compute<O: RouteOracle + ?Sized>(&mut self, oracle: &O, _now: u64) {
-        for port in 0..self.ports {
-            let mut bits = self.occ[port as usize];
-            while bits != 0 {
-                let vc = bits.trailing_zeros() as u8;
-                bits &= bits - 1;
-                let f = self.flat(port, vc);
-                if self.inputs[f].route.is_some() {
-                    continue;
-                }
-                let Some(front) = self.inputs[f].buf.front() else {
-                    continue;
+    /// The walk: one pass over the occupied input VCs in ascending flat
+    /// id. It routes each unrouted head (RC), records each ungranted VC's
+    /// request for its output VC if that VC is free, and marks each granted
+    /// VC as an SA candidate on its output port. VA then grants every
+    /// requested output VC to its round-robin winner (see `VaSlot`), which
+    /// becomes a candidate too.
+    fn route_and_request<O: RouteOracle + ?Sized>(&mut self, oracle: &O, s: &mut AllocScratch) {
+        let vcs = self.vcs as usize;
+        for port in Ones(self.occ_ports) {
+            for vc in Ones(self.occ[port]) {
+                let f = port * vcs + vc;
+                let iu = &mut self.inputs[f];
+                let rc = match iu.route {
+                    Some(rc) => rc,
+                    None => {
+                        let front = iu.buf.front().expect("occupied input VC holds a flit");
+                        debug_assert!(
+                            front.kind.is_head(),
+                            "non-head flit {:?} at front of unrouted VC (router {}, port {port}, vc {vc})",
+                            front.kind,
+                            self.id
+                        );
+                        let choice = oracle.route(
+                            self.id,
+                            port as u8,
+                            vc as u8,
+                            &front.header(),
+                            &mut self.rng,
+                        );
+                        debug_assert!(
+                            (choice.out_port as usize) < self.ports as usize,
+                            "oracle chose invalid port {} on router {} ({} ports)",
+                            choice.out_port,
+                            self.id,
+                            self.ports
+                        );
+                        debug_assert!(choice.out_vc < self.vcs);
+                        iu.route = Some(choice);
+                        iu.granted = false;
+                        choice
+                    }
                 };
-                debug_assert!(
-                    front.kind.is_head(),
-                    "non-head flit {:?} at front of unrouted VC (router {}, port {port}, vc {vc})",
-                    front.kind,
-                    self.id
-                );
-                let choice = oracle.route(self.id, port, vc, &front.pkt, &mut self.rng);
-                debug_assert!(
-                    (choice.out_port as usize) < self.ports as usize,
-                    "oracle chose invalid port {} on router {} ({} ports)",
-                    choice.out_port,
-                    self.id,
-                    self.ports
-                );
-                debug_assert!(choice.out_vc < self.vcs);
-                self.inputs[f].route = Some(choice);
-                self.inputs[f].granted = false;
-            }
-        }
-    }
-
-    /// VC allocation: rotating-priority arbitration per requested output VC.
-    fn vc_allocate(&mut self) {
-        self.va_scratch.clear();
-        for port in 0..self.ports as usize {
-            let mut bits = self.occ[port];
-            while bits != 0 {
-                let vc = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let f = port * self.vcs as usize + vc;
-                let iu = &self.inputs[f];
-                if iu.granted || iu.buf.is_empty() {
+                if iu.granted {
+                    s.candidate(rc.out_port as usize, f);
                     continue;
                 }
-                let Some(rc) = iu.route else { continue };
-                let ovc = self.flat(rc.out_port, rc.out_vc) as u16;
-                if self.outputs[ovc as usize].owner.is_none() {
-                    self.va_scratch.push((ovc, f as u16));
+                let o = rc.out_port as usize * vcs + rc.out_vc as usize;
+                if self.outputs[o].owner.is_none() && s.va[o].offer(f as u16, self.va_ptr[o]) {
+                    s.va_touched.push(o as u16);
                 }
             }
         }
-        if self.va_scratch.is_empty() {
-            return;
-        }
-        self.va_scratch.sort_unstable();
         let n = self.inputs.len() as u16;
-        let mut i = 0;
-        while i < self.va_scratch.len() {
-            let ovc = self.va_scratch[i].0;
-            let mut j = i;
-            while j < self.va_scratch.len() && self.va_scratch[j].0 == ovc {
-                j += 1;
-            }
-            // Winner: requester with the smallest rotated index.
-            let ptr = self.va_ptr[ovc as usize];
-            let winner = self.va_scratch[i..j]
-                .iter()
-                .map(|&(_, ivc)| ivc)
-                .min_by_key(|&ivc| (ivc + n - ptr) % n)
-                .expect("non-empty group");
-            self.outputs[ovc as usize].owner = Some(winner);
+        for i in 0..s.va_touched.len() {
+            let o = s.va_touched[i] as usize;
+            let winner = std::mem::replace(&mut s.va[o], VaSlot::EMPTY).winner();
+            self.outputs[o].owner = Some(winner);
             self.inputs[winner as usize].granted = true;
-            self.va_ptr[ovc as usize] = (winner + 1) % n;
-            i = j;
+            self.va_ptr[o] = (winner + 1) % n;
+            s.candidate(o / vcs, winner as usize);
         }
+        s.va_touched.clear();
     }
 
-    /// Switch allocation + traversal: grant up to `width` flits per output
-    /// port and per input port, rotating priority, then send.
-    fn switch_allocate(&mut self, ctx: &mut CycleCtx<'_>) {
-        self.sa_scratch.clear();
-        for port in 0..self.ports as usize {
-            let mut bits = self.occ[port];
-            while bits != 0 {
-                let vc = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let f = port * self.vcs as usize + vc;
-                let iu = &self.inputs[f];
-                if !iu.granted || iu.buf.is_empty() {
-                    continue;
-                }
-                let rc = iu.route.expect("granted VC must have a route");
-                self.sa_scratch.push((rc.out_port, f as u16));
-            }
-        }
-        if self.sa_scratch.is_empty() {
+    /// Switch allocation + traversal. Each output port with candidates, in
+    /// ascending order, grants up to `width` flits: it visits its
+    /// candidates in rotated order from its pointer, and sweeps again
+    /// while quota and progress remain (a wide link may take several flits
+    /// from one VC per cycle). Each input port forwards at most
+    /// `width × speedup` flits. Clears every candidate row it visits.
+    fn switch_allocate(&mut self, ctx: &mut CycleCtx<'_>, s: &mut AllocScratch) {
+        if s.sa_ports == 0 {
             return;
         }
-        self.sa_scratch.sort_unstable();
-        // Per-input-port quotas (only the ports this router has — a fixed
-        // 256-entry array would memset 512 B per busy router per cycle).
+        // Per-input-port forwarding quotas: `MAX_PORTS` bounds the port
+        // count, so a 128-byte stack array holds them.
         let mut in_quota = [0u16; MAX_PORTS];
         debug_assert!(self.ports as usize <= in_quota.len());
         for (q, pin) in in_quota.iter_mut().zip(&self.in_ports) {
             *q = pin.map_or(0, |pi| pi.width as u16 * self.speedup as u16);
         }
-        let n = self.inputs.len() as u16;
-        let mut i = 0;
-        while i < self.sa_scratch.len() {
-            let oport = self.sa_scratch[i].0;
-            let mut j = i;
-            while j < self.sa_scratch.len() && self.sa_scratch[j].0 == oport {
-                j += 1;
-            }
-            let pout = self.out_ports[oport as usize].expect("route to unwired output port");
+        let vcs = self.vcs as usize;
+        let n = self.inputs.len();
+        let words = n.div_ceil(64);
+        for oport in Ones(std::mem::take(&mut s.sa_ports)) {
+            let row = &mut s.sa[oport * s.words..][..words];
+            let pout = self.out_ports[oport].expect("route to unwired output port");
             let mut quota = pout.width;
-            let ptr = self.sa_ptr[oport as usize];
-            // Rotate the candidate group so priority moves each cycle.
-            self.sa_order.clear();
-            self.sa_order
-                .extend(self.sa_scratch[i..j].iter().map(|&(_, f)| f));
-            self.sa_order.sort_unstable_by_key(|&f| (f + n - ptr) % n);
-            let order = std::mem::take(&mut self.sa_order);
+            let ptr = self.sa_ptr[oport] as usize;
             let mut granted_any = None;
-            // Keep sweeping the rotated order until quota or progress runs out
-            // (a wide link may take several flits from one VC per cycle).
             while quota > 0 {
                 let mut progressed = false;
-                for &f in &order {
+                for f in RotatedOnes::new(row, ptr) {
                     if quota == 0 {
                         break;
                     }
-                    let port_of_f = (f as usize / self.vcs as usize) as u8;
-                    if in_quota[port_of_f as usize] == 0 {
+                    let in_port = f / vcs;
+                    if in_quota[in_port] == 0 {
                         continue;
                     }
                     // Re-validate: a tail sent earlier in this sweep clears
                     // the VC's route/grant; the next packet must go through
                     // RC/VA again before it can compete.
-                    if !self.inputs[f as usize].granted {
+                    let iu = &self.inputs[f];
+                    if !iu.granted {
                         continue;
                     }
-                    let Some(rc) = self.inputs[f as usize].route else {
+                    let Some(rc) = iu.route else {
                         continue;
                     };
-                    let ovc_flat = self.flat(rc.out_port, rc.out_vc);
-                    if self.outputs[ovc_flat].credits == 0 {
+                    if self.outputs[self.flat(rc.out_port, rc.out_vc)].credits == 0 {
                         continue;
                     }
-                    if self.inputs[f as usize].buf.is_empty() {
+                    if iu.buf.is_empty() {
                         continue;
                     }
-                    self.send_one(f, rc, oport, pout, ctx);
+                    self.send_one(f, rc, pout, ctx);
                     quota -= 1;
-                    in_quota[port_of_f as usize] -= 1;
+                    in_quota[in_port] -= 1;
                     granted_any = Some(f);
                     progressed = true;
                 }
@@ -752,42 +915,34 @@ impl RouterRt {
                     break;
                 }
             }
-            self.sa_order = order;
+            row.fill(0);
             if let Some(f) = granted_any {
-                self.sa_ptr[oport as usize] = (f + 1) % n;
+                self.sa_ptr[oport] = ((f + 1) % n) as u16;
             }
-            i = j;
         }
     }
 
-    /// Move one flit from input VC `f` onto output port `oport`.
-    fn send_one(
-        &mut self,
-        f: u16,
-        rc: RouteChoice,
-        _oport: u8,
-        pout: PortOut,
-        ctx: &mut CycleCtx<'_>,
-    ) {
+    /// Move one flit from input VC `f` onto the output port `rc` names.
+    fn send_one(&mut self, f: usize, rc: RouteChoice, pout: PortOut, ctx: &mut CycleCtx<'_>) {
+        let vcs = self.vcs as usize;
+        let (in_port, in_vc) = (f / vcs, f % vcs);
         assert!(
             !pout.dead,
             "routing oracle sent a flit over dead channel {} (router {}, out port {}, dst {})",
             pout.ch,
             self.id,
             rc.out_port,
-            self.inputs[f as usize]
-                .buf
-                .front()
-                .map_or(0, |fl| fl.pkt.dst)
+            self.inputs[f].buf.front().map_or(0, |fl| fl.dst)
         );
-        let flit = self.inputs[f as usize]
+        let flit = self.inputs[f]
             .buf
             .pop_front()
             .expect("send_one on empty buffer");
-        if self.inputs[f as usize].buf.is_empty() {
-            let port = f as usize / self.vcs as usize;
-            let vc = f as usize % self.vcs as usize;
-            self.occ[port] &= !(1 << vc);
+        if self.inputs[f].buf.is_empty() {
+            self.occ[in_port] &= !(1 << in_vc);
+            if self.occ[in_port] == 0 {
+                self.occ_ports &= !(1 << in_port);
+            }
         }
         self.buffered -= 1;
         *ctx.moved += 1;
@@ -808,18 +963,16 @@ impl RouterRt {
         }
 
         // Credit back upstream for the freed buffer slot.
-        let in_port = f as usize / self.vcs as usize;
-        let in_vc = (f as usize % self.vcs as usize) as u8;
         let pin = self.in_ports[in_port].expect("flit came from a wired input");
         let credit_arrive = ctx.now + pin.credit_latency as u64;
         match pin.credit_to {
-            CreditTarget::Local(q) => ctx.push_credit(q, credit_arrive, in_vc),
+            CreditTarget::Local(q) => ctx.push_credit(q, credit_arrive, in_vc as u8),
             CreditTarget::Remote { slot, ch } => ctx.emit(
                 slot,
                 Msg::Credit {
                     ch,
                     arrive: credit_arrive,
-                    vc: in_vc,
+                    vc: in_vc as u8,
                 },
             ),
         }
@@ -850,8 +1003,8 @@ impl RouterRt {
         // Tail: release the output VC and the input VC's packet state.
         if flit.kind.is_tail() {
             self.outputs[ovc_flat].owner = None;
-            self.inputs[f as usize].route = None;
-            self.inputs[f as usize].granted = false;
+            self.inputs[f].route = None;
+            self.inputs[f].granted = false;
         }
     }
 }
@@ -863,11 +1016,11 @@ fn eject(flit: Flit, arrive: u64, ctx: &mut CycleCtx<'_>) {
     if in_window {
         ctx.metrics.flits_ejected_measured += 1;
         if !ctx.metrics.ejected_per_endpoint.is_empty() {
-            ctx.metrics.ejected_per_endpoint[flit.pkt.dst as usize] += 1;
+            ctx.metrics.ejected_per_endpoint[flit.dst as usize] += 1;
         }
     }
     if flit.kind.is_tail() {
-        let created = flit.pkt.created;
+        let created = flit.created;
         if created >= ctx.measure_start && created < ctx.measure_end {
             let lat = arrive - created;
             ctx.metrics.packets_ejected += 1;
@@ -877,15 +1030,15 @@ fn eject(flit: Flit, arrive: u64, ctx: &mut CycleCtx<'_>) {
             // Telemetry: gated exactly like the report's latency stats so
             // the trace stream reconciles with the summary aggregates.
             if let Some(t) = ctx.trace.as_deref_mut() {
-                t.latency(flit.pkt.dst, lat);
+                t.latency(flit.dst, lat);
             }
         }
         if ctx.collect_arrivals {
             ctx.arrivals.push(Arrival {
                 arrive,
-                id: flit.pkt.id,
-                dst: flit.pkt.dst,
-                flits: flit.pkt.len,
+                id: flit.id,
+                dst: flit.dst,
+                flits: flit.len,
             });
         }
     }
@@ -910,18 +1063,19 @@ const VC_MASK: u64 = 0x3F << VC_SHIFT;
 
 #[inline]
 fn stamp_vc(mut flit: Flit, vc: u8) -> Flit {
-    flit.pkt.id = (flit.pkt.id & !VC_MASK) | ((vc as u64) << VC_SHIFT);
+    flit.id = (flit.id & !VC_MASK) | ((vc as u64) << VC_SHIFT);
     flit
 }
 
+/// The VC stamped into a flit on a channel.
 #[inline]
-fn flit_vc(flit: &Flit) -> u8 {
-    ((flit.pkt.id & VC_MASK) >> VC_SHIFT) as u8
+pub(crate) fn flit_vc(flit: &Flit) -> u8 {
+    ((flit.id & VC_MASK) >> VC_SHIFT) as u8
 }
 
 #[inline]
 fn strip_vc(mut flit: Flit) -> Flit {
-    flit.pkt.id &= !VC_MASK;
+    flit.id &= !VC_MASK;
     flit
 }
 
@@ -1226,30 +1380,34 @@ impl EndpointRt {
         }
     }
 
-    /// Override the initial VC chooser's default stream (used in tests).
-    pub fn rng_mut(&mut self) -> &mut SplitMix64 {
+    /// The persistent stream `Injector::submit` tags closed-loop packets
+    /// with (Valiant intermediate groups and the like).
+    pub(crate) fn rng_mut(&mut self) -> &mut SplitMix64 {
         &mut self.rng
+    }
+
+    /// Debug builds: injection credits held for `vc`.
+    #[cfg(debug_assertions)]
+    pub(crate) fn inj_credits(&self, vc: u8) -> u16 {
+        self.credits[vc as usize]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flit::{FlitKind, NO_INTERMEDIATE};
+    use crate::flit::NO_INTERMEDIATE;
 
     fn mk_flit(id: u64) -> Flit {
-        Flit {
-            pkt: PacketHeader {
-                id,
-                src: 0,
-                dst: 1,
-                inter_w: NO_INTERMEDIATE,
-                created: 0,
-                len: 1,
-            },
-            kind: FlitKind::Single,
-            seq: 0,
-        }
+        let pkt = PacketHeader {
+            id,
+            src: 0,
+            dst: 1,
+            inter_w: NO_INTERMEDIATE,
+            created: 0,
+            len: 1,
+        };
+        Flit::new(pkt, 0)
     }
 
     #[test]
@@ -1257,7 +1415,7 @@ mod tests {
         for vc in 0..16u8 {
             let f = stamp_vc(mk_flit(0xABCD), vc);
             assert_eq!(flit_vc(&f), vc);
-            assert_eq!(strip_vc(f).pkt.id, 0xABCD);
+            assert_eq!(strip_vc(f).id, 0xABCD);
         }
     }
 
@@ -1265,7 +1423,91 @@ mod tests {
     fn vc_stamp_does_not_clobber_id_low_bits() {
         let id = ((7u64) << 20) | 12345;
         let f = stamp_vc(mk_flit(id), 3);
-        assert_eq!(strip_vc(f).pkt.id, id);
+        assert_eq!(strip_vc(f).id, id);
+    }
+
+    /// Input-VC counts to test the rotation rules at: one word and less,
+    /// a word boundary either side, and the 256-VC and largest routers.
+    const SIZES: [usize; 6] = [1, 63, 64, 65, 256, 4096];
+
+    /// Pointers at both ends of `0..n` and at every word edge inside it.
+    fn pointers(n: usize) -> Vec<usize> {
+        let mut ptrs = vec![0, n - 1];
+        for edge in (64..n).step_by(64) {
+            ptrs.extend([edge - 1, edge]);
+        }
+        ptrs
+    }
+
+    /// SplitMix64-random masks over `n` bits: empty, full, and densities
+    /// 1/2, 1/4 and 1/8.
+    fn masks(n: usize, rng: &mut SplitMix64) -> Vec<Vec<u64>> {
+        let words = n.div_ceil(64);
+        let valid = |w: usize| {
+            let bits = (n - w * 64).min(64);
+            if bits == 64 {
+                !0
+            } else {
+                (1u64 << bits) - 1
+            }
+        };
+        let mut out = vec![vec![0; words], (0..words).map(valid).collect()];
+        for ands in 0..3 {
+            out.push(
+                (0..words)
+                    .map(|w| {
+                        let mut x = rng.next_u64();
+                        for _ in 0..ands {
+                            x &= rng.next_u64();
+                        }
+                        x & valid(w)
+                    })
+                    .collect(),
+            );
+        }
+        out
+    }
+
+    fn set_bits(mask: &[u64]) -> Vec<usize> {
+        (0..mask.len() * 64)
+            .filter(|&i| mask[i / 64] >> (i % 64) & 1 == 1)
+            .collect()
+    }
+
+    #[test]
+    fn rotated_ones_matches_the_sorted_rotation() {
+        let mut rng = SplitMix64::new(0x5A);
+        for n in SIZES {
+            for mask in masks(n, &mut rng) {
+                for ptr in pointers(n) {
+                    let mut want = set_bits(&mask);
+                    want.sort_unstable_by_key(|&f| (f + n - ptr) % n);
+                    let got: Vec<usize> = RotatedOnes::new(&mask, ptr).collect();
+                    assert_eq!(got, want, "n {n}, ptr {ptr}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn va_slot_matches_the_rotated_minimum() {
+        let mut rng = SplitMix64::new(0xA5);
+        for n in SIZES {
+            for mask in masks(n, &mut rng) {
+                let requesters = set_bits(&mask);
+                for ptr in pointers(n) {
+                    let mut slot = VaSlot::EMPTY;
+                    for (i, &f) in requesters.iter().enumerate() {
+                        assert_eq!(slot.offer(f as u16, ptr as u16), i == 0);
+                    }
+                    let want = requesters.iter().min_by_key(|&&f| (f + n - ptr) % n);
+                    match want {
+                        Some(&w) => assert_eq!(slot.winner() as usize, w, "n {n}, ptr {ptr}"),
+                        None => assert_eq!(slot, VaSlot::EMPTY),
+                    }
+                }
+            }
+        }
     }
 
     #[test]
