@@ -34,7 +34,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use wsdf_exec::BspPool;
 use wsdf_routing::{RouteMode, VcScheme};
-use wsdf_sim::{SimConfig, TraceConfig, Tracer};
+use wsdf_sim::{SimConfig, TraceConfig, Tracer, MAX_PORTS};
 use wsdf_topo::{FaultSchedule, FaultSet, FaultSpec, SlParams, SwParams};
 use wsdf_traffic::{PermKind, RingDirection};
 use wsdf_workload::tenancy::{ArrivalProcess, JobClass, Placement, ServingSpec};
@@ -145,8 +145,12 @@ impl Topology {
             "switch" => {
                 read::check_keys(v, path, &["family", "terminals"])?;
                 let terminals = read::u64_field(v, path, "terminals")?;
-                if terminals < 2 || terminals > u32::MAX as u64 {
-                    return Err(format!("{path}.terminals: must be at least 2"));
+                // One router carries every terminal, so the engine's port
+                // limit bounds them.
+                if !(2..=MAX_PORTS as u64).contains(&terminals) {
+                    return Err(format!(
+                        "{path}.terminals: expected integer in 2..={MAX_PORTS}"
+                    ));
                 }
                 Ok(Topology::Switch {
                     terminals: terminals as u32,
@@ -1872,6 +1876,27 @@ mod tests {
             Scenario::from_json_str(text).unwrap_err(),
             "scenario.oracle: not configurable for family \"switch\""
         );
+    }
+
+    #[test]
+    fn switch_terminals_stay_within_the_port_limit() {
+        let switch = |terminals: u64| {
+            Scenario::from_json_str(&format!(
+                r#"{{"name": "t", "topology": {{"family": "switch", "terminals": {terminals}}},
+                    "traffic": {{"pattern": "uniform", "rate": 0.3}},
+                    "run": {{"kind": "open_loop"}}}}"#
+            ))
+        };
+        for terminals in [0, 1, 65, 4_000_000_000, u64::from(u32::MAX) + 1] {
+            assert_eq!(
+                switch(terminals).unwrap_err(),
+                "scenario.topology.terminals: expected integer in 2..=64",
+                "terminals {terminals}"
+            );
+        }
+        for terminals in [2, 64] {
+            assert!(switch(terminals).is_ok(), "terminals {terminals}");
+        }
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Channel descriptions: the static wiring of the network, plus the
-//! fixed-capacity timed ring buffer that backs every channel queue at
-//! runtime.
+//! bounded timed ring buffer that backs every channel queue at runtime.
 //!
 //! Channels are unidirectional. A physical full-duplex link in the paper is
 //! two `ChannelDesc`s in opposite directions. Each channel has a latency in
@@ -175,7 +174,7 @@ impl std::fmt::Display for RingFull {
 
 impl std::error::Error for RingFull {}
 
-/// A fixed-capacity FIFO of `(arrival_cycle, payload)` entries.
+/// A bounded FIFO of `(arrival_cycle, payload)` entries.
 ///
 /// This backs every channel's flit and credit queue. Producers stamp each
 /// entry with its arrival cycle (`now + latency`); consumers drain entries
@@ -183,15 +182,19 @@ impl std::error::Error for RingFull {}
 /// Because a channel has exactly one producer with a fixed latency, arrival
 /// stamps are non-decreasing in push order, so FIFO order *is* arrival
 /// order and a plain ring suffices — no priority queue, no per-cycle heap
-/// churn, and (unlike the `VecDeque` it replaced) no reallocation ever.
+/// churn.
 ///
-/// Capacity is fixed at construction; `try_push` reports overflow instead
-/// of growing, which doubles as backpressure in unit tests and as an
-/// invariant check in the engine.
+/// The capacity is fixed at construction and `try_push` reports overflow
+/// at exactly that many entries, which doubles as backpressure in unit
+/// tests and as an invariant check in the engine. Storage is sized by
+/// peak occupancy instead: a new ring holds no cells, and the cells — a
+/// power of two in number — double only when every one is occupied, so a
+/// ring never holds more than `capacity().next_power_of_two()` cells, and
+/// a steady stream cycles through about as many cells as it occupies.
 #[derive(Debug, Clone)]
 pub struct TimedRing<T> {
-    /// Physical storage; grows monotonically to `cap` on first fill, then
-    /// never reallocates. Cell `(head + i) % cap` holds queue position `i`.
+    /// The cells: none, or a power of two. Cell `(head + i) & (cells − 1)`
+    /// holds queue position `i`.
     buf: Vec<(u64, T)>,
     cap: usize,
     head: usize,
@@ -199,12 +202,11 @@ pub struct TimedRing<T> {
 }
 
 impl<T: Copy> TimedRing<T> {
-    /// Ring with room for `cap` entries (at least 1).
+    /// Ring with room for `cap` entries (at least 1). Allocates nothing.
     pub fn with_capacity(cap: usize) -> Self {
-        let cap = cap.max(1);
         TimedRing {
-            buf: Vec::with_capacity(cap),
-            cap,
+            buf: Vec::new(),
+            cap: cap.max(1),
             head: 0,
             len: 0,
         }
@@ -228,6 +230,12 @@ impl<T: Copy> TimedRing<T> {
         self.cap
     }
 
+    /// Index mask of the cells (`cells − 1`; only read with a cell).
+    #[inline]
+    fn mask(&self) -> usize {
+        self.buf.len().wrapping_sub(1)
+    }
+
     /// Append an entry arriving at cycle `arrive`; `Err(RingFull)` when at
     /// capacity (backpressure).
     #[inline]
@@ -235,14 +243,27 @@ impl<T: Copy> TimedRing<T> {
         if self.len == self.cap {
             return Err(RingFull);
         }
-        let pos = (self.head + self.len) % self.cap;
-        if pos == self.buf.len() {
-            self.buf.push((arrive, item));
-        } else {
-            self.buf[pos] = (arrive, item);
+        if self.len == self.buf.len() {
+            self.grow((arrive, item));
         }
+        let pos = (self.head + self.len) & self.mask();
+        self.buf[pos] = (arrive, item);
         self.len += 1;
         Ok(())
+    }
+
+    /// Double the cells, every one of which is occupied (one cell from
+    /// none), and unroll the queue to cell 0. The new cells start as
+    /// copies of `fill`.
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self, fill: (u64, T)) {
+        let cells = (self.buf.len() * 2).max(1);
+        debug_assert!(cells <= self.cap.next_power_of_two());
+        self.buf.rotate_left(self.head);
+        self.buf.reserve_exact(cells - self.buf.len());
+        self.buf.resize(cells, fill);
+        self.head = 0;
     }
 
     /// The oldest entry, if any.
@@ -262,7 +283,7 @@ impl<T: Copy> TimedRing<T> {
             return None;
         }
         let e = self.buf[self.head];
-        self.head = (self.head + 1) % self.cap;
+        self.head = (self.head + 1) & self.mask();
         self.len -= 1;
         Some(e)
     }
@@ -270,7 +291,7 @@ impl<T: Copy> TimedRing<T> {
     /// Debug builds: the queued entries, oldest first.
     #[cfg(debug_assertions)]
     pub(crate) fn iter(&self) -> impl Iterator<Item = &(u64, T)> + '_ {
-        (0..self.len).map(move |i| &self.buf[(self.head + i) % self.cap])
+        (0..self.len).map(move |i| &self.buf[(self.head + i) & self.mask()])
     }
 
     /// Remove and return the oldest entry iff it has arrived by `now`.
@@ -353,6 +374,128 @@ mod ring_tests {
         assert_eq!(r.capacity(), 1);
         r.try_push(0, 1u8).unwrap();
         assert_eq!(r.try_push(0, 2), Err(RingFull));
+    }
+}
+
+/// The cells grow with peak occupancy, checked against a `VecDeque`.
+#[cfg(test)]
+mod ring_growth_tests {
+    use super::*;
+    use crate::rng::SplitMix64;
+    use std::collections::VecDeque;
+
+    fn cells<T>(r: &TimedRing<T>) -> usize {
+        r.buf.len()
+    }
+
+    #[test]
+    fn a_new_ring_holds_no_cells() {
+        let r = TimedRing::<u8>::with_capacity(144);
+        assert_eq!(cells(&r), 0);
+        assert_eq!(r.buf.capacity(), 0);
+        assert_eq!(r.capacity(), 144);
+    }
+
+    #[test]
+    fn k_pushes_from_empty_take_the_next_power_of_two_cells() {
+        for k in 1..=100usize {
+            let mut r = TimedRing::with_capacity(100);
+            for i in 0..k {
+                r.try_push(i as u64, i as u32).unwrap();
+            }
+            assert_eq!(cells(&r), k.next_power_of_two(), "k {k}");
+        }
+    }
+
+    #[test]
+    fn ring_full_fires_at_exactly_cap_when_cells_exceed_it() {
+        let mut r = TimedRing::with_capacity(5);
+        for i in 0..5u64 {
+            r.try_push(i, i as u8).unwrap();
+        }
+        assert_eq!(r.try_push(5, 5), Err(RingFull));
+        assert_eq!(r.len(), 5);
+        assert_eq!(cells(&r), 8);
+        // The three spare cells never admit a sixth entry, even after the
+        // queue has wrapped through them.
+        for i in 5..40u64 {
+            assert_eq!(r.pop_front(), Some((i - 5, (i - 5) as u8)));
+            r.try_push(i, i as u8).unwrap();
+            assert_eq!(r.try_push(i, 0), Err(RingFull));
+        }
+        assert_eq!(cells(&r), 8);
+    }
+
+    #[test]
+    fn growth_from_a_wrapped_head_keeps_fifo_order() {
+        let mut r = TimedRing::with_capacity(64);
+        let mut want = VecDeque::new();
+        // Four cells, head moved to cell 3, queue wrapped past the end.
+        for i in 0..4u64 {
+            r.try_push(i, i).unwrap();
+            want.push_back((i, i));
+        }
+        for _ in 0..3 {
+            assert_eq!(r.pop_front(), want.pop_front());
+        }
+        for i in 4..7u64 {
+            r.try_push(i, i).unwrap();
+            want.push_back((i, i));
+        }
+        assert_eq!((cells(&r), r.head, r.len()), (4, 3, 4));
+        // The fifth entry doubles the cells from the wrapped state.
+        for i in 7..16u64 {
+            r.try_push(i, i).unwrap();
+            want.push_back((i, i));
+        }
+        assert_eq!(cells(&r), 16);
+        while let Some(e) = r.pop_front() {
+            assert_eq!(Some(e), want.pop_front());
+        }
+        assert!(want.is_empty());
+    }
+
+    #[test]
+    fn a_steady_stream_never_adds_cells() {
+        let mut r = TimedRing::with_capacity(144);
+        for i in 0..5u64 {
+            r.try_push(i, i as u8).unwrap();
+        }
+        assert_eq!(cells(&r), 8);
+        for i in 5..10_005u64 {
+            r.try_push(i, i as u8).unwrap();
+            assert_eq!(r.pop_front().map(|e| e.0), Some(i - 5));
+        }
+        assert_eq!((cells(&r), r.len()), (8, 5));
+    }
+
+    #[test]
+    fn random_pushes_and_pops_match_a_vecdeque() {
+        let mut rng = SplitMix64::new(0x7173);
+        for cap in [1usize, 2, 3, 5, 9, 16, 144] {
+            let mut r = TimedRing::with_capacity(cap);
+            let mut want = VecDeque::new();
+            let mut peak = 0;
+            for t in 0..4_000u64 {
+                if !rng.next_u64().is_multiple_of(3) {
+                    let ok = r.try_push(t, t as u32).is_ok();
+                    assert_eq!(ok, want.len() < cap, "cap {cap}");
+                    if ok {
+                        want.push_back((t, t as u32));
+                    }
+                } else {
+                    assert_eq!(r.pop_front(), want.pop_front(), "cap {cap}");
+                }
+                peak = peak.max(want.len());
+                let want_cells = if peak == 0 {
+                    0
+                } else {
+                    peak.next_power_of_two()
+                };
+                assert_eq!(cells(&r), want_cells, "cap {cap}");
+                assert!(cells(&r) <= cap.next_power_of_two());
+            }
+        }
     }
 }
 

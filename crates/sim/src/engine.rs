@@ -78,27 +78,34 @@
 //! builds assert that every bit is exact at every storm exit and at both
 //! run exits.
 //!
-//! ## Fixed-capacity channel queues
+//! ## Bounded channel queues and one flit store per partition
 //!
-//! Channel queues are [`TimedRing`]s sized when the network is compiled:
+//! Channel queues are [`TimedRing`]s bounded when the network is compiled:
 //! a channel can hold at most `width` entries per cycle for `latency`
 //! cycles (plus one cycle of producer/consumer skew within a BSP step), so
-//! flit rings get `(latency + 1) × width` slots and credit rings
+//! flit rings admit `(latency + 1) × width` entries and credit rings
 //! additionally scale by the consuming router's crossbar speedup (its
-//! per-cycle credit-return bound). The hot path therefore never allocates.
+//! per-cycle credit-return bound); an entry past the bound is a hard
+//! error. The flits in a partition's rings and router buffers sit in its
+//! flit pool (`router::FlitPool`): input VCs are FIFOs of pool slots, and
+//! flit rings carry slot indices.
+//!
+//! Storage grows only when a ring or the pool reaches a new peak: a ring
+//! doubles its cells when every one is occupied, the pool adds a slot
+//! when its free list is empty, and neither ever shrinks. Once a run has
+//! seen its peak occupancy, stepping allocates nothing.
 
 use crate::channel::{Terminus, TimedRing};
 use crate::config::SimConfig;
 use crate::fault::FaultMap;
-use crate::flit::Flit;
 use crate::flit::{PacketHeader, NO_INTERMEDIATE};
 use crate::metrics::Metrics;
 use crate::network::NetworkDesc;
 use crate::oracle::RouteOracle;
 use crate::pattern::TrafficPattern;
 use crate::router::{
-    clear_bit, AllocScratch, Arrival, Consumer, CreditTarget, CycleCtx, EndpointRt, FlitTarget,
-    Msg, Ones, Pending, PortIn, PortOut, RouterRt,
+    clear_bit, AllocScratch, Arrival, Consumer, CreditTarget, CycleCtx, EndpointRt, FlitPool,
+    FlitTarget, Hop, Msg, Ones, Pending, PortIn, PortOut, RouterRt,
 };
 use crate::telemetry::{self, PartTrace, TraceRec, Tracer};
 use wsdf_exec::BspPool;
@@ -142,8 +149,10 @@ pub type SimResult<T> = Result<T, SimError>;
 struct Partition {
     routers: Vec<RouterRt>,
     endpoints: Vec<EndpointRt>,
-    flit_qs: Vec<TimedRing<Flit>>,
+    flit_qs: Vec<TimedRing<Hop>>,
     credit_qs: Vec<TimedRing<u8>>,
+    /// The flits buffered in these routers or riding these flit rings.
+    pool: FlitPool,
     metrics: Metrics,
     moved: u64,
     in_flight: i64,
@@ -174,13 +183,20 @@ impl Partition {
     /// Deliver one source partition's mailbox into the channel queues this
     /// partition owns, marking each consumer (the producer partition
     /// cannot reach these bitmaps, so remote messages mark at delivery).
+    /// Each delivered flit takes a slot in this partition's pool.
     fn deliver(&mut self, msgs: &mut Vec<Msg>, flit_loc: &[(u32, u32)], credit_loc: &[(u32, u32)]) {
         for msg in msgs.drain(..) {
             match msg {
-                Msg::Flit { ch, arrive, flit } => {
+                Msg::Flit {
+                    ch,
+                    arrive,
+                    vc,
+                    flit,
+                } => {
                     let (_, idx) = flit_loc[ch as usize];
+                    let slot = self.pool.alloc(flit);
                     self.flit_qs[idx as usize]
-                        .try_push(arrive, flit)
+                        .try_push(arrive, Hop { slot, vc })
                         .expect("remote flit ring overflow: capacity bound violated");
                     self.pend.flit_pushed(idx);
                 }
@@ -287,6 +303,7 @@ impl Partition {
             endpoints,
             flit_qs,
             credit_qs,
+            pool,
             metrics,
             moved,
             in_flight,
@@ -325,6 +342,7 @@ impl Partition {
             out_min,
             trace,
             alloc,
+            pool,
         };
         let gen_due = ctx.injecting && *gen_min <= now;
         if gen_due {
@@ -765,6 +783,7 @@ impl<O: RouteOracle> Simulation<O> {
                 endpoints: Vec::new(),
                 flit_qs: fc.iter().map(|&c| TimedRing::with_capacity(c)).collect(),
                 credit_qs: cc.iter().map(|&c| TimedRing::with_capacity(c)).collect(),
+                pool: FlitPool::default(),
                 metrics: Metrics {
                     ejected_per_endpoint: if cfg.per_endpoint_stats {
                         vec![0; net.num_endpoints()]
@@ -1328,15 +1347,22 @@ impl<O: RouteOracle> Simulation<O> {
     }
 
     /// Debug builds: assert every partition's pending bitmaps against its
-    /// rings and agents (see `Partition::assert_pending_bitmaps`), and
-    /// that flits and credits are conserved (see `assert_conservation`).
-    /// Runs at every storm exit and at the end of every run, the deadlock
-    /// exit included; free in release builds.
+    /// rings and agents (see `Partition::assert_pending_bitmaps`), that
+    /// every slot of its flit pool is in exactly one place (see
+    /// `FlitPool::assert_conserved`), and that flits and credits are
+    /// conserved (see `assert_conservation`). Runs at every storm exit and
+    /// at the end of every run, the deadlock exit included; free in
+    /// release builds.
     fn check_invariants(&self) {
         #[cfg(debug_assertions)]
         {
             for part in &self.partitions {
                 part.assert_pending_bitmaps();
+                let hops = part
+                    .flit_qs
+                    .iter()
+                    .flat_map(|q| q.iter().map(|(_, hop)| hop));
+                part.pool.assert_conserved(&part.routers, hops);
             }
             self.assert_conservation();
         }
@@ -1352,14 +1378,14 @@ impl<O: RouteOracle> Simulation<O> {
     ///   the receiving input VC's buffer is accounted for exactly once: a
     ///   credit held by the sender (output VC or endpoint), a credit on its
     ///   way back (credit ring or undelivered `Msg::Credit`), a flit on its
-    ///   way (flit ring or undelivered `Msg::Flit`, VC from the stamp), or
-    ///   a flit in the buffer. The sum is `buffer_flits`.
+    ///   way (a `Hop` in the flit ring or an undelivered `Msg::Flit`, each
+    ///   naming its VC), or a flit in the buffer. The sum is
+    ///   `buffer_flits`.
     /// * Ejection outputs hold all `buffer_flits` credits.
     ///
     /// O(rings + buffered flits + channels × VCs).
     #[cfg(debug_assertions)]
     fn assert_conservation(&self) {
-        use crate::router::flit_vc;
         let vcs = self.cfg.num_vcs as usize;
         let depth = self.cfg.buffer_flits as i64;
         // Slots accounted per (channel, VC); the undelivered messages go
@@ -1368,8 +1394,8 @@ impl<O: RouteOracle> Simulation<O> {
         let mut flits = 0i64;
         for msg in self.exch.read.iter().chain(&self.exch.write).flatten() {
             match *msg {
-                Msg::Flit { ch, flit, .. } => {
-                    slots[ch as usize * vcs + flit_vc(&flit) as usize] += 1;
+                Msg::Flit { ch, vc, .. } => {
+                    slots[ch as usize * vcs + vc as usize] += 1;
                     flits += 1;
                 }
                 Msg::Credit { ch, vc, .. } => slots[ch as usize * vcs + vc as usize] += 1,
@@ -1381,8 +1407,8 @@ impl<O: RouteOracle> Simulation<O> {
                 continue;
             };
             let row = &mut slots[c * vcs..][..vcs];
-            for (_, flit) in dst.flit_qs[fq as usize].iter() {
-                row[flit_vc(flit) as usize] += 1;
+            for (_, hop) in dst.flit_qs[fq as usize].iter() {
+                row[hop.vc as usize] += 1;
                 flits += 1;
             }
             for &(_, vc) in src.credit_qs[cq as usize].iter() {
@@ -1661,23 +1687,24 @@ impl Injector<'_> {
     /// Submit one packet of `len` flits from endpoint `src` to `dst`.
     ///
     /// `id` is the caller's tag (message id + sequence in the low 56 bits;
-    /// the top 8 are reserved for the engine's in-network VC stamp) and
-    /// comes back verbatim in the matching [`Arrival`]. The packet is
-    /// tagged by the routing oracle (Valiant intermediate groups etc.)
-    /// using the source endpoint's deterministic RNG stream and then
-    /// queued; `Metrics::packets_created` counts it this cycle.
+    /// the top 8 are reserved) and comes back verbatim in the matching
+    /// [`Arrival`]. The packet is tagged by the routing oracle (Valiant
+    /// intermediate groups etc.) using the source endpoint's deterministic
+    /// RNG stream and then queued; `Metrics::packets_created` counts it
+    /// this cycle.
     ///
     /// # Panics
     /// If `src`/`dst` are out of range, equal, `len` is 0, or `id` uses
-    /// the reserved top 8 bits (the in-network VC stamp would corrupt it
-    /// and the [`Arrival`] would come back with a different id).
+    /// the reserved top 8 bits. The engine itself no longer writes there
+    /// (a flit's VC rides beside it on a channel, not in its id), but the
+    /// bits stay reserved so that ids keep one layout.
     pub fn submit(&mut self, src: u32, dst: u32, id: u64, len: u8) {
         assert!(len >= 1, "zero-length packet");
         assert_ne!(src, dst, "closed-loop self-traffic is not routable");
         assert_eq!(
             id >> 56,
             0,
-            "packet id {id:#x} overlaps the reserved VC-stamp bits"
+            "packet id {id:#x} uses the reserved top 8 bits"
         );
         for (name, ep) in [("src", src), ("dst", dst)] {
             assert!(

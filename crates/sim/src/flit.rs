@@ -2,11 +2,13 @@
 //!
 //! Packets are fixed-length flit sequences (4 flits by default, Table IV).
 //! A [`Flit`] is 32 bytes: the [`PacketHeader`] fields laid out flat beside
-//! the flit's [`FlitKind`], with no padding between them, so every hop
-//! copies one 40-byte ring entry (arrival cycle plus flit). Routing state
-//! can still be rebuilt at any hop without a side table
-//! ([`Flit::header`]), so the engine never needs a global packet map on
-//! the hot path.
+//! the flit's [`FlitKind`], with no padding between them. A flit is
+//! written once into its partition's flit pool and stays in its slot while
+//! it crosses partition-local channels, whose rings carry 16-byte slot
+//! indices; only a hop into another partition copies it, into a 48-byte
+//! mailbox message. Routing state can still be rebuilt at any hop without
+//! a side table ([`Flit::header`]), so the engine never needs a global
+//! packet map on the hot path.
 
 /// Sentinel for "no intermediate W-group" (minimal routing).
 pub const NO_INTERMEDIATE: u32 = u32::MAX;
@@ -80,8 +82,7 @@ impl PacketHeader {
 /// flat, plus the flit's position within the packet.
 #[derive(Debug, Clone, Copy)]
 pub struct Flit {
-    /// [`PacketHeader::id`] (the engine stamps the in-network VC into its
-    /// top bits while the flit is on a channel).
+    /// [`PacketHeader::id`].
     pub id: u64,
     /// [`PacketHeader::created`].
     pub created: u64,

@@ -28,6 +28,15 @@
 //! of one partition share: they step one at a time, and each step leaves
 //! the scratch clear.
 //!
+//! Flits live in one `FlitPool` per partition, shared the same way. Each
+//! input VC is a FIFO of pool slots linked through the slots themselves
+//! (a dynamically allocated multi-queue buffer: Tamir & Frazier, *IEEE
+//! Trans. Computers* 41(6), 1992), so an empty VC holds no storage. A
+//! flit ring carries `Hop`s — a slot index plus the input VC the flit
+//! joins downstream — so a flit crossing a partition-local channel is
+//! never copied; one crossing into another partition travels by value in
+//! a [`Msg`] and gets a slot in the receiving partition's pool.
+//!
 //! Endpoints ([`EndpointRt`]) are open-loop sources with unbounded packet
 //! queues plus sinks with bounded ejection bandwidth. All cross-router
 //! communication flows through per-partition queues or [`Msg`] mailboxes so
@@ -47,12 +56,15 @@ use std::collections::VecDeque;
 /// owned by another partition.
 #[derive(Debug, Clone, Copy)]
 pub enum Msg {
-    /// Deliver `flit` into channel `ch`'s flit queue at cycle `arrive`.
+    /// Deliver `flit` into channel `ch`'s flit queue at cycle `arrive`,
+    /// bound for input VC `vc` of the receiving router.
     Flit {
         /// Global channel id.
         ch: u32,
         /// Arrival cycle.
         arrive: u64,
+        /// Input VC the flit joins at the receiving router.
+        vc: u8,
         /// The flit.
         flit: Flit,
     },
@@ -66,6 +78,18 @@ pub enum Msg {
         vc: u8,
     },
 }
+
+const _: () = assert!(std::mem::size_of::<Msg>() == 48);
+
+/// A flit-ring entry: the pool slot holding the flit, and the input VC it
+/// joins at the receiving router.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Hop {
+    pub(crate) slot: u32,
+    pub(crate) vc: u8,
+}
+
+const _: () = assert!(std::mem::size_of::<(u64, Hop)>() == 16);
 
 /// A fully ejected packet, reported to a closed-loop workload driver.
 ///
@@ -155,22 +179,219 @@ pub struct PortOut {
     pub dead: bool,
 }
 
-/// Per-input-VC state.
-#[derive(Debug, Clone)]
+/// Per-input-VC state: a FIFO of [`FlitPool`] slots, linked through the
+/// slots, plus the packet state of its front.
+#[derive(Debug, Clone, Copy)]
 struct InputVc {
-    buf: VecDeque<Flit>,
+    /// Front slot ([`NIL`] when empty).
+    head: u32,
+    /// Back slot (meaningful while `len > 0`).
+    tail: u32,
+    /// Buffered flits; credit flow control bounds it by `buffer_flits`.
+    len: u16,
     /// Routing decision for the packet whose flits are at the front.
     route: Option<RouteChoice>,
     /// True once VA granted the requested output VC.
     granted: bool,
 }
 
+const _: () = assert!(std::mem::size_of::<InputVc>() == 16);
+
 impl InputVc {
-    fn new() -> Self {
-        InputVc {
-            buf: VecDeque::new(),
-            route: None,
-            granted: false,
+    const EMPTY: InputVc = InputVc {
+        head: NIL,
+        tail: NIL,
+        len: 0,
+        route: None,
+        granted: false,
+    };
+
+    /// Append slot `s` at the back.
+    #[inline]
+    fn link(&mut self, pool: &mut FlitPool, s: u32) {
+        pool.slots[s as usize].next = NIL;
+        if self.len == 0 {
+            self.head = s;
+        } else {
+            pool.slots[self.tail as usize].next = s;
+        }
+        self.tail = s;
+        self.len += 1;
+    }
+
+    /// Remove the front flit and return its slot, which stays allocated.
+    #[inline]
+    fn unlink(&mut self, pool: &FlitPool) -> u32 {
+        debug_assert!(self.len > 0, "unlink from an empty input VC");
+        let s = self.head;
+        self.head = pool.slots[s as usize].next;
+        self.len -= 1;
+        s
+    }
+
+    /// The front flit.
+    #[inline]
+    fn front<'p>(&self, pool: &'p FlitPool) -> &'p Flit {
+        debug_assert!(self.len > 0, "front of an empty input VC");
+        pool.flit(self.head)
+    }
+}
+
+/// "No slot": the end of an input-VC FIFO or of the free list.
+pub(crate) const NIL: u32 = u32::MAX;
+
+/// One [`FlitPool`] cell: a flit, and the next slot of the FIFO or free
+/// list the slot is on.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    flit: Flit,
+    next: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Slot>() == 40);
+
+/// The flit store of one partition: every flit buffered in one of its
+/// routers or riding one of its flit rings sits in a slot here. Its
+/// routers step one at a time, so they share it.
+///
+/// The free list is LIFO, so the slot a router step frees is the next one
+/// allocated, while it is still in cache. The pool grows to the
+/// partition's peak count of live flits and never shrinks.
+#[derive(Debug)]
+pub(crate) struct FlitPool {
+    slots: Vec<Slot>,
+    /// Head of the free list ([`NIL`] when every slot is live).
+    free: u32,
+}
+
+impl Default for FlitPool {
+    fn default() -> Self {
+        FlitPool {
+            slots: Vec::new(),
+            free: NIL,
+        }
+    }
+}
+
+impl FlitPool {
+    /// Store `flit` in a slot: the last one freed, else a new one.
+    #[inline]
+    pub(crate) fn alloc(&mut self, flit: Flit) -> u32 {
+        let s = self.free;
+        if s == NIL {
+            return self.grow(flit);
+        }
+        let slot = &mut self.slots[s as usize];
+        self.free = slot.next;
+        slot.flit = flit;
+        s
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self, flit: Flit) -> u32 {
+        let s = self.slots.len();
+        assert!(s < NIL as usize, "flit pool outgrew u32 slot indices");
+        self.slots.push(Slot { flit, next: NIL });
+        s as u32
+    }
+
+    /// Return slot `s` to the free list.
+    #[inline]
+    pub(crate) fn free(&mut self, s: u32) {
+        self.slots[s as usize].next = self.free;
+        self.free = s;
+    }
+
+    /// The flit in slot `s`.
+    #[inline]
+    pub(crate) fn flit(&self, s: u32) -> &Flit {
+        &self.slots[s as usize].flit
+    }
+
+    /// Debug builds: every slot is in exactly one place — the free list,
+    /// one input-VC FIFO of `routers`, or one of `hops` (the entries of the
+    /// partition's flit rings) — and every FIFO walk takes exactly `len`
+    /// steps and ends at its tail. O(slots + ring entries + routers).
+    #[cfg(debug_assertions)]
+    pub(crate) fn assert_conserved<'h>(
+        &self,
+        routers: &[RouterRt],
+        hops: impl Iterator<Item = &'h Hop>,
+    ) {
+        let n = self.slots.len();
+        let mut placed = vec![false; n];
+        let mut place = |s: u32, what: &dyn Fn() -> String| {
+            assert!(
+                (s as usize) < n,
+                "flit pool conservation violated: {} names slot {s} of {n}",
+                what()
+            );
+            assert!(
+                !std::mem::replace(&mut placed[s as usize], true),
+                "flit pool conservation violated: slot {s} is in two places, one of them {}",
+                what()
+            );
+        };
+        let mut s = self.free;
+        while s != NIL {
+            place(s, &|| "the free list".into());
+            s = self.slots[s as usize].next;
+        }
+        for r in routers {
+            let mut held = 0u32;
+            for port in Ones(r.occ_ports) {
+                for vc in Ones(r.occ[port]) {
+                    let iv = &r.inputs[port * r.vcs as usize + vc];
+                    let fifo = || format!("router {} port {port} VC {vc}", r.id);
+                    let mut s = iv.head;
+                    for step in 0..iv.len {
+                        assert_ne!(
+                            s,
+                            NIL,
+                            "flit pool conservation violated: the FIFO of {} ends after \
+                             {step} of its {} slots",
+                            fifo(),
+                            iv.len
+                        );
+                        place(s, &fifo);
+                        if step + 1 == iv.len {
+                            assert_eq!(
+                                s,
+                                iv.tail,
+                                "flit pool conservation violated: the FIFO walk of {} ends at \
+                                 slot {s}, not at its tail",
+                                fifo()
+                            );
+                        }
+                        s = self.slots[s as usize].next;
+                    }
+                    assert_eq!(
+                        s,
+                        NIL,
+                        "flit pool conservation violated: the FIFO of {} runs past its {} slots",
+                        fifo(),
+                        iv.len
+                    );
+                    held += iv.len as u32;
+                }
+            }
+            assert_eq!(
+                held, r.buffered,
+                "flit pool conservation violated: router {} buffers {} flits, but its \
+                 occupied input-VC FIFOs hold {held}",
+                r.id, r.buffered
+            );
+        }
+        for hop in hops {
+            place(hop.slot, &|| "a flit ring".into());
+        }
+        if let Some(s) = placed.iter().position(|&p| !p) {
+            let lost = placed.iter().filter(|&&p| !p).count();
+            panic!(
+                "flit pool conservation violated: {lost} of {n} slots are in no place \
+                 (first: slot {s}), neither free, buffered nor on a flit ring"
+            );
         }
     }
 }
@@ -190,7 +411,7 @@ pub struct CycleCtx<'a> {
     /// Current cycle.
     pub now: u64,
     /// Flit queues owned by this partition (indexed by local id).
-    pub flit_qs: &'a mut [TimedRing<Flit>],
+    pub(crate) flit_qs: &'a mut [TimedRing<Hop>],
     /// Credit queues owned by this partition.
     pub credit_qs: &'a mut [TimedRing<u8>],
     /// Outgoing mailboxes, one per out-edge of this partition in the
@@ -231,6 +452,8 @@ pub struct CycleCtx<'a> {
     pub trace: Option<&'a mut PartTrace>,
     /// This partition's allocator scratch, shared by its routers.
     pub(crate) alloc: &'a mut AllocScratch,
+    /// This partition's flit store, shared by its routers and endpoints.
+    pub(crate) pool: &'a mut FlitPool,
 }
 
 impl CycleCtx<'_> {
@@ -246,11 +469,11 @@ impl CycleCtx<'_> {
         self.outboxes[slot as usize].push(msg);
     }
 
-    /// Push a flit into a locally owned ring and mark its consumer.
+    /// Push a flit's hop into a locally owned ring and mark its consumer.
     #[inline]
-    fn push_flit(&mut self, q: u32, arrive: u64, flit: Flit) {
+    fn push_flit(&mut self, q: u32, arrive: u64, hop: Hop) {
         self.flit_qs[q as usize]
-            .try_push(arrive, flit)
+            .try_push(arrive, hop)
             .expect("flit ring overflow: capacity bound violated");
         self.pend.flit_pushed(q);
     }
@@ -578,7 +801,7 @@ impl RouterRt {
             vcs,
             in_ports: vec![None; ports as usize],
             out_ports: vec![None; ports as usize],
-            inputs: (0..nflat).map(|_| InputVc::new()).collect(),
+            inputs: vec![InputVc::EMPTY; nflat],
             outputs: vec![
                 OutputVc {
                     owner: None,
@@ -625,7 +848,7 @@ impl RouterRt {
     /// Debug builds: flits buffered in input VC `vc` of `port`.
     #[cfg(debug_assertions)]
     pub(crate) fn in_buffered(&self, port: u8, vc: u8) -> usize {
-        self.inputs[self.flat(port, vc)].buf.len()
+        self.inputs[self.flat(port, vc)].len as usize
     }
 
     /// Debug builds: ejection is final at the router, which returns each
@@ -681,7 +904,7 @@ impl RouterRt {
         // The scratch leaves the context for the step: SA sends flits
         // through the context while it walks the candidate rows.
         let mut scratch = std::mem::take(ctx.alloc);
-        self.route_and_request(oracle, &mut scratch);
+        self.route_and_request(oracle, &mut scratch, ctx.pool);
         self.switch_allocate(ctx, &mut scratch);
         debug_assert!(
             scratch.va_touched.is_empty() && scratch.sa_ports == 0,
@@ -705,7 +928,7 @@ impl RouterRt {
     pub(crate) fn next_due(
         &self,
         now: u64,
-        flit_qs: &[TimedRing<Flit>],
+        flit_qs: &[TimedRing<Hop>],
         credit_qs: &[TimedRing<u8>],
         pend: &Pending,
         lidx: u32,
@@ -753,7 +976,7 @@ impl RouterRt {
         ctx.pend.credit[lidx as usize] = pend;
     }
 
-    /// Pull arrived flits into input buffers.
+    /// Link arrived flits into the input VCs their hops name.
     ///
     /// Driven by the partition's pending-flit word, like
     /// [`absorb_credits`](Self::absorb_credits): only input ports whose
@@ -771,13 +994,10 @@ impl RouterRt {
             left &= left - 1;
             let pin = self.in_ports[port].expect("pending flit on unwired port");
             let q = &mut ctx.flit_qs[pin.flit_q as usize];
-            while let Some((_, flit)) = q.pop_due(ctx.now) {
-                // The sender stamped its allocated VC into the flit (see the
-                // VC-stamping section below); that VC selects the input buffer.
-                let vc = flit_vc(&flit);
-                let f = self.flat(port as u8, vc);
-                self.inputs[f].buf.push_back(strip_vc(flit));
-                self.occ[port] |= 1 << vc;
+            while let Some((_, hop)) = q.pop_due(ctx.now) {
+                let f = self.flat(port as u8, hop.vc);
+                self.inputs[f].link(ctx.pool, hop.slot);
+                self.occ[port] |= 1 << hop.vc;
                 self.occ_ports |= 1 << port;
                 self.buffered += 1;
                 *ctx.moved += 1;
@@ -795,7 +1015,12 @@ impl RouterRt {
     /// VC as an SA candidate on its output port. VA then grants every
     /// requested output VC to its round-robin winner (see `VaSlot`), which
     /// becomes a candidate too.
-    fn route_and_request<O: RouteOracle + ?Sized>(&mut self, oracle: &O, s: &mut AllocScratch) {
+    fn route_and_request<O: RouteOracle + ?Sized>(
+        &mut self,
+        oracle: &O,
+        s: &mut AllocScratch,
+        pool: &FlitPool,
+    ) {
         let vcs = self.vcs as usize;
         for port in Ones(self.occ_ports) {
             for vc in Ones(self.occ[port]) {
@@ -804,7 +1029,7 @@ impl RouterRt {
                 let rc = match iu.route {
                     Some(rc) => rc,
                     None => {
-                        let front = iu.buf.front().expect("occupied input VC holds a flit");
+                        let front = iu.front(pool);
                         debug_assert!(
                             front.kind.is_head(),
                             "non-head flit {:?} at front of unrouted VC (router {}, port {port}, vc {vc})",
@@ -902,7 +1127,7 @@ impl RouterRt {
                     if self.outputs[self.flat(rc.out_port, rc.out_vc)].credits == 0 {
                         continue;
                     }
-                    if iu.buf.is_empty() {
+                    if iu.len == 0 {
                         continue;
                     }
                     self.send_one(f, rc, pout, ctx);
@@ -932,13 +1157,11 @@ impl RouterRt {
             pout.ch,
             self.id,
             rc.out_port,
-            self.inputs[f].buf.front().map_or(0, |fl| fl.dst)
+            self.inputs[f].front(ctx.pool).dst
         );
-        let flit = self.inputs[f]
-            .buf
-            .pop_front()
-            .expect("send_one on empty buffer");
-        if self.inputs[f].buf.is_empty() {
+        let s = self.inputs[f].unlink(ctx.pool);
+        let tail = ctx.pool.flit(s).kind.is_tail();
+        if self.inputs[f].len == 0 {
             self.occ[in_port] &= !(1 << in_vc);
             if self.occ[in_port] == 0 {
                 self.occ_ports &= !(1 << in_port);
@@ -980,28 +1203,36 @@ impl RouterRt {
         // Deliver the flit downstream (or eject).
         let arrive = ctx.now + pout.latency as u64;
         if pout.is_ejection {
-            // Ejection is final: record, free in-flight, return the
-            // downstream credit immediately (the endpoint sink is
-            // always ready; bandwidth is already bounded by SA width).
-            eject(flit, arrive, ctx);
+            // Ejection is final: record, free in-flight and the slot,
+            // return the downstream credit immediately (the endpoint sink
+            // is always ready; bandwidth is already bounded by SA width).
+            eject(*ctx.pool.flit(s), arrive, ctx);
+            ctx.pool.free(s);
             self.outputs[ovc_flat].credits += 1;
         } else {
-            let stamped = stamp_vc(flit, rc.out_vc);
+            let vc = rc.out_vc;
             match pout.flit_to {
-                FlitTarget::Local(q) => ctx.push_flit(q, arrive, stamped),
-                FlitTarget::Remote { slot, ch } => ctx.emit(
-                    slot,
-                    Msg::Flit {
-                        ch,
-                        arrive,
-                        flit: stamped,
-                    },
-                ),
+                // The slot moves with the flit: the receiver links it.
+                FlitTarget::Local(q) => ctx.push_flit(q, arrive, Hop { slot: s, vc }),
+                // The flit leaves this partition's pool by value.
+                FlitTarget::Remote { slot, ch } => {
+                    let flit = *ctx.pool.flit(s);
+                    ctx.pool.free(s);
+                    ctx.emit(
+                        slot,
+                        Msg::Flit {
+                            ch,
+                            arrive,
+                            vc,
+                            flit,
+                        },
+                    );
+                }
             }
         }
 
         // Tail: release the output VC and the input VC's packet state.
-        if flit.kind.is_tail() {
+        if tail {
             self.outputs[ovc_flat].owner = None;
             self.inputs[f].route = None;
             self.inputs[f].granted = false;
@@ -1050,35 +1281,6 @@ fn front_due<T: Copy>(ring: &TimedRing<T>) -> u64 {
     ring.front().map_or(u64::MAX, |&(due, _)| due)
 }
 
-// --- VC stamping -----------------------------------------------------------
-//
-// A flit on the wire must tell the receiver which input VC to buffer it in.
-// Rather than widening the queue entry, the VC rides in unused high bits of
-// the packet id (bits 56..62 — endpoint ids use the low bits); `stamp_vc`
-// and `flit_vc`/`strip_vc` encode and decode it. Packet ids are generated
-// with those bits clear.
-
-const VC_SHIFT: u32 = 56;
-const VC_MASK: u64 = 0x3F << VC_SHIFT;
-
-#[inline]
-fn stamp_vc(mut flit: Flit, vc: u8) -> Flit {
-    flit.id = (flit.id & !VC_MASK) | ((vc as u64) << VC_SHIFT);
-    flit
-}
-
-/// The VC stamped into a flit on a channel.
-#[inline]
-pub(crate) fn flit_vc(flit: &Flit) -> u8 {
-    ((flit.id & VC_MASK) >> VC_SHIFT) as u8
-}
-
-#[inline]
-fn strip_vc(mut flit: Flit) -> Flit {
-    flit.id &= !VC_MASK;
-    flit
-}
-
 // --- Endpoint --------------------------------------------------------------
 
 /// Packets an open-loop endpoint must have emitted by the end of cycle `t`
@@ -1119,7 +1321,7 @@ pub struct EndpointRt {
     /// Global seed, kept for the per-cycle keyed open-loop streams
     /// ([`SplitMix64::for_event`]).
     seed: u64,
-    /// Monotone packet id (endpoint id in low bits — see VC stamping note).
+    /// Monotone packet id: endpoint id from bit 20 up, sequence below.
     next_pkt: u64,
     /// Open-loop packets emitted so far. The closed-form schedule pins
     /// this to `floor((now + 1) · rate / packet_len)` at the end of every
@@ -1177,7 +1379,6 @@ impl EndpointRt {
     /// open-loop traffic — as fast as backpressure allows, no faster.
     pub(crate) fn push_packet(&mut self, pkt: PacketHeader) {
         debug_assert_ne!(pkt.src, pkt.dst, "closed-loop self-traffic");
-        debug_assert_eq!(pkt.id & VC_MASK, 0, "packet id overlaps VC stamp bits");
         self.queue.push_back(pkt);
     }
 
@@ -1240,11 +1441,6 @@ impl EndpointRt {
                 len: packet_len,
             };
             self.next_pkt += 1;
-            debug_assert_eq!(
-                self.next_pkt & VC_MASK,
-                0,
-                "packet id overflowed into VC bits"
-            );
             oracle.tag_packet(&mut pkt, &mut rng);
             if ctx.measuring {
                 ctx.metrics.packets_created += 1;
@@ -1338,15 +1534,18 @@ impl EndpointRt {
             self.credits[vc as usize] -= 1;
             let flit = Flit::new(pkt, self.send_seq);
             let arrive = ctx.now + self.inj_latency as u64;
-            let stamped = stamp_vc(flit, vc);
             match self.inj_to {
-                FlitTarget::Local(q) => ctx.push_flit(q, arrive, stamped),
+                FlitTarget::Local(q) => {
+                    let slot = ctx.pool.alloc(flit);
+                    ctx.push_flit(q, arrive, Hop { slot, vc });
+                }
                 FlitTarget::Remote { slot, ch } => ctx.emit(
                     slot,
                     Msg::Flit {
                         ch,
                         arrive,
-                        flit: stamped,
+                        vc,
+                        flit,
                     },
                 ),
             }
@@ -1410,20 +1609,75 @@ mod tests {
         Flit::new(pkt, 0)
     }
 
-    #[test]
-    fn vc_stamping_roundtrip() {
-        for vc in 0..16u8 {
-            let f = stamp_vc(mk_flit(0xABCD), vc);
-            assert_eq!(flit_vc(&f), vc);
-            assert_eq!(strip_vc(f).id, 0xABCD);
+    /// The flits of input VC `iv`, front to back, by walking its FIFO.
+    fn fifo_ids(iv: &InputVc, pool: &FlitPool) -> Vec<u64> {
+        let mut ids = Vec::new();
+        let mut s = iv.head;
+        for _ in 0..iv.len {
+            ids.push(pool.flit(s).id);
+            s = pool.slots[s as usize].next;
         }
+        assert_eq!(s, NIL, "FIFO runs past its length");
+        ids
     }
 
     #[test]
-    fn vc_stamp_does_not_clobber_id_low_bits() {
-        let id = ((7u64) << 20) | 12345;
-        let f = stamp_vc(mk_flit(id), 3);
-        assert_eq!(strip_vc(f).id, id);
+    fn flit_pool_matches_one_vecdeque_per_input_vc() {
+        const VCS: usize = 80;
+        let mut rng = SplitMix64::new(0xF1_17);
+        let mut pool = FlitPool::default();
+        let mut inputs = vec![InputVc::EMPTY; VCS];
+        let mut model: Vec<VecDeque<u64>> = vec![VecDeque::new(); VCS];
+        // Allocated slots outside every FIFO, as a flit ring holds them.
+        let mut loose: Vec<u32> = Vec::new();
+        let (mut next_id, mut peak, mut last_freed) = (0u64, 0usize, None);
+        for _ in 0..50_000 {
+            let v = (rng.next_u64() % VCS as u64) as usize;
+            match rng.next_u64() % 4 {
+                0 => {
+                    let s = pool.alloc(mk_flit(next_id));
+                    if let Some(f) = last_freed.take() {
+                        assert_eq!(s, f, "the last slot freed is the next allocated");
+                    }
+                    assert_eq!(pool.flit(s).id, next_id);
+                    next_id += 1;
+                    loose.push(s);
+                }
+                1 if !loose.is_empty() => {
+                    let s = loose.swap_remove((rng.next_u64() % loose.len() as u64) as usize);
+                    model[v].push_back(pool.flit(s).id);
+                    inputs[v].link(&mut pool, s);
+                }
+                2 if !model[v].is_empty() => {
+                    assert_eq!(inputs[v].front(&pool).id, model[v][0]);
+                    let s = inputs[v].unlink(&pool);
+                    assert_eq!(Some(pool.flit(s).id), model[v].pop_front());
+                    loose.push(s);
+                }
+                3 if !loose.is_empty() => {
+                    let s = loose.swap_remove((rng.next_u64() % loose.len() as u64) as usize);
+                    pool.free(s);
+                    last_freed = Some(s);
+                }
+                _ => continue,
+            }
+            assert_eq!(inputs[v].len as usize, model[v].len());
+            assert!(fifo_ids(&inputs[v], &pool).iter().eq(model[v].iter()));
+            if !model[v].is_empty() {
+                assert_eq!(pool.flit(inputs[v].tail).id, *model[v].back().unwrap());
+            }
+            let live = loose.len() + model.iter().map(VecDeque::len).sum::<usize>();
+            peak = peak.max(live);
+            assert_eq!(
+                pool.slots.len(),
+                peak,
+                "slots grow only to the peak live count"
+            );
+        }
+        for (iv, want) in inputs.iter().zip(&model) {
+            assert!(fifo_ids(iv, &pool).iter().eq(want.iter()));
+        }
+        assert!(peak > VCS, "the mix never filled the VCs (peak {peak})");
     }
 
     /// Input-VC counts to test the rotation rules at: one word and less,

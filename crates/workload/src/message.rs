@@ -6,7 +6,7 @@
 //! carries a compact tag in its 64-bit packet id:
 //!
 //! ```text
-//!   bits 63..56   reserved (engine-internal VC stamp — must stay clear)
+//!   bits 63..56   reserved (must stay clear; `Injector::submit` checks)
 //!   bits 55..20   message id            (up to 2^36 messages per run)
 //!   bits 19..0    packet seq in message (up to 2^20 packets per message)
 //! ```
@@ -167,7 +167,7 @@ mod tests {
             let id = packet_id(m, s);
             assert_eq!(msg_of(id), m);
             assert_eq!(seq_of(id), s);
-            // Engine VC-stamp bits stay clear.
+            // The reserved top 8 bits stay clear.
             assert_eq!(id >> 56, 0);
         }
     }
@@ -184,7 +184,7 @@ mod tests {
             assert_eq!(job_of(id), j);
             assert_eq!(job_msg_of(id), m);
             assert_eq!(seq_of(id), s);
-            // Engine VC-stamp bits stay clear even at the field maxima.
+            // The reserved top 8 bits stay clear even at the field maxima.
             assert_eq!(id >> 56, 0);
         }
         // Job 0 coincides with the flat single-job tag space.
