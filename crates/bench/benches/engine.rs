@@ -174,22 +174,28 @@ fn bench_resilience(c: &mut Criterion) {
 }
 
 fn bench_detour_build(c: &mut Criterion) {
-    let mut g = c.benchmark_group("routing");
-    g.sample_size(20);
-    // The detour-table build alone, on the fabric and fault density of a
+    // The detour-oracle build alone, on the fabric and fault density of a
     // mid-sweep resilience point: every faulted point rebuilds it.
     let net = SwitchlessFabric::build(&SlParams::radix16().with_wgroups(10)).net;
-    let fs = FaultSet::sample(
-        &net,
-        &FaultSpec {
-            link_fraction: 0.1,
-            router_fraction: 0.05,
-            ..Default::default()
-        },
-    );
+    let spec = FaultSpec {
+        link_fraction: 0.1,
+        router_fraction: 0.05,
+        ..Default::default()
+    };
+    let fs = FaultSet::sample(&net, &spec);
+    let mut g = c.benchmark_group("routing");
+    g.sample_size(20);
     g.meta("link_fraction", 0.1);
     g.bench_function("detour_build", |b| {
         b.iter(|| DetourOracle::build(&net, fs.map()));
+    });
+    g.finish();
+    // Sampling that fault set: link pairing, seeded draws and sealing.
+    let mut g = c.benchmark_group("topo");
+    g.sample_size(20);
+    g.meta("link_fraction", 0.1);
+    g.bench_function("fault_sample", |b| {
+        b.iter(|| FaultSet::sample(&net, &spec));
     });
     g.finish();
 }

@@ -21,30 +21,40 @@
 //!   dependencies follow the rank order, down-edge dependencies its
 //!   reverse, and the phase change is one-way.
 //! * The phase rides the VC: **VC 0 = up phase, VC 1 = down phase**, so
-//!   the VC order is monotone along every route (2 VCs total) and the
-//!   per-hop decision is a pure table lookup on `(destination router,
-//!   phase, current router)`. Each entry is the **lowest port among hops
-//!   on a shortest legal path** from that router and phase.
+//!   the VC order is monotone along every route (2 VCs total). From a
+//!   router in a phase, a hop takes the **lowest port among hops on a
+//!   shortest legal path** to the destination router.
 //!
-//! The tables come from a bit-parallel multi-source BFS (Then et al.,
+//! The next hops come from a bit-parallel multi-source BFS (Then et al.,
 //! "The More the Merrier", VLDB 2014): one level-synchronous two-state
 //! BFS settles 256 destinations at once, one bit each in a `[u64; 4]`
 //! mask per router and phase. Every router pulls the next level from its
 //! own port-ordered out-edges (an up edge carries the neighbour's up
 //! frontier, a down edge its down frontier), and a newly settled
-//! (destination, phase) bit takes the first such edge, which is the
-//! lowest-port rule above. The build is single-threaded.
+//! (destination, phase) bit is *claimed* by the first such edge, which is
+//! the lowest-port rule above. A level visits only the routers next to
+//! one that gained states on the previous level: the top-down step of
+//! Beamer et al. ("Direction-Optimizing Breadth-First Search", SC 2012).
+//! The build is single-threaded.
+//!
+//! The oracle keeps the claims themselves: per live directed edge and
+//! phase, one bit per destination router, set iff that edge is the next
+//! hop toward it. A router's claim words for one (phase, 64 destinations)
+//! sit side by side, one cache line for up to eight edges, and a hop
+//! takes the edge whose word holds the destination's bit. No two edges
+//! claim one state (debug builds check this after every pass). Claim
+//! memory is `2 × live directed edges × ⌈destination-routers / 256⌉ × 32`
+//! bytes, less than a byte per (phase, router, destination) wherever the
+//! average live out-degree is below 8. The build adds six `[u64; 4]`
+//! masks (192 bytes) of scratch per router, plus its frontier lists and
+//! bitmaps. Meant for C-group/W-group-scale resilience studies, not the
+//! full 18560-chip system in one piece.
 //!
 //! Endpoint pairs in different components (or with a dead attach router)
 //! get an explicit [`PathVerdict::Unreachable`]; asking `route` for such a
 //! packet is a hard panic, mirroring the engine's dead-channel asserts.
 //! [`ReachMap`] is the cheap per-endpoint summary workloads use to filter
 //! traffic down to routable pairs.
-//!
-//! Table memory is `2 × routers × destination-routers` bytes; the build
-//! adds six `[u64; 4]` masks (192 bytes) of scratch per router. Meant for
-//! C-group/W-group-scale resilience studies, not the full 18560-chip
-//! system in one piece.
 
 use wsdf_sim::{
     FaultMap, NetworkDesc, PacketHeader, RouteChoice, RouteOracle, SplitMix64, Terminus,
@@ -61,11 +71,10 @@ pub enum PathVerdict {
     Unreachable,
 }
 
-/// Component id of a dead router / endpoint on a dead router.
+/// Component id of a dead router / endpoint on a dead router; also "no
+/// live link" on a port in the live-graph build.
 const DEAD: u32 = u32::MAX;
-/// Table entry for "no legal next hop".
-const NO_HOP: u8 = 0xFF;
-/// Table-entry flag: this hop is (or enters) the down phase → VC 1.
+/// Edge-byte flag: this hop is (or enters) the down phase → VC 1.
 const DOWN_BIT: u8 = 0x80;
 
 /// Per-endpoint reachability summary of a fault set: which endpoints are
@@ -137,54 +146,44 @@ impl ReachMap {
     }
 }
 
-/// Fault-aware table-routing oracle (see the module docs).
+/// Fault-aware detour-routing oracle (see the module docs).
 #[derive(Debug, Clone)]
 pub struct DetourOracle {
-    routers: u32,
     /// Endpoint → attach router.
     ep_router: Vec<u32>,
     /// Endpoint → ejection port on its attach router.
     eject_port: Vec<u8>,
     /// Endpoint → live-component id ([`DEAD`] if the attach router died).
     comp: std::sync::Arc<Vec<u32>>,
-    /// Destination-router → dense table index ([`u32::MAX`] = not a
+    /// Destination-router → dense destination index ([`u32::MAX`] = not a
     /// destination).
     dst_index: Vec<u32>,
-    /// `(dst_index × 2 + phase) × routers + router` → port | [`DOWN_BIT`],
-    /// or [`NO_HOP`].
-    table: Vec<u8>,
+    /// Router `r`'s live out-edges are `edge_off[r]..edge_off[r + 1]`, in
+    /// port order.
+    edge_off: Vec<u32>,
+    /// Per edge: its port, plus [`DOWN_BIT`] on a down edge.
+    edge_byte: Vec<u8>,
+    /// Claim words per (edge, phase): one bit per destination index,
+    /// padded to whole BFS passes.
+    words: usize,
+    /// Per-edge claim bitsets: bit `d % 64` of word `claim_row(edge_off[r],
+    /// deg, words, p, d / 64) + k` is set iff edge `k` of router `r` is its
+    /// next hop toward destination index `d` in phase `p`.
+    claims: Vec<u64>,
 }
 
 impl DetourOracle {
-    /// Precompute detour tables for `net` under `faults` (which must be
-    /// sealed — see [`FaultMap::seal`]).
+    /// Precompute detours for `net` under `faults` (which must be sealed —
+    /// see [`FaultMap::seal`]).
     pub fn build(net: &NetworkDesc, faults: &FaultMap) -> Self {
-        Self::build_with(net, faults, bit_parallel_tables)
-    }
-
-    /// [`DetourOracle::build`] with the scalar per-destination table fill
-    /// it replaced: the oracle the bit-parallel fill is checked against.
-    #[cfg(test)]
-    fn build_reference(net: &NetworkDesc, faults: &FaultMap) -> Self {
-        Self::build_with(net, faults, reference_tables)
-    }
-
-    /// Live graph, components and destinations, with the next-hop tables
-    /// filled by `tables(adj, dsts)`.
-    fn build_with(
-        net: &NetworkDesc,
-        faults: &FaultMap,
-        tables: fn(&[Edges], &[u32]) -> Vec<u8>,
-    ) -> Self {
         faults
             .validate(net)
             .expect("fault map does not match network");
-        let nr = net.num_routers();
-        let ne = net.num_endpoints();
+        let g = LiveGraph::new(net, faults);
 
         // Endpoint attach points.
         let ep_router: Vec<u32> = net.endpoints.iter().map(|e| e.router).collect();
-        let mut eject_port = vec![0u8; ne];
+        let mut eject_port = vec![0u8; net.num_endpoints()];
         for ch in &net.channels {
             if let (Terminus::Router { port, .. }, Terminus::Endpoint { endpoint }) =
                 (ch.src, ch.dst)
@@ -193,82 +192,8 @@ impl DetourOracle {
             }
         }
 
-        // Live adjacency, port-ordered (determinism: ties resolve to the
-        // lowest port). A link enters only when both of its channels
-        // survive, so an unpaired channel (`a == b`) never does:
-        // up*/down* connectivity within a component needs every edge
-        // usable both ways.
-        let mut adj: Vec<Edges> = vec![Vec::new(); nr];
-        for (a, b) in undirected_links(net) {
-            if a == b || faults.channel_dead(a) || faults.channel_dead(b) {
-                continue;
-            }
-            for c in [a, b] {
-                let ch = &net.channels[c as usize];
-                if let (
-                    Terminus::Router {
-                        router: r1,
-                        port: p1,
-                    },
-                    Terminus::Router { router: r2, .. },
-                ) = (ch.src, ch.dst)
-                {
-                    if faults.router_dead(r1) || faults.router_dead(r2) {
-                        continue;
-                    }
-                    // The table encodes `port | DOWN_BIT` in one byte, and
-                    // 0x7F | DOWN_BIT would collide with NO_HOP: ports must
-                    // stay below 0x7F (the engine caps radix far lower).
-                    assert!(
-                        p1 < NO_HOP & !DOWN_BIT,
-                        "router {r1} port {p1} exceeds the detour table's port encoding"
-                    );
-                    adj[r1 as usize].push((p1, r2));
-                }
-            }
-        }
-        for a in &mut adj {
-            a.sort_unstable();
-        }
-
-        // BFS components + levels; root = lowest live id of each component.
-        let mut comp_of = vec![DEAD; nr];
-        let mut level = vec![u32::MAX; nr];
-        let mut queue = std::collections::VecDeque::new();
-        let mut ncomp = 0u32;
-        for r in 0..nr {
-            if comp_of[r] != DEAD || faults.router_dead(r as u32) {
-                continue;
-            }
-            comp_of[r] = ncomp;
-            level[r] = 0;
-            queue.push_back(r as u32);
-            while let Some(v) = queue.pop_front() {
-                for &(_, w) in &adj[v as usize] {
-                    if comp_of[w as usize] == DEAD {
-                        comp_of[w as usize] = ncomp;
-                        level[w as usize] = level[v as usize] + 1;
-                        queue.push_back(w);
-                    }
-                }
-            }
-            ncomp += 1;
-        }
-
-        // Rank order: (level, id); an edge v→w is *up* iff w outranks v.
-        // Each edge's port becomes the table byte for taking it: down
-        // edges carry DOWN_BIT (taking one enters, or stays in, VC 1).
-        let rank = |r: u32| (level[r as usize], r);
-        for (v, edges) in adj.iter_mut().enumerate() {
-            for (e, w) in edges.iter_mut() {
-                if rank(*w) > rank(v as u32) {
-                    *e |= DOWN_BIT;
-                }
-            }
-        }
-
         // Destinations: live attach routers of endpoints.
-        let mut dst_index = vec![u32::MAX; nr];
+        let mut dst_index = vec![u32::MAX; net.num_routers()];
         let mut dsts = Vec::new();
         for &r in &ep_router {
             if !faults.router_dead(r) && dst_index[r as usize] == u32::MAX {
@@ -276,27 +201,21 @@ impl DetourOracle {
                 dsts.push(r);
             }
         }
-        let table = tables(&adj, &dsts);
+        let words = LANES * dsts.len().div_ceil(BATCH);
+        let claims = bit_parallel_claims(&g, &dsts, words);
 
-        // Endpoint components.
-        let comp: Vec<u32> = ep_router
-            .iter()
-            .map(|&r| {
-                if faults.router_dead(r) {
-                    DEAD
-                } else {
-                    comp_of[r as usize]
-                }
-            })
-            .collect();
+        // Endpoint components (a dead router has component DEAD).
+        let comp = ep_router.iter().map(|&r| g.comp[r as usize]).collect();
 
         DetourOracle {
-            routers: nr as u32,
             ep_router,
             eject_port,
             comp: std::sync::Arc::new(comp),
             dst_index,
-            table,
+            edge_off: g.off,
+            edge_byte: g.byte,
+            words,
+            claims,
         }
     }
 
@@ -324,10 +243,128 @@ impl DetourOracle {
     }
 }
 
-/// One router's live out-edges `(table byte, neighbour)` in port order.
-/// The byte is the entry for taking that edge: its port, plus [`DOWN_BIT`]
-/// on a down edge.
-type Edges = Vec<(u8, u32)>;
+/// The live graph of a fault set in CSR form (see the module docs).
+struct LiveGraph {
+    /// Router `r`'s live out-edges are `off[r]..off[r + 1]`, in port order.
+    off: Vec<u32>,
+    /// Per edge: its port, plus [`DOWN_BIT`] on a down edge (taking one
+    /// enters, or stays in, VC 1).
+    byte: Vec<u8>,
+    /// Per edge: the neighbour it leads to.
+    to: Vec<u32>,
+    /// Per router: live-component id ([`DEAD`] for a dead router).
+    comp: Vec<u32>,
+}
+
+impl LiveGraph {
+    /// Live edges, components and up/down marks of `net` under `faults`.
+    fn new(net: &NetworkDesc, faults: &FaultMap) -> Self {
+        let nr = net.num_routers();
+        // Live neighbour per (router, port), or DEAD, numbered as by
+        // `port_offsets`: reading a router's ports in order lists its
+        // edges in port order (determinism: ties resolve to the lowest
+        // port). A link enters only when both of its channels survive, so
+        // an unpaired channel (`a == b`) never does: up*/down*
+        // connectivity within a component needs every edge usable both
+        // ways.
+        let first = net.port_offsets();
+        let mut neighbour = vec![DEAD; first[nr]];
+        for (a, b) in undirected_links(net) {
+            if a == b || faults.channel_dead(a) || faults.channel_dead(b) {
+                continue;
+            }
+            for c in [a, b] {
+                let ch = &net.channels[c as usize];
+                if let (
+                    Terminus::Router {
+                        router: r1,
+                        port: p1,
+                    },
+                    Terminus::Router { router: r2, .. },
+                ) = (ch.src, ch.dst)
+                {
+                    if faults.router_dead(r1) || faults.router_dead(r2) {
+                        continue;
+                    }
+                    // An edge byte is `port | DOWN_BIT`: ports must stay
+                    // below DOWN_BIT (the engine caps radix far lower).
+                    assert!(
+                        p1 < DOWN_BIT,
+                        "router {r1} port {p1} exceeds the detour oracle's port encoding"
+                    );
+                    let r1 = r1 as usize;
+                    neighbour[first[r1]..first[r1 + 1]][usize::from(p1)] = r2;
+                }
+            }
+        }
+        let mut off = Vec::with_capacity(nr + 1);
+        let (mut byte, mut to) = (Vec::new(), Vec::new());
+        off.push(0);
+        for r in 0..nr {
+            for (p, &w) in neighbour[first[r]..first[r + 1]].iter().enumerate() {
+                if w != DEAD {
+                    byte.push(p as u8);
+                    to.push(w);
+                }
+            }
+            off.push(to.len() as u32);
+        }
+
+        // BFS components + levels; root = lowest live id of each component.
+        let mut comp = vec![DEAD; nr];
+        let mut level = vec![u32::MAX; nr];
+        let mut queue = std::collections::VecDeque::new();
+        let mut ncomp = 0u32;
+        for r in 0..nr {
+            if comp[r] != DEAD || faults.router_dead(r as u32) {
+                continue;
+            }
+            comp[r] = ncomp;
+            level[r] = 0;
+            queue.push_back(r as u32);
+            while let Some(v) = queue.pop_front() {
+                for &w in &to[edges(&off, v as usize)] {
+                    if comp[w as usize] == DEAD {
+                        comp[w as usize] = ncomp;
+                        level[w as usize] = level[v as usize] + 1;
+                        queue.push_back(w);
+                    }
+                }
+            }
+            ncomp += 1;
+        }
+
+        // Rank order: (level, id); an edge v→w is *up* iff w outranks v.
+        let rank = |r: u32| (level[r as usize], r);
+        for v in 0..nr {
+            for e in edges(&off, v) {
+                if rank(to[e]) > rank(v as u32) {
+                    byte[e] |= DOWN_BIT;
+                }
+            }
+        }
+        LiveGraph {
+            off,
+            byte,
+            to,
+            comp,
+        }
+    }
+}
+
+/// Router `r`'s edges under the CSR offsets `off`.
+#[inline]
+fn edges(off: &[u32], r: usize) -> std::ops::Range<usize> {
+    off[r] as usize..off[r + 1] as usize
+}
+
+/// Index of the claim word for phase `p` and destination word `w` of the
+/// first edge of a router whose `deg` edges start at edge `first`; the
+/// router's other edges' words for `(p, w)` follow it side by side.
+#[inline]
+fn claim_row(first: usize, deg: usize, words: usize, p: usize, w: usize) -> usize {
+    first * 2 * words + (p * words + w) * deg
+}
 
 /// Words of a destination mask.
 const LANES: usize = 4;
@@ -336,92 +373,166 @@ const BATCH: usize = 64 * LANES;
 /// One bit per destination of a batch.
 type Mask = [u64; LANES];
 
-/// Next-hop tables for `dsts` over the live graph `adj`, laid out as
-/// `DetourOracle::table`: the bit-parallel BFS of the module docs, one
-/// pass per [`BATCH`] destinations. Level `k` of a pass holds the
-/// (router, phase, destination) states at shortest legal distance `k`.
-fn bit_parallel_tables(adj: &[Edges], dsts: &[u32]) -> Vec<u8> {
-    let nr = adj.len();
-    let mut table = vec![NO_HOP; dsts.len() * 2 * nr];
+/// Claims for `dsts` over the live graph `g`, laid out as
+/// `DetourOracle::claims` with `words` words per (edge, phase): the
+/// bit-parallel BFS of the module docs, one pass per [`BATCH`]
+/// destinations. Level `k` of a pass settles the (router, phase,
+/// destination) states at shortest legal distance `k`.
+fn bit_parallel_claims(g: &LiveGraph, dsts: &[u32], words: usize) -> Vec<u64> {
+    let nr = g.comp.len();
+    let mut claims = vec![0u64; g.to.len() * 2 * words];
     // Per router, `[up, down]` masks: states settled so far, states of the
     // previous level, states of the level being built.
     let none = [[0u64; LANES]; 2];
     let mut seen = vec![none; nr];
     let mut front = vec![none; nr];
     let mut next = vec![none; nr];
+    // The routers holding `front` / `next` states, and bitmaps (bit =
+    // router id) of the routers next to them: the only ones the current /
+    // next level can settle anything at.
+    let mut held = Vec::new();
+    let mut gained = Vec::new();
+    let mut visit = vec![0u64; nr.div_ceil(64)];
+    let mut visit_next = visit.clone();
     for (bi, batch) in dsts.chunks(BATCH).enumerate() {
-        front.fill(none);
+        seen.fill(none);
         for (b, &d) in batch.iter().enumerate() {
-            for mask in &mut front[d as usize] {
+            let d = d as usize;
+            for mask in &mut front[d] {
                 mask[b / 64] |= 1 << (b % 64);
             }
+            seen[d] = front[d];
+            held.push(d);
+            mark(&mut visit, &g.to[edges(&g.off, d)]);
         }
-        seen.copy_from_slice(&front);
-        // Entry of (batch bit b, phase p, router v): rows[(2b + p)·nr + v].
-        let rows = &mut table[bi * BATCH * 2 * nr..];
-        loop {
-            let mut settled = false;
-            for v in 0..nr {
-                let mut new = none;
-                for &(e, w) in &adj[v] {
-                    let f = &front[w as usize];
-                    if e & DOWN_BIT == 0 {
-                        settle(&mut new[0], &f[0], &seen[v][0], e, rows, v, nr);
-                    } else {
-                        settle(&mut new[0], &f[1], &seen[v][0], e, rows, v, nr);
-                        settle(&mut new[1], &f[1], &seen[v][1], e, rows, nr + v, nr);
+        while !held.is_empty() {
+            for (i, word) in visit.iter_mut().enumerate() {
+                let mut bits = std::mem::take(word);
+                while bits != 0 {
+                    let v = i * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let es = edges(&g.off, v);
+                    let deg = es.len();
+                    let up = claim_row(es.start, deg, words, 0, bi * LANES);
+                    let down = claim_row(es.start, deg, words, 1, bi * LANES);
+                    let mut new = none;
+                    for (k, e) in es.clone().enumerate() {
+                        // An up edge offers the neighbour's up frontier to
+                        // the up phase, a down edge its down frontier to
+                        // both phases.
+                        let down_edge = g.byte[e] & DOWN_BIT != 0;
+                        let cand = &front[g.to[e] as usize][usize::from(down_edge)];
+                        claim(&mut new[0], cand, &seen[v][0], &mut claims[up + k..], deg);
+                        if down_edge {
+                            claim(&mut new[1], cand, &seen[v][1], &mut claims[down + k..], deg);
+                        }
+                    }
+                    if new != none {
+                        // Only router v reads seen[v]: it absorbs the level
+                        // now.
+                        for (s, n) in seen[v].iter_mut().zip(&new) {
+                            for (s, n) in s.iter_mut().zip(n) {
+                                *s |= n;
+                            }
+                        }
+                        next[v] = new;
+                        gained.push(v);
+                        mark(&mut visit_next, &g.to[es]);
                     }
                 }
-                // Only router v reads seen[v]: it absorbs the level now.
-                for (s, n) in seen[v].iter_mut().zip(&new) {
-                    for (s, n) in s.iter_mut().zip(n) {
-                        *s |= n;
-                    }
-                }
-                settled |= new != none;
-                next[v] = new;
             }
-            if !settled {
-                break;
+            for &w in &held {
+                front[w] = none;
             }
+            held.clear();
             std::mem::swap(&mut front, &mut next);
+            std::mem::swap(&mut held, &mut gained);
+            std::mem::swap(&mut visit, &mut visit_next);
         }
+        #[cfg(debug_assertions)]
+        check_claims(g, &claims, words, bi, batch, &seen);
     }
-    table
+    claims
 }
 
-/// Settle, in one phase of one router, the states of `cand` neither
-/// `seen` nor already in `new`: add them to `new` and record `entry` as
-/// their next hop at `rows[2b·nr + at]` for batch bit `b`.
+/// Set the bit of each router of `routers` in the bitmap `bits`.
 #[inline]
-fn settle(
-    new: &mut Mask,
-    cand: &Mask,
-    seen: &Mask,
-    entry: u8,
-    rows: &mut [u8],
-    at: usize,
-    nr: usize,
-) {
+fn mark(bits: &mut [u64], routers: &[u32]) {
+    for &r in routers {
+        bits[r as usize / 64] |= 1 << (r % 64);
+    }
+}
+
+/// Settle, in one phase of one router, the states of `cand` that neither
+/// `seen` nor an earlier edge of this level (`new`) holds: add them to
+/// `new` and claim them for the edge whose claim word for this pass's
+/// first lane is `words[0]` (its later lanes follow at `stride`).
+#[inline]
+fn claim(new: &mut Mask, cand: &Mask, seen: &Mask, words: &mut [u64], stride: usize) {
     for i in 0..LANES {
-        let mut m = cand[i] & !seen[i] & !new[i];
+        let m = cand[i] & !seen[i] & !new[i];
         new[i] |= m;
-        while m != 0 {
-            let b = i * 64 + m.trailing_zeros() as usize;
-            rows[2 * b * nr + at] = entry;
-            m &= m - 1;
+        words[i * stride] |= m;
+    }
+}
+
+/// The claim invariant after pass `bi` over `batch`: at every router and
+/// phase, the edges' claim words are pairwise disjoint (so `route` may
+/// stop at the first set bit) and together hold exactly the states the
+/// BFS settled there, which is `seen` minus the router's own destination
+/// bit.
+#[cfg(debug_assertions)]
+fn check_claims(
+    g: &LiveGraph,
+    claims: &[u64],
+    words: usize,
+    bi: usize,
+    batch: &[u32],
+    seen: &[[Mask; 2]],
+) {
+    let mut own = vec![[0u64; LANES]; seen.len()];
+    for (b, &d) in batch.iter().enumerate() {
+        own[d as usize][b / 64] |= 1 << (b % 64);
+    }
+    for (v, seen) in seen.iter().enumerate() {
+        let es = edges(&g.off, v);
+        for (p, seen) in seen.iter().enumerate() {
+            for i in 0..LANES {
+                let w = bi * LANES + i;
+                let row = claim_row(es.start, es.len(), words, p, w);
+                let mut union = 0u64;
+                for &c in &claims[row..row + es.len()] {
+                    assert!(
+                        union & c == 0,
+                        "detour claim invariant violated: two edges claim one state \
+                         at router {v}, phase {p}, destination word {w}"
+                    );
+                    union |= c;
+                }
+                assert!(
+                    union == seen[i] & !own[v][i],
+                    "detour claim invariant violated: claims differ from the settled \
+                     states at router {v}, phase {p}, destination word {w}"
+                );
+            }
         }
     }
 }
 
-/// The scalar fill [`bit_parallel_tables`] replaced, kept as its test
-/// oracle: per destination, a two-state backward BFS for shortest legal
-/// distances, then a forward pass picking each router's best hop.
+/// Reference-table entry for "no legal next hop".
 #[cfg(test)]
-fn reference_tables(adj: &[Edges], dsts: &[u32]) -> Vec<u8> {
+const NO_HOP: u8 = 0xFF;
+
+/// The scalar fill the bit-parallel BFS replaced, kept as its test
+/// oracle: per destination, a two-state backward BFS for shortest legal
+/// distances, then a forward pass picking each router's best hop. Entry
+/// `(d × 2 + p) × routers + r` is the edge byte of router `r`'s next hop
+/// toward `dsts[d]` in phase `p`, or [`NO_HOP`].
+#[cfg(test)]
+fn reference_tables(g: &LiveGraph, dsts: &[u32]) -> Vec<u8> {
     const UNREACH: u32 = u32::MAX;
-    let nr = adj.len();
-    let is_up = |e: u8| e & DOWN_BIT == 0;
+    let nr = g.comp.len();
+    let is_up = |e: usize| g.byte[e] & DOWN_BIT == 0;
     let mut table = vec![NO_HOP; dsts.len() * 2 * nr];
     let mut du = vec![UNREACH; nr];
     let mut dd = vec![UNREACH; nr];
@@ -437,8 +548,9 @@ fn reference_tables(adj: &[Edges], dsts: &[u32]) -> Vec<u8> {
         while let Some((w, down)) = bfs.pop_front() {
             // Links enter the live graph in pairs, so incoming edges
             // mirror outgoing ones: walk w's neighbours as predecessors.
-            // The edge v→w runs opposite to w→v (tagged `e`).
-            for &(e, v) in &adj[w as usize] {
+            // The edge v→w runs opposite to w→v (edge `e`).
+            for e in edges(&g.off, w as usize) {
+                let v = g.to[e];
                 if down {
                     // Predecessors of (w, D) cross a down edge v→w.
                     if is_up(e) {
@@ -469,18 +581,19 @@ fn reference_tables(adj: &[Edges], dsts: &[u32]) -> Vec<u8> {
             }
             let mut best_u: (u32, u8) = (UNREACH, NO_HOP);
             let mut best_d: (u32, u8) = (UNREACH, NO_HOP);
-            for &(e, w) in &adj[v as usize] {
+            for e in edges(&g.off, v as usize) {
+                let w = g.to[e] as usize;
                 if is_up(e) {
-                    if du[w as usize] != UNREACH && du[w as usize] + 1 < best_u.0 {
-                        best_u = (du[w as usize] + 1, e);
+                    if du[w] != UNREACH && du[w] + 1 < best_u.0 {
+                        best_u = (du[w] + 1, g.byte[e]);
                     }
-                } else if dd[w as usize] != UNREACH {
-                    let c = dd[w as usize] + 1;
+                } else if dd[w] != UNREACH {
+                    let c = dd[w] + 1;
                     if c < best_u.0 {
-                        best_u = (c, e);
+                        best_u = (c, g.byte[e]);
                     }
                     if c < best_d.0 {
-                        best_d = (c, e);
+                        best_d = (c, g.byte[e]);
                     }
                 }
             }
@@ -518,12 +631,19 @@ impl RouteOracle for DetourOracle {
             pkt.dst
         );
         let phase = usize::from(in_vc != 0);
-        let e = self.table[(di as usize * 2 + phase) * self.routers as usize + router as usize];
-        assert_ne!(
-            e, NO_HOP,
-            "unroutable packet {} → {} at router {router} (unreachable under faults)",
-            pkt.src, pkt.dst
-        );
+        let es = edges(&self.edge_off, router as usize);
+        let row = claim_row(es.start, es.len(), self.words, phase, di as usize / 64);
+        let bit = 1u64 << (di % 64);
+        let Some(k) = self.claims[row..row + es.len()]
+            .iter()
+            .position(|&c| c & bit != 0)
+        else {
+            panic!(
+                "unroutable packet {} → {} at router {router} (unreachable under faults)",
+                pkt.src, pkt.dst
+            );
+        };
+        let e = self.edge_byte[es.start + k];
         RouteChoice {
             out_port: e & !DOWN_BIT,
             out_vc: u8::from(e & DOWN_BIT != 0),
@@ -716,6 +836,42 @@ mod tests {
         o.route(0, 0, 0, &pkt, &mut rng);
     }
 
+    /// `DetourOracle::build` of `(net, faults)`, and the scalar reference
+    /// table over the same live graph and destinations.
+    fn with_reference(net: &NetworkDesc, faults: &FaultMap) -> (DetourOracle, Vec<u8>) {
+        let o = DetourOracle::build(net, faults);
+        let mut dsts: Vec<u32> = (0..net.num_routers() as u32)
+            .filter(|&r| o.dst_index[r as usize] != u32::MAX)
+            .collect();
+        dsts.sort_unstable_by_key(|&r| o.dst_index[r as usize]);
+        let table = reference_tables(&LiveGraph::new(net, faults), &dsts);
+        (o, table)
+    }
+
+    /// The claims decoded into the reference layout: per (destination
+    /// index, phase, router), the byte of the first edge whose claim holds
+    /// that state, or [`NO_HOP`].
+    fn decoded_table(o: &DetourOracle) -> Vec<u8> {
+        let nr = o.edge_off.len() - 1;
+        let ndst = o.dst_index.iter().filter(|&&i| i != u32::MAX).count();
+        let mut table = vec![NO_HOP; ndst * 2 * nr];
+        for d in 0..ndst {
+            for p in 0..2 {
+                for r in 0..nr {
+                    let es = edges(&o.edge_off, r);
+                    let row = claim_row(es.start, es.len(), o.words, p, d / 64);
+                    if let Some(k) = o.claims[row..row + es.len()]
+                        .iter()
+                        .position(|&c| c >> (d % 64) & 1 != 0)
+                    {
+                        table[(d * 2 + p) * nr + r] = o.edge_byte[es.start + k];
+                    }
+                }
+            }
+        }
+        table
+    }
+
     #[test]
     fn bit_parallel_tables_match_the_reference() {
         use wsdf_topo::{FaultSet, FaultSpec, SlParams, SwParams, SwitchFabric, SwitchlessFabric};
@@ -746,13 +902,78 @@ mod tests {
                             ..Default::default()
                         },
                     );
-                    let a = DetourOracle::build(net, fs.map());
-                    let b = DetourOracle::build_reference(net, fs.map());
-                    let case = format!("{name}, seed {seed}, fraction {frac}");
-                    assert!(a.table == b.table, "table differs: {case}");
-                    assert_eq!(a.comp, b.comp, "{case}");
-                    assert_eq!(a.dst_index, b.dst_index, "{case}");
-                    assert_eq!(a.eject_port, b.eject_port, "{case}");
+                    let (o, table) = with_reference(net, fs.map());
+                    assert!(
+                        decoded_table(&o) == table,
+                        "table differs: {name}, seed {seed}, fraction {frac}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn route_follows_the_reference_table() {
+        use wsdf_topo::{FaultSet, FaultSpec, SlParams, SwParams, SwitchFabric, SwitchlessFabric};
+        let fabrics = [
+            (
+                "switchless 1 W-group",
+                SwitchlessFabric::build(&SlParams::radix16().with_wgroups(1)).net,
+            ),
+            (
+                "switch-based",
+                SwitchFabric::build(&SwParams::radix16()).net,
+            ),
+        ];
+        let mut rng = SplitMix64::new(0);
+        for (name, net) in &fabrics {
+            let fs = FaultSet::sample(
+                net,
+                &FaultSpec {
+                    seed: 5,
+                    link_fraction: 0.1,
+                    router_fraction: 0.05,
+                    ..Default::default()
+                },
+            );
+            let (o, table) = with_reference(net, fs.map());
+            let nr = net.num_routers();
+            // One endpoint per destination index, to address packets to it.
+            let ndst = table.len() / (2 * nr);
+            let mut dst_ep = vec![0; ndst];
+            for (e, &r) in o.ep_router.iter().enumerate() {
+                let d = o.dst_index[r as usize];
+                if d != u32::MAX {
+                    dst_ep[d as usize] = e as u32;
+                }
+            }
+            for (d, &dst) in dst_ep.iter().enumerate() {
+                let pkt = PacketHeader {
+                    id: 1,
+                    src: 0,
+                    dst,
+                    inter_w: NO_INTERMEDIATE,
+                    created: 0,
+                    len: 4,
+                };
+                for p in 0..2 {
+                    for r in 0..nr {
+                        let case = format!("{name}: router {r}, phase {p}, destination {d}");
+                        let e = table[(d * 2 + p) * nr + r];
+                        if e != NO_HOP {
+                            let got = o.route(r as u32, 0, p as u8, &pkt, &mut rng);
+                            let want = RouteChoice {
+                                out_port: e & !DOWN_BIT,
+                                out_vc: u8::from(e & DOWN_BIT != 0),
+                            };
+                            assert_eq!(got, want, "{case}");
+                        } else {
+                            let es = edges(&o.edge_off, r);
+                            let row = claim_row(es.start, es.len(), o.words, p, d / 64);
+                            let words = &o.claims[row..row + es.len()];
+                            assert!(words.iter().all(|&c| c >> (d % 64) & 1 == 0), "{case}");
+                        }
+                    }
                 }
             }
         }
@@ -766,7 +987,8 @@ mod tests {
         faults.seal(&net);
         let a = DetourOracle::build(&net, &faults);
         let b = DetourOracle::build(&net, &faults);
-        assert_eq!(a.table, b.table);
+        assert_eq!(a.claims, b.claims);
+        assert_eq!(a.edge_byte, b.edge_byte);
         assert_eq!(a.comp, b.comp);
     }
 }

@@ -147,11 +147,13 @@ impl NetworkDesc {
                 ));
             }
         }
-        // (router, port) -> used as channel src / dst.
-        let mut out_used = std::collections::HashSet::new();
-        let mut in_used = std::collections::HashSet::new();
-        let mut ep_out = std::collections::HashSet::new();
-        let mut ep_in = std::collections::HashSet::new();
+        // Used as a channel src / dst: one flag per (router, port) and one
+        // per endpoint.
+        let first = self.port_offsets();
+        let mut out_used = vec![false; first[nr as usize]];
+        let mut in_used = vec![false; first[nr as usize]];
+        let mut ep_out = vec![false; ne as usize];
+        let mut ep_in = vec![false; ne as usize];
         for (i, ch) in self.channels.iter().enumerate() {
             if ch.latency == 0 {
                 return Err(format!("channel {i} has zero latency"));
@@ -173,7 +175,8 @@ impl NetworkDesc {
                                 "channel {i} {dir}: router {router} has no port {port}"
                             ));
                         }
-                        if !used.insert((*router, *port)) {
+                        let slot = first[*router as usize] + usize::from(*port);
+                        if std::mem::replace(&mut used[slot], true) {
                             return Err(format!(
                                 "channel {i} {dir}: port ({router},{port}) already used"
                             ));
@@ -183,7 +186,7 @@ impl NetworkDesc {
                         if *endpoint >= ne {
                             return Err(format!("channel {i} {dir}: missing endpoint {endpoint}"));
                         }
-                        if !ep_used.insert(*endpoint) {
+                        if std::mem::replace(&mut ep_used[*endpoint as usize], true) {
                             return Err(format!(
                                 "channel {i} {dir}: endpoint {endpoint} already wired"
                             ));
@@ -194,14 +197,24 @@ impl NetworkDesc {
         }
         // Every endpoint must have exactly one injection and one ejection side.
         for e in 0..ne {
-            if !ep_out.contains(&e) {
+            if !ep_out[e as usize] {
                 return Err(format!("endpoint {e} has no injection channel"));
             }
-            if !ep_in.contains(&e) {
+            if !ep_in[e as usize] {
                 return Err(format!("endpoint {e} has no ejection channel"));
             }
         }
         Ok(())
+    }
+
+    /// Dense (router, port) numbering: port `p` of router `r` is
+    /// `offsets[r] + p`, and `offsets[routers]` counts every port.
+    pub fn port_offsets(&self) -> Vec<usize> {
+        let mut offsets = vec![0; self.routers.len() + 1];
+        for (r, rd) in self.routers.iter().enumerate() {
+            offsets[r + 1] = offsets[r] + usize::from(rd.ports);
+        }
+        offsets
     }
 
     /// Total number of routers.
@@ -237,6 +250,11 @@ mod tests {
         tiny().validate().unwrap();
     }
 
+    /// `n`'s validation error.
+    fn error(n: &NetworkDesc) -> String {
+        n.validate().unwrap_err()
+    }
+
     #[test]
     fn rejects_missing_router() {
         let mut n = tiny();
@@ -244,14 +262,14 @@ mod tests {
             router: 99,
             port: 0,
         };
-        assert!(n.validate().is_err());
+        assert_eq!(error(&n), "channel 0 dst: missing router 99");
     }
 
     #[test]
     fn rejects_port_out_of_range() {
         let mut n = tiny();
         n.channels[4].src = Terminus::Router { router: 0, port: 7 };
-        assert!(n.validate().is_err());
+        assert_eq!(error(&n), "channel 4 src: router 0 has no port 7");
     }
 
     #[test]
@@ -267,23 +285,63 @@ mod tests {
             1,
             ChannelClass::ShortReach,
         ));
-        assert!(n.validate().is_err());
+        assert_eq!(error(&n), "channel 6 src: port (0,1) already used");
     }
 
     #[test]
     fn rejects_zero_latency_and_width() {
         let mut n = tiny();
         n.channels[0].latency = 0;
-        assert!(n.validate().is_err());
+        assert_eq!(error(&n), "channel 0 has zero latency");
         let mut n = tiny();
         n.channels[0].width = 0;
-        assert!(n.validate().is_err());
+        assert_eq!(error(&n), "channel 0 has zero width");
     }
 
     #[test]
     fn rejects_unwired_endpoint() {
         let mut n = tiny();
         n.add_endpoint(0);
-        assert!(n.validate().is_err());
+        assert_eq!(error(&n), "endpoint 2 has no injection channel");
+    }
+
+    #[test]
+    fn rejects_endpoint_on_missing_router() {
+        let mut n = tiny();
+        n.endpoints[1].router = 5;
+        assert_eq!(error(&n), "endpoint 1 attached to missing router 5");
+    }
+
+    #[test]
+    fn rejects_channel_to_missing_endpoint() {
+        let mut n = tiny();
+        n.channels[1].dst = Terminus::Endpoint { endpoint: 9 };
+        assert_eq!(error(&n), "channel 1 dst: missing endpoint 9");
+    }
+
+    #[test]
+    fn rejects_endpoint_wired_twice() {
+        let mut n = tiny();
+        // Endpoint 1's ejection channel also ends at endpoint 0.
+        n.channels[3].dst = Terminus::Endpoint { endpoint: 0 };
+        assert_eq!(error(&n), "channel 3 dst: endpoint 0 already wired");
+    }
+
+    #[test]
+    fn rejects_endpoint_without_ejection() {
+        let mut n = tiny();
+        // Drop endpoint 1's ejection channel.
+        n.channels.remove(3);
+        assert_eq!(error(&n), "endpoint 1 has no ejection channel");
+    }
+
+    #[test]
+    fn rejects_router_beyond_max_ports() {
+        let mut n = tiny();
+        n.add_router(MAX_PORTS as u8 + 1);
+        assert_eq!(
+            error(&n),
+            "router 2 has 65 ports; the engine supports at most 64"
+        );
     }
 }

@@ -370,29 +370,47 @@ impl FaultSchedule {
 }
 
 /// Undirected router-router links as channel-id pairs `(lower, upper)`,
-/// in construction order of the lower id. Unpaired unidirectional channels
-/// count as their own link.
+/// in channel-id order of the lower id. A channel's reverse is the one
+/// leaving its destination port toward its source port, found through a
+/// per-(router, port) index of outgoing channels, so `net` must pass
+/// [`NetworkDesc::validate`] (no port sends on two channels). Unpaired
+/// unidirectional channels count as their own link.
 pub fn undirected_links(net: &NetworkDesc) -> Vec<(u32, u32)> {
-    let mut by_ends = std::collections::HashMap::new();
-    for (c, ch) in net.channels.iter().enumerate() {
-        if let (
-            Terminus::Router {
-                router: r1,
-                port: p1,
-            },
-            Terminus::Router {
-                router: r2,
-                port: p2,
-            },
-        ) = (ch.src, ch.dst)
-        {
-            by_ends.insert((r1, p1, r2, p2), c as u32);
-        }
+    let first = net.port_offsets();
+    // Router-router channels as (channel, source port, destination port),
+    // ports numbered as by `port_offsets`.
+    let fabric = || {
+        net.channels
+            .iter()
+            .enumerate()
+            .filter_map(|(c, ch)| match (ch.src, ch.dst) {
+                (
+                    Terminus::Router {
+                        router: r1,
+                        port: p1,
+                    },
+                    Terminus::Router {
+                        router: r2,
+                        port: p2,
+                    },
+                ) => Some((
+                    c as u32,
+                    first[r1 as usize] + usize::from(p1),
+                    first[r2 as usize] + usize::from(p2),
+                )),
+                _ => None,
+            })
+    };
+    // Per port: the router-router channel leaving it and that channel's
+    // destination port.
+    let mut out = vec![(u32::MAX, 0); first[net.num_routers()]];
+    for (c, s, t) in fabric() {
+        out[s] = (c, t);
     }
     let mut links = Vec::new();
-    for (&(r1, p1, r2, p2), &c) in &by_ends {
-        match by_ends.get(&(r2, p2, r1, p1)) {
-            Some(&rev) if rev != c => {
+    for (c, s, t) in fabric() {
+        match out[t] {
+            (rev, back) if rev != u32::MAX && rev != c && back == s => {
                 if c < rev {
                     links.push((c, rev));
                 }
@@ -400,7 +418,6 @@ pub fn undirected_links(net: &NetworkDesc) -> Vec<(u32, u32)> {
             _ => links.push((c, c)),
         }
     }
-    links.sort_unstable();
     links
 }
 
@@ -510,6 +527,89 @@ mod tests {
         assert!(fs.map().channel_dead(a));
         assert!(fs.map().channel_dead(b));
         assert_eq!(fs.dead_links(), 1);
+    }
+
+    /// The `HashMap` pairing [`undirected_links`] replaced, kept as its
+    /// reference.
+    fn reference_undirected_links(net: &NetworkDesc) -> Vec<(u32, u32)> {
+        let mut by_ends = std::collections::HashMap::new();
+        for (c, ch) in net.channels.iter().enumerate() {
+            if let (
+                Terminus::Router {
+                    router: r1,
+                    port: p1,
+                },
+                Terminus::Router {
+                    router: r2,
+                    port: p2,
+                },
+            ) = (ch.src, ch.dst)
+            {
+                by_ends.insert((r1, p1, r2, p2), c as u32);
+            }
+        }
+        let mut links = Vec::new();
+        for (&(r1, p1, r2, p2), &c) in &by_ends {
+            match by_ends.get(&(r2, p2, r1, p1)) {
+                Some(&rev) if rev != c => {
+                    if c < rev {
+                        links.push((c, rev));
+                    }
+                }
+                _ => links.push((c, c)),
+            }
+        }
+        links.sort_unstable();
+        links
+    }
+
+    #[test]
+    fn undirected_links_match_the_reference() {
+        use crate::{single_mesh, SwParams, SwitchFabric};
+        use wsdf_sim::{ChannelClass, ChannelDesc};
+        // Three routers: links 0-2 and 0-1, a one-way channel 1 → 2 whose
+        // destination port sends elsewhere (2 → 1 on another port), and a
+        // self-loop channel on router 2.
+        let mut hand = NetworkDesc::new();
+        for r in 0..3 {
+            hand.add_router(4);
+            let e = hand.add_endpoint(r);
+            hand.attach_endpoint(e, r, 0, 1, 1);
+        }
+        let one_way = |(r1, p1), (r2, p2)| {
+            ChannelDesc::router_to_router(r1, p1, r2, p2, 1, 1, ChannelClass::ShortReach)
+        };
+        hand.connect((0, 2), (2, 3), 1, 1, ChannelClass::ShortReach);
+        hand.add_channel(one_way((1, 2), (2, 1)));
+        hand.add_channel(one_way((2, 2), (2, 2)));
+        hand.connect((0, 1), (1, 1), 1, 1, ChannelClass::ShortReach);
+        hand.add_channel(one_way((2, 1), (1, 3)));
+        hand.validate().unwrap();
+        assert_eq!(
+            undirected_links(&hand),
+            vec![(6, 7), (8, 8), (9, 9), (10, 11), (12, 12)]
+        );
+        let nets = [
+            ("hand-built", hand),
+            ("switch-less 1 W-group", wgroup_net()),
+            (
+                "switch-less 10 W-groups",
+                SwitchlessFabric::build(&SlParams::radix16().with_wgroups(10)).net,
+            ),
+            (
+                "switch-based radix-16",
+                SwitchFabric::build(&SwParams::radix16()).net,
+            ),
+            ("mesh", single_mesh(8, 4, 1).net),
+        ];
+        for (name, net) in &nets {
+            net.validate().unwrap();
+            assert_eq!(
+                undirected_links(net),
+                reference_undirected_links(net),
+                "{name}"
+            );
+        }
     }
 
     #[test]
