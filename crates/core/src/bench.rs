@@ -87,6 +87,22 @@ pub enum BenchOracle {
     Detour(DetourOracle),
 }
 
+/// Evaluate `body` with `o` bound to the concrete oracle inside a
+/// [`BenchOracle`], so the engine entered from `body` is monomorphized
+/// per oracle kind.
+macro_rules! with_oracle {
+    ($oracle:expr, |$o:ident| $body:expr) => {
+        match $oracle {
+            $crate::bench::BenchOracle::Sl($o) => $body,
+            $crate::bench::BenchOracle::Sw($o) => $body,
+            $crate::bench::BenchOracle::Mesh($o) => $body,
+            $crate::bench::BenchOracle::Switch($o) => $body,
+            $crate::bench::BenchOracle::Detour($o) => $body,
+        }
+    };
+}
+pub(crate) use with_oracle;
+
 impl RouteOracle for BenchOracle {
     fn route(
         &self,
@@ -96,43 +112,19 @@ impl RouteOracle for BenchOracle {
         pkt: &PacketHeader,
         rng: &mut SplitMix64,
     ) -> RouteChoice {
-        match self {
-            BenchOracle::Sl(o) => o.route(router, in_port, in_vc, pkt, rng),
-            BenchOracle::Sw(o) => o.route(router, in_port, in_vc, pkt, rng),
-            BenchOracle::Mesh(o) => o.route(router, in_port, in_vc, pkt, rng),
-            BenchOracle::Switch(o) => o.route(router, in_port, in_vc, pkt, rng),
-            BenchOracle::Detour(o) => o.route(router, in_port, in_vc, pkt, rng),
-        }
+        with_oracle!(self, |o| o.route(router, in_port, in_vc, pkt, rng))
     }
 
     fn initial_vc(&self, pkt: &PacketHeader) -> u8 {
-        match self {
-            BenchOracle::Sl(o) => o.initial_vc(pkt),
-            BenchOracle::Sw(o) => o.initial_vc(pkt),
-            BenchOracle::Mesh(o) => o.initial_vc(pkt),
-            BenchOracle::Switch(o) => o.initial_vc(pkt),
-            BenchOracle::Detour(o) => o.initial_vc(pkt),
-        }
+        with_oracle!(self, |o| o.initial_vc(pkt))
     }
 
     fn num_vcs(&self) -> u8 {
-        match self {
-            BenchOracle::Sl(o) => o.num_vcs(),
-            BenchOracle::Sw(o) => o.num_vcs(),
-            BenchOracle::Mesh(o) => o.num_vcs(),
-            BenchOracle::Switch(o) => o.num_vcs(),
-            BenchOracle::Detour(o) => o.num_vcs(),
-        }
+        with_oracle!(self, |o| o.num_vcs())
     }
 
     fn tag_packet(&self, pkt: &mut PacketHeader, rng: &mut SplitMix64) {
-        match self {
-            BenchOracle::Sl(o) => o.tag_packet(pkt, rng),
-            BenchOracle::Sw(o) => o.tag_packet(pkt, rng),
-            BenchOracle::Mesh(o) => o.tag_packet(pkt, rng),
-            BenchOracle::Switch(o) => o.tag_packet(pkt, rng),
-            BenchOracle::Detour(o) => o.tag_packet(pkt, rng),
-        }
+        with_oracle!(self, |o| o.tag_packet(pkt, rng))
     }
 }
 
@@ -414,23 +406,9 @@ impl Bench {
     ) -> SimResult<Metrics> {
         let net = self.fabric.net();
         let faults = self.fault_map();
-        match &self.oracle {
-            BenchOracle::Sl(o) => {
-                wsdf_sim::simulate_traced_on(net, cfg, o, pattern, pool, faults, trace)
-            }
-            BenchOracle::Sw(o) => {
-                wsdf_sim::simulate_traced_on(net, cfg, o, pattern, pool, faults, trace)
-            }
-            BenchOracle::Mesh(o) => {
-                wsdf_sim::simulate_traced_on(net, cfg, o, pattern, pool, faults, trace)
-            }
-            BenchOracle::Switch(o) => {
-                wsdf_sim::simulate_traced_on(net, cfg, o, pattern, pool, faults, trace)
-            }
-            BenchOracle::Detour(o) => {
-                wsdf_sim::simulate_traced_on(net, cfg, o, pattern, pool, faults, trace)
-            }
-        }
+        with_oracle!(&self.oracle, |o| {
+            wsdf_sim::simulate_traced_on(net, cfg, o, pattern, pool, faults, trace)
+        })
     }
 }
 

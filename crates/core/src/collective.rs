@@ -7,13 +7,13 @@
 //! [`wsdf_workload::Workload`] DAG through the bench's monomorphized
 //! engine to quiescence and wraps the outcome in a [`WorkloadReport`] —
 //! completion cycles, achieved bandwidth per phase, and the packet-latency
-//! distribution — with the same hand-rolled JSON round-trip as the figure
-//! reports.
+//! distribution — written and read by the same [`crate::json`] field
+//! tables as the figure reports.
 
-use crate::bench::{Bench, BenchOracle};
-use crate::json::{self, Value};
+use crate::bench::{with_oracle, Bench};
+use crate::json::{self, Json, Value};
 use wsdf_exec::BspPool;
-use wsdf_sim::{Metrics, SimConfig, SimResult, Tracer};
+use wsdf_sim::{json_object, Metrics, SimConfig, SimResult, Tracer};
 use wsdf_workload::{run_collective_traced_on, Workload, WorkloadOutcome};
 
 /// Unit conversions for bandwidth reporting.
@@ -48,7 +48,7 @@ impl WorkloadUnits {
 }
 
 /// Timing and bandwidth of one workload phase.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PhaseReport {
     /// Phase label (e.g. `reduce-scatter`).
     pub name: String,
@@ -84,6 +84,13 @@ pub struct LatencySummary {
     pub max: f64,
 }
 
+/// The summary of no packets: count 0 and every statistic NaN.
+impl Default for LatencySummary {
+    fn default() -> Self {
+        LatencySummary::from_metrics(&Metrics::default())
+    }
+}
+
 impl LatencySummary {
     fn from_metrics(m: &Metrics) -> Self {
         let pct = |q: Option<u64>| q.map(|v| v as f64).unwrap_or(f64::NAN);
@@ -103,7 +110,7 @@ impl LatencySummary {
 }
 
 /// Result of one closed-loop collective on one bench.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct WorkloadReport {
     /// Bench label (`SW-less`, `SW-based`, ...).
     pub label: String,
@@ -191,62 +198,9 @@ impl WorkloadReport {
         s
     }
 
-    /// Serialize to pretty JSON.
+    /// The report document, the digested text of `closed_loop` scenarios.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!(
-            "  \"label\": \"{}\",\n",
-            json::escape(&self.label)
-        ));
-        s.push_str(&format!(
-            "  \"workload\": \"{}\",\n",
-            json::escape(&self.workload)
-        ));
-        s.push_str(&format!(
-            "  \"completion_cycles\": {},\n",
-            self.completion_cycles
-        ));
-        s.push_str(&format!("  \"messages\": {},\n", self.messages));
-        s.push_str(&format!("  \"flits\": {},\n", self.flits));
-        s.push_str(&format!("  \"busy_cycles\": {},\n", self.busy_cycles));
-        s.push_str(&format!("  \"skipped_cycles\": {},\n", self.skipped_cycles));
-        s.push_str(&format!(
-            "  \"achieved_flits_per_cycle\": {},\n",
-            json::num(self.achieved_flits_per_cycle)
-        ));
-        s.push_str(&format!(
-            "  \"achieved_gbps\": {},\n",
-            json::num(self.achieved_gbps)
-        ));
-        s.push_str(&format!(
-            "  \"latency\": {{\"count\": {}, \"mean\": {}, \"p50\": {}, \"p95\": {}, \
-             \"p99\": {}, \"max\": {}}},\n",
-            self.latency.count,
-            json::num(self.latency.mean),
-            json::num(self.latency.p50),
-            json::num(self.latency.p95),
-            json::num(self.latency.p99),
-            json::num(self.latency.max),
-        ));
-        s.push_str("  \"phases\": [\n");
-        for (i, p) in self.phases.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"name\": \"{}\", \"messages\": {}, \"flits\": {}, \
-                 \"start_cycle\": {}, \"end_cycle\": {}, \
-                 \"achieved_flits_per_cycle\": {}, \"achieved_gbps\": {}}}{}\n",
-                json::escape(&p.name),
-                p.messages,
-                p.flits,
-                p.start_cycle,
-                p.end_cycle,
-                json::num(p.achieved_flits_per_cycle),
-                json::num(p.achieved_gbps),
-                if i + 1 < self.phases.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
+        json::to_block(self)
     }
 
     /// Parse a report previously written by [`to_json`](Self::to_json).
@@ -255,101 +209,20 @@ impl WorkloadReport {
     /// load — missing numeric summaries parse as NaN, missing counters as
     /// 0, and a missing `phases` array as empty.
     pub fn from_json(text: &str) -> Result<WorkloadReport, String> {
-        let v = Value::parse(text)?;
-        let mut phases = Vec::new();
-        for p in match v.get("phases") {
-            None => &[][..],
-            Some(a) => a.as_arr().ok_or("'phases' not an array")?,
-        } {
-            phases.push(PhaseReport {
-                name: field(p, "name")?
-                    .as_str()
-                    .ok_or("'name' not a string")?
-                    .to_string(),
-                messages: int(p, "messages")?,
-                flits: int(p, "flits")?,
-                start_cycle: int(p, "start_cycle")?,
-                end_cycle: int(p, "end_cycle")?,
-                achieved_flits_per_cycle: num(p, "achieved_flits_per_cycle")?,
-                achieved_gbps: num(p, "achieved_gbps")?,
-            });
-        }
-        Ok(WorkloadReport {
-            label: field(&v, "label")?
-                .as_str()
-                .ok_or("'label' not a string")?
-                .to_string(),
-            workload: field(&v, "workload")?
-                .as_str()
-                .ok_or("'workload' not a string")?
-                .to_string(),
-            completion_cycles: int(&v, "completion_cycles")?,
-            messages: int(&v, "messages")?,
-            flits: int(&v, "flits")?,
-            achieved_flits_per_cycle: num(&v, "achieved_flits_per_cycle")?,
-            achieved_gbps: num(&v, "achieved_gbps")?,
-            phases,
-            latency: match v.get("latency") {
-                None => LatencySummary {
-                    count: 0,
-                    mean: f64::NAN,
-                    p50: f64::NAN,
-                    p95: f64::NAN,
-                    p99: f64::NAN,
-                    max: f64::NAN,
-                },
-                Some(lat) => LatencySummary {
-                    count: opt_int(lat, "count")?,
-                    mean: opt_num(lat, "mean")?,
-                    p50: opt_num(lat, "p50")?,
-                    p95: opt_num(lat, "p95")?,
-                    p99: opt_num(lat, "p99")?,
-                    max: opt_num(lat, "max")?,
-                },
-            },
-            busy_cycles: opt_int(&v, "busy_cycles")?,
-            skipped_cycles: opt_int(&v, "skipped_cycles")?,
-        })
+        WorkloadReport::read(&Value::parse(text)?, "report")
     }
 }
 
-pub(crate) fn field<'a>(v: &'a Value, k: &str) -> Result<&'a Value, String> {
-    v.get(k).ok_or_else(|| format!("missing key '{k}'"))
-}
+json_object!(PhaseReport, PhaseReport::default();
+    name, messages, flits, start_cycle, end_cycle, achieved_flits_per_cycle, achieved_gbps,
+);
 
-pub(crate) fn num(v: &Value, k: &str) -> Result<f64, String> {
-    field(v, k)?
-        .as_f64()
-        .ok_or_else(|| format!("'{k}' not a number"))
-}
+json_object!(LatencySummary, LatencySummary::default(); count?, mean?, p50?, p95?, p99?, max?);
 
-pub(crate) fn int(v: &Value, k: &str) -> Result<u64, String> {
-    let x = num(v, k)?;
-    if x.is_finite() && x >= 0.0 && x.fract() == 0.0 {
-        Ok(x as u64)
-    } else {
-        Err(format!("'{k}' not a non-negative integer"))
-    }
-}
-
-/// Optional integer field: 0 when absent, so reports recorded before the
-/// stepping counters existed still load.
-pub(crate) fn opt_int(v: &Value, k: &str) -> Result<u64, String> {
-    match v.get(k) {
-        None => Ok(0),
-        Some(_) => int(v, k),
-    }
-}
-
-/// Optional number field: NaN when absent — the forward-compatibility
-/// convention for report summaries (`json::num` writes NaN back as
-/// `null`, which parses as NaN again).
-pub(crate) fn opt_num(v: &Value, k: &str) -> Result<f64, String> {
-    match v.get(k) {
-        None => Ok(f64::NAN),
-        Some(_) => num(v, k),
-    }
-}
+json_object!(WorkloadReport, WorkloadReport::default();
+    label, workload, completion_cycles, messages, flits, busy_cycles?, skipped_cycles?,
+    achieved_flits_per_cycle, achieved_gbps, latency?, phases?,
+);
 
 /// Run `wl` closed-loop on `bench` with an already-prepared config — the
 /// [`crate::Session`] workload run kind and the resilience sweep's
@@ -368,13 +241,9 @@ pub(crate) fn run_workload_impl(
 ) -> SimResult<WorkloadReport> {
     let net = bench.fabric.net();
     let faults = bench.fault_map();
-    let out = match &bench.oracle {
-        BenchOracle::Sl(o) => run_collective_traced_on(net, cfg, o, wl, pool, faults, trace),
-        BenchOracle::Sw(o) => run_collective_traced_on(net, cfg, o, wl, pool, faults, trace),
-        BenchOracle::Mesh(o) => run_collective_traced_on(net, cfg, o, wl, pool, faults, trace),
-        BenchOracle::Switch(o) => run_collective_traced_on(net, cfg, o, wl, pool, faults, trace),
-        BenchOracle::Detour(o) => run_collective_traced_on(net, cfg, o, wl, pool, faults, trace),
-    }?;
+    let out = with_oracle!(&bench.oracle, |o| {
+        run_collective_traced_on(net, cfg, o, wl, pool, faults, trace)
+    })?;
     Ok(WorkloadReport::build(&bench.label, wl, &out, units))
 }
 

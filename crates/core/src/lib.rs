@@ -54,7 +54,7 @@ pub mod session;
 pub mod sweep;
 
 // The hand-rolled JSON layer lives in `wsdf-sim` (the lowest crate, so
-// topology/workload specs can offer `from_json` constructors without a
+// topology/workload specs can implement its `Json` codec without a
 // dependency cycle); re-exported here under its historical path.
 pub use wsdf_sim::json;
 

@@ -1,11 +1,13 @@
 //! Result containers and plain-text/JSON rendering for the harness.
 //!
 //! JSON goes through the in-crate [`crate::json`] module (the build
-//! environment is offline, so there is no serde); `to_json`/`from_json`
-//! are hand-rolled and covered by a round-trip test.
+//! environment is offline, so there is no serde): one field table per
+//! type writes the report layout and reads it back, so `to_json` and
+//! `from_json` round-trip by construction.
 
-use crate::json::{self, Value};
-use crate::sweep::SweepPoint;
+use crate::json::{self, Json, Value};
+use crate::sweep::{SaturationReport, SweepPoint};
+use wsdf_sim::json_object;
 
 /// An (x, y) pair of a rendered series.
 #[derive(Debug, Clone, Copy)]
@@ -117,199 +119,69 @@ impl Figure {
         s
     }
 
-    /// Serialize to pretty JSON.
+    /// The report document, the digested text of `open_loop` scenarios.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!("  \"id\": \"{}\",\n", json::escape(&self.id)));
-        s.push_str(&format!(
-            "  \"title\": \"{}\",\n",
-            json::escape(&self.title)
-        ));
-        s.push_str("  \"curves\": [\n");
-        for (ci, c) in self.curves.iter().enumerate() {
-            s.push_str("    {\n");
-            s.push_str(&format!(
-                "      \"label\": \"{}\",\n",
-                json::escape(&c.label)
-            ));
-            s.push_str("      \"points\": [\n");
-            for (pi, p) in c.points.iter().enumerate() {
-                s.push_str(&format!(
-                    "        {}{}\n",
-                    point_json(p),
-                    if pi + 1 < c.points.len() { "," } else { "" }
-                ));
-            }
-            s.push_str("      ]\n");
-            s.push_str(&format!(
-                "    }}{}\n",
-                if ci + 1 < self.curves.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
+        json::to_block(self)
     }
 
     /// Parse a figure previously written by [`Figure::to_json`].
     pub fn from_json(text: &str) -> Result<Figure, String> {
-        let v = Value::parse(text)?;
-        let mut fig = Figure::new(
-            field(&v, "id")?.as_str().ok_or("'id' not a string")?,
-            field(&v, "title")?.as_str().ok_or("'title' not a string")?,
-        );
-        for c in field(&v, "curves")?
-            .as_arr()
-            .ok_or("'curves' not an array")?
-        {
-            let mut points = Vec::new();
-            for p in field(c, "points")?
-                .as_arr()
-                .ok_or("'points' not an array")?
-            {
-                points.push(point_from_json(p)?);
-            }
-            fig.push(Curve::new(
-                field(c, "label")?.as_str().ok_or("'label' not a string")?,
-                points,
-            ));
-        }
-        Ok(fig)
+        Figure::read(&Value::parse(text)?, "report")
     }
 }
 
-impl crate::sweep::SaturationReport {
-    /// Serialize to pretty JSON (`label` names the bench/workload, matching
+json_object!(Figure, Figure::new("", ""); id, title, curves);
+
+json_object!(Curve, Curve::new("", Vec::new()); label, points);
+
+// The percentiles read as NaN and the stepping counters as 0 when absent,
+// so points recorded before those fields existed still load.
+json_object!(SweepPoint, SweepPoint {
+        p50: f64::NAN, p95: f64::NAN, p99: f64::NAN, latency_max: f64::NAN, ..Default::default()
+    };
+    offered_chip, offered_node, latency, p50?, p95?, p99?, latency_max?, accepted_chip,
+    accepted_node, delivered, saturated, busy_cycles?, skipped_cycles?,
+);
+
+/// The adaptive report document: a [`SaturationReport`] under its bench
+/// label.
+#[derive(Default)]
+struct AdaptiveDoc {
+    label: String,
+    sat_chip: f64,
+    sat_node: f64,
+    zero_load_latency: f64,
+    points: Vec<SweepPoint>,
+}
+
+json_object!(AdaptiveDoc, AdaptiveDoc::default();
+    label, sat_chip, sat_node, zero_load_latency, points,
+);
+
+impl SaturationReport {
+    /// The report document (`label` names the bench/workload, matching
     /// the curve labels of the figure files).
     pub fn to_json(&self, label: &str) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!("  \"label\": \"{}\",\n", json::escape(label)));
-        s.push_str(&format!("  \"sat_chip\": {},\n", json::num(self.sat_chip)));
-        s.push_str(&format!("  \"sat_node\": {},\n", json::num(self.sat_node)));
-        s.push_str(&format!(
-            "  \"zero_load_latency\": {},\n",
-            json::num(self.zero_load_latency)
-        ));
-        s.push_str("  \"points\": [\n");
-        for (pi, p) in self.points.iter().enumerate() {
-            s.push_str(&format!(
-                "    {}{}\n",
-                point_json(p),
-                if pi + 1 < self.points.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
+        json::to_block(&AdaptiveDoc {
+            label: label.to_string(),
+            sat_chip: self.sat_chip,
+            sat_node: self.sat_node,
+            zero_load_latency: self.zero_load_latency,
+            points: self.points.clone(),
+        })
     }
 
     /// Parse a report previously written by
     /// [`to_json`](Self::to_json). Returns `(label, report)`.
     pub fn from_json(text: &str) -> Result<(String, Self), String> {
-        let v = Value::parse(text)?;
-        let label = field(&v, "label")?
-            .as_str()
-            .ok_or("'label' not a string")?
-            .to_string();
-        let mut points = Vec::new();
-        for p in field(&v, "points")?
-            .as_arr()
-            .ok_or("'points' not an array")?
-        {
-            points.push(point_from_json(p)?);
-        }
-        Ok((
-            label,
-            crate::sweep::SaturationReport {
-                sat_chip: num(&v, "sat_chip")?,
-                sat_node: num(&v, "sat_node")?,
-                zero_load_latency: num(&v, "zero_load_latency")?,
-                points,
-            },
-        ))
-    }
-}
-
-/// Member of a JSON object by key, as a parse error when absent.
-fn field<'a>(v: &'a Value, k: &str) -> Result<&'a Value, String> {
-    v.get(k).ok_or_else(|| format!("missing key '{k}'"))
-}
-
-/// Required numeric member of a JSON object.
-fn num(v: &Value, k: &str) -> Result<f64, String> {
-    field(v, k)?
-        .as_f64()
-        .ok_or_else(|| format!("'{k}' not a number"))
-}
-
-/// Numeric member that older files may lack (pre-percentile baselines);
-/// missing maps to NaN, matching the writer's non-finite encoding.
-fn num_or_nan(v: &Value, k: &str) -> Result<f64, String> {
-    match v.get(k) {
-        None => Ok(f64::NAN),
-        Some(m) => m.as_f64().ok_or_else(|| format!("'{k}' not a number")),
-    }
-}
-
-/// One [`SweepPoint`] as a single-line JSON object (shared by the figure
-/// and saturation-report writers).
-fn point_json(p: &SweepPoint) -> String {
-    format!(
-        "{{\"offered_chip\": {}, \"offered_node\": {}, \"latency\": {}, \
-         \"p50\": {}, \"p95\": {}, \"p99\": {}, \"latency_max\": {}, \
-         \"accepted_chip\": {}, \"accepted_node\": {}, \"delivered\": {}, \
-         \"saturated\": {}, \"busy_cycles\": {}, \"skipped_cycles\": {}}}",
-        json::num(p.offered_chip),
-        json::num(p.offered_node),
-        json::num(p.latency),
-        json::num(p.p50),
-        json::num(p.p95),
-        json::num(p.p99),
-        json::num(p.latency_max),
-        json::num(p.accepted_chip),
-        json::num(p.accepted_node),
-        json::num(p.delivered),
-        p.saturated,
-        p.busy_cycles,
-        p.skipped_cycles
-    )
-}
-
-/// Parse one [`SweepPoint`] object. The percentile fields are optional so
-/// baselines recorded before they existed still load (they read as NaN).
-fn point_from_json(p: &Value) -> Result<SweepPoint, String> {
-    Ok(SweepPoint {
-        offered_chip: num(p, "offered_chip")?,
-        offered_node: num(p, "offered_node")?,
-        latency: num(p, "latency")?,
-        p50: num_or_nan(p, "p50")?,
-        p95: num_or_nan(p, "p95")?,
-        p99: num_or_nan(p, "p99")?,
-        latency_max: num_or_nan(p, "latency_max")?,
-        accepted_chip: num(p, "accepted_chip")?,
-        accepted_node: num(p, "accepted_node")?,
-        delivered: num(p, "delivered")?,
-        saturated: field(p, "saturated")?
-            .as_bool()
-            .ok_or("'saturated' not a bool")?,
-        busy_cycles: int_or_zero(p, "busy_cycles")?,
-        skipped_cycles: int_or_zero(p, "skipped_cycles")?,
-    })
-}
-
-/// Optional non-negative integer field: 0 when absent, so baselines
-/// recorded before the stepping counters existed still load.
-fn int_or_zero(v: &Value, k: &str) -> Result<u64, String> {
-    match v.get(k) {
-        None => Ok(0),
-        Some(m) => {
-            let x = m.as_f64().ok_or_else(|| format!("'{k}' not a number"))?;
-            if x.is_finite() && x >= 0.0 && x.fract() == 0.0 {
-                Ok(x as u64)
-            } else {
-                Err(format!("'{k}' not a non-negative integer"))
-            }
-        }
+        let doc = AdaptiveDoc::read(&Value::parse(text)?, "report")?;
+        let report = SaturationReport {
+            sat_chip: doc.sat_chip,
+            sat_node: doc.sat_node,
+            zero_load_latency: doc.zero_load_latency,
+            points: doc.points,
+        };
+        Ok((doc.label, report))
     }
 }
 
@@ -382,7 +254,7 @@ mod tests {
 
     #[test]
     fn saturation_report_round_trips() {
-        let report = crate::sweep::SaturationReport {
+        let report = SaturationReport {
             sat_chip: 2.4,
             sat_node: 0.6,
             zero_load_latency: 11.5,
@@ -390,9 +262,35 @@ mod tests {
         };
         let json = report.to_json("2D-Mesh");
         assert!(json.contains("\"p95\""));
-        let (label, back) = crate::sweep::SaturationReport::from_json(&json).unwrap();
+        let (label, back) = SaturationReport::from_json(&json).unwrap();
         assert_eq!(label, "2D-Mesh");
         assert_eq!(back, report);
+    }
+
+    #[test]
+    fn report_layout_matches_the_pinned_bytes() {
+        let mut f = Figure::new("f", "t");
+        assert_eq!(
+            f.to_json(),
+            "{\n  \"id\": \"f\",\n  \"title\": \"t\",\n  \"curves\": [\n  ]\n}\n"
+        );
+        f.push(Curve::new("c", Vec::new()));
+        assert_eq!(
+            f.to_json(),
+            "{\n  \"id\": \"f\",\n  \"title\": \"t\",\n  \"curves\": [\n    {\n      \
+             \"label\": \"c\",\n      \"points\": [\n      ]\n    }\n  ]\n}\n"
+        );
+        let report = SaturationReport {
+            sat_chip: f64::NAN,
+            sat_node: 0.5,
+            zero_load_latency: 1.0,
+            points: Vec::new(),
+        };
+        assert_eq!(
+            report.to_json("x"),
+            "{\n  \"label\": \"x\",\n  \"sat_chip\": null,\n  \"sat_node\": 0.5,\n  \
+             \"zero_load_latency\": 1,\n  \"points\": [\n  ]\n}\n"
+        );
     }
 
     #[test]

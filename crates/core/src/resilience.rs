@@ -28,11 +28,11 @@
 
 use crate::bench::{Bench, PatternSpec};
 use crate::collective::WorkloadUnits;
-use crate::json::{self, Value};
+use crate::json::{self, Json, Value};
 use crate::scenario::PartitionerKind;
 use crate::sweep::SweepConfig;
 use wsdf_exec::BspPool;
-use wsdf_sim::{SimConfig, TraceRec, Tracer};
+use wsdf_sim::{json_object, SimConfig, TraceRec, Tracer};
 use wsdf_topo::{FaultSet, FaultSpec};
 use wsdf_workload::Workload;
 
@@ -88,7 +88,7 @@ impl ResilienceConfig {
 }
 
 /// One measured fault fraction.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ResiliencePoint {
     /// Link-fault fraction this point was sampled at.
     pub fault_fraction: f64,
@@ -126,7 +126,7 @@ pub struct ResiliencePoint {
 }
 
 /// Result of a resilience sweep: one point per fault fraction.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ResilienceReport {
     /// Bench label.
     pub label: String,
@@ -172,109 +172,26 @@ impl ResilienceReport {
         s
     }
 
-    /// Serialize to pretty JSON.
+    /// The report document, the digested text of `resilience` scenarios.
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n");
-        s.push_str(&format!(
-            "  \"label\": \"{}\",\n",
-            json::escape(&self.label)
-        ));
-        s.push_str(&format!(
-            "  \"pattern\": \"{}\",\n",
-            json::escape(&self.pattern)
-        ));
-        s.push_str("  \"points\": [\n");
-        for (i, p) in self.points.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"fault_fraction\": {}, \"dead_links\": {}, \"dead_routers\": {}, \
-                 \"live_endpoints\": {}, \"unreachable_pairs\": {}, \"offered_chip\": {}, \
-                 \"accepted_chip\": {}, \"latency\": {}, \"p50\": {}, \"p99\": {}, \
-                 \"delivered\": {}, \"completion_cycles\": {}, \"collective_chips\": {}, \
-                 \"busy_cycles\": {}, \"skipped_cycles\": {}}}{}\n",
-                json::num(p.fault_fraction),
-                p.dead_links,
-                p.dead_routers,
-                p.live_endpoints,
-                p.unreachable_pairs,
-                json::num(p.offered_chip),
-                json::num(p.accepted_chip),
-                json::num(p.latency),
-                json::num(p.p50),
-                json::num(p.p99),
-                json::num(p.delivered),
-                p.completion_cycles,
-                p.collective_chips,
-                p.busy_cycles,
-                p.skipped_cycles,
-                if i + 1 < self.points.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
+        json::to_block(self)
     }
 
     /// Parse a report previously written by [`to_json`](Self::to_json).
+    /// The stepping counters read as 0 when absent (reports written
+    /// before they existed).
     pub fn from_json(text: &str) -> Result<ResilienceReport, String> {
-        let v = Value::parse(text)?;
-        let field = |v: &Value, k: &str| -> Result<f64, String> {
-            v.get(k)
-                .and_then(|m| m.as_f64())
-                .ok_or_else(|| format!("missing number '{k}'"))
-        };
-        let int = |v: &Value, k: &str| -> Result<u64, String> {
-            let x = field(v, k)?;
-            if x.is_finite() && x >= 0.0 && x.fract() == 0.0 {
-                Ok(x as u64)
-            } else {
-                Err(format!("'{k}' not a non-negative integer"))
-            }
-        };
-        // Absent in reports written before the stepping counters existed.
-        let int_or_zero = |v: &Value, k: &str| -> Result<u64, String> {
-            match v.get(k) {
-                None => Ok(0),
-                Some(_) => int(v, k),
-            }
-        };
-        let mut points = Vec::new();
-        for p in v
-            .get("points")
-            .and_then(|p| p.as_arr())
-            .ok_or("'points' not an array")?
-        {
-            points.push(ResiliencePoint {
-                fault_fraction: field(p, "fault_fraction")?,
-                dead_links: int(p, "dead_links")? as u32,
-                dead_routers: int(p, "dead_routers")? as u32,
-                live_endpoints: int(p, "live_endpoints")? as u32,
-                unreachable_pairs: int(p, "unreachable_pairs")?,
-                offered_chip: field(p, "offered_chip")?,
-                accepted_chip: field(p, "accepted_chip")?,
-                latency: field(p, "latency")?,
-                p50: field(p, "p50")?,
-                p99: field(p, "p99")?,
-                delivered: field(p, "delivered")?,
-                completion_cycles: int(p, "completion_cycles")?,
-                collective_chips: int(p, "collective_chips")? as u32,
-                busy_cycles: int_or_zero(p, "busy_cycles")?,
-                skipped_cycles: int_or_zero(p, "skipped_cycles")?,
-            });
-        }
-        Ok(ResilienceReport {
-            label: v
-                .get("label")
-                .and_then(|l| l.as_str())
-                .ok_or("'label' not a string")?
-                .to_string(),
-            pattern: v
-                .get("pattern")
-                .and_then(|l| l.as_str())
-                .ok_or("'pattern' not a string")?
-                .to_string(),
-            points,
-        })
+        ResilienceReport::read(&Value::parse(text)?, "report")
     }
 }
+
+json_object!(ResiliencePoint, ResiliencePoint::default();
+    fault_fraction, dead_links, dead_routers, live_endpoints, unreachable_pairs, offered_chip,
+    accepted_chip, latency, p50, p99, delivered, completion_cycles, collective_chips,
+    busy_cycles?, skipped_cycles?,
+);
+
+json_object!(ResilienceReport, ResilienceReport::default(); label, pattern, points);
 
 /// Human name of a [`PatternSpec`] for report labeling.
 fn pattern_name(spec: PatternSpec) -> String {

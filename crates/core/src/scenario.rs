@@ -124,8 +124,8 @@ impl Topology {
             }
             "mesh" => {
                 read::check_keys(v, path, &["family", "m", "chiplet", "width"])?;
-                let m = read::u64_field(v, path, "m")?;
-                let chiplet = read::u64_field(v, path, "chiplet")?;
+                let m = read::field::<u64>(v, path, "m")?;
+                let chiplet = read::field::<u64>(v, path, "chiplet")?;
                 let width = read::u64_or(v, path, "width", 1)?;
                 if m == 0 || m > u32::MAX as u64 {
                     return Err(format!("{path}.m: must be at least 1"));
@@ -144,7 +144,7 @@ impl Topology {
             }
             "switch" => {
                 read::check_keys(v, path, &["family", "terminals"])?;
-                let terminals = read::u64_field(v, path, "terminals")?;
+                let terminals = read::field::<u64>(v, path, "terminals")?;
                 // One router carries every terminal, so the engine's port
                 // limit bounds them.
                 if !(2..=MAX_PORTS as u64).contains(&terminals) {
@@ -328,10 +328,7 @@ impl Partitioning {
                 "{{\"partitions\": {partitions}, \"partitioner\": \"{}\"}}",
                 partitioner.name()
             ),
-            Partitioning::Map(map) => {
-                let ids: Vec<String> = map.iter().map(|p| p.to_string()).collect();
-                format!("{{\"map\": [{}]}}", ids.join(", "))
-            }
+            Partitioning::Map(map) => format!("{{\"map\": {}}}", json::to_string(map)),
         }
     }
 
@@ -343,7 +340,7 @@ impl Partitioning {
                     "{path}: give either \"map\" or \"partitions\"/\"partitioner\", not both"
                 ));
             }
-            return Ok(Partitioning::Map(read::u32_list(v, path, "map")?));
+            return Ok(Partitioning::Map(read::field(v, path, "map")?));
         }
         let partitions = read::u64_or(v, path, "partitions", 1)?;
         let partitioner = match v.get("partitioner") {
@@ -383,10 +380,10 @@ pub enum FaultsSpec {
 impl FaultsSpec {
     fn to_json(&self) -> String {
         match self {
-            FaultsSpec::Spec(s) => format!("{{\"spec\": {}}}", s.to_json()),
+            FaultsSpec::Spec(s) => format!("{{\"spec\": {}}}", json::to_string(s)),
             FaultsSpec::Schedule { schedule, at_cycle } => format!(
                 "{{\"schedule\": {}, \"at_cycle\": {at_cycle}}}",
-                schedule.to_json()
+                json::to_string(schedule)
             ),
         }
     }
@@ -404,17 +401,11 @@ impl FaultsSpec {
                 if v.get("at_cycle").is_some() {
                     return Err(format!("{path}.at_cycle: only a schedule takes at_cycle"));
                 }
-                Ok(FaultsSpec::Spec(FaultSpec::from_json(
-                    read::req(v, path, "spec")?,
-                    &format!("{path}.spec"),
-                )?))
+                Ok(FaultsSpec::Spec(read::field(v, path, "spec")?))
             }
             (false, true) => {
-                let schedule = FaultSchedule::from_json(
-                    read::req(v, path, "schedule")?,
-                    &format!("{path}.schedule"),
-                )?;
-                let at_cycle = read::u64_field(v, path, "at_cycle")?;
+                let schedule = read::field(v, path, "schedule")?;
+                let at_cycle = read::field::<u64>(v, path, "at_cycle")?;
                 Ok(FaultsSpec::Schedule { schedule, at_cycle })
             }
         }
@@ -517,7 +508,7 @@ pub enum WorkloadSpec {
         /// Microbatch count (pipeline builder only).
         microbatches: u32,
     },
-    /// An explicit DAG in [`Workload::from_json`] form.
+    /// An explicit DAG in the [`Workload`] JSON form.
     Dag(Workload),
 }
 
@@ -541,10 +532,7 @@ impl WorkloadSpec {
             } => {
                 let parts = match participants {
                     Participants::Chips => "\"chips\"".to_string(),
-                    Participants::List(ids) => {
-                        let ids: Vec<String> = ids.iter().map(|i| i.to_string()).collect();
-                        format!("[{}]", ids.join(", "))
-                    }
+                    Participants::List(ids) => json::to_string(ids),
                 };
                 let mb = if kind == "pipeline" {
                     format!(", \"microbatches\": {microbatches}")
@@ -555,7 +543,7 @@ impl WorkloadSpec {
                     "{{\"collective\": \"{kind}\", \"participants\": {parts}, \"flits\": {flits}{mb}}}"
                 )
             }
-            WorkloadSpec::Dag(wl) => format!("{{\"dag\": {}}}", wl.to_json()),
+            WorkloadSpec::Dag(wl) => format!("{{\"dag\": {}}}", json::to_string(wl)),
         }
     }
 
@@ -580,8 +568,7 @@ impl WorkloadSpec {
                         ));
                     }
                 }
-                let wl = Workload::from_json(read::req(v, path, "dag")?, &format!("{path}.dag"))?;
-                Ok(WorkloadSpec::Dag(wl))
+                Ok(WorkloadSpec::Dag(read::field(v, path, "dag")?))
             }
             (true, false) => {
                 let kind = read::str_field(v, path, "collective")?;
@@ -592,7 +579,7 @@ impl WorkloadSpec {
                     None => Participants::Chips,
                     Some(Value::Str(s)) if s == "chips" => Participants::Chips,
                     Some(Value::Arr(_)) => {
-                        Participants::List(read::u32_list(v, path, "participants")?)
+                        Participants::List(read::field(v, path, "participants")?)
                     }
                     Some(_) => {
                         return Err(format!(
@@ -612,7 +599,7 @@ impl WorkloadSpec {
                         ))
                     }
                     Some(_) => {
-                        let mb = read::u64_field(v, path, "microbatches")?;
+                        let mb = read::field::<u64>(v, path, "microbatches")?;
                         if mb == 0 || mb > u32::MAX as u64 {
                             return Err(format!("{path}.microbatches: must be at least 1"));
                         }
@@ -697,8 +684,8 @@ impl RunSpec {
             RunSpec::OpenLoop { rates_chip } => match rates_chip {
                 None => "{\"kind\": \"open_loop\"}".to_string(),
                 Some(rates) => format!(
-                    "{{\"kind\": \"open_loop\", \"rates_chip\": [{}]}}",
-                    join_nums(rates)
+                    "{{\"kind\": \"open_loop\", \"rates_chip\": {}}}",
+                    json::to_string(rates)
                 ),
             },
             RunSpec::Adaptive {
@@ -731,10 +718,10 @@ impl RunSpec {
                 seed,
                 collective_flits,
             } => format!(
-                "{{\"kind\": \"resilience\", \"rate_chip\": {}, \"fractions\": [{}], \
+                "{{\"kind\": \"resilience\", \"rate_chip\": {}, \"fractions\": {}, \
                  \"router_ratio\": {}, \"seed\": {seed}, \"collective_flits\": {collective_flits}}}",
                 json::num(*rate_chip),
-                join_nums(fractions),
+                json::to_string(fractions),
                 json::num(*router_ratio)
             ),
             RunSpec::Serving { spec } => {
@@ -746,10 +733,10 @@ impl RunSpec {
                         "{{\"process\": \"poisson\", \"rate_per_kcycle\": {}, \"horizon\": {horizon}}}",
                         json::num(*rate_per_kcycle)
                     ),
-                    ArrivalProcess::Trace { cycles } => {
-                        let cs: Vec<String> = cycles.iter().map(|c| c.to_string()).collect();
-                        format!("{{\"process\": \"trace\", \"cycles\": [{}]}}", cs.join(", "))
-                    }
+                    ArrivalProcess::Trace { cycles } => format!(
+                        "{{\"process\": \"trace\", \"cycles\": {}}}",
+                        json::to_string(cycles)
+                    ),
                 };
                 let classes: Vec<String> = spec
                     .classes
@@ -976,17 +963,11 @@ impl RunSpec {
                                 ));
                             }
                         }
-                        let arr = read::arr_field(a, &apath, "cycles")?;
-                        if arr.is_empty() {
+                        let cycles: Vec<u64> = read::field(a, &apath, "cycles")?;
+                        if cycles.is_empty() {
                             return Err(format!(
                                 "{apath}.cycles: expected at least one arrival cycle"
                             ));
-                        }
-                        let mut cycles = Vec::with_capacity(arr.len());
-                        for (i, c) in arr.iter().enumerate() {
-                            cycles.push(read::as_u64(c).ok_or_else(|| {
-                                format!("{apath}.cycles[{i}]: expected non-negative integer")
-                            })?);
                         }
                         ArrivalProcess::Trace { cycles }
                     }
@@ -1039,14 +1020,14 @@ impl RunSpec {
                         ))
                         }
                         Some(_) => {
-                            let mb = read::u64_field(c, &cpath, "microbatches")?;
+                            let mb = read::field::<u64>(c, &cpath, "microbatches")?;
                             if mb == 0 || mb > u32::MAX as u64 {
                                 return Err(format!("{cpath}.microbatches: must be at least 1"));
                             }
                             mb as u32
                         }
                     };
-                    let participants = read::u64_field(c, &cpath, "participants")?;
+                    let participants = read::field::<u64>(c, &cpath, "participants")?;
                     if !(2..=u32::MAX as u64).contains(&participants) {
                         return Err(format!("{cpath}.participants: must be at least 2"));
                     }
@@ -1548,12 +1529,6 @@ impl Scenario {
             }
         }
     }
-}
-
-/// Comma-join a float list in canonical number form.
-fn join_nums(xs: &[f64]) -> String {
-    let parts: Vec<String> = xs.iter().map(|x| json::num(*x)).collect();
-    parts.join(", ")
 }
 
 /// Materialize a [`WorkloadSpec`] against a built bench.

@@ -11,17 +11,15 @@
 //! isolated baseline, Jain's fairness index over class throughputs, and
 //! SLO-miss counts against per-class deadline budgets.
 
-use crate::bench::{Bench, BenchOracle};
-use crate::collective::{field, int, opt_int, opt_num};
-use crate::json::{self, Value};
+use crate::bench::{with_oracle, Bench};
+use crate::json::{self, Json, Value};
 use wsdf_exec::BspPool;
-use wsdf_sim::Tracer;
-use wsdf_sim::{LatencyHistogram, SimConfig};
-use wsdf_workload::run_collective_faulted_on;
+use wsdf_sim::{json_object, LatencyHistogram, SimConfig, Tracer};
+use wsdf_workload::run_collective_traced_on;
 use wsdf_workload::tenancy::{build_jobs, run_multi_job_traced_on, JobInstance, ServingSpec};
 
 /// Completion record of one served job.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct JobRecord {
     /// Job id (arrival order).
     pub id: u32,
@@ -36,7 +34,7 @@ pub struct JobRecord {
 }
 
 /// Aggregate interference metrics of one job class.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ClassStat {
     /// Class name.
     pub name: String,
@@ -60,7 +58,7 @@ pub struct ClassStat {
 }
 
 /// Result of one multi-tenant serving run on one bench.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServingReport {
     /// Bench label (`SW-less`, `SW-based`, ...).
     pub label: String,
@@ -208,58 +206,9 @@ impl ServingReport {
         s
     }
 
-    /// Serialize to pretty JSON (the digested text of `serving`
-    /// scenarios).
+    /// The report document, the digested text of `serving` scenarios.
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n");
-        s.push_str(&format!(
-            "  \"label\": \"{}\",\n",
-            json::escape(&self.label)
-        ));
-        s.push_str(&format!(
-            "  \"makespan_cycles\": {},\n",
-            self.makespan_cycles
-        ));
-        s.push_str(&format!("  \"busy_cycles\": {},\n", self.busy_cycles));
-        s.push_str(&format!("  \"skipped_cycles\": {},\n", self.skipped_cycles));
-        s.push_str(&format!("  \"ct_p50\": {},\n", json::num(self.ct_p50)));
-        s.push_str(&format!("  \"ct_p95\": {},\n", json::num(self.ct_p95)));
-        s.push_str(&format!("  \"ct_p99\": {},\n", json::num(self.ct_p99)));
-        s.push_str(&format!("  \"fairness\": {},\n", json::num(self.fairness)));
-        s.push_str("  \"jobs\": [\n");
-        for (i, j) in self.jobs.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"id\": {}, \"class\": \"{}\", \"arrival\": {}, \
-                 \"completion\": {}, \"ct\": {}}}{}\n",
-                j.id,
-                json::escape(&j.class),
-                j.arrival,
-                j.completion,
-                j.ct,
-                if i + 1 < self.jobs.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ],\n");
-        s.push_str("  \"classes\": [\n");
-        for (i, c) in self.classes.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"name\": \"{}\", \"jobs\": {}, \"flits\": {}, \"mean_ct\": {}, \
-                 \"isolated_ct\": {}, \"slowdown\": {}, \"throughput_flits_per_kcycle\": {}, \
-                 \"slo_cycles\": {}, \"slo_misses\": {}}}{}\n",
-                json::escape(&c.name),
-                c.jobs,
-                c.flits,
-                json::num(c.mean_ct),
-                c.isolated_ct,
-                json::num(c.slowdown),
-                json::num(c.throughput_flits_per_kcycle),
-                c.slo_cycles,
-                c.slo_misses,
-                if i + 1 < self.classes.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
+        json::to_block(self)
     }
 
     /// Parse a report previously written by [`to_json`](Self::to_json).
@@ -269,64 +218,32 @@ impl ServingReport {
     /// empty. The CT histogram is rebuilt from the job records, so a
     /// round-trip compares equal.
     pub fn from_json(text: &str) -> Result<ServingReport, String> {
-        let v = Value::parse(text)?;
-        let mut hist = LatencyHistogram::default();
-        let mut jobs = Vec::new();
-        for j in match v.get("jobs") {
-            None => &[][..],
-            Some(a) => a.as_arr().ok_or("'jobs' not an array")?,
-        } {
-            let ct = int(j, "ct")?;
-            hist.record(ct);
-            jobs.push(JobRecord {
-                id: int(j, "id")? as u32,
-                class: field(j, "class")?
-                    .as_str()
-                    .ok_or("'class' not a string")?
-                    .to_string(),
-                arrival: int(j, "arrival")?,
-                completion: int(j, "completion")?,
-                ct,
-            });
+        let mut r = ServingReport::read(&Value::parse(text)?, "report")?;
+        for j in &r.jobs {
+            r.ct_hist.record(j.ct);
         }
-        let mut classes = Vec::new();
-        for c in match v.get("classes") {
-            None => &[][..],
-            Some(a) => a.as_arr().ok_or("'classes' not an array")?,
-        } {
-            classes.push(ClassStat {
-                name: field(c, "name")?
-                    .as_str()
-                    .ok_or("'name' not a string")?
-                    .to_string(),
-                jobs: int(c, "jobs")?,
-                flits: opt_int(c, "flits")?,
-                mean_ct: opt_num(c, "mean_ct")?,
-                isolated_ct: opt_int(c, "isolated_ct")?,
-                slowdown: opt_num(c, "slowdown")?,
-                throughput_flits_per_kcycle: opt_num(c, "throughput_flits_per_kcycle")?,
-                slo_cycles: opt_int(c, "slo_cycles")?,
-                slo_misses: opt_int(c, "slo_misses")?,
-            });
-        }
-        Ok(ServingReport {
-            label: field(&v, "label")?
-                .as_str()
-                .ok_or("'label' not a string")?
-                .to_string(),
-            makespan_cycles: opt_int(&v, "makespan_cycles")?,
-            ct_p50: opt_num(&v, "ct_p50")?,
-            ct_p95: opt_num(&v, "ct_p95")?,
-            ct_p99: opt_num(&v, "ct_p99")?,
-            fairness: opt_num(&v, "fairness")?,
-            ct_hist: hist,
-            jobs,
-            classes,
-            busy_cycles: opt_int(&v, "busy_cycles")?,
-            skipped_cycles: opt_int(&v, "skipped_cycles")?,
-        })
+        Ok(r)
     }
 }
+
+json_object!(JobRecord, JobRecord::default(); id, class, arrival, completion, ct);
+
+json_object!(ClassStat, ClassStat {
+        mean_ct: f64::NAN, slowdown: f64::NAN, throughput_flits_per_kcycle: f64::NAN,
+        ..Default::default()
+    };
+    name, jobs, flits?, mean_ct?, isolated_ct?, slowdown?, throughput_flits_per_kcycle?,
+    slo_cycles?, slo_misses?,
+);
+
+// `ct_hist` is not a member: `from_json` rebuilds it from the jobs.
+json_object!(ServingReport, ServingReport {
+        ct_p50: f64::NAN, ct_p95: f64::NAN, ct_p99: f64::NAN, fairness: f64::NAN,
+        ..Default::default()
+    };
+    label, makespan_cycles?, busy_cycles?, skipped_cycles?, ct_p50?, ct_p95?, ct_p99?, fairness?,
+    jobs?, classes?,
+);
 
 /// Jain's fairness index `(Σx)² / (n·Σx²)` over the given allocations —
 /// 1 when all equal, → 1/n under total capture; NaN for an empty or
@@ -365,13 +282,9 @@ pub(crate) fn run_serving_impl(
     let jobs = build_jobs(spec, &endpoints)?;
     let net = bench.fabric.net();
     let faults = bench.fault_map();
-    let out = match &bench.oracle {
-        BenchOracle::Sl(o) => run_multi_job_traced_on(net, cfg, o, &jobs, pool, faults, trace),
-        BenchOracle::Sw(o) => run_multi_job_traced_on(net, cfg, o, &jobs, pool, faults, trace),
-        BenchOracle::Mesh(o) => run_multi_job_traced_on(net, cfg, o, &jobs, pool, faults, trace),
-        BenchOracle::Switch(o) => run_multi_job_traced_on(net, cfg, o, &jobs, pool, faults, trace),
-        BenchOracle::Detour(o) => run_multi_job_traced_on(net, cfg, o, &jobs, pool, faults, trace),
-    }
+    let out = with_oracle!(&bench.oracle, |o| {
+        run_multi_job_traced_on(net, cfg, o, &jobs, pool, faults, trace)
+    })
     .map_err(|e| format!("serving run failed: {e}"))?;
 
     // Isolated baseline: the first instance of each served class, alone.
@@ -380,23 +293,9 @@ pub(crate) fn run_serving_impl(
         let Some(job) = jobs.iter().find(|j| j.class as usize == ci) else {
             continue;
         };
-        let iso = match &bench.oracle {
-            BenchOracle::Sl(o) => {
-                run_collective_faulted_on(net, cfg, o, &job.workload, pool, faults)
-            }
-            BenchOracle::Sw(o) => {
-                run_collective_faulted_on(net, cfg, o, &job.workload, pool, faults)
-            }
-            BenchOracle::Mesh(o) => {
-                run_collective_faulted_on(net, cfg, o, &job.workload, pool, faults)
-            }
-            BenchOracle::Switch(o) => {
-                run_collective_faulted_on(net, cfg, o, &job.workload, pool, faults)
-            }
-            BenchOracle::Detour(o) => {
-                run_collective_faulted_on(net, cfg, o, &job.workload, pool, faults)
-            }
-        }
+        let iso = with_oracle!(&bench.oracle, |o| {
+            run_collective_traced_on(net, cfg, o, &job.workload, pool, faults, None)
+        })
         .map_err(|e| format!("isolated baseline failed: {e}"))?;
         *slot = iso.completion_cycles;
     }
@@ -522,6 +421,14 @@ mod tests {
         assert!(r.ct_p50.is_nan() && r.ct_p99.is_nan() && r.fairness.is_nan());
         assert_eq!(r.makespan_cycles, 0);
         assert!(r.ct_hist.is_empty());
+    }
+
+    #[test]
+    fn unknown_report_keys_are_rejected_with_their_path() {
+        assert_eq!(
+            ServingReport::from_json("{\"label\": \"a\", \"extra\": 1}").unwrap_err(),
+            "report.extra: unknown key"
+        );
     }
 
     #[test]

@@ -24,7 +24,7 @@ use wsdf_exec::BspPool;
 use wsdf_sim::{Metrics, SimConfig, Tracer};
 
 /// One measured point of a sweep.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SweepPoint {
     /// Offered load in flits/cycle/chip (paper x-axis).
     pub offered_chip: f64,

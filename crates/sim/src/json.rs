@@ -1,14 +1,23 @@
 //! Minimal JSON support for reports, baselines, and scenario files.
 //!
 //! The build environment is offline, so instead of `serde`/`serde_json`
-//! the workspace hand-rolls the small amount of JSON it needs: a writer
-//! (string escaping + number formatting helpers used by the report
-//! types in `wsdf`), a tiny recursive-descent parser returning a dynamic
-//! [`Value`], and a canonical-digest helper ([`digest_hex`]) for the
-//! golden scenario corpus. The module lives in `wsdf-sim` — the lowest
-//! crate of the workspace — so topology, workload, and routing specs can
-//! offer `from_json` constructors without a dependency cycle; `wsdf`
-//! re-exports it as `wsdf::json`.
+//! the workspace hand-rolls the small amount of JSON it needs: a tiny
+//! recursive-descent parser returning a dynamic [`Value`], the [`Json`]
+//! codec, string escaping and number formatting helpers, and a
+//! canonical-digest helper ([`digest_hex`]) for the golden scenario
+//! corpus.
+//!
+//! Every record-shaped type (the `wsdf` reports, fault specs, workload
+//! DAGs) implements [`Json`] through one field table,
+//! [`json_object!`](crate::json_object): the same member list drives the
+//! canonical one-line writer ([`to_string`]), the multi-line report
+//! layout ([`to_block`]), unknown-key rejection and the path-qualified
+//! reader, so a value always reads back as it was written. The module
+//! lives in `wsdf-sim` — the lowest crate of the workspace — so topology,
+//! workload, and routing specs can use it without a dependency cycle;
+//! `wsdf` re-exports it as `wsdf::json`.
+
+use std::fmt::Write as _;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -139,16 +148,251 @@ pub fn digest_hex(text: &str) -> String {
     format!("fnv64:{:016x}", fnv1a_64(text.as_bytes()))
 }
 
-/// Shared readers for schema-checked `from_json` constructors.
+/// A value with one canonical JSON form that reads back as written.
+///
+/// Scalars, strings and arrays implement it here; record types implement
+/// it through [`json_object!`](crate::json_object).
+pub trait Json: Sized {
+    /// Append the canonical one-line form: `{"k": v, ...}` and `[a, b]`
+    /// with `", "` and `": "` separators, non-finite floats as `null`.
+    fn write(&self, out: &mut String);
+
+    /// Read a value, naming JSON `path` in every error
+    /// (`"<path>: expected string"`).
+    fn read(v: &Value, path: &str) -> Result<Self, String>;
+
+    /// True when the report layout ([`to_block`]) spreads this value over
+    /// several lines: an array, or an object that holds one.
+    fn is_block(&self) -> bool {
+        false
+    }
+
+    /// Append the report layout. `indent` is the column of the line the
+    /// value starts on; nested lines go two spaces deeper, and the
+    /// closing bracket comes back to `indent`.
+    fn write_block(&self, out: &mut String, _indent: usize) {
+        self.write(out)
+    }
+}
+
+/// The canonical one-line form of `x`.
+pub fn to_string<T: Json>(x: &T) -> String {
+    let mut out = String::new();
+    x.write(&mut out);
+    out
+}
+
+/// The report layout of `x`, newline-terminated: an array puts one
+/// element per line and an object that holds an array one member per
+/// line; every other value stays on one line.
+pub fn to_block<T: Json>(x: &T) -> String {
+    let mut out = String::new();
+    x.write_block(&mut out, 0);
+    out.push('\n');
+    out
+}
+
+/// Start a new line at column `indent`.
+fn newline(out: &mut String, indent: usize) {
+    out.push('\n');
+    out.extend(std::iter::repeat_n(' ', indent));
+}
+
+/// [`Json`] for a scalar written as `text(&x)` and read by `get(v)`, or
+/// `"<path>: expected <what>"`.
+macro_rules! scalar {
+    ($ty:ty, $what:literal, $text:expr, $get:expr) => {
+        impl Json for $ty {
+            fn write(&self, out: &mut String) {
+                out.push_str(&$text(self));
+            }
+
+            fn read(v: &Value, path: &str) -> Result<Self, String> {
+                $get(v).ok_or_else(|| format!("{path}: expected {}", $what))
+            }
+        }
+    };
+}
+
+scalar!(u64, "non-negative integer", u64::to_string, read::as_u64);
+scalar!(u32, "non-negative integer", u32::to_string, |v| {
+    read::as_u64(v).and_then(|x| u32::try_from(x).ok())
+});
+// Non-finite values write as `null`, and `null` reads back as NaN.
+scalar!(f64, "number", |x: &f64| num(*x), Value::as_f64);
+scalar!(bool, "boolean", bool::to_string, Value::as_bool);
+scalar!(
+    String,
+    "string",
+    |x| format!("\"{}\"", escape(x)),
+    |v: &Value| v.as_str().map(str::to_string)
+);
+
+/// Elements read at `"<path>[i]"`.
+impl<T: Json> Json for Vec<T> {
+    fn write(&self, out: &mut String) {
+        out.push('[');
+        for (i, x) in self.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            x.write(out);
+        }
+        out.push(']');
+    }
+
+    fn read(v: &Value, path: &str) -> Result<Self, String> {
+        let items = v
+            .as_arr()
+            .ok_or_else(|| format!("{path}: expected array"))?;
+        items
+            .iter()
+            .enumerate()
+            .map(|(i, x)| T::read(x, &format!("{path}[{i}]")))
+            .collect()
+    }
+
+    fn is_block(&self) -> bool {
+        true
+    }
+
+    fn write_block(&self, out: &mut String, indent: usize) {
+        out.push('[');
+        for (i, x) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            newline(out, indent + 2);
+            x.write_block(out, indent + 2);
+        }
+        newline(out, indent);
+        out.push(']');
+    }
+}
+
+/// Writes one object's members for [`json_object!`](crate::json_object):
+/// on one line, or (with an indent) one member per line.
+#[doc(hidden)]
+pub struct ObjectWriter<'a> {
+    out: &'a mut String,
+    indent: Option<usize>,
+    first: bool,
+}
+
+impl<'a> ObjectWriter<'a> {
+    /// Open the object; `indent` is `Some` for the report layout.
+    pub fn new(out: &'a mut String, indent: Option<usize>) -> Self {
+        out.push('{');
+        ObjectWriter {
+            out,
+            indent,
+            first: true,
+        }
+    }
+
+    /// Append member `key`.
+    pub fn member<T: Json>(&mut self, key: &str, value: &T) {
+        if !self.first {
+            self.out.push(',');
+        }
+        match self.indent {
+            Some(indent) => newline(self.out, indent + 2),
+            None if !self.first => self.out.push(' '),
+            None => {}
+        }
+        self.first = false;
+        let _ = write!(self.out, "\"{key}\": ");
+        match self.indent {
+            Some(indent) => value.write_block(self.out, indent + 2),
+            None => value.write(self.out),
+        }
+    }
+
+    /// Close the object.
+    pub fn end(self) {
+        if let Some(indent) = self.indent {
+            newline(self.out, indent);
+        }
+        self.out.push('}');
+    }
+}
+
+/// Implement [`Json`](crate::json::Json) for a struct from one list of
+/// its fields: `json_object!(Type, blank; key, key?, key? if check, ...)`.
+///
+/// Members are written in list order, under their field names. The
+/// reader rejects keys outside the list
+/// ([`read::check_keys`](crate::json::read::check_keys)), starts from the
+/// `blank` value and reads the members in list order:
+///
+/// * `key` is required: absent, it fails with `"<path>.<key>: missing
+///   required key"`;
+/// * `key?` is optional and keeps its `blank` value when absent;
+/// * `key? if check` is optional, and a present value is passed to
+///   `check(&value, "<path>.<key>")` right after it is read.
+///
+/// In the report layout the object puts one member per line when any
+/// member is an array, and stays on one line otherwise.
+#[macro_export]
+macro_rules! json_object {
+    // Normalize each member to `(key required check)`, one at a time.
+    (@munch $head:tt [$($m:tt)*] $key:ident ? if $check:expr $(, $($rest:tt)*)?) => {
+        $crate::json_object!(@munch $head [$($m)* ($key false $check)] $($($rest)*)?);
+    };
+    (@munch $head:tt [$($m:tt)*] $key:ident ? $(, $($rest:tt)*)?) => {
+        $crate::json_object!(@munch $head [$($m)* ($key false (|_, _| Ok(())))] $($($rest)*)?);
+    };
+    (@munch $head:tt [$($m:tt)*] $key:ident $(, $($rest:tt)*)?) => {
+        $crate::json_object!(@munch $head [$($m)* ($key true (|_, _| Ok(())))] $($($rest)*)?);
+    };
+    (@munch ($ty:ty, $blank:expr) [$(($key:ident $required:literal $check:expr))*]) => {
+        impl $crate::json::Json for $ty {
+            fn write(&self, out: &mut String) {
+                let mut obj = $crate::json::ObjectWriter::new(out, None);
+                $(obj.member(stringify!($key), &self.$key);)*
+                obj.end();
+            }
+
+            fn read(v: &$crate::json::Value, path: &str) -> Result<Self, String> {
+                $crate::json::read::check_keys(v, path, &[$(stringify!($key)),*])?;
+                let mut out: $ty = $blank;
+                $($crate::json::read::member(
+                    v, path, stringify!($key), &mut out.$key, $required, $check,
+                )?;)*
+                Ok(out)
+            }
+
+            fn is_block(&self) -> bool {
+                false $(|| $crate::json::Json::is_block(&self.$key))*
+            }
+
+            fn write_block(&self, out: &mut String, indent: usize) {
+                if $crate::json::Json::is_block(self) {
+                    let mut obj = $crate::json::ObjectWriter::new(out, Some(indent));
+                    $(obj.member(stringify!($key), &self.$key);)*
+                    obj.end();
+                } else {
+                    $crate::json::Json::write(self, out);
+                }
+            }
+        }
+    };
+    ($ty:ty, $blank:expr; $($members:tt)*) => {
+        $crate::json_object!(@munch ($ty, $blank) [] $($members)*);
+    };
+}
+
+/// Shared readers for the field tables and the schema-checked
+/// `from_json` constructors.
 ///
 /// Every helper takes the JSON `path` of the value being read (e.g.
 /// `scenario.faults.spec`) and produces errors of the shape
 /// `<path>.<key>: <what was expected>` — the precise-error-path contract
-/// of the scenario frontend. The topology/workload/routing crates and the
-/// `wsdf::scenario` module all build on these, so the phrasing cannot
-/// drift between schemas.
+/// of the scenario frontend. [`json_object!`](crate::json_object), the
+/// topology/workload/routing crates and the `wsdf::scenario` module all
+/// build on these, so the phrasing cannot drift between schemas.
 pub mod read {
-    use super::Value;
+    use super::{Json, Value};
 
     /// The members of an object, or `"<path>: expected object"`.
     pub fn obj<'a>(v: &'a Value, path: &str) -> Result<&'a [(String, Value)], String> {
@@ -197,12 +441,6 @@ pub mod read {
         }
     }
 
-    /// Required non-negative-integer member (stored as a JSON number).
-    pub fn u64_field(v: &Value, path: &str, key: &str) -> Result<u64, String> {
-        as_u64(req(v, path, key)?)
-            .ok_or_else(|| format!("{path}.{key}: expected non-negative integer"))
-    }
-
     /// Optional non-negative-integer member; `default` when absent.
     pub fn u64_or(v: &Value, path: &str, key: &str, default: u64) -> Result<u64, String> {
         match v.get(key) {
@@ -232,17 +470,29 @@ pub mod read {
         }
     }
 
-    /// An array member holding non-negative integers (`"<path>.<key>[i]:
-    /// expected non-negative integer"` on the first offender).
-    pub fn u32_list(v: &Value, path: &str, key: &str) -> Result<Vec<u32>, String> {
-        let mut out = Vec::new();
-        for (i, item) in arr_field(v, path, key)?.iter().enumerate() {
-            let x = as_u64(item)
-                .filter(|&x| x <= u32::MAX as u64)
-                .ok_or_else(|| format!("{path}.{key}[{i}]: expected non-negative integer"))?;
-            out.push(x as u32);
+    /// Required member `key`, read as a `T` at `"<path>.<key>"`.
+    pub fn field<T: Json>(v: &Value, path: &str, key: &str) -> Result<T, String> {
+        T::read(req(v, path, key)?, &format!("{path}.{key}"))
+    }
+
+    /// Read member `key` into `slot`, for
+    /// [`json_object!`](crate::json_object): absent, it fails when
+    /// `required` and leaves `slot` as it is otherwise; present, it is
+    /// read at `"<path>.<key>"` and then passed to `check`.
+    #[doc(hidden)]
+    pub fn member<T: Json>(
+        v: &Value,
+        path: &str,
+        key: &str,
+        slot: &mut T,
+        required: bool,
+        check: impl FnOnce(&T, &str) -> Result<(), String>,
+    ) -> Result<(), String> {
+        if required || v.get(key).is_some() {
+            *slot = field(v, path, key)?;
+            check(slot, &format!("{path}.{key}"))?;
         }
-        Ok(out)
+        Ok(())
     }
 }
 
@@ -542,5 +792,57 @@ mod tests {
         assert!(Value::parse("[1,]").is_err());
         assert!(Value::parse("12 34").is_err());
         assert!(Value::parse("\"open").is_err());
+    }
+
+    fn parse(text: &str) -> Value {
+        Value::parse(text).unwrap()
+    }
+
+    #[test]
+    fn nan_writes_as_null_and_reads_back_as_nan() {
+        let xs = vec![1.5, f64::NAN, f64::INFINITY];
+        let text = to_string(&xs);
+        assert_eq!(text, "[1.5, null, null]");
+        let back = Vec::<f64>::read(&parse(&text), "t").unwrap();
+        assert_eq!(back[0], 1.5);
+        assert!(back[1].is_nan() && back[2].is_nan());
+        assert_eq!(
+            f64::read(&parse("\"x\""), "t").unwrap_err(),
+            "t: expected number"
+        );
+    }
+
+    #[test]
+    fn integers_reject_what_their_type_cannot_hold() {
+        assert_eq!(u32::read(&parse("4294967295"), "t"), Ok(u32::MAX));
+        for bad in ["4294967296", "-1", "0.5", "null"] {
+            assert_eq!(
+                u32::read(&parse(bad), "t").unwrap_err(),
+                "t: expected non-negative integer",
+                "{bad}"
+            );
+        }
+        assert_eq!(u64::read(&parse("4294967296"), "t"), Ok(1 << 32));
+    }
+
+    #[test]
+    fn elements_and_members_are_read_at_their_paths() {
+        assert_eq!(
+            Vec::<u64>::read(&parse("[1, -2]"), "t").unwrap_err(),
+            "t[1]: expected non-negative integer"
+        );
+        assert_eq!(
+            Vec::<u64>::read(&parse("{}"), "t").unwrap_err(),
+            "t: expected array"
+        );
+        let v = parse(r#"{"k": ["a", 3]}"#);
+        assert_eq!(
+            read::field::<Vec<String>>(&v, "t", "k").unwrap_err(),
+            "t.k[1]: expected string"
+        );
+        assert_eq!(
+            read::field::<u64>(&v, "t", "missing").unwrap_err(),
+            "t.missing: missing required key"
+        );
     }
 }

@@ -236,7 +236,7 @@ impl SlParams {
                 (None, Some(d)) => Ok(d),
                 (None, None) => Err(format!("{path}.{key}: missing required key")),
                 (Some(_), _) => {
-                    let x = read::u64_field(v, path, key)?;
+                    let x = read::field::<u64>(v, path, key)?;
                     u32::try_from(x)
                         .map_err(|_| format!("{path}.{key}: expected non-negative integer"))
                 }
@@ -574,7 +574,7 @@ impl SwParams {
                 (None, Some(d)) => Ok(d),
                 (None, None) => Err(format!("{path}.{key}: missing required key")),
                 (Some(_), _) => {
-                    let x = read::u64_field(v, path, key)?;
+                    let x = read::field::<u64>(v, path, key)?;
                     u32::try_from(x)
                         .map_err(|_| format!("{path}.{key}: expected non-negative integer"))
                 }

@@ -26,10 +26,14 @@
 //! noise, so a sweep over fractions is monotone in failure *count*.
 
 use crate::RouterKind;
-use wsdf_sim::json::{self, read, Value};
+use wsdf_sim::json::{Json, Value};
+use wsdf_sim::json_object;
 use wsdf_sim::{FaultMap, NetworkDesc, SplitMix64, Terminus};
 
 /// What to fail, and how. See the module docs for the determinism contract.
+///
+/// In JSON ([`Json`]) every field is optional and defaults as
+/// [`FaultSpec::default`]; a fraction outside `[0, 1]` is rejected.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultSpec {
     /// Seed of the sampling streams.
@@ -96,66 +100,21 @@ impl FaultSpec {
         }
         Ok(())
     }
+}
 
-    /// Canonical one-line JSON form: every field explicit, in declaration
-    /// order. `from_json(to_json(s)) == s` for any valid spec.
-    pub fn to_json(&self) -> String {
-        let ints = |v: &[u32]| {
-            v.iter()
-                .map(|x| x.to_string())
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
-        format!(
-            "{{\"seed\": {}, \"link_fraction\": {}, \"router_fraction\": {}, \
-             \"explicit_links\": [{}], \"explicit_routers\": [{}]}}",
-            self.seed,
-            json::num(self.link_fraction),
-            json::num(self.router_fraction),
-            ints(&self.explicit_links),
-            ints(&self.explicit_routers)
-        )
-    }
-
-    /// Parse a spec from a JSON object at `path` (for error messages).
-    /// Every field is optional and defaults as [`FaultSpec::default`];
-    /// fractions outside `[0, 1]` are rejected with a precise path.
-    pub fn from_json(v: &Value, path: &str) -> Result<Self, String> {
-        read::check_keys(
-            v,
-            path,
-            &[
-                "seed",
-                "link_fraction",
-                "router_fraction",
-                "explicit_links",
-                "explicit_routers",
-            ],
-        )?;
-        let dflt = FaultSpec::default();
-        let frac = |key: &str, d: f64| -> Result<f64, String> {
-            let x = read::opt_f64_field(v, path, key)?.unwrap_or(d);
-            if (0.0..=1.0).contains(&x) {
-                Ok(x)
-            } else {
-                Err(format!("{path}.{key}: expected number in [0, 1]"))
-            }
-        };
-        let list = |key: &str| -> Result<Vec<u32>, String> {
-            match v.get(key) {
-                None => Ok(Vec::new()),
-                Some(_) => read::u32_list(v, path, key),
-            }
-        };
-        Ok(FaultSpec {
-            seed: read::u64_or(v, path, "seed", dflt.seed)?,
-            link_fraction: frac("link_fraction", dflt.link_fraction)?,
-            router_fraction: frac("router_fraction", dflt.router_fraction)?,
-            explicit_links: list("explicit_links")?,
-            explicit_routers: list("explicit_routers")?,
-        })
+/// Reject a fraction outside `[0, 1]`, NaN (read from `null`) included.
+fn unit_fraction(x: &f64, path: &str) -> Result<(), String> {
+    if (0.0..=1.0).contains(x) {
+        Ok(())
+    } else {
+        Err(format!("{path}: expected number in [0, 1]"))
     }
 }
+
+json_object!(FaultSpec, FaultSpec::default();
+    seed?, link_fraction? if unit_fraction, router_fraction? if unit_fraction, explicit_links?,
+    explicit_routers?,
+);
 
 /// A sampled, sealed fault assignment for one network.
 #[derive(Debug, Clone, PartialEq)]
@@ -319,41 +278,6 @@ impl FaultSchedule {
         FaultSet::from_map(net, map)
     }
 
-    /// Canonical JSON form: the cycle-ordered event array, one event per
-    /// line. `from_json(to_json(s)) == s` for any schedule.
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("[");
-        for (i, e) in self.events.iter().enumerate() {
-            s.push_str(&format!(
-                "{}{{\"cycle\": {}, \"spec\": {}}}",
-                if i == 0 { "" } else { ", " },
-                e.cycle,
-                e.spec.to_json()
-            ));
-        }
-        s.push(']');
-        s
-    }
-
-    /// Parse a schedule from a JSON array of `{"cycle", "spec"}` events at
-    /// `path` (for error messages). Events may appear in any order; they
-    /// are re-sorted by cycle like [`FaultSchedule::push`].
-    pub fn from_json(v: &Value, path: &str) -> Result<Self, String> {
-        let items = v
-            .as_arr()
-            .ok_or_else(|| format!("{path}: expected array"))?;
-        let mut sched = FaultSchedule::new();
-        for (i, item) in items.iter().enumerate() {
-            let ipath = format!("{path}[{i}]");
-            read::check_keys(item, &ipath, &["cycle", "spec"])?;
-            let cycle = read::u64_field(item, &ipath, "cycle")?;
-            let spec =
-                FaultSpec::from_json(read::req(item, &ipath, "spec")?, &format!("{ipath}.spec"))?;
-            sched.push(cycle, spec);
-        }
-        Ok(sched)
-    }
-
     /// Epoch decomposition: `(start_cycle, cumulative fault set)` for cycle
     /// 0 and after every event, deduplicated by start cycle. The first
     /// epoch always starts at 0 (pristine unless an event strikes at 0).
@@ -366,6 +290,22 @@ impl FaultSchedule {
             .into_iter()
             .map(|c| (c, self.at_cycle(net, c)))
             .collect()
+    }
+}
+
+json_object!(FaultEvent, FaultEvent { cycle: 0, spec: FaultSpec::default() }; cycle, spec);
+
+/// The cycle-ordered event array. Events may appear in any order; they
+/// are re-sorted by cycle like [`FaultSchedule::push`].
+impl Json for FaultSchedule {
+    fn write(&self, out: &mut String) {
+        self.events.write(out);
+    }
+
+    fn read(v: &Value, path: &str) -> Result<Self, String> {
+        let mut events = Vec::<FaultEvent>::read(v, path)?;
+        events.sort_by_key(|e| e.cycle);
+        Ok(FaultSchedule { events })
     }
 }
 
@@ -671,11 +611,11 @@ mod tests {
             explicit_links: vec![3, 9],
             explicit_routers: vec![7],
         };
-        let v = Value::parse(&spec.to_json()).unwrap();
-        assert_eq!(FaultSpec::from_json(&v, "t").unwrap(), spec);
+        let v = Value::parse(&wsdf_sim::json::to_string(&spec)).unwrap();
+        assert_eq!(FaultSpec::read(&v, "t").unwrap(), spec);
         // Defaults apply field by field.
         let v = Value::parse(r#"{"link_fraction": 0.5}"#).unwrap();
-        let s = FaultSpec::from_json(&v, "t").unwrap();
+        let s = FaultSpec::read(&v, "t").unwrap();
         assert_eq!(s.seed, FaultSpec::default().seed);
         assert_eq!(s.link_fraction, 0.5);
     }
@@ -692,6 +632,10 @@ mod tests {
                 "t.router_fraction: expected number in [0, 1]",
             ),
             (
+                r#"{"link_fraction": null}"#,
+                "t.link_fraction: expected number in [0, 1]",
+            ),
+            (
                 r#"{"seed": "abc"}"#,
                 "t.seed: expected non-negative integer",
             ),
@@ -703,7 +647,7 @@ mod tests {
         ];
         for (doc, want) in cases {
             let v = Value::parse(doc).unwrap();
-            assert_eq!(&FaultSpec::from_json(&v, "t").unwrap_err(), want, "{doc}");
+            assert_eq!(&FaultSpec::read(&v, "t").unwrap_err(), want, "{doc}");
         }
     }
 
@@ -712,16 +656,16 @@ mod tests {
         let mut sched = FaultSchedule::new();
         sched.push(1000, FaultSpec::links(0.05, 1));
         sched.push(500, FaultSpec::routers(0.1, 2));
-        let v = Value::parse(&sched.to_json()).unwrap();
-        assert_eq!(FaultSchedule::from_json(&v, "t").unwrap(), sched);
+        let v = Value::parse(&wsdf_sim::json::to_string(&sched)).unwrap();
+        assert_eq!(FaultSchedule::read(&v, "t").unwrap(), sched);
         let v = Value::parse(r#"[{"cycle": 5}]"#).unwrap();
         assert_eq!(
-            FaultSchedule::from_json(&v, "t").unwrap_err(),
+            FaultSchedule::read(&v, "t").unwrap_err(),
             "t[0].spec: missing required key"
         );
         let v = Value::parse(r#"[{"cycle": 5, "spec": {"link_fraction": 7}}]"#).unwrap();
         assert_eq!(
-            FaultSchedule::from_json(&v, "t").unwrap_err(),
+            FaultSchedule::read(&v, "t").unwrap_err(),
             "t[0].spec.link_fraction: expected number in [0, 1]"
         );
     }

@@ -16,7 +16,8 @@
 //! and bandwidth per phase.
 
 use crate::message::{packet_count, MAX_MESSAGES, MAX_PACKETS_PER_MESSAGE};
-use wsdf_sim::json::{self, read, Value};
+use wsdf_sim::json::{Json, Value};
+use wsdf_sim::json_object;
 
 /// One point-to-point message of a collective.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -168,76 +169,6 @@ impl Workload {
             }
         }
         succs
-    }
-
-    /// Canonical one-line JSON form of the full DAG: name, phase labels,
-    /// and every message with its predecessor list. Inverse of
-    /// [`from_json`](Self::from_json), suitable for digesting.
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str(&format!("{{\"name\": \"{}\"", json::escape(&self.name)));
-        s.push_str(", \"phases\": [");
-        for (i, p) in self.phases.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!("\"{}\"", json::escape(p)));
-        }
-        s.push_str("], \"messages\": [");
-        for (i, m) in self.msgs.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!(
-                "{{\"src\": {}, \"dst\": {}, \"flits\": {}, \"phase\": {}, \"preds\": [",
-                m.src, m.dst, m.flits, m.phase
-            ));
-            for (j, p) in self.preds[i].iter().enumerate() {
-                if j > 0 {
-                    s.push_str(", ");
-                }
-                s.push_str(&p.to_string());
-            }
-            s.push_str("]}");
-        }
-        s.push_str("]}");
-        s
-    }
-
-    /// Parse an explicit message DAG from JSON at `path`.
-    ///
-    /// Expects `{"name", "phases": [..], "messages": [{"src", "dst",
-    /// "flits", "phase", "preds"?}]}`; `preds` defaults to the empty
-    /// list. Structure only — call [`validate`](Self::validate) with the
-    /// endpoint count to check ranges and acyclicity.
-    pub fn from_json(v: &Value, path: &str) -> Result<Self, String> {
-        read::check_keys(v, path, &["name", "phases", "messages"])?;
-        let mut wl = Workload::new(read::str_field(v, path, "name")?);
-        let phases = read::arr_field(v, path, "phases")?;
-        for (i, p) in phases.iter().enumerate() {
-            let label = p
-                .as_str()
-                .ok_or_else(|| format!("{path}.phases[{i}]: expected string"))?;
-            wl.phases.push(label.to_string());
-        }
-        let msgs = read::arr_field(v, path, "messages")?;
-        for (i, m) in msgs.iter().enumerate() {
-            let mpath = format!("{path}.messages[{i}]");
-            read::check_keys(m, &mpath, &["src", "dst", "flits", "phase", "preds"])?;
-            let msg = Message {
-                src: read::u64_field(m, &mpath, "src")? as u32,
-                dst: read::u64_field(m, &mpath, "dst")? as u32,
-                flits: read::u64_field(m, &mpath, "flits")?,
-                phase: read::u64_field(m, &mpath, "phase")? as u32,
-            };
-            let preds = if m.get("preds").is_some() {
-                read::u32_list(m, &mpath, "preds")?
-            } else {
-                Vec::new()
-            };
-            wl.push(msg, &preds);
-        }
-        Ok(wl)
     }
 
     // --- Collective builders ------------------------------------------------
@@ -466,6 +397,69 @@ impl Workload {
     }
 }
 
+/// One message of the JSON form: a [`Message`] plus its predecessor ids.
+#[derive(Default)]
+struct DagMessage {
+    src: u32,
+    dst: u32,
+    flits: u64,
+    phase: u32,
+    preds: Vec<u32>,
+}
+
+json_object!(DagMessage, DagMessage::default(); src, dst, flits, phase, preds?);
+
+/// The JSON form of a [`Workload`].
+#[derive(Default)]
+struct Dag {
+    name: String,
+    phases: Vec<String>,
+    messages: Vec<DagMessage>,
+}
+
+json_object!(Dag, Dag::default(); name, phases, messages);
+
+/// The full DAG, `{"name", "phases": [..], "messages": [{"src", "dst",
+/// "flits", "phase", "preds"?}]}`, with `preds` defaulting to the empty
+/// list. Reading checks structure only — call
+/// [`validate`](Workload::validate) with the endpoint count to check
+/// ranges and acyclicity.
+impl Json for Workload {
+    fn write(&self, out: &mut String) {
+        let messages = self.msgs.iter().zip(&self.preds);
+        Dag {
+            name: self.name.clone(),
+            phases: self.phases.clone(),
+            messages: messages
+                .map(|(m, preds)| DagMessage {
+                    src: m.src,
+                    dst: m.dst,
+                    flits: m.flits,
+                    phase: m.phase,
+                    preds: preds.clone(),
+                })
+                .collect(),
+        }
+        .write(out);
+    }
+
+    fn read(v: &Value, path: &str) -> Result<Self, String> {
+        let dag = Dag::read(v, path)?;
+        let mut wl = Workload::new(dag.name);
+        wl.phases = dag.phases;
+        for m in dag.messages {
+            let msg = Message {
+                src: m.src,
+                dst: m.dst,
+                flits: m.flits,
+                phase: m.phase,
+            };
+            wl.push(msg, &m.preds);
+        }
+        Ok(wl)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -547,10 +541,10 @@ mod tests {
             Workload::rd_allreduce(&ids(8), 8).unwrap(),
             Workload::pipeline(&[3, 1, 4], 2, 8),
         ] {
-            let v = Value::parse(&wl.to_json()).unwrap();
-            let back = Workload::from_json(&v, "w").unwrap();
+            let text = wsdf_sim::json::to_string(&wl);
+            let back = Workload::read(&Value::parse(&text).unwrap(), "w").unwrap();
             assert_eq!(back, wl);
-            assert_eq!(back.to_json(), wl.to_json());
+            assert_eq!(wsdf_sim::json::to_string(&back), text);
         }
     }
 
@@ -574,6 +568,14 @@ mod tests {
                 "w.messages[0].flits: expected non-negative integer",
             ),
             (
+                r#"{"name": "x", "phases": ["p"], "messages": [{"src": 4294967297, "dst": 1, "flits": 4, "phase": 0}]}"#,
+                "w.messages[0].src: expected non-negative integer",
+            ),
+            (
+                r#"{"name": "x", "phases": ["p"], "messages": [{"src": 0, "dst": 1, "flits": 4, "phase": 4294967296}]}"#,
+                "w.messages[0].phase: expected non-negative integer",
+            ),
+            (
                 r#"{"name": "x", "phases": ["p"], "messages": [{"src": 0, "dst": 1, "flits": 4, "phase": 0, "preds": [0.5]}]}"#,
                 "w.messages[0].preds[0]: expected non-negative integer",
             ),
@@ -584,7 +586,7 @@ mod tests {
         ];
         for (doc, want) in cases {
             let v = Value::parse(doc).unwrap();
-            assert_eq!(&Workload::from_json(&v, "w").unwrap_err(), want, "{doc}");
+            assert_eq!(&Workload::read(&v, "w").unwrap_err(), want, "{doc}");
         }
     }
 

@@ -205,35 +205,12 @@ impl WorkloadDriver for ClosedLoop<'_> {
 /// times plus engine metrics. `cfg`'s open-loop window fields
 /// (warm-up/measure/drain) are ignored; its `packet_len`, buffering, VC,
 /// partitioning and watchdog settings all apply.
-pub fn run_collective_on<O: RouteOracle>(
-    net: &NetworkDesc,
-    cfg: &SimConfig,
-    oracle: O,
-    wl: &Workload,
-    pool: &BspPool,
-) -> SimResult<WorkloadOutcome> {
-    run_collective_faulted_on(net, cfg, oracle, wl, pool, None)
-}
-
-/// [`run_collective_on`] with an optional [`FaultMap`]: `None` is the
-/// pristine path; `Some` arms the engine's dead-channel asserts. The
-/// workload must only use endpoints that are alive and mutually routable
-/// under the faults (a fault-aware oracle panics otherwise).
-pub fn run_collective_faulted_on<O: RouteOracle>(
-    net: &NetworkDesc,
-    cfg: &SimConfig,
-    oracle: O,
-    wl: &Workload,
-    pool: &BspPool,
-    faults: Option<&FaultMap>,
-) -> SimResult<WorkloadOutcome> {
-    run_collective_traced_on(net, cfg, oracle, wl, pool, faults, None)
-}
-
-/// [`run_collective_faulted_on`] with optional streaming telemetry: when
-/// `trace` is `Some`, the engine's link/queue/latency streams are emitted
-/// through the tracer for the whole closed-loop run. Telemetry is
-/// observe-only — the outcome is bit-identical with and without it.
+///
+/// `faults: None` is the pristine path; `Some` arms the engine's
+/// dead-channel asserts, so the workload must only use live, mutually
+/// routable endpoints (a fault-aware oracle panics otherwise). `trace:
+/// Some` streams the engine's link/queue/latency records for the whole
+/// run; the outcome is bit-identical without it.
 pub fn run_collective_traced_on<O: RouteOracle>(
     net: &NetworkDesc,
     cfg: &SimConfig,
@@ -252,14 +229,4 @@ pub fn run_collective_traced_on<O: RouteOracle>(
     let mut driver = ClosedLoop::new(wl, cfg.packet_len);
     let metrics = sim.run_closed_loop_on(pool, &mut driver)?;
     Ok(driver.into_outcome(metrics))
-}
-
-/// [`run_collective_on`] on the process-wide executor.
-pub fn run_collective<O: RouteOracle>(
-    net: &NetworkDesc,
-    cfg: &SimConfig,
-    oracle: O,
-    wl: &Workload,
-) -> SimResult<WorkloadOutcome> {
-    run_collective_on(net, cfg, oracle, wl, wsdf_exec::global_pool())
 }

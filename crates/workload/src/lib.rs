@@ -25,13 +25,15 @@
 //! state, never mid-cycle.
 //!
 //! ```no_run
-//! use wsdf_workload::{run_collective, Workload};
+//! use wsdf_workload::{run_collective_traced_on, Workload};
 //! use wsdf_sim::SimConfig;
 //! # fn net() -> wsdf_sim::NetworkDesc { unimplemented!() }
 //! # fn oracle() -> std::sync::Arc<dyn wsdf_sim::RouteOracle> { unimplemented!() }
 //! let participants: Vec<u32> = (0..16).collect();
 //! let wl = Workload::ring_allreduce(&participants, 256);
-//! let out = run_collective(&net(), &SimConfig::default(), oracle(), &wl).unwrap();
+//! let (cfg, pool) = (SimConfig::default(), wsdf_exec::global_pool());
+//! // No fault map, no telemetry.
+//! let out = run_collective_traced_on(&net(), &cfg, oracle(), &wl, pool, None, None).unwrap();
 //! println!("allreduce took {} cycles", out.completion_cycles);
 //! ```
 
@@ -43,12 +45,9 @@ pub mod message;
 pub mod tenancy;
 
 pub use collective::{Message, Workload};
-pub use driver::{
-    run_collective, run_collective_faulted_on, run_collective_on, run_collective_traced_on,
-    ClosedLoop, PhaseStat, WorkloadOutcome,
-};
+pub use driver::{run_collective_traced_on, ClosedLoop, PhaseStat, WorkloadOutcome};
 pub use message::{packet_count, packet_id, segments, Reassembly};
 pub use tenancy::{
-    build_jobs, run_multi_job_faulted_on, run_multi_job_traced_on, ArrivalProcess, JobClass,
-    JobInstance, MultiJobDriver, MultiJobOutcome, Placement, ServingSpec,
+    build_jobs, run_multi_job_traced_on, ArrivalProcess, JobClass, JobInstance, MultiJobDriver,
+    MultiJobOutcome, Placement, ServingSpec,
 };

@@ -536,21 +536,10 @@ impl WorkloadDriver for MultiJobDriver<'_> {
 /// Run a materialized job set to quiescence on `net` with `oracle`, on an
 /// explicit executor. `None` faults is the pristine path; `Some` arms the
 /// engine's dead-channel asserts (placements must already avoid dead
-/// endpoints — [`build_jobs`] resolves against the live list).
-pub fn run_multi_job_faulted_on<O: RouteOracle>(
-    net: &NetworkDesc,
-    cfg: &SimConfig,
-    oracle: O,
-    jobs: &[JobInstance],
-    pool: &BspPool,
-    faults: Option<&FaultMap>,
-) -> SimResult<MultiJobOutcome> {
-    run_multi_job_traced_on(net, cfg, oracle, jobs, pool, faults, None)
-}
-
-/// [`run_multi_job_faulted_on`] with optional streaming telemetry: the
-/// engine streams link/queue/latency records and, when the tracer's
-/// `jobs` stream is on, the driver adds admit/retire records.
+/// endpoints — [`build_jobs`] resolves against the live list). When
+/// `trace` is `Some`, the engine streams link/queue/latency records and,
+/// when the tracer's `jobs` stream is on, the driver adds admit/retire
+/// records.
 pub fn run_multi_job_traced_on<O: RouteOracle>(
     net: &NetworkDesc,
     cfg: &SimConfig,

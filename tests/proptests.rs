@@ -820,7 +820,7 @@ fn scenario_round_trip_preserves_report_digest() {
 /// completion respects the dependency order.
 #[test]
 fn workload_flit_conservation() {
-    use wsdf::workload::{packet_count, run_collective, Message, Workload};
+    use wsdf::workload::{packet_count, run_collective_traced_on, Message, Workload};
     let mut rng = SplitMix64::new(0x5EED_0009);
     for case in 0..10 {
         let p = draw(&mut rng, |r| {
@@ -859,8 +859,17 @@ fn workload_flit_conservation() {
         }
         let mut cfg = SimConfig::default();
         cfg.num_vcs = cfg.num_vcs.max(bench.num_vcs());
-        let out = run_collective(bench.fabric.net(), &cfg, &bench.oracle, &wl)
-            .unwrap_or_else(|e| panic!("case {case} ({p:?}): {e}"));
+        let pool = wsdf::exec::global_pool();
+        let out = run_collective_traced_on(
+            bench.fabric.net(),
+            &cfg,
+            &bench.oracle,
+            &wl,
+            pool,
+            None,
+            None,
+        )
+        .unwrap_or_else(|e| panic!("case {case} ({p:?}): {e}"));
         // Conservation: flits injected per message == its size, and every
         // flit that entered came back out.
         let total = wl.total_flits();
