@@ -11,7 +11,6 @@
 
 use crate::Effort;
 use wsdf::routing::{RouteMode, VcScheme};
-use wsdf::traffic::Scope;
 use wsdf::{Bench, Session, Workload, WorkloadReport, WorkloadUnits};
 use wsdf_sim::SimConfig;
 use wsdf_topo::{SlParams, SwParams};
@@ -26,13 +25,6 @@ fn data_flits(effort: Effort) -> u64 {
         Effort::Standard => 256,
         Effort::Full => 1024,
     }
-}
-
-/// One participant per chip, in chip order.
-fn chip_participants(scope: &Scope) -> Vec<u32> {
-    (0..scope.num_chips())
-        .map(|c| scope.node_of(c, 0))
-        .collect()
 }
 
 /// The two evaluated fabrics at matching scale: one W-group (32 chips) of
@@ -75,7 +67,7 @@ pub fn collectives(effort: Effort) -> Vec<WorkloadReport> {
     let units = WorkloadUnits::default();
     let mut out = Vec::new();
     for bench in family_benches() {
-        let participants = chip_participants(&bench.scope);
+        let participants = bench.live_chips();
         for wl in workloads(&participants, data) {
             let mut reports: Vec<WorkloadReport> = PARTITIONS
                 .iter()
@@ -119,18 +111,6 @@ pub fn render_collectives(reports: &[WorkloadReport]) -> String {
     s
 }
 
-/// Serialize [`collectives`] results as a JSON array of
-/// [`WorkloadReport::to_json`] objects.
-pub fn collectives_json(reports: &[WorkloadReport]) -> String {
-    let mut s = String::from("[\n");
-    for (i, r) in reports.iter().enumerate() {
-        s.push_str(r.to_json().trim_end());
-        s.push_str(if i + 1 < reports.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("]\n");
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,7 +127,7 @@ mod tests {
             assert!(r.latency.count > 0, "{}/{}", r.label, r.workload);
         }
         // Round-trip every report through JSON.
-        let json = collectives_json(&reports);
+        let json = crate::json_array(&reports, WorkloadReport::to_json);
         let arr = wsdf::json::Value::parse(&json).unwrap();
         assert_eq!(arr.as_arr().unwrap().len(), reports.len());
     }

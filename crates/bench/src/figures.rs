@@ -355,18 +355,6 @@ pub fn render_saturation(scan: &[(String, SaturationReport)]) -> String {
     s
 }
 
-/// Serialize [`saturation_scan`] results as a JSON array of
-/// [`SaturationReport::to_json`] objects.
-pub fn saturation_json(scan: &[(String, SaturationReport)]) -> String {
-    let mut s = String::from("[\n");
-    for (i, (label, report)) in scan.iter().enumerate() {
-        s.push_str(report.to_json(label).trim_end());
-        s.push_str(if i + 1 < scan.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("]\n");
-    s
-}
-
 /// One bar of Fig. 15.
 #[derive(Debug, Clone)]
 pub struct EnergyBar {

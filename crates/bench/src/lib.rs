@@ -15,6 +15,18 @@ pub mod tables;
 pub mod targets;
 pub mod trace;
 
+/// A JSON array artifact of report documents, one per item (`doc` writes
+/// an item's document): `[`, the documents separated by `,` lines, `]`.
+pub fn json_array<T>(items: &[T], doc: impl Fn(&T) -> String) -> String {
+    let mut s = String::from("[\n");
+    for (i, item) in items.iter().enumerate() {
+        s.push_str(doc(item).trim_end());
+        s.push_str(if i + 1 < items.len() { ",\n" } else { "\n" });
+    }
+    s.push_str("]\n");
+    s
+}
+
 /// Scale factor presets for simulation windows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Effort {

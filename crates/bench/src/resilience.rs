@@ -80,18 +80,6 @@ pub fn render_resilience(reports: &[ResilienceReport]) -> String {
     s
 }
 
-/// Serialize [`resilience`] results as a JSON array of
-/// [`ResilienceReport::to_json`] objects.
-pub fn resilience_json(reports: &[ResilienceReport]) -> String {
-    let mut s = String::from("[\n");
-    for (i, r) in reports.iter().enumerate() {
-        s.push_str(r.to_json().trim_end());
-        s.push_str(if i + 1 < reports.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("]\n");
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,7 +105,7 @@ mod tests {
             }
         }
         // Round-trip through JSON.
-        let json = resilience_json(&reports);
+        let json = crate::json_array(&reports, ResilienceReport::to_json);
         let arr = wsdf::json::Value::parse(&json).unwrap();
         assert_eq!(arr.as_arr().unwrap().len(), reports.len());
     }

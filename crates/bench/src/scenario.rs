@@ -36,8 +36,7 @@ pub fn run_scenario_file(file: &str, check: bool) -> Result<TargetOutput, String
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {file}: {e}"))?;
     let s = Scenario::from_json_str(&text)?;
     // The Session frontend honors the scenario's optional `telemetry`
-    // section (trace captured in memory); without one this is exactly
-    // `Scenario::run`.
+    // section (trace captured in memory).
     let run = Session::scenario(&s).run()?;
     let outcome = run.report;
     let digest = outcome.digest();
@@ -48,16 +47,14 @@ pub fn run_scenario_file(file: &str, check: bool) -> Result<TargetOutput, String
         s.name,
         outcome.kind()
     ));
-    let trace_digest = run.trace.as_ref().and_then(|t| t.digest.clone());
-    if let Some(t) = &run.trace {
+    let trace_digest = run.trace.as_ref().map(|t| t.digest.clone());
+    if let Some(t) = run.trace {
         out.text.push_str(&format!(
             "telemetry: {} record(s), trace digest {}\n",
-            t.jsonl.as_deref().map_or(0, |j| j.lines().count()),
-            trace_digest.as_deref().unwrap_or("-"),
+            t.jsonl.lines().count(),
+            t.digest,
         ));
-        if let Some(jsonl) = &t.jsonl {
-            out.json.push((format!("{}-trace", s.name), jsonl.clone()));
-        }
+        out.json.push((format!("{}-trace", s.name), t.jsonl));
     }
     out.json.push((s.name.clone(), outcome.report_json()));
     if check {
@@ -132,7 +129,7 @@ pub fn run_corpus_in(dir: &Path, update: bool) -> Result<CorpusRun, String> {
         // Telemetry-enabled scenarios pin the trace byte stream too, as a
         // separate `<file>::trace` entry — the report digest above is
         // unchanged by the telemetry section (observe-only contract).
-        if let Some(td) = run.trace.as_ref().and_then(|t| t.digest.clone()) {
+        if let Some(td) = run.trace.map(|t| t.digest) {
             let tname = format!("{}::trace", e.file);
             out.text
                 .push_str(&format!("{:<44} {:<11} {td}\n", tname, "trace"));

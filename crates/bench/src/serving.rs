@@ -140,18 +140,6 @@ pub fn render_serving(reports: &[ServingReport]) -> String {
     s
 }
 
-/// Serialize [`serving`] results as a JSON array of
-/// [`ServingReport::to_json`] objects.
-pub fn serving_json(reports: &[ServingReport]) -> String {
-    let mut s = String::from("[\n");
-    for (i, r) in reports.iter().enumerate() {
-        s.push_str(r.to_json().trim_end());
-        s.push_str(if i + 1 < reports.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("]\n");
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,7 +162,7 @@ mod tests {
             let back = ServingReport::from_json(&r.to_json()).unwrap();
             assert_eq!(&back, r, "{}", r.label);
         }
-        let json = serving_json(&reports);
+        let json = crate::json_array(&reports, ServingReport::to_json);
         let arr = wsdf::json::Value::parse(&json).unwrap();
         assert_eq!(arr.as_arr().unwrap().len(), reports.len());
     }

@@ -9,7 +9,10 @@
 //! Aggregate targets (`tables`, `figures`, `all`) are member lists over
 //! the same table ([`aggregate_members`]), not separate code paths.
 
-use crate::{collectives, figures, partition_stats, resilience, serving, tables, Effort};
+use crate::{
+    collectives, figures, json_array, partition_stats, resilience, serving, tables, Effort,
+};
+use wsdf::{ResilienceReport, ServingReport, WorkloadReport};
 
 /// Output of one target run: human-readable text plus `(id, json)` pairs
 /// for `--json DIR` serialization.
@@ -217,7 +220,10 @@ pub const TARGETS: &[Target] = &[
             let scan = figures::saturation_scan(e);
             TargetOutput {
                 text: figures::render_saturation(&scan),
-                json: vec![("saturation".into(), figures::saturation_json(&scan))],
+                json: vec![(
+                    "saturation".into(),
+                    json_array(&scan, |(label, report)| report.to_json(label)),
+                )],
             }
         },
     },
@@ -233,7 +239,7 @@ pub const TARGETS: &[Target] = &[
                 text: collectives::render_collectives(&reports),
                 json: vec![(
                     "collectives".into(),
-                    collectives::collectives_json(&reports),
+                    json_array(&reports, WorkloadReport::to_json),
                 )],
             }
         },
@@ -248,7 +254,10 @@ pub const TARGETS: &[Target] = &[
             let reports = serving::serving(e);
             TargetOutput {
                 text: serving::render_serving(&reports),
-                json: vec![("serving".into(), serving::serving_json(&reports))],
+                json: vec![(
+                    "serving".into(),
+                    json_array(&reports, ServingReport::to_json),
+                )],
             }
         },
     },
@@ -279,7 +288,10 @@ pub const TARGETS: &[Target] = &[
             let reports = resilience::resilience(e);
             TargetOutput {
                 text: resilience::render_resilience(&reports),
-                json: vec![("resilience".into(), resilience::resilience_json(&reports))],
+                json: vec![(
+                    "resilience".into(),
+                    json_array(&reports, ResilienceReport::to_json),
+                )],
             }
         },
     },

@@ -69,7 +69,7 @@ pub fn run_trace_smoke(effort: Effort) -> Result<TraceRun, String> {
             .trace(cfg.clone())
             .metrics(pattern.as_ref())?;
         let t = out.trace.expect("trace was configured");
-        Ok((t.jsonl.unwrap_or_default(), t.digest.unwrap_or_default()))
+        Ok((t.jsonl, t.digest))
     };
     let (open_jsonl, open_digest) = open(1)?;
     let (_, open_digest_p2) = open(2)?;
@@ -98,8 +98,7 @@ pub fn run_trace_smoke(effort: Effort) -> Result<TraceRun, String> {
         .trace(cfg)
         .serving(&spec)?;
     let t = out.trace.expect("trace was configured");
-    let (serving_jsonl, serving_digest) =
-        (t.jsonl.unwrap_or_default(), t.digest.unwrap_or_default());
+    let (serving_jsonl, serving_digest) = (t.jsonl, t.digest);
 
     let mut output = TargetOutput::default();
     output.text.push_str("== streaming telemetry smoke ==\n");

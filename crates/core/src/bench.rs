@@ -8,8 +8,6 @@
 //! enum still implements [`RouteOracle`] itself (one match per call) for
 //! callers that need a uniform oracle view, e.g. route walkers.
 
-use crate::scenario::PartitionerKind;
-use crate::session::SessionConfig;
 use wsdf_exec::BspPool;
 use wsdf_routing::{
     DetourOracle, MeshOracle, ReachMap, RouteMode, SlOracle, SwOracle, SwitchNodeOracle, VcScheme,
@@ -297,6 +295,22 @@ impl Bench {
         self.endpoints() as f64 / self.nodes_per_chip
     }
 
+    /// One participant per chip (its node 0), in chip order; on a
+    /// degraded bench only the chips whose node 0 lies in the largest
+    /// live component. Collective participants, serving placements and
+    /// the resilience probe all draw from this list.
+    pub fn live_chips(&self) -> Vec<u32> {
+        let chips = (0..self.scope.num_chips()).map(|c| self.scope.node_of(c, 0));
+        match &self.faults {
+            None => chips.collect(),
+            Some(f) => {
+                let comp: std::collections::HashSet<u32> =
+                    f.reach.largest_component_endpoints().into_iter().collect();
+                chips.filter(|n| comp.contains(n)).collect()
+            }
+        }
+    }
+
     /// Minimum VC count this bench's oracle needs.
     pub fn num_vcs(&self) -> u8 {
         self.oracle.num_vcs()
@@ -340,55 +354,12 @@ impl Bench {
         }
     }
 
-    /// Fill in [`SimConfig::partition_map`] with a locality-aware
-    /// assignment (`wsdf_topo::locality_partition`) when the run will
-    /// actually be parallel and no explicit map was given.
-    ///
-    /// The partition count mirrors exactly what the engine would resolve
-    /// on its own ([`wsdf_sim::effective_partitions`] over live routers
-    /// and `wsdf_exec::configured_threads`), so switching schemes never
-    /// changes *how many* partitions run — only *which* routers share
-    /// one. Results are bit-identical either way; only barrier traffic
-    /// changes. Honors the `WSDF_PARTITIONER` env var (resolved once via
-    /// [`SessionConfig::from_env`]): `blocks` keeps the engine's legacy
-    /// contiguous blocks, anything else (or unset) selects the locality
-    /// partitioner.
-    pub fn apply_partitioner(&self, cfg: &mut SimConfig) {
-        self.apply_partitioner_with(cfg, SessionConfig::from_env().partitioner);
-    }
-
-    /// [`Bench::apply_partitioner`] with an explicit scheme instead of the
-    /// environment default. [`PartitionerKind::Blocks`] leaves the map
-    /// unset — the engine then falls back to its internal contiguous
-    /// blocks, which is exactly what the explicit `contiguous_blocks`
-    /// map would produce.
-    pub fn apply_partitioner_with(&self, cfg: &mut SimConfig, kind: PartitionerKind) {
-        if cfg.partition_map.is_some() || kind != PartitionerKind::Locality {
-            return;
-        }
-        let net = self.fabric.net();
-        let live = self
-            .fault_map()
-            .map_or(net.num_routers(), |f| f.live_routers());
-        let p =
-            wsdf_sim::effective_partitions(cfg.partitions, live, wsdf_exec::configured_threads());
-        if p > 1 {
-            cfg.partition_map = Some(std::sync::Arc::new(wsdf_topo::locality_partition(
-                net,
-                p,
-                self.fault_map(),
-            )));
-        }
-    }
-
     /// Prepare a cloned config for a run: raise the VC count to the
-    /// oracle's requirement and fill in the partition map with `kind`
-    /// (unless an explicit map was given). This is the single config
-    /// normalization point every [`crate::Session`] run kind goes through.
-    pub(crate) fn prepare_cfg(&self, cfg: &SimConfig, kind: PartitionerKind) -> SimConfig {
+    /// oracle's requirement. The partition map was resolved before
+    /// dispatch ([`crate::Partitioning::apply`]).
+    pub(crate) fn prepare_cfg(&self, cfg: &SimConfig) -> SimConfig {
         let mut cfg = cfg.clone();
         cfg.num_vcs = cfg.num_vcs.max(self.oracle.num_vcs());
-        self.apply_partitioner_with(&mut cfg, kind);
         cfg
     }
 
@@ -540,7 +511,7 @@ mod tests {
         let a = run_quick(&b, pat.as_ref());
         // The same run type-erased: per-flit virtual dispatch through the
         // enum's own `RouteOracle` impl.
-        let cfg = b.prepare_cfg(&quick_cfg(), PartitionerKind::Blocks);
+        let cfg = b.prepare_cfg(&quick_cfg());
         let oracle: &dyn RouteOracle = &b.oracle;
         let d = wsdf_sim::Simulation::new(b.fabric.net(), &cfg, oracle)
             .unwrap()

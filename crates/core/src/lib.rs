@@ -8,14 +8,17 @@
 //!   oracle and endpoint scoping.
 //! * [`PatternSpec`] — a workload selector that [`Bench::pattern`] turns
 //!   into a concrete traffic generator at a given per-node rate.
-//! * [`Session`] — the unified run frontend. Every run kind goes through
-//!   one builder: open-loop sweeps ([`Session::sweep`]), saturation
-//!   search ([`Session::adaptive`]), closed-loop collectives
+//! * [`Session`] — the only run entry. Every run kind goes through one
+//!   builder: open-loop sweeps ([`Session::sweep`]), saturation search
+//!   ([`Session::adaptive`]), closed-loop collectives
 //!   ([`Session::workload`]), multi-tenant serving ([`Session::serving`]),
 //!   fault sweeps ([`Session::resilience`]), raw metrics
 //!   ([`Session::metrics`]) and declarative scenarios ([`Session::run`]).
-//!   Each returns a typed [`Outcome`] carrying the kind's report plus,
-//!   when streaming telemetry is enabled via [`Session::trace`], the
+//!   Four setters configure it ([`Session::sim`],
+//!   [`Session::partitions`], [`Session::pool`], [`Session::trace`]), and
+//!   [`Partitioning::apply`] resolves every run's partition map. Each run
+//!   returns a typed [`Outcome`] carrying the kind's report plus, when
+//!   streaming telemetry is enabled via [`Session::trace`], the
 //!   deterministic JSONL trace and its digest.
 //!
 //! ```no_run
@@ -64,9 +67,9 @@ pub use report::{Curve, Figure, Point};
 pub use resilience::{ResilienceConfig, ResiliencePoint, ResilienceReport};
 pub use scenario::{PartitionerKind, Partitioning, Scenario, ScenarioOutcome, Stepping};
 pub use serving::{ClassStat, JobRecord, ServingReport};
-pub use session::{Outcome, Session, SessionConfig, TraceOutcome};
+pub use session::{Outcome, Session, TraceOutcome};
 pub use sweep::{saturation_rate, AdaptiveConfig, SaturationReport, SweepConfig, SweepPoint};
-pub use wsdf_sim::{SharedBuf, TraceConfig, TraceRec};
+pub use wsdf_sim::{TraceConfig, TraceRec};
 pub use wsdf_workload::Workload;
 
 pub use wsdf_analysis as analysis;

@@ -29,7 +29,6 @@
 use crate::bench::{Bench, PatternSpec};
 use crate::collective::WorkloadUnits;
 use crate::json::{self, Json, Value};
-use crate::scenario::PartitionerKind;
 use crate::sweep::SweepConfig;
 use wsdf_exec::BspPool;
 use wsdf_sim::{json_object, SimConfig, TraceRec, Tracer};
@@ -198,35 +197,19 @@ fn pattern_name(spec: PatternSpec) -> String {
     format!("{spec:?}")
 }
 
-/// Surviving chips of the largest live component: chips whose node-0 is
-/// alive there (one participant per chip, matching the collective suite).
-fn live_chips(bench: &Bench) -> Vec<u32> {
-    let Some(f) = &bench.faults else {
-        return (0..bench.scope.num_chips())
-            .map(|c| bench.scope.node_of(c, 0))
-            .collect();
-    };
-    let comp = f.reach.largest_component_endpoints();
-    let in_comp: std::collections::HashSet<u32> = comp.into_iter().collect();
-    (0..bench.scope.num_chips())
-        .map(|c| bench.scope.node_of(c, 0))
-        .filter(|n| in_comp.contains(n))
-        .collect()
-}
-
 /// Run a resilience sweep — the fault-injection core behind the
 /// [`crate::Session`] resilience run kind. See the module docs. When
 /// telemetry is attached with the `epochs` stream enabled, each fault
 /// fraction is delimited by a [`TraceRec::Epoch`] record *before* its
 /// probes — every fraction is an independent simulation starting at
 /// cycle 0, so the epoch records are the segment boundaries of the
-/// concatenated stream.
+/// concatenated stream. `cfg.sim` arrives with its partition map
+/// resolved on the pristine bench, and that map serves every fraction.
 pub(crate) fn resilience_impl(
     bench: &Bench,
     cfg: &ResilienceConfig,
     spec: PatternSpec,
     pool: &BspPool,
-    partitioner: PartitionerKind,
     trace: Option<&Tracer>,
 ) -> ResilienceReport {
     assert!(
@@ -255,10 +238,9 @@ pub(crate) fn resilience_impl(
             sim: cfg.sim.clone(),
             ..Default::default()
         };
-        let probe =
-            crate::sweep::sweep_impl(&fb, &scfg, spec, &[cfg.rate_chip], pool, partitioner, trace)
-                .pop()
-                .expect("single-rate sweep yields one point");
+        let probe = crate::sweep::sweep_impl(&fb, &scfg, spec, &[cfg.rate_chip], pool, trace)
+            .pop()
+            .expect("single-rate sweep yields one point");
 
         // Reachability accounting.
         let (live_endpoints, unreachable_pairs) = match &fb.faults {
@@ -267,11 +249,11 @@ pub(crate) fn resilience_impl(
         };
 
         // Closed-loop probe: ring allreduce over surviving chips.
-        let chips = live_chips(&fb);
+        let chips = fb.live_chips();
         let (completion_cycles, collective_chips) = if cfg.collective_flits > 0 && chips.len() >= 2
         {
             let wl = Workload::ring_allreduce(&chips, cfg.collective_flits);
-            let wcfg = fb.prepare_cfg(&cfg.sim, partitioner);
+            let wcfg = fb.prepare_cfg(&cfg.sim);
             let r = crate::collective::run_workload_impl(&fb, &wcfg, &wl, &units, pool, trace)
                 .unwrap_or_else(|e| panic!("[{} @ {f}] allreduce probe: {e}", bench.label));
             (r.completion_cycles, chips.len() as u32)

@@ -31,7 +31,7 @@ use crate::resilience::{resilience_impl, ResilienceConfig, ResilienceReport};
 use crate::serving::{run_serving_impl, ServingReport};
 use crate::sweep::{adaptive_impl, sweep_impl, AdaptiveConfig, SaturationReport, SweepConfig};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use wsdf_exec::BspPool;
 use wsdf_routing::{RouteMode, VcScheme};
 use wsdf_sim::{SimConfig, TraceConfig, Tracer, MAX_PORTS};
@@ -39,6 +39,9 @@ use wsdf_topo::{FaultSchedule, FaultSet, FaultSpec, SlParams, SwParams};
 use wsdf_traffic::{PermKind, RingDirection};
 use wsdf_workload::tenancy::{ArrivalProcess, JobClass, Placement, ServingSpec};
 use wsdf_workload::Workload;
+
+/// Largest standalone mesh side: its `m²` routers fit the u32 id space.
+const MAX_MESH_SIDE: u64 = 65_535;
 
 /// Which fabric a scenario builds, with its size parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -127,8 +130,8 @@ impl Topology {
                 let m = read::field::<u64>(v, path, "m")?;
                 let chiplet = read::field::<u64>(v, path, "chiplet")?;
                 let width = read::u64_or(v, path, "width", 1)?;
-                if m == 0 || m > u32::MAX as u64 {
-                    return Err(format!("{path}.m: must be at least 1"));
+                if !(2..=MAX_MESH_SIDE).contains(&m) {
+                    return Err(format!("{path}.m: expected integer in 2..={MAX_MESH_SIDE}"));
                 }
                 if chiplet == 0 || m % chiplet != 0 {
                     return Err(format!("{path}.chiplet: must divide m ({m})"));
@@ -288,11 +291,34 @@ impl PartitionerKind {
             PartitionerKind::Blocks => "blocks",
         }
     }
+
+    /// The scheme bench sessions partition with: the `WSDF_PARTITIONER`
+    /// env var, read once per process (so a test harness mutating the
+    /// environment mid-run cannot race running simulations). Scenario
+    /// runs never consult it; their `partitioning` section decides.
+    #[allow(clippy::disallowed_methods)] // the one WSDF_PARTITIONER reader
+    pub(crate) fn env_default() -> PartitionerKind {
+        static KIND: OnceLock<PartitionerKind> = OnceLock::new();
+        *KIND.get_or_init(|| {
+            PartitionerKind::from_env_value(std::env::var("WSDF_PARTITIONER").ok().as_deref())
+        })
+    }
+
+    /// The rule behind [`PartitionerKind::env_default`]: only the literal
+    /// `blocks` selects contiguous blocks; any other value, or none,
+    /// selects locality. Never fails.
+    fn from_env_value(value: Option<&str>) -> PartitionerKind {
+        match value {
+            Some("blocks") => PartitionerKind::Blocks,
+            _ => PartitionerKind::Locality,
+        }
+    }
 }
 
-/// How a scenario assigns routers to BSP partitions. Always resolved to
-/// an explicit [`SimConfig::partition_map`] at execution, so the
-/// `WSDF_PARTITIONER` env var cannot influence a scenario run.
+/// How a run assigns routers to BSP partitions. [`Partitioning::apply`]
+/// resolves it to the run's [`SimConfig::partition_map`]; a scenario
+/// carries its own, so the `WSDF_PARTITIONER` env var cannot influence a
+/// scenario run.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Partitioning {
     /// Build the map with a named partitioner; `partitions == 0` sizes
@@ -319,6 +345,72 @@ impl Default for Partitioning {
 }
 
 impl Partitioning {
+    /// Resolve this partitioning for a run on `bench` into
+    /// `cfg.partitions` and `cfg.partition_map`: the one place any run's
+    /// partition map is chosen. An explicit map must cover every router
+    /// with dense ids. `Auto` counts partitions exactly as the engine
+    /// would on its own ([`wsdf_sim::effective_partitions`] over live
+    /// routers and `wsdf_exec::configured_threads`) and, when the run is
+    /// parallel, builds the named map; `Blocks` is the same assignment
+    /// as the engine's no-map fallback. Reports are bit-identical under
+    /// any map: it decides only which routers share a partition.
+    pub fn apply(&self, bench: &Bench, cfg: &mut SimConfig) -> Result<(), String> {
+        let net = bench.fabric.net();
+        match self {
+            Partitioning::Map(map) => {
+                if map.len() != net.num_routers() {
+                    return Err(format!(
+                        "scenario.partitioning.map: {} entries for {} routers",
+                        map.len(),
+                        net.num_routers()
+                    ));
+                }
+                let sparse = || {
+                    "scenario.partitioning.map: partition ids must be dense (every id in 0..P used)"
+                        .to_string()
+                };
+                let p = map.iter().copied().max().unwrap_or(0) as usize + 1;
+                // Dense ids need p ≤ routers, which also bounds `seen`.
+                if p > map.len() {
+                    return Err(sparse());
+                }
+                let mut seen = vec![false; p];
+                for &id in map.iter() {
+                    seen[id as usize] = true;
+                }
+                if seen.contains(&false) {
+                    return Err(sparse());
+                }
+                cfg.partitions = p;
+                cfg.partition_map = Some(Arc::new(map.clone()));
+            }
+            Partitioning::Auto {
+                partitions,
+                partitioner,
+            } => {
+                let live = bench
+                    .fault_map()
+                    .map_or(net.num_routers(), |f| f.live_routers());
+                let p = wsdf_sim::effective_partitions(
+                    *partitions as usize,
+                    live,
+                    wsdf_exec::configured_threads(),
+                );
+                cfg.partitions = p;
+                if p > 1 {
+                    let map = match partitioner {
+                        PartitionerKind::Locality => {
+                            wsdf_topo::locality_partition(net, p, bench.fault_map())
+                        }
+                        PartitionerKind::Blocks => wsdf_topo::contiguous_blocks(net, p),
+                    };
+                    cfg.partition_map = Some(Arc::new(map));
+                }
+            }
+        }
+        Ok(())
+    }
+
     fn to_json(&self) -> String {
         match self {
             Partitioning::Auto {
@@ -1349,84 +1441,10 @@ impl Scenario {
         }
     }
 
-    /// Resolve [`Self::partitioning`] into an explicit partition map on
-    /// `cfg`, so the engine (and the env-sensitive
-    /// [`Bench::apply_partitioner`] default) never chooses for us.
-    fn apply_partitioning(&self, bench: &Bench, cfg: &mut SimConfig) -> Result<(), String> {
-        let net = bench.fabric.net();
-        match &self.partitioning {
-            Partitioning::Map(map) => {
-                if map.len() != net.num_routers() {
-                    return Err(format!(
-                        "scenario.partitioning.map: {} entries for {} routers",
-                        map.len(),
-                        net.num_routers()
-                    ));
-                }
-                let p = map.iter().copied().max().unwrap_or(0) as usize + 1;
-                let mut seen = vec![false; p];
-                for &id in map.iter() {
-                    seen[id as usize] = true;
-                }
-                if seen.iter().any(|s| !s) {
-                    return Err(
-                        "scenario.partitioning.map: partition ids must be dense (every id in 0..P used)"
-                            .to_string(),
-                    );
-                }
-                cfg.partitions = p;
-                cfg.partition_map = Some(Arc::new(map.clone()));
-            }
-            Partitioning::Auto {
-                partitions,
-                partitioner,
-            } => {
-                let live = bench
-                    .fault_map()
-                    .map_or(net.num_routers(), |f| f.live_routers());
-                let p = wsdf_sim::effective_partitions(
-                    *partitions as usize,
-                    live,
-                    wsdf_exec::configured_threads(),
-                );
-                cfg.partitions = p;
-                if p > 1 {
-                    let map = match partitioner {
-                        PartitionerKind::Locality => {
-                            wsdf_topo::locality_partition(net, p, bench.fault_map())
-                        }
-                        PartitionerKind::Blocks => wsdf_topo::contiguous_blocks(net, p),
-                    };
-                    cfg.partition_map = Some(Arc::new(map));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Execute on the process-wide executor.
-    ///
-    /// Note: this ignores [`Self::telemetry`] — producing a trace stream
-    /// requires a sink, which the [`crate::Session`] builder supplies
-    /// (`Session::scenario(&s).run()` captures it and returns the trace
-    /// digest alongside the report).
-    pub fn run(&self) -> Result<ScenarioOutcome, String> {
-        self.run_on(wsdf_exec::global_pool())
-    }
-
-    /// Execute on an explicit [`BspPool`]. Reports (and therefore
-    /// digests) are bit-identical for any pool size, partition count and
-    /// partitioner. Like [`Scenario::run`], telemetry is not captured —
-    /// use the [`crate::Session`] frontend for that.
-    pub fn run_on(&self, pool: &BspPool) -> Result<ScenarioOutcome, String> {
-        self.run_traced_on(pool, None)
-    }
-
-    /// The full run path: every scenario execution — [`Scenario::run`],
-    /// [`Scenario::run_on`], and the [`crate::Session`] frontend — goes
-    /// through here. `trace` attaches streaming telemetry to every
-    /// simulation the run kind performs (observe-only: the outcome is
-    /// bit-identical with and without it).
+    /// The scenario run path behind [`crate::Session::run`]. `trace`
+    /// attaches streaming telemetry to every simulation the run kind
+    /// performs (observe-only: the outcome is bit-identical with and
+    /// without it).
     pub(crate) fn run_traced_on(
         &self,
         pool: &BspPool,
@@ -1434,15 +1452,7 @@ impl Scenario {
     ) -> Result<ScenarioOutcome, String> {
         let bench = self.build_bench();
         let mut cfg = self.sim_config();
-        self.apply_partitioning(&bench, &mut cfg)?;
-        // Partitioning is already resolved into an explicit map (or a
-        // deliberate single partition) above, so the scheme below is
-        // inert — it only matters when the map is absent. Pass the
-        // scenario's own choice for documentation value.
-        let pk = match &self.partitioning {
-            Partitioning::Auto { partitioner, .. } => *partitioner,
-            Partitioning::Map(_) => PartitionerKind::Locality,
-        };
+        self.partitioning.apply(&bench, &mut cfg)?;
         match &self.run {
             RunSpec::OpenLoop { rates_chip } => {
                 let t = self.traffic.as_ref().expect("validated at parse");
@@ -1454,7 +1464,7 @@ impl Scenario {
                     sim: cfg,
                     ..Default::default()
                 };
-                let points = sweep_impl(&bench, &scfg, t.pattern, &rates, pool, pk, trace);
+                let points = sweep_impl(&bench, &scfg, t.pattern, &rates, pool, trace);
                 let mut fig = Figure::new(
                     self.name.clone(),
                     format!("scenario {} — {}", self.name, pattern_name(t.pattern)),
@@ -1479,7 +1489,7 @@ impl Scenario {
                     rel_tol: *rel_tol,
                     max_points: *max_points as usize,
                 };
-                let report = adaptive_impl(&bench, &acfg, t.pattern, pool, pk, trace);
+                let report = adaptive_impl(&bench, &acfg, t.pattern, pool, trace);
                 Ok(ScenarioOutcome::Adaptive {
                     label: bench.label.clone(),
                     report,
@@ -1497,7 +1507,7 @@ impl Scenario {
                     flit_bytes: *flit_bytes,
                     clock_ghz: *clock_ghz,
                 };
-                let wcfg = bench.prepare_cfg(&cfg, pk);
+                let wcfg = bench.prepare_cfg(&cfg);
                 let report = run_workload_impl(&bench, &wcfg, &wl, &units, pool, trace)
                     .map_err(|e| format!("scenario.run: closed-loop run failed: {e}"))?;
                 Ok(ScenarioOutcome::ClosedLoop(report))
@@ -1518,11 +1528,11 @@ impl Scenario {
                     seed: *seed,
                     collective_flits: *collective_flits,
                 };
-                let report = resilience_impl(&bench, &rcfg, t.pattern, pool, pk, trace);
+                let report = resilience_impl(&bench, &rcfg, t.pattern, pool, trace);
                 Ok(ScenarioOutcome::Resilience(report))
             }
             RunSpec::Serving { spec } => {
-                let scfg = bench.prepare_cfg(&cfg, pk);
+                let scfg = bench.prepare_cfg(&cfg);
                 let report = run_serving_impl(&bench, &scfg, spec, pool, trace)
                     .map_err(|e| format!("scenario.run: {e}"))?;
                 Ok(ScenarioOutcome::Serving(Box::new(report)))
@@ -1543,7 +1553,7 @@ fn build_workload(spec: &WorkloadSpec, bench: &Bench) -> Result<Workload, String
         } => (kind, participants, *flits, *microbatches),
     };
     let ids: Vec<u32> = match participants {
-        Participants::Chips => live_chips(bench),
+        Participants::Chips => bench.live_chips(),
         Participants::List(ids) => ids.clone(),
     };
     if ids.len() < 2 {
@@ -1565,23 +1575,6 @@ fn build_workload(spec: &WorkloadSpec, bench: &Bench) -> Result<Workload, String
             "scenario.run.workload.collective: unknown collective \"{other}\""
         )),
     }
-}
-
-/// One node per chip (node 0), filtered to the largest live component on
-/// a degraded bench — the same participant rule as the resilience probe.
-/// Serving placements resolve against this same list.
-pub(crate) fn live_chips(bench: &Bench) -> Vec<u32> {
-    let Some(f) = &bench.faults else {
-        return (0..bench.scope.num_chips())
-            .map(|c| bench.scope.node_of(c, 0))
-            .collect();
-    };
-    let comp = f.reach.largest_component_endpoints();
-    let in_comp: std::collections::HashSet<u32> = comp.into_iter().collect();
-    (0..bench.scope.num_chips())
-        .map(|c| bench.scope.node_of(c, 0))
-        .filter(|n| in_comp.contains(n))
-        .collect()
 }
 
 /// The result of executing a [`Scenario`]: one of the five report types,
@@ -1664,6 +1657,7 @@ pub struct CorpusEntry {
 /// The corpus directory: `WSDF_SCENARIO_DIR` if set, else `scenarios/`
 /// under the current directory if present, else the repo-root
 /// `scenarios/` relative to this crate.
+#[allow(clippy::disallowed_methods)] // the one WSDF_SCENARIO_DIR reader
 pub fn corpus_dir() -> PathBuf {
     if let Ok(dir) = std::env::var("WSDF_SCENARIO_DIR") {
         return PathBuf::from(dir);
@@ -1741,6 +1735,10 @@ pub fn digests_json(entries: &[(String, String)]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn run(s: &Scenario) -> Result<ScenarioOutcome, String> {
+        crate::Session::scenario(s).run().map(|o| o.report)
+    }
 
     fn mesh_scenario(run: &str, traffic: &str) -> String {
         format!(
@@ -1896,8 +1894,8 @@ mod tests {
             r#""traffic": {"pattern": "uniform"},"#,
         );
         let s = Scenario::from_json_str(&text).unwrap();
-        let a = s.run().unwrap();
-        let b = s.run().unwrap();
+        let a = run(&s).unwrap();
+        let b = run(&s).unwrap();
         assert_eq!(a.kind(), "open_loop");
         assert_eq!(a.digest(), b.digest());
         assert!(a.report_json().contains("2D-Mesh"));
@@ -1910,7 +1908,7 @@ mod tests {
             "",
         );
         let s = Scenario::from_json_str(&text).unwrap();
-        let out = s.run().unwrap();
+        let out = run(&s).unwrap();
         let ScenarioOutcome::ClosedLoop(r) = &out else {
             panic!("wrong outcome kind")
         };
@@ -1923,7 +1921,7 @@ mod tests {
             "",
         );
         let s = Scenario::from_json_str(&dag).unwrap();
-        let out = s.run().unwrap();
+        let out = run(&s).unwrap();
         assert_eq!(out.kind(), "closed_loop");
     }
 
@@ -1945,7 +1943,7 @@ mod tests {
         // Canonical form round-trips exactly.
         let back = Scenario::from_json_str(&s.to_json()).unwrap();
         assert_eq!(back, s);
-        let out = s.run().unwrap();
+        let out = run(&s).unwrap();
         let ScenarioOutcome::Serving(r) = &out else {
             panic!("wrong outcome kind")
         };
@@ -2019,7 +2017,7 @@ mod tests {
             r#""traffic": {"pattern": "uniform"},"#,
         );
         let s = Scenario::from_json_str(&base).unwrap();
-        let reference = s.run().unwrap().digest();
+        let reference = run(&s).unwrap().digest();
         for partitioning in [
             r#"{"partitions": 4, "partitioner": "blocks"}"#,
             r#"{"partitions": 4, "partitioner": "locality"}"#,
@@ -2027,8 +2025,35 @@ mod tests {
             let mut v = s.clone();
             v.partitioning =
                 Partitioning::from_json(&Value::parse(partitioning).unwrap(), "p").unwrap();
-            assert_eq!(v.run().unwrap().digest(), reference, "{partitioning}");
+            assert_eq!(run(&v).unwrap().digest(), reference, "{partitioning}");
         }
+    }
+
+    #[test]
+    fn partition_map_ids_beyond_the_router_count_are_sparse() {
+        let mut s = Scenario::from_json_str(&mesh_scenario(
+            r#"{"kind": "open_loop", "rates_chip": [0.4]}"#,
+            r#""traffic": {"pattern": "uniform"},"#,
+        ))
+        .unwrap();
+        let mut map = vec![0; 16];
+        map[15] = u32::MAX;
+        s.partitioning = Partitioning::Map(map);
+        assert_eq!(
+            run(&s).unwrap_err(),
+            "scenario.partitioning.map: partition ids must be dense (every id in 0..P used)"
+        );
+    }
+
+    #[test]
+    fn precedence_table_partitioner() {
+        let pk = PartitionerKind::from_env_value;
+        assert_eq!(pk(None), PartitionerKind::Locality);
+        assert_eq!(pk(Some("blocks")), PartitionerKind::Blocks);
+        assert_eq!(pk(Some("locality")), PartitionerKind::Locality);
+        // Unknown values select the default, never error.
+        assert_eq!(pk(Some("BLOCKS")), PartitionerKind::Locality);
+        assert_eq!(pk(Some("")), PartitionerKind::Locality);
     }
 
     #[test]

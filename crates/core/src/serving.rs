@@ -278,7 +278,7 @@ pub(crate) fn run_serving_impl(
     pool: &BspPool,
     trace: Option<&Tracer>,
 ) -> Result<ServingReport, String> {
-    let endpoints = crate::scenario::live_chips(bench);
+    let endpoints = bench.live_chips();
     let jobs = build_jobs(spec, &endpoints)?;
     let net = bench.fabric.net();
     let faults = bench.fault_map();

@@ -19,7 +19,6 @@
 //! [`wsdf_sim::LatencyHistogram`], not just the mean.
 
 use crate::bench::{Bench, PatternSpec};
-use crate::scenario::PartitionerKind;
 use wsdf_exec::BspPool;
 use wsdf_sim::{Metrics, SimConfig, Tracer};
 
@@ -197,7 +196,6 @@ impl<'a> SweepDriver<'a> {
         cfg: &'a SweepConfig,
         spec: PatternSpec,
         pool: &'a BspPool,
-        partitioner: PartitionerKind,
         trace: Option<&'a Tracer>,
     ) -> Self {
         let bottleneck = matches!(
@@ -206,9 +204,9 @@ impl<'a> SweepDriver<'a> {
         );
         let mut sim = cfg.sim.clone();
         sim.per_endpoint_stats = bottleneck;
-        // Normalize once: VC raise + partition map are rate-independent,
-        // so every point of the sweep shares one prepared config.
-        let sim = bench.prepare_cfg(&sim, partitioner);
+        // Normalize once: the VC raise is rate-independent, so every
+        // point of the sweep shares one prepared config.
+        let sim = bench.prepare_cfg(&sim);
         SweepDriver {
             bench,
             cfg,
@@ -298,10 +296,9 @@ pub(crate) fn sweep_impl(
     spec: PatternSpec,
     rates_chip: &[f64],
     pool: &BspPool,
-    partitioner: PartitionerKind,
     trace: Option<&Tracer>,
 ) -> Vec<SweepPoint> {
-    let mut driver = SweepDriver::new(bench, cfg, spec, pool, partitioner, trace);
+    let mut driver = SweepDriver::new(bench, cfg, spec, pool, trace);
     let mut out = Vec::new();
     let mut past_saturation = 0usize;
     for &rate_chip in rates_chip {
@@ -349,13 +346,12 @@ pub(crate) fn adaptive_impl(
     cfg: &AdaptiveConfig,
     spec: PatternSpec,
     pool: &BspPool,
-    partitioner: PartitionerKind,
     trace: Option<&Tracer>,
 ) -> SaturationReport {
     assert!(cfg.growth > 1.0, "growth must be > 1");
     assert!(cfg.start_chip > 0.0, "start_chip must be > 0");
     assert!(cfg.rel_tol > 0.0, "rel_tol must be > 0");
-    let mut driver = SweepDriver::new(bench, &cfg.base, spec, pool, partitioner, trace);
+    let mut driver = SweepDriver::new(bench, &cfg.base, spec, pool, trace);
     let budget = cfg.max_points.max(3);
     let mut points: Vec<SweepPoint> = Vec::new();
 

@@ -39,13 +39,12 @@
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 
-/// Resolve a thread-count override from an environment lookup function.
-/// Split out from [`configured_threads`] so the precedence logic is
-/// testable without mutating the process environment, and public so the
-/// `wsdf` crate's `SessionConfig::resolve` can document the full
-/// environment-precedence table in one place without re-implementing
-/// this rule.
-pub fn resolve_threads(get: impl Fn(&str) -> Option<String>) -> Option<usize> {
+/// Resolve a thread-count override from an environment lookup function:
+/// `WSDF_THREADS`, then `RAYON_NUM_THREADS`; values are trimmed, and a
+/// non-numeric or zero value falls through to the next source. Split out
+/// from [`configured_threads`] so the precedence logic is testable
+/// without mutating the process environment.
+fn resolve_threads(get: impl Fn(&str) -> Option<String>) -> Option<usize> {
     for key in ["WSDF_THREADS", "RAYON_NUM_THREADS"] {
         if let Some(v) = get(key) {
             if let Ok(n) = v.trim().parse::<usize>() {
@@ -61,6 +60,7 @@ pub fn resolve_threads(get: impl Fn(&str) -> Option<String>) -> Option<usize> {
 /// Worker count the process-wide pool is sized with: `WSDF_THREADS` if set,
 /// else `RAYON_NUM_THREADS`, else the machine's available parallelism.
 /// Cached on first use (environment changes after that are ignored).
+#[allow(clippy::disallowed_methods)] // the one WSDF_THREADS reader
 pub fn configured_threads() -> usize {
     static N: OnceLock<usize> = OnceLock::new();
     *N.get_or_init(|| {
@@ -571,6 +571,11 @@ mod tests {
         );
         assert_eq!(resolve_threads(env(&[("WSDF_THREADS", "0")])), None);
         assert_eq!(resolve_threads(env(&[("WSDF_THREADS", "lots")])), None);
+        assert_eq!(
+            resolve_threads(env(&[("WSDF_THREADS", "lots"), ("RAYON_NUM_THREADS", "5")])),
+            Some(5),
+            "an invalid WSDF_THREADS falls through to RAYON_NUM_THREADS"
+        );
         assert_eq!(resolve_threads(env(&[])), None);
         assert_eq!(resolve_threads(env(&[("WSDF_THREADS", " 4 ")])), Some(4));
     }

@@ -72,10 +72,9 @@ impl Default for SimConfig {
 /// Process-wide default for [`SimConfig::event_driven`]: the
 /// `WSDF_EVENT_DRIVEN` env var, where only the literal `0` opts out.
 /// Cached so repeated `SimConfig::default()` calls cannot race a test
-/// harness mutating the environment mid-run. Public so the `wsdf`
-/// crate's `SessionConfig::from_env` resolves stepping from the same
-/// cached read instead of a second per-callsite lookup.
-pub fn event_driven_default() -> bool {
+/// harness mutating the environment mid-run.
+#[allow(clippy::disallowed_methods)] // the one WSDF_EVENT_DRIVEN reader
+fn event_driven_default() -> bool {
     use std::sync::OnceLock;
     static DEFAULT: OnceLock<bool> = OnceLock::new();
     *DEFAULT.get_or_init(|| resolve_event_driven(|k| std::env::var(k).ok()))
@@ -85,7 +84,7 @@ pub fn event_driven_default() -> bool {
 /// literal `0` in `WSDF_EVENT_DRIVEN` selects dense stepping; anything
 /// else (or unset) selects event-driven. Split out so the precedence
 /// table is testable without mutating the process environment.
-pub fn resolve_event_driven(get: impl Fn(&str) -> Option<String>) -> bool {
+fn resolve_event_driven(get: impl Fn(&str) -> Option<String>) -> bool {
     get("WSDF_EVENT_DRIVEN").is_none_or(|v| v != "0")
 }
 
@@ -139,6 +138,22 @@ mod tests {
         assert_eq!(c.total_cycles(), 10_000);
         assert_eq!(c.warmup_cycles, 5_000);
         c.validate().unwrap();
+    }
+
+    #[test]
+    fn precedence_table_stepping() {
+        let driven = |value: Option<&str>| {
+            resolve_event_driven(|k| {
+                assert_eq!(k, "WSDF_EVENT_DRIVEN");
+                value.map(str::to_string)
+            })
+        };
+        assert!(driven(None));
+        assert!(!driven(Some("0")));
+        assert!(driven(Some("1")));
+        // Only the literal "0" opts out — anything else is event-driven.
+        assert!(driven(Some("false")));
+        assert!(driven(Some("")));
     }
 
     #[test]

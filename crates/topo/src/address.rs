@@ -145,26 +145,22 @@ impl SlParams {
         self.cores_per_cgroup() as f64 / self.nodes_per_chip
     }
 
-    /// Validate the configuration.
+    /// Validate the configuration. Derived counts are checked in wide
+    /// arithmetic before any `u32` accessor runs, so no field values
+    /// overflow, and a valid configuration's routers (and with them every
+    /// other count) fit the u32 id space.
     pub fn validate(&self) -> Result<(), String> {
-        if self.m < 2 {
-            return Err("mesh side m must be >= 2".into());
-        }
-        if self.a == 0 || self.b == 0 {
-            return Err("a and b must be >= 1".into());
-        }
-        if self.ab() > self.k() {
+        let (per_wgroup, max_wgroups) = self.wgroup_shape()?;
+        if self.wgroups == 0 || self.wgroups > max_wgroups {
             return Err(format!(
-                "ab = {} exceeds external ports k = {} (h would be < 1)",
-                self.ab(),
-                self.k()
+                "wgroups = {} out of range 1..={max_wgroups}",
+                self.wgroups
             ));
         }
-        if self.wgroups == 0 || self.wgroups > self.max_wgroups() {
+        let routers = u64::from(self.wgroups) * u64::from(per_wgroup);
+        if routers > u64::from(u32::MAX) {
             return Err(format!(
-                "wgroups = {} out of range 1..={}",
-                self.wgroups,
-                self.max_wgroups()
+                "wgroups*ab*(m*m + k) = {routers} routers exceed the u32 id space"
             ));
         }
         if self.chiplet == 0 || !self.m.is_multiple_of(self.chiplet) {
@@ -180,6 +176,33 @@ impl SlParams {
             return Err("mesh_width must be 1, 2 or 4".into());
         }
         Ok(())
+    }
+
+    /// Check `m`, `a` and `b`, and return the routers of one W-group,
+    /// `ab(m² + k)`, and [`max_wgroups`](Self::max_wgroups). Once this
+    /// passes, every per-C-group and per-W-group count fits `u32`
+    /// (`max_wgroups = abh + 1 ≤ ab·k + 1` is below the W-group's routers).
+    fn wgroup_shape(&self) -> Result<(u32, u32), String> {
+        if self.m < 2 {
+            return Err("mesh side m must be >= 2".into());
+        }
+        if self.a == 0 || self.b == 0 {
+            return Err("a and b must be >= 1".into());
+        }
+        let m = u128::from(self.m);
+        let ab = u128::from(self.a) * u128::from(self.b);
+        let k = 4 * m - 4;
+        if ab > k {
+            return Err(format!(
+                "ab = {ab} exceeds external ports k = {k} (h would be < 1)"
+            ));
+        }
+        // ab ≤ k < 2^34 and m² + k < 2^65: the product cannot overflow.
+        let per_wgroup = ab * (m * m + k);
+        let per_wgroup = u32::try_from(per_wgroup).map_err(|_| {
+            format!("ab*(m*m + k) = {per_wgroup} routers per W-group exceed the u32 id space")
+        })?;
+        Ok((per_wgroup, self.max_wgroups()))
     }
 
     /// Canonical one-line JSON form: every field explicit, preset-free, in
@@ -261,10 +284,10 @@ impl SlParams {
             Some(x) => x,
             None => preset
                 .map(|p| p.nodes_per_chip)
-                .unwrap_or((p.chiplet * p.chiplet) as f64),
+                .unwrap_or(f64::from(p.chiplet) * f64::from(p.chiplet)),
         };
         if p.wgroups == 0 {
-            p.wgroups = p.max_wgroups();
+            p.wgroups = p.wgroup_shape().map_err(|e| format!("{path}: {e}"))?.1;
         }
         p.validate().map_err(|e| format!("{path}: {e}"))?;
         Ok(p)
@@ -516,9 +539,7 @@ impl SwParams {
 
     /// Validate the configuration.
     pub fn validate(&self) -> Result<(), String> {
-        if self.terminals == 0 || self.locals == 0 {
-            return Err("terminals and locals must be >= 1".into());
-        }
+        self.check_ports()?;
         if self.groups == 0 || self.groups > self.max_groups() {
             return Err(format!(
                 "groups = {} out of range 1..={}",
@@ -529,7 +550,19 @@ impl SwParams {
         if self.groups > 1 && self.globals == 0 {
             return Err("multi-group network needs global ports".into());
         }
-        if self.radix() as usize > wsdf_sim::MAX_PORTS {
+        Ok(())
+    }
+
+    /// Check the port split: at least one terminal and one local port,
+    /// and a radix within the engine's port limit, summed in `u64`. Once
+    /// this passes every count fits `u32`: at most 64 switches per group
+    /// and 64² + 1 groups.
+    fn check_ports(&self) -> Result<(), String> {
+        if self.terminals == 0 || self.locals == 0 {
+            return Err("terminals and locals must be >= 1".into());
+        }
+        let radix = u64::from(self.terminals) + u64::from(self.locals) + u64::from(self.globals);
+        if radix > wsdf_sim::MAX_PORTS as u64 {
             return Err(format!(
                 "radix exceeds engine port limit ({})",
                 wsdf_sim::MAX_PORTS
@@ -587,6 +620,7 @@ impl SwParams {
             groups: u32f("groups", preset.map(|p| p.groups).or(Some(0)))?,
         };
         if p.groups == 0 {
+            p.check_ports().map_err(|e| format!("{path}: {e}"))?;
             p.groups = p.max_groups();
         }
         p.validate().map_err(|e| format!("{path}: {e}"))?;
@@ -914,6 +948,14 @@ mod tests {
             (
                 r#"{"preset": "radix16", "wgroups": 99}"#,
                 "t: wgroups = 99 out of range 1..=41",
+            ),
+            (
+                r#"{"a": 1, "b": 1, "m": 40000, "chiplet": 1, "wgroups": 3}"#,
+                "t: wgroups*ab*(m*m + k) = 4800479988 routers exceed the u32 id space",
+            ),
+            (
+                r#"{"a": 1, "b": 1, "m": 4, "chiplet": 100000}"#,
+                "t: chiplet side 100000 must divide mesh side 4",
             ),
         ];
         for (doc, want) in cases {

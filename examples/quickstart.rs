@@ -41,8 +41,8 @@ fn main() {
     println!("\n{}", report.render(&bench.label));
     println!(
         "trace: {} JSONL records, digest {}",
-        trace.jsonl.as_deref().map_or(0, |t| t.lines().count()),
-        trace.digest.as_deref().unwrap_or("-")
+        trace.jsonl.lines().count(),
+        trace.digest
     );
     println!(
         "saturation: {:.2} flits/cycle/chip ({} simulations, zero-load {:.1} cycles)",

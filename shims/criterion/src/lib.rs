@@ -120,6 +120,7 @@ impl Criterion {
 
     /// Print the summary and honor `CRITERION_JSON`. Called by
     /// `criterion_main!` after all groups ran.
+    #[allow(clippy::disallowed_methods)] // the one CRITERION_JSON reader
     pub fn final_summary(&self) {
         if let Ok(path) = std::env::var("CRITERION_JSON") {
             let mut out = String::from("[\n");

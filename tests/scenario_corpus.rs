@@ -69,7 +69,7 @@ fn every_committed_scenario_reproduces_its_pinned_digest() {
             (true, Some(want_trace)) => {
                 let got = out
                     .trace
-                    .and_then(|t| t.digest)
+                    .map(|t| t.digest)
                     .unwrap_or_else(|| panic!("{}: telemetry run produced no trace", e.file));
                 assert_eq!(
                     &got, want_trace,
@@ -81,8 +81,9 @@ fn every_committed_scenario_reproduces_its_pinned_digest() {
 }
 
 /// The determinism contract: the full report (not just headline numbers)
-/// is bit-identical across partitions {1, 4} × workers {1, 4}, and every
-/// combination still lands on the pinned digest.
+/// and any trace stream are bit-identical across partitions {1, 4} ×
+/// workers {1, 4}, and every combination still lands on the pinned
+/// digests.
 #[test]
 fn reports_are_bit_identical_across_partitions_and_workers() {
     let (entries, digests) = corpus();
@@ -96,15 +97,26 @@ fn reports_are_bit_identical_across_partitions_and_workers() {
                     partitioner: PartitionerKind::Locality,
                 };
                 let pool = BspPool::new(workers);
-                let out = s.run_on(&pool).unwrap_or_else(|err| {
-                    panic!("{} (P={partitions}, W={workers}): {err}", e.file)
-                });
+                let out = Session::scenario(&s)
+                    .pool(&pool)
+                    .run()
+                    .unwrap_or_else(|err| {
+                        panic!("{} (P={partitions}, W={workers}): {err}", e.file)
+                    });
                 assert_eq!(
-                    &out.digest(),
+                    &out.report.digest(),
                     want,
                     "{}: report differs at P={partitions}, W={workers}",
                     e.file
                 );
+                if let Some(t) = out.trace {
+                    assert_eq!(
+                        t.digest,
+                        digests[&format!("{}::trace", e.file)],
+                        "{}: trace differs at P={partitions}, W={workers}",
+                        e.file
+                    );
+                }
             }
         }
     }
@@ -184,8 +196,10 @@ fn mutating_scenario_fields_changes_the_digest() {
     let digest_of = |mutate: &dyn Fn(&mut Scenario)| {
         let mut s = base.clone();
         mutate(&mut s);
-        s.run()
+        Session::scenario(&s)
+            .run()
             .unwrap_or_else(|e| panic!("mutant run failed: {e}"))
+            .report
             .digest()
     };
     type Mutant<'a> = (&'a str, &'a dyn Fn(&mut Scenario));
@@ -227,7 +241,11 @@ fn mutating_scenario_fields_changes_the_digest() {
     let mut s = uniform.clone();
     s.sim.seed += 1;
     assert_ne!(
-        s.run().expect("seed mutant").digest(),
+        Session::scenario(&s)
+            .run()
+            .expect("seed mutant")
+            .report
+            .digest(),
         digests["mesh_fig10_adaptive.json"],
         "mutating sim.seed did not change the digest"
     );

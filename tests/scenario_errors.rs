@@ -14,6 +14,7 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use wsdf::json::{read, Value};
 use wsdf::scenario::{self, Scenario};
+use wsdf::Session;
 
 const MANIFEST: &str = "expected.json";
 
@@ -76,7 +77,7 @@ fn every_invalid_scenario_fails_with_its_pinned_error() {
             .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
         let got = match Scenario::from_json_str(&text) {
             Err(e) => e,
-            Ok(s) => s
+            Ok(s) => Session::scenario(&s)
                 .run()
                 .err()
                 .unwrap_or_else(|| panic!("{file}: parsed and ran cleanly, expected \"{want}\"")),

@@ -62,7 +62,7 @@ fn open_loop_trace_bit_identical_across_matrix() {
                     .metrics(pattern.as_ref())
                     .unwrap();
                 let t = out.trace.expect("trace was configured");
-                let (jsonl, digest) = (t.jsonl.unwrap(), t.digest.unwrap());
+                let (jsonl, digest) = (t.jsonl, t.digest);
                 assert!(!jsonl.is_empty(), "trace stream should not be empty");
                 let tag = format!("parts={parts} workers={} event={event}", pool.workers());
                 match &baseline {
@@ -118,7 +118,7 @@ fn serving_trace_bit_identical_across_partitions() {
             .trace(trace_cfg())
             .serving(&spec)
             .unwrap();
-        let jsonl = out.trace.unwrap().jsonl.unwrap();
+        let jsonl = out.trace.unwrap().jsonl;
         let admits = jsonl
             .lines()
             .filter(|l| l.starts_with("{\"t\": \"admit\""))
@@ -180,7 +180,7 @@ fn lat_stream_reconciles_with_summary_metrics() {
             .metrics(pattern.as_ref())
             .unwrap();
         let m = &out.report;
-        let jsonl = out.trace.as_ref().unwrap().jsonl.as_ref().unwrap();
+        let jsonl = &out.trace.as_ref().unwrap().jsonl;
         let (mut n, mut sum, mut max) = (0u64, 0u64, 0u64);
         for line in jsonl.lines().filter(|l| l.starts_with("{\"t\": \"lat\"")) {
             let v = Value::parse(line).unwrap();
