@@ -64,36 +64,22 @@ pub fn run_scenario_file(file: &str, check: bool) -> Result<TargetOutput, String
             .map(|n| n.to_string_lossy().into_owned())
             .unwrap_or_else(|| file.to_string());
         let pinned = scenario::read_digests(dir)?;
-        match pinned.iter().find(|(f, _)| *f == name) {
-            None => {
-                return Err(format!(
-                    "{name}: no pinned digest in {}",
+        let verify = |key: &str, what: &str, got: &str| -> Result<String, String> {
+            match pinned.iter().find(|(f, _)| f == key) {
+                None => Err(format!(
+                    "{key}: no pinned {what} in {}",
                     dir.join(scenario::DIGESTS_FILE).display()
-                ))
-            }
-            Some((_, want)) if *want != digest => {
-                return Err(format!(
-                    "{name}: digest mismatch: pinned {want}, got {digest}"
-                ))
-            }
-            Some(_) => out.text.push_str("digest check: OK\n"),
-        }
-        if let Some(got) = &trace_digest {
-            let tname = format!("{name}::trace");
-            match pinned.iter().find(|(f, _)| *f == tname) {
-                None => {
-                    return Err(format!(
-                        "{tname}: no pinned trace digest in {}",
-                        dir.join(scenario::DIGESTS_FILE).display()
-                    ))
-                }
+                )),
                 Some((_, want)) if want != got => {
-                    return Err(format!(
-                        "{tname}: trace digest mismatch: pinned {want}, got {got}"
-                    ))
+                    Err(format!("{key}: {what} mismatch: pinned {want}, got {got}"))
                 }
-                Some(_) => out.text.push_str("trace digest check: OK\n"),
+                Some(_) => Ok(format!("{what} check: OK\n")),
             }
+        };
+        out.text.push_str(&verify(&name, "digest", &digest)?);
+        if let Some(got) = &trace_digest {
+            out.text
+                .push_str(&verify(&format!("{name}::trace"), "trace digest", got)?);
         }
     }
     Ok(out)

@@ -222,11 +222,11 @@ pub(crate) fn resilience_impl(
     for (epoch, &f) in cfg.fractions.iter().enumerate() {
         if let Some(t) = trace {
             if t.config().epochs {
-                t.emit_one(TraceRec::Epoch {
+                t.emit(&[TraceRec::Epoch {
                     cycle: 0,
                     epoch: epoch as u32,
                     label: format!("fault_fraction={f}"),
-                });
+                }]);
             }
         }
         let fs = FaultSet::sample(net, &cfg.fault_spec(f));

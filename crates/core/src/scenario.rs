@@ -16,8 +16,9 @@
 //! * **Canonical round-trip.** [`Scenario::to_json`] writes the full
 //!   resolved form; parsing it back yields an identical scenario.
 //! * **Environment independence.** Stepping mode and the partition map
-//!   are resolved from the scenario itself, never from `WSDF_*` env vars,
-//!   so a scenario's report digest is a pure function of its file.
+//!   are resolved from the scenario itself, and reports are bit-identical
+//!   for any worker count, so a scenario's report digest is a pure
+//!   function of its file.
 //! * **Golden digests.** [`ScenarioOutcome::digest`] hashes the
 //!   canonical report JSON (FNV-1a via [`crate::json::digest_hex`]),
 //!   giving the `scenarios/` corpus a one-line regression signature per
@@ -31,7 +32,7 @@ use crate::resilience::{resilience_impl, ResilienceConfig, ResilienceReport};
 use crate::serving::{run_serving_impl, ServingReport};
 use crate::sweep::{adaptive_impl, sweep_impl, AdaptiveConfig, SaturationReport, SweepConfig};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use wsdf_exec::BspPool;
 use wsdf_routing::{RouteMode, VcScheme};
 use wsdf_sim::{SimConfig, TraceConfig, Tracer, MAX_PORTS};
@@ -251,9 +252,9 @@ impl SimSpec {
     }
 }
 
-/// Engine stepping mode, fixed by the scenario (never the
-/// `WSDF_EVENT_DRIVEN` env var — digests must not depend on the
-/// environment).
+/// Engine stepping mode, fixed by the scenario and handed to the run's
+/// [`SimConfig::event_driven`]. Both modes simulate identically; only
+/// the reported busy/skipped cycle split differs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stepping {
     /// Event-driven: idle routers skip, idle stretches fast-forward.
@@ -291,34 +292,12 @@ impl PartitionerKind {
             PartitionerKind::Blocks => "blocks",
         }
     }
-
-    /// The scheme bench sessions partition with: the `WSDF_PARTITIONER`
-    /// env var, read once per process (so a test harness mutating the
-    /// environment mid-run cannot race running simulations). Scenario
-    /// runs never consult it; their `partitioning` section decides.
-    #[allow(clippy::disallowed_methods)] // the one WSDF_PARTITIONER reader
-    pub(crate) fn env_default() -> PartitionerKind {
-        static KIND: OnceLock<PartitionerKind> = OnceLock::new();
-        *KIND.get_or_init(|| {
-            PartitionerKind::from_env_value(std::env::var("WSDF_PARTITIONER").ok().as_deref())
-        })
-    }
-
-    /// The rule behind [`PartitionerKind::env_default`]: only the literal
-    /// `blocks` selects contiguous blocks; any other value, or none,
-    /// selects locality. Never fails.
-    fn from_env_value(value: Option<&str>) -> PartitionerKind {
-        match value {
-            Some("blocks") => PartitionerKind::Blocks,
-            _ => PartitionerKind::Locality,
-        }
-    }
 }
 
 /// How a run assigns routers to BSP partitions. [`Partitioning::apply`]
-/// resolves it to the run's [`SimConfig::partition_map`]; a scenario
-/// carries its own, so the `WSDF_PARTITIONER` env var cannot influence a
-/// scenario run.
+/// resolves it to the run's [`SimConfig::partition_map`]: a scenario
+/// carries its own, and a bench session without a map resolves
+/// `Auto` with the locality partitioner.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Partitioning {
     /// Build the map with a named partitioner; `partitions == 0` sizes
@@ -589,8 +568,7 @@ pub enum Participants {
 pub enum WorkloadSpec {
     /// Build with one of the [`Workload`] collective constructors.
     Collective {
-        /// Builder name (`ring_allreduce`, `rd_allreduce`, `all_to_all`,
-        /// `broadcast`, `reduce`, `pipeline`).
+        /// Builder name, one of [`wsdf_workload::COLLECTIVES`].
         kind: String,
         /// Who participates.
         participants: Participants,
@@ -604,14 +582,46 @@ pub enum WorkloadSpec {
     Dag(Workload),
 }
 
-const COLLECTIVES: &[&str] = &[
-    "ring_allreduce",
-    "rd_allreduce",
-    "all_to_all",
-    "broadcast",
-    "reduce",
-    "pipeline",
-];
+/// Read the `collective`, `flits` and `microbatches` members a
+/// closed-loop workload and a serving class share: a name from
+/// [`wsdf_workload::COLLECTIVES`], at least one flit (64 by default), and
+/// a microbatch count (1 by default) that only `pipeline` may set.
+fn read_collective(v: &Value, path: &str) -> Result<(String, u64, u32), String> {
+    let kind = read::str_field(v, path, "collective")?;
+    if !wsdf_workload::COLLECTIVES.contains(&kind) {
+        return Err(format!("{path}.collective: unknown collective \"{kind}\""));
+    }
+    let flits = read::u64_or(v, path, "flits", 64)?;
+    if flits == 0 {
+        return Err(format!("{path}.flits: must be at least 1"));
+    }
+    let microbatches = match v.get("microbatches") {
+        None => 1,
+        Some(_) if kind != "pipeline" => {
+            return Err(format!(
+                "{path}.microbatches: only the pipeline collective takes microbatches"
+            ))
+        }
+        Some(_) => {
+            let mb = read::field::<u64>(v, path, "microbatches")?;
+            if mb == 0 || mb > u32::MAX as u64 {
+                return Err(format!("{path}.microbatches: must be at least 1"));
+            }
+            mb as u32
+        }
+    };
+    Ok((kind.to_string(), flits, microbatches))
+}
+
+/// The `flits` member, then `microbatches` for a pipeline: the writer
+/// side of [`read_collective`] (the caller writes `collective`).
+fn payload_json(kind: &str, flits: u64, microbatches: u32) -> String {
+    if kind == "pipeline" {
+        format!("\"flits\": {flits}, \"microbatches\": {microbatches}")
+    } else {
+        format!("\"flits\": {flits}")
+    }
+}
 
 impl WorkloadSpec {
     fn to_json(&self) -> String {
@@ -626,13 +636,9 @@ impl WorkloadSpec {
                     Participants::Chips => "\"chips\"".to_string(),
                     Participants::List(ids) => json::to_string(ids),
                 };
-                let mb = if kind == "pipeline" {
-                    format!(", \"microbatches\": {microbatches}")
-                } else {
-                    String::new()
-                };
                 format!(
-                    "{{\"collective\": \"{kind}\", \"participants\": {parts}, \"flits\": {flits}{mb}}}"
+                    "{{\"collective\": \"{kind}\", \"participants\": {parts}, {}}}",
+                    payload_json(kind, *flits, *microbatches)
                 )
             }
             WorkloadSpec::Dag(wl) => format!("{{\"dag\": {}}}", json::to_string(wl)),
@@ -663,10 +669,7 @@ impl WorkloadSpec {
                 Ok(WorkloadSpec::Dag(read::field(v, path, "dag")?))
             }
             (true, false) => {
-                let kind = read::str_field(v, path, "collective")?;
-                if !COLLECTIVES.contains(&kind) {
-                    return Err(format!("{path}.collective: unknown collective \"{kind}\""));
-                }
+                let (kind, flits, microbatches) = read_collective(v, path)?;
                 let participants = match v.get("participants") {
                     None => Participants::Chips,
                     Some(Value::Str(s)) if s == "chips" => Participants::Chips,
@@ -679,27 +682,8 @@ impl WorkloadSpec {
                         ))
                     }
                 };
-                let flits = read::u64_or(v, path, "flits", 64)?;
-                if flits == 0 {
-                    return Err(format!("{path}.flits: must be at least 1"));
-                }
-                let microbatches = match v.get("microbatches") {
-                    None => 1,
-                    Some(_) if kind != "pipeline" => {
-                        return Err(format!(
-                            "{path}.microbatches: only the pipeline collective takes microbatches"
-                        ))
-                    }
-                    Some(_) => {
-                        let mb = read::field::<u64>(v, path, "microbatches")?;
-                        if mb == 0 || mb > u32::MAX as u64 {
-                            return Err(format!("{path}.microbatches: must be at least 1"));
-                        }
-                        mb as u32
-                    }
-                };
                 Ok(WorkloadSpec::Collective {
-                    kind: kind.to_string(),
+                    kind,
                     participants,
                     flits,
                     microbatches,
@@ -834,18 +818,13 @@ impl RunSpec {
                     .classes
                     .iter()
                     .map(|c| {
-                        let mb = if c.collective == "pipeline" {
-                            format!(", \"microbatches\": {}", c.microbatches)
-                        } else {
-                            String::new()
-                        };
                         format!(
-                            "{{\"name\": \"{}\", \"collective\": \"{}\", \"flits\": {}{mb}, \
+                            "{{\"name\": \"{}\", \"collective\": \"{}\", {}, \
                              \"participants\": {}, \"placement\": \"{}\", \"slo_cycles\": {}, \
                              \"weight\": {}}}",
                             json::escape(&c.name),
                             c.collective,
-                            c.flits,
+                            payload_json(&c.collective, c.flits, c.microbatches),
                             c.participants,
                             c.placement.name(),
                             c.slo_cycles,
@@ -1094,31 +1073,7 @@ impl RunSpec {
                     if name.is_empty() {
                         return Err(format!("{cpath}.name: must not be empty"));
                     }
-                    let collective = read::str_field(c, &cpath, "collective")?;
-                    if !COLLECTIVES.contains(&collective) {
-                        return Err(format!(
-                            "{cpath}.collective: unknown collective \"{collective}\""
-                        ));
-                    }
-                    let flits = read::u64_or(c, &cpath, "flits", 64)?;
-                    if flits == 0 {
-                        return Err(format!("{cpath}.flits: must be at least 1"));
-                    }
-                    let microbatches = match c.get("microbatches") {
-                        None => 1,
-                        Some(_) if collective != "pipeline" => {
-                            return Err(format!(
-                            "{cpath}.microbatches: only the pipeline collective takes microbatches"
-                        ))
-                        }
-                        Some(_) => {
-                            let mb = read::field::<u64>(c, &cpath, "microbatches")?;
-                            if mb == 0 || mb > u32::MAX as u64 {
-                                return Err(format!("{cpath}.microbatches: must be at least 1"));
-                            }
-                            mb as u32
-                        }
-                    };
+                    let (collective, flits, microbatches) = read_collective(c, &cpath)?;
                     let participants = read::field::<u64>(c, &cpath, "participants")?;
                     if !(2..=u32::MAX as u64).contains(&participants) {
                         return Err(format!("{cpath}.participants: must be at least 2"));
@@ -1137,7 +1092,7 @@ impl RunSpec {
                     }
                     classes.push(JobClass {
                         name,
-                        collective: collective.to_string(),
+                        collective,
                         flits,
                         microbatches,
                         participants: participants as u32,
@@ -1426,8 +1381,7 @@ impl Scenario {
     }
 
     /// The [`SimConfig`] this scenario runs with (before partitioning is
-    /// resolved). Stepping mode comes from the scenario, not the
-    /// environment.
+    /// resolved), stepping mode included.
     fn sim_config(&self) -> SimConfig {
         SimConfig {
             packet_len: self.sim.packet_len,
@@ -1562,19 +1516,8 @@ fn build_workload(spec: &WorkloadSpec, bench: &Bench) -> Result<Workload, String
             ids.len()
         ));
     }
-    match kind.as_str() {
-        "ring_allreduce" => Ok(Workload::ring_allreduce(&ids, flits)),
-        "rd_allreduce" => {
-            Workload::rd_allreduce(&ids, flits).map_err(|e| format!("scenario.run.workload: {e}"))
-        }
-        "all_to_all" => Ok(Workload::all_to_all(&ids, flits)),
-        "broadcast" => Ok(Workload::broadcast(&ids, flits)),
-        "reduce" => Ok(Workload::reduce(&ids, flits)),
-        "pipeline" => Ok(Workload::pipeline(&ids, microbatches, flits)),
-        other => Err(format!(
-            "scenario.run.workload.collective: unknown collective \"{other}\""
-        )),
-    }
+    Workload::collective(kind, &ids, flits, microbatches)
+        .map_err(|e| format!("scenario.run.workload: {e}"))
 }
 
 /// The result of executing a [`Scenario`]: one of the five report types,
@@ -2043,17 +1986,6 @@ mod tests {
             run(&s).unwrap_err(),
             "scenario.partitioning.map: partition ids must be dense (every id in 0..P used)"
         );
-    }
-
-    #[test]
-    fn precedence_table_partitioner() {
-        let pk = PartitionerKind::from_env_value;
-        assert_eq!(pk(None), PartitionerKind::Locality);
-        assert_eq!(pk(Some("blocks")), PartitionerKind::Blocks);
-        assert_eq!(pk(Some("locality")), PartitionerKind::Locality);
-        // Unknown values select the default, never error.
-        assert_eq!(pk(Some("BLOCKS")), PartitionerKind::Locality);
-        assert_eq!(pk(Some("")), PartitionerKind::Locality);
     }
 
     #[test]

@@ -24,15 +24,16 @@
 //!
 //! # Run settings
 //!
-//! Each setting has one source. A scenario session takes stepping,
-//! windows and partitioning from the scenario. A bench session takes
-//! them from its [`SimConfig`] template, whose `event_driven` default
-//! honors `WSDF_EVENT_DRIVEN`. Either way the partition map is resolved
-//! once, before dispatch, by [`Partitioning::apply`]: from the
-//! scenario's `partitioning` section, or for a bench session from the
-//! template's `partitions` and the `WSDF_PARTITIONER` default (skipped
-//! when the template already carries a map). Reports are bit-identical
-//! under any map, so it shows only in wall-clock time.
+//! A run's settings come from its arguments alone. A scenario session
+//! takes stepping, windows and partitioning from the scenario. A bench
+//! session takes them from its [`SimConfig`] template (event-driven
+//! stepping by default). Either way the partition map is resolved once,
+//! before dispatch, by [`Partitioning::apply`]: from the scenario's
+//! `partitioning` section, or for a bench session from the template's
+//! `partitions` with the locality partitioner (skipped when the
+//! template already carries a map). Reports are bit-identical under any
+//! map, so it shows only in wall-clock time. Every run executes on the
+//! [`BspPool`] given by [`Session::pool`], else the process-wide pool.
 //!
 //! # Telemetry
 //!
@@ -52,7 +53,7 @@ use crate::sweep::{
     adaptive_impl, sweep_impl, AdaptiveConfig, SaturationReport, SweepConfig, SweepPoint,
 };
 use wsdf_exec::BspPool;
-use wsdf_sim::{json, Metrics, SharedBuf, SimConfig, TraceConfig, Tracer, TrafficPattern};
+use wsdf_sim::{json, Metrics, SimConfig, TraceConfig, Tracer, TrafficPattern};
 use wsdf_workload::tenancy::ServingSpec;
 use wsdf_workload::Workload;
 
@@ -180,7 +181,7 @@ impl<'a> Session<'a> {
         if cfg.partition_map.is_none() {
             let auto = Partitioning::Auto {
                 partitions: cfg.partitions as u64,
-                partitioner: PartitionerKind::env_default(),
+                partitioner: PartitionerKind::Locality,
             };
             auto.apply(bench, &mut cfg)?;
         }
@@ -326,16 +327,9 @@ fn traced<T>(
             trace: None,
         });
     };
-    let buf = SharedBuf::new();
-    let (tracer, guard) = Tracer::new(cfg, Box::new(buf.clone()));
-    let report = body(Some(&tracer));
-    // The writer drains until every tracer handle is gone.
-    drop(tracer);
-    let joined = guard.finish();
-    let report = report?;
-    joined?;
-    let jsonl =
-        String::from_utf8(buf.contents()).map_err(|e| format!("trace stream is not UTF-8: {e}"))?;
+    let tracer = Tracer::new(cfg);
+    let report = body(Some(&tracer))?;
+    let jsonl = tracer.take_jsonl();
     Ok(Outcome {
         report,
         trace: Some(TraceOutcome {
@@ -384,9 +378,9 @@ mod tests {
     #[test]
     fn precedence_table_threads() {
         // An explicit pool trumps the environment; without one a session
-        // runs on the process-wide pool, sized by `WSDF_THREADS`, else
-        // `RAYON_NUM_THREADS` (exec's `env_override_precedence` pins that
-        // table), else the available parallelism.
+        // runs on the process-wide pool, sized by `WSDF_THREADS` (exec's
+        // `env_override_precedence` pins that rule), else the available
+        // parallelism.
         let bench = Bench::single_mesh(2, 2, 1);
         let pool = BspPool::new(3);
         let explicit = Session::bench(&bench).pool(&pool).executor();

@@ -21,10 +21,12 @@
 //!   cycle, keeping router/ring state hot in that core's cache.
 //!
 //! Worker-count policy lives here too: [`configured_threads`] honors
-//! `WSDF_THREADS`, then `RAYON_NUM_THREADS`, then the machine's available
-//! parallelism, and [`global_pool`] lazily builds the one process-wide pool
-//! that sweeps, benches, and the engine all share — thread state is created
-//! once per process, not once per run.
+//! `WSDF_THREADS`, then the machine's available parallelism, and
+//! [`global_pool`] lazily builds the one process-wide pool that sweeps,
+//! benches, and the engine all share — thread state is created once per
+//! process, not once per run. The pool's workers are the only threads
+//! the workspace starts outside tests; `clippy.toml` rejects any other
+//! spawn.
 //!
 //! ## Determinism contract
 //!
@@ -40,26 +42,18 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 
 /// Resolve a thread-count override from an environment lookup function:
-/// `WSDF_THREADS`, then `RAYON_NUM_THREADS`; values are trimmed, and a
-/// non-numeric or zero value falls through to the next source. Split out
-/// from [`configured_threads`] so the precedence logic is testable
-/// without mutating the process environment.
+/// `WSDF_THREADS`, trimmed; a non-numeric or zero value counts as unset.
+/// Split out from [`configured_threads`] so the rule is testable without
+/// mutating the process environment.
 fn resolve_threads(get: impl Fn(&str) -> Option<String>) -> Option<usize> {
-    for key in ["WSDF_THREADS", "RAYON_NUM_THREADS"] {
-        if let Some(v) = get(key) {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                if n > 0 {
-                    return Some(n);
-                }
-            }
-        }
-    }
-    None
+    get("WSDF_THREADS")
+        .and_then(|v| v.trim().parse::<usize>().ok())
+        .filter(|&n| n > 0)
 }
 
 /// Worker count the process-wide pool is sized with: `WSDF_THREADS` if set,
-/// else `RAYON_NUM_THREADS`, else the machine's available parallelism.
-/// Cached on first use (environment changes after that are ignored).
+/// else the machine's available parallelism. Cached on first use
+/// (environment changes after that are ignored).
 #[allow(clippy::disallowed_methods)] // the one WSDF_THREADS reader
 pub fn configured_threads() -> usize {
     static N: OnceLock<usize> = OnceLock::new();
@@ -176,6 +170,7 @@ impl BspPool {
         let handles = (0..slots - 1)
             .map(|i| {
                 let shared = Arc::clone(&shared);
+                #[allow(clippy::disallowed_methods)] // the pool is the one place threads start
                 std::thread::Builder::new()
                     .name(format!("wsdf-bsp-{}", i + 1))
                     .spawn(move || worker_loop(&shared, i))
@@ -563,19 +558,8 @@ mod tests {
             }
         };
         assert_eq!(resolve_threads(env(&[("WSDF_THREADS", "3")])), Some(3));
-        assert_eq!(resolve_threads(env(&[("RAYON_NUM_THREADS", "7")])), Some(7));
-        assert_eq!(
-            resolve_threads(env(&[("WSDF_THREADS", "2"), ("RAYON_NUM_THREADS", "9")])),
-            Some(2),
-            "WSDF_THREADS wins"
-        );
         assert_eq!(resolve_threads(env(&[("WSDF_THREADS", "0")])), None);
         assert_eq!(resolve_threads(env(&[("WSDF_THREADS", "lots")])), None);
-        assert_eq!(
-            resolve_threads(env(&[("WSDF_THREADS", "lots"), ("RAYON_NUM_THREADS", "5")])),
-            Some(5),
-            "an invalid WSDF_THREADS falls through to RAYON_NUM_THREADS"
-        );
         assert_eq!(resolve_threads(env(&[])), None);
         assert_eq!(resolve_threads(env(&[("WSDF_THREADS", " 4 ")])), Some(4));
     }

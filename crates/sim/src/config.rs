@@ -44,8 +44,8 @@ pub struct SimConfig {
     /// Event-driven stepping: only routers/endpoints with pending work run
     /// each cycle, and fully idle stretches are fast-forwarded. Results
     /// are bit-identical to the dense loop (covered by
-    /// `tests/event_equivalence.rs`); `false` forces the dense loop. The
-    /// default honors the `WSDF_EVENT_DRIVEN` env var (`0` disables).
+    /// `tests/event_equivalence.rs`); `false` forces the dense loop. On
+    /// by default.
     pub event_driven: bool,
 }
 
@@ -64,28 +64,9 @@ impl Default for SimConfig {
             partition_map: None,
             per_endpoint_stats: false,
             per_channel_stats: false,
-            event_driven: event_driven_default(),
+            event_driven: true,
         }
     }
-}
-
-/// Process-wide default for [`SimConfig::event_driven`]: the
-/// `WSDF_EVENT_DRIVEN` env var, where only the literal `0` opts out.
-/// Cached so repeated `SimConfig::default()` calls cannot race a test
-/// harness mutating the environment mid-run.
-#[allow(clippy::disallowed_methods)] // the one WSDF_EVENT_DRIVEN reader
-fn event_driven_default() -> bool {
-    use std::sync::OnceLock;
-    static DEFAULT: OnceLock<bool> = OnceLock::new();
-    *DEFAULT.get_or_init(|| resolve_event_driven(|k| std::env::var(k).ok()))
-}
-
-/// The pure resolution rule behind [`event_driven_default`]: only the
-/// literal `0` in `WSDF_EVENT_DRIVEN` selects dense stepping; anything
-/// else (or unset) selects event-driven. Split out so the precedence
-/// table is testable without mutating the process environment.
-fn resolve_event_driven(get: impl Fn(&str) -> Option<String>) -> bool {
-    get("WSDF_EVENT_DRIVEN").is_none_or(|v| v != "0")
 }
 
 impl SimConfig {
@@ -137,23 +118,8 @@ mod tests {
         assert_eq!(c.buffer_flits, 32);
         assert_eq!(c.total_cycles(), 10_000);
         assert_eq!(c.warmup_cycles, 5_000);
+        assert!(c.event_driven);
         c.validate().unwrap();
-    }
-
-    #[test]
-    fn precedence_table_stepping() {
-        let driven = |value: Option<&str>| {
-            resolve_event_driven(|k| {
-                assert_eq!(k, "WSDF_EVENT_DRIVEN");
-                value.map(str::to_string)
-            })
-        };
-        assert!(driven(None));
-        assert!(!driven(Some("0")));
-        assert!(driven(Some("1")));
-        // Only the literal "0" opts out — anything else is event-driven.
-        assert!(driven(Some("false")));
-        assert!(driven(Some("")));
     }
 
     #[test]

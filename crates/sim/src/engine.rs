@@ -647,7 +647,7 @@ pub struct Simulation<O: RouteOracle> {
     /// Telemetry emit handle ([`Simulation::attach_trace`]); `None` = off.
     tracer: Option<Tracer>,
     /// Serial-section scratch: records drained from the partitions at the
-    /// barrier, canonicalized and shipped by `emit_trace_batch`.
+    /// barrier, canonicalized and emitted by `emit_trace_batch`.
     trace_batch: Vec<TraceRec>,
 }
 
@@ -1023,8 +1023,8 @@ impl<O: RouteOracle> Simulation<O> {
     /// Observe-only by construction — partitions record into private
     /// buffers inside the parallel section, the engine drains them in
     /// partition order in the serial barrier section, sorts the batch into
-    /// the canonical `(cycle, kind, id)` order, and hands it to the
-    /// tracer's writer thread. Simulated state never depends on any of it,
+    /// the canonical `(cycle, kind, id)` order, and the tracer appends it
+    /// to its JSONL stream. Simulated state never depends on any of it,
     /// and the emitted bytes are identical for every partition count,
     /// worker count, and stepping mode.
     pub fn attach_trace(&mut self, tracer: &Tracer) {
@@ -1037,16 +1037,16 @@ impl<O: RouteOracle> Simulation<O> {
         self.tracer = Some(tracer.clone());
     }
 
-    /// Canonicalize and ship the batch drained since the last emit.
+    /// Canonicalize and emit the batch drained since the last emit.
     fn emit_trace_batch(&mut self) {
         if self.trace_batch.is_empty() {
             return;
         }
         telemetry::canonicalize(&mut self.trace_batch);
-        match &self.tracer {
-            Some(t) => t.emit(std::mem::take(&mut self.trace_batch)),
-            None => self.trace_batch.clear(),
+        if let Some(t) = &self.tracer {
+            t.emit(&self.trace_batch);
         }
+        self.trace_batch.clear();
     }
 
     /// End-of-run telemetry: flush each partition's final (possibly

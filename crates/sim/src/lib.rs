@@ -69,5 +69,5 @@ pub use oracle::{RouteChoice, RouteOracle};
 pub use pattern::TrafficPattern;
 pub use rng::SplitMix64;
 pub use router::Arrival;
-pub use telemetry::{SharedBuf, TraceConfig, TraceGuard, TraceRec, Tracer};
+pub use telemetry::{TraceConfig, TraceRec, Tracer};
 pub use wsdf_exec::{configured_threads, global_pool, BspPool};

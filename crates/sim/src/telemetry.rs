@@ -1,6 +1,6 @@
 //! Opt-in streaming telemetry: time-series trace of link utilization,
 //! router queue depths, ejection latencies, fault epochs, and serving job
-//! lifecycle, written as JSONL by a dedicated writer thread.
+//! lifecycle, captured as an in-memory JSONL stream.
 //!
 //! # Design
 //!
@@ -15,18 +15,16 @@
 //!    — no I/O, no locks, no allocation beyond the amortized buffers.
 //! 2. **Drain at the barrier.** After the BSP broadcast of a cycle
 //!    returns, the engine (single-threaded at that point) appends every
-//!    partition's buffered records — in partition order — into one batch,
-//!    sorts it by the canonical `(cycle, kind, agent id)` key, and sends
-//!    it over an mpsc channel. Sorting at the drain makes the emitted
-//!    stream independent of the partition count and worker count: every
-//!    agent is counted by exactly one partition with identical values, so
-//!    the sorted batch is a pure function of simulated state.
-//! 3. **Serialize off-thread.** A dedicated writer thread receives
-//!    batches and serializes them as JSONL through the hand-rolled
-//!    [`crate::json`] writer conventions. The channel is unbounded, so
-//!    the simulation never blocks on the writer. [`TraceGuard`] joins the
-//!    writer on drop (after all [`Tracer`] handles are gone), guaranteeing
-//!    the file is complete and flushed.
+//!    partition's buffered records — in partition order — into one batch
+//!    and sorts it by the canonical `(cycle, kind, agent id)` key.
+//!    Sorting at the drain makes the emitted stream independent of the
+//!    partition count and worker count: every agent is counted by exactly
+//!    one partition with identical values, so the sorted batch is a pure
+//!    function of simulated state.
+//! 3. **Serialize at the barrier.** [`Tracer::emit`] appends the batch
+//!    as JSONL lines through the hand-rolled [`crate::json`] writer
+//!    conventions to one string that every clone of the [`Tracer`]
+//!    shares; [`Tracer::take_jsonl`] hands the stream over after the run.
 //!
 //! # Determinism contract
 //!
@@ -53,10 +51,7 @@
 
 use crate::json::{escape, read, Value};
 use crate::router::RouterRt;
-use std::io::Write;
-use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 
 /// Which streams to record and how often to sample/flush.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -434,42 +429,20 @@ pub fn canonicalize(batch: &mut [TraceRec]) {
 
 /// Handle for emitting trace batches. Cheap to clone; attach one to each
 /// simulation of a run (and keep one for out-of-engine records like
-/// epochs). The writer thread exits once every clone is dropped.
+/// epochs). Every clone appends to the same in-memory JSONL stream.
 #[derive(Debug, Clone)]
 pub struct Tracer {
-    tx: mpsc::Sender<Vec<TraceRec>>,
     cfg: TraceConfig,
+    jsonl: Arc<Mutex<String>>,
 }
 
 impl Tracer {
-    /// Spawn the writer thread over `sink`. Returns the emit handle and
-    /// the guard that joins the writer: drop (or [`TraceGuard::finish`])
-    /// the guard *after* every `Tracer` clone is gone, or the join will
-    /// wait for them.
-    pub fn new(cfg: TraceConfig, sink: Box<dyn Write + Send>) -> (Tracer, TraceGuard) {
-        let (tx, rx) = mpsc::channel::<Vec<TraceRec>>();
-        let handle = std::thread::Builder::new()
-            .name("wsdf-trace-writer".into())
-            .spawn(move || {
-                let mut sink = std::io::BufWriter::new(sink);
-                let mut line = String::new();
-                while let Ok(batch) = rx.recv() {
-                    for rec in &batch {
-                        line.clear();
-                        rec.write_line(&mut line);
-                        line.push('\n');
-                        sink.write_all(line.as_bytes())?;
-                    }
-                }
-                sink.flush()
-            })
-            .expect("failed to spawn trace writer thread");
-        (
-            Tracer { tx, cfg },
-            TraceGuard {
-                handle: Some(handle),
-            },
-        )
+    /// A tracer over an empty stream.
+    pub fn new(cfg: TraceConfig) -> Tracer {
+        Tracer {
+            cfg,
+            jsonl: Arc::default(),
+        }
     }
 
     /// The stream/stride configuration this tracer was created with.
@@ -477,81 +450,20 @@ impl Tracer {
         &self.cfg
     }
 
-    /// Send one canonicalized batch to the writer (non-blocking; the
-    /// channel is unbounded). Dropped silently if the writer died — the
-    /// error surfaces at [`TraceGuard::finish`].
-    pub fn emit(&self, batch: Vec<TraceRec>) {
-        if !batch.is_empty() {
-            let _ = self.tx.send(batch);
+    /// Append one canonicalized batch to the stream, one JSONL line per
+    /// record. An empty batch appends nothing.
+    pub fn emit(&self, batch: &[TraceRec]) {
+        let mut out = self.jsonl.lock().expect("trace stream poisoned");
+        for rec in batch {
+            rec.write_line(&mut out);
+            out.push('\n');
         }
     }
 
-    /// Emit a single out-of-engine record (fault epochs, markers).
-    pub fn emit_one(&self, rec: TraceRec) {
-        let _ = self.tx.send(vec![rec]);
-    }
-}
-
-/// Joins the writer thread on drop, guaranteeing every emitted batch is
-/// serialized and the sink flushed before the trace file is read. Use
-/// [`TraceGuard::finish`] to surface I/O errors instead of ignoring them.
-#[derive(Debug)]
-pub struct TraceGuard {
-    handle: Option<JoinHandle<std::io::Result<()>>>,
-}
-
-impl TraceGuard {
-    /// Join the writer and report its I/O result.
-    pub fn finish(mut self) -> Result<(), String> {
-        self.join_writer()
-    }
-
-    fn join_writer(&mut self) -> Result<(), String> {
-        match self.handle.take() {
-            None => Ok(()),
-            Some(h) => match h.join() {
-                Ok(Ok(())) => Ok(()),
-                Ok(Err(e)) => Err(format!("trace writer I/O error: {e}")),
-                Err(_) => Err("trace writer thread panicked".into()),
-            },
-        }
-    }
-}
-
-impl Drop for TraceGuard {
-    fn drop(&mut self) {
-        let _ = self.join_writer();
-    }
-}
-
-/// An in-memory `Write` sink shareable across the writer thread and the
-/// caller: tests and the corpus digest trace files without touching the
-/// filesystem.
-#[derive(Debug, Clone, Default)]
-pub struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-
-impl SharedBuf {
-    /// A fresh, empty buffer.
-    pub fn new() -> SharedBuf {
-        SharedBuf::default()
-    }
-
-    /// A copy of everything written so far (call after the guard joined).
-    pub fn contents(&self) -> Vec<u8> {
-        self.0.lock().expect("trace buffer poisoned").clone()
-    }
-}
-
-impl Write for SharedBuf {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0
-            .lock()
-            .expect("trace buffer poisoned")
-            .extend_from_slice(buf);
-        Ok(buf.len())
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
+    /// Take the stream emitted so far through any clone, leaving it
+    /// empty.
+    pub fn take_jsonl(&self) -> String {
+        std::mem::take(&mut *self.jsonl.lock().expect("trace stream poisoned"))
     }
 }
 
@@ -699,28 +611,33 @@ mod tests {
     }
 
     #[test]
-    fn writer_thread_serializes_and_guard_joins() {
-        let buf = SharedBuf::new();
-        let (tracer, guard) = Tracer::new(TraceConfig::default(), Box::new(buf.clone()));
-        tracer.emit(vec![
-            TraceRec::Queue {
-                cycle: 0,
-                router: 1,
-                depth: 3,
-            },
+    fn clones_share_one_stream_in_emit_order() {
+        let tracer = Tracer::new(TraceConfig::default());
+        let clone = tracer.clone();
+        tracer.emit(&[]);
+        assert_eq!(clone.take_jsonl(), "", "an empty batch writes nothing");
+        tracer.emit(&[TraceRec::Queue {
+            cycle: 0,
+            router: 1,
+            depth: 3,
+        }]);
+        clone.emit(&[
             TraceRec::Link {
                 cycle: 256,
                 ch: 0,
                 flits: 10,
             },
+            TraceRec::Epoch {
+                cycle: 256,
+                epoch: 1,
+                label: "f=0.10".into(),
+            },
         ]);
-        drop(tracer);
-        guard.finish().unwrap();
-        let text = String::from_utf8(buf.contents()).unwrap();
         assert_eq!(
-            text,
+            tracer.take_jsonl(),
             "{\"t\": \"queue\", \"cycle\": 0, \"router\": 1, \"depth\": 3}\n\
-             {\"t\": \"link\", \"cycle\": 256, \"ch\": 0, \"flits\": 10}\n"
+             {\"t\": \"link\", \"cycle\": 256, \"ch\": 0, \"flits\": 10}\n\
+             {\"t\": \"epoch\", \"cycle\": 256, \"epoch\": 1, \"label\": \"f=0.10\"}\n"
         );
     }
 }

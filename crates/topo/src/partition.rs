@@ -58,8 +58,8 @@ pub struct PartitionStats {
 }
 
 /// The engine's legacy contiguous-block assignment: router `r` belongs to
-/// partition `r·parts / num_routers`. Kept as the `WSDF_PARTITIONER=blocks`
-/// escape hatch and as the baseline the locality partitioner must beat.
+/// partition `r·parts / num_routers`. Kept as the scenario partitioner
+/// `"blocks"` and as the baseline the locality partitioner must beat.
 pub fn contiguous_blocks(net: &NetworkDesc, parts: usize) -> Vec<u32> {
     let nr = net.num_routers();
     let p = parts.clamp(1, nr.max(1));

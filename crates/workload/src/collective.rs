@@ -395,7 +395,39 @@ impl Workload {
         }
         wl
     }
+
+    /// Build the collective named `kind` (one of [`COLLECTIVES`]) over
+    /// `participants`: `flits` is the builder's payload argument, and
+    /// `microbatches` counts only for `pipeline`. Errors name an unknown
+    /// collective or carry the builder's own error.
+    pub fn collective(
+        kind: &str,
+        participants: &[u32],
+        flits: u64,
+        microbatches: u32,
+    ) -> Result<Workload, String> {
+        match kind {
+            "ring_allreduce" => Ok(Workload::ring_allreduce(participants, flits)),
+            "rd_allreduce" => Workload::rd_allreduce(participants, flits),
+            "all_to_all" => Ok(Workload::all_to_all(participants, flits)),
+            "broadcast" => Ok(Workload::broadcast(participants, flits)),
+            "reduce" => Ok(Workload::reduce(participants, flits)),
+            "pipeline" => Ok(Workload::pipeline(participants, microbatches, flits)),
+            other => Err(format!("unknown collective \"{other}\"")),
+        }
+    }
 }
+
+/// The collective builders [`Workload::collective`] dispatches on, by the
+/// names scenario files use.
+pub const COLLECTIVES: [&str; 6] = [
+    "ring_allreduce",
+    "rd_allreduce",
+    "all_to_all",
+    "broadcast",
+    "reduce",
+    "pipeline",
+];
 
 /// One message of the JSON form: a [`Message`] plus its predecessor ids.
 #[derive(Default)]

@@ -181,8 +181,7 @@ impl Placement {
 pub struct JobClass {
     /// Class label (report rows key on it).
     pub name: String,
-    /// Collective builder name (`ring_allreduce`, `rd_allreduce`,
-    /// `all_to_all`, `broadcast`, `reduce`, `pipeline`).
+    /// Collective builder name, one of [`crate::COLLECTIVES`].
     pub collective: String,
     /// Payload flits (per participant/pair/activation — whatever the
     /// builder takes).
@@ -281,8 +280,9 @@ pub fn build_jobs(spec: &ServingSpec, endpoints: &[u32]) -> Result<Vec<JobInstan
             ));
         }
         let ids = class.placement.resolve(spec.seed, k as u64, p, endpoints);
-        let workload = build_collective(&class.collective, &ids, class.flits, class.microbatches)
-            .map_err(|e| format!("class \"{}\": {e}", class.name))?;
+        let workload =
+            Workload::collective(&class.collective, &ids, class.flits, class.microbatches)
+                .map_err(|e| format!("class \"{}\": {e}", class.name))?;
         if workload.len() as u64 > MAX_JOB_MESSAGES {
             return Err(format!(
                 "class \"{}\": {} messages exceed the per-job limit {MAX_JOB_MESSAGES}",
@@ -299,24 +299,6 @@ pub fn build_jobs(spec: &ServingSpec, endpoints: &[u32]) -> Result<Vec<JobInstan
         });
     }
     Ok(jobs)
-}
-
-/// Dispatch a collective builder by its scenario-file name.
-fn build_collective(
-    kind: &str,
-    ids: &[u32],
-    flits: u64,
-    microbatches: u32,
-) -> Result<Workload, String> {
-    match kind {
-        "ring_allreduce" => Ok(Workload::ring_allreduce(ids, flits)),
-        "rd_allreduce" => Workload::rd_allreduce(ids, flits),
-        "all_to_all" => Ok(Workload::all_to_all(ids, flits)),
-        "broadcast" => Ok(Workload::broadcast(ids, flits)),
-        "reduce" => Ok(Workload::reduce(ids, flits)),
-        "pipeline" => Ok(Workload::pipeline(ids, microbatches, flits)),
-        other => Err(format!("unknown collective \"{other}\"")),
-    }
 }
 
 /// Result of one multi-job serving run.

@@ -10,10 +10,12 @@
 //! `cycles_run` into busy + skipped — and that split is itself the same
 //! in every partitions × workers cell.
 
+use std::sync::Arc;
+
 use wsdf::exec::BspPool;
 use wsdf::routing::{RouteMode, VcScheme};
 use wsdf::sim::{Metrics, SimConfig};
-use wsdf::topo::{SlParams, SwParams};
+use wsdf::topo::{contiguous_blocks, SlParams, SwParams};
 use wsdf::{Bench, PatternSpec, Session, Workload, WorkloadUnits};
 
 fn families() -> Vec<(&'static str, Bench)> {
@@ -177,9 +179,10 @@ fn light_load_actually_skips_cycles() {
 
 /// Closed-loop runs: the full `WorkloadReport` of a ring-allreduce — the
 /// completion cycle above all — is bit-identical between dense and event
-/// stepping over the same matrix. The stepping counters are compared by
-/// their own invariants (they are the one designed difference), and the
-/// event split is pinned in every cell.
+/// stepping over the same matrix, with multi-partition cells run under
+/// the default locality map and under contiguous blocks. The stepping
+/// counters are compared by their own invariants (they are the one
+/// designed difference), and the event split is pinned in every cell.
 #[test]
 fn closed_loop_event_matches_dense_across_matrix() {
     let pools: Vec<BspPool> = [1usize, 2, 4].into_iter().map(BspPool::new).collect();
@@ -194,36 +197,50 @@ fn closed_loop_event_matches_dense_across_matrix() {
             .collect();
         let wl = Workload::ring_allreduce(&participants, 64);
         for parts in [1usize, 2, 4] {
-            for pool in &pools {
-                let run = |event: bool| {
-                    Session::bench(&bench)
-                        .sim(cfg(parts, event))
-                        .pool(pool)
-                        .workload(&wl, &WorkloadUnits::default())
-                        .unwrap()
-                        .report
-                };
-                let dense = run(false);
-                let mut event = run(true);
-                let tag = format!("{name}/{} p={parts} w={}", wl.name, pool.workers());
-                assert!(dense.completion_cycles > 0, "{tag}: no completion");
-                assert_eq!(dense.busy_cycles, dense.completion_cycles, "{tag}");
-                assert_eq!(dense.skipped_cycles, 0, "{tag}");
-                assert_eq!(
-                    event.busy_cycles + event.skipped_cycles,
-                    event.completion_cycles,
-                    "{tag}"
-                );
-                assert_eq!(
-                    (event.busy_cycles, event.skipped_cycles),
-                    split,
-                    "{tag}: event split"
-                );
-                // Everything else must match exactly: normalize the
-                // stepping split and compare whole reports.
-                event.busy_cycles = dense.busy_cycles;
-                event.skipped_cycles = dense.skipped_cycles;
-                assert_eq!(event, dense, "{tag}: report diverged");
+            let mut maps = vec![("locality", None)];
+            if parts > 1 {
+                let blocks = contiguous_blocks(bench.fabric.net(), parts);
+                maps.push(("blocks", Some(Arc::new(blocks))));
+            }
+            for (scheme, map) in &maps {
+                for pool in &pools {
+                    let run = |event: bool| {
+                        Session::bench(&bench)
+                            .sim(SimConfig {
+                                partition_map: map.clone(),
+                                ..cfg(parts, event)
+                            })
+                            .pool(pool)
+                            .workload(&wl, &WorkloadUnits::default())
+                            .unwrap()
+                            .report
+                    };
+                    let dense = run(false);
+                    let mut event = run(true);
+                    let tag = format!(
+                        "{name}/{} p={parts} map={scheme} w={}",
+                        wl.name,
+                        pool.workers()
+                    );
+                    assert!(dense.completion_cycles > 0, "{tag}: no completion");
+                    assert_eq!(dense.busy_cycles, dense.completion_cycles, "{tag}");
+                    assert_eq!(dense.skipped_cycles, 0, "{tag}");
+                    assert_eq!(
+                        event.busy_cycles + event.skipped_cycles,
+                        event.completion_cycles,
+                        "{tag}"
+                    );
+                    assert_eq!(
+                        (event.busy_cycles, event.skipped_cycles),
+                        split,
+                        "{tag}: event split"
+                    );
+                    // Everything else must match exactly: normalize the
+                    // stepping split and compare whole reports.
+                    event.busy_cycles = dense.busy_cycles;
+                    event.skipped_cycles = dense.skipped_cycles;
+                    assert_eq!(event, dense, "{tag}: report diverged");
+                }
             }
         }
     }

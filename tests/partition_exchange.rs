@@ -44,16 +44,28 @@ fn expected_adjacency(
     set
 }
 
-/// Run `bench` under an explicit partition map and audit the exchange:
-/// edge set equality, counter conservation, and real boundary traffic.
-/// Returns the observed edge set for extra per-test assertions.
+/// Run `bench` under an explicit partition map, once per stepping mode,
+/// and audit the exchange: edge set equality, counter conservation, and
+/// real boundary traffic. Returns the observed edge set for extra
+/// per-test assertions.
 fn audit(bench: &Bench, assign: &[u32], rate: f64) -> BTreeSet<(u32, u32)> {
+    audit_stepping(bench, assign, rate, false);
+    audit_stepping(bench, assign, rate, true)
+}
+
+fn audit_stepping(
+    bench: &Bench,
+    assign: &[u32],
+    rate: f64,
+    event_driven: bool,
+) -> BTreeSet<(u32, u32)> {
     let net = bench.fabric.net();
     let mut cfg = SimConfig {
         warmup_cycles: 100,
         measure_cycles: 300,
         drain_cycles: 2_000,
         partitions: 1, // ignored: the explicit map below wins
+        event_driven,
         ..Default::default()
     };
     cfg.num_vcs = cfg.num_vcs.max(bench.oracle.num_vcs());

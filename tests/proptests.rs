@@ -449,17 +449,9 @@ fn exchange_conserves_boundary_messages() {
 /// an explicit layered DAG otherwise.
 fn any_workload_spec(rng: &mut SplitMix64) -> wsdf::scenario::WorkloadSpec {
     use wsdf::scenario::{Participants, WorkloadSpec};
-    use wsdf::workload::{Message, Workload};
+    use wsdf::workload::{Message, Workload, COLLECTIVES};
     if rng.chance(0.5) {
-        let kinds = [
-            "ring_allreduce",
-            "rd_allreduce",
-            "all_to_all",
-            "broadcast",
-            "reduce",
-            "pipeline",
-        ];
-        let kind = kinds[rng.next_below(kinds.len() as u64) as usize];
+        let kind = COLLECTIVES[rng.next_below(COLLECTIVES.len() as u64) as usize];
         let participants = if rng.chance(0.5) {
             Participants::Chips
         } else {
@@ -504,17 +496,10 @@ fn any_workload_spec(rng: &mut SplitMix64) -> wsdf::scenario::WorkloadSpec {
 /// over the registered collectives, all three placement schemes.
 fn any_serving_spec(rng: &mut SplitMix64) -> wsdf::workload::tenancy::ServingSpec {
     use wsdf::workload::tenancy::{ArrivalProcess, JobClass, Placement, ServingSpec};
-    let kinds = [
-        "ring_allreduce",
-        "rd_allreduce",
-        "all_to_all",
-        "broadcast",
-        "reduce",
-        "pipeline",
-    ];
+    use wsdf::workload::COLLECTIVES;
     let classes = (0..1 + rng.next_below(3))
         .map(|i| {
-            let kind = kinds[rng.next_below(kinds.len() as u64) as usize];
+            let kind = COLLECTIVES[rng.next_below(COLLECTIVES.len() as u64) as usize];
             JobClass {
                 name: format!("class{i}"),
                 collective: kind.to_string(),

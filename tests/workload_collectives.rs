@@ -7,10 +7,12 @@
 //! {1, 2, 4} on both evaluated topology families, with every run
 //! terminating at quiescence rather than a fixed cycle budget.
 
+use std::sync::Arc;
+
 use wsdf::exec::BspPool;
 use wsdf::routing::{RouteMode, VcScheme};
 use wsdf::sim::SimConfig;
-use wsdf::topo::{SlParams, SwParams};
+use wsdf::topo::{contiguous_blocks, SlParams, SwParams};
 use wsdf::{Bench, Session, Workload, WorkloadReport, WorkloadUnits};
 
 fn run_workload(bench: &Bench, cfg: SimConfig, wl: &Workload) -> WorkloadReport {
@@ -60,19 +62,30 @@ fn cfg(partitions: usize) -> SimConfig {
 }
 
 /// Allreduce + all-to-all completion cycles (and the full report) are
-/// bit-identical across partitions {1, 2, 4} on both topology families.
+/// bit-identical across partitions {1, 2, 4}, under the default locality
+/// map and under contiguous blocks, on both topology families.
 #[test]
 fn collective_reports_bit_identical_across_partitions() {
     for (name, bench) in families() {
         let participants = chip_participants(&bench);
         for wl in acceptance_workloads(&participants) {
-            let run = |parts: usize| -> WorkloadReport { run_workload(&bench, cfg(parts), &wl) };
-            let base = run(1);
+            let run = |cfg: SimConfig| -> WorkloadReport { run_workload(&bench, cfg, &wl) };
+            let base = run(cfg(1));
             assert!(base.completion_cycles > 0, "{name}/{}", wl.name);
             assert_eq!(base.flits, wl.total_flits());
             for parts in [2usize, 4] {
-                let r = run(parts);
-                assert_eq!(r, base, "{name}/{} partitions={parts}", wl.name);
+                let blocks = contiguous_blocks(bench.fabric.net(), parts);
+                for (scheme, map) in [("locality", None), ("blocks", Some(Arc::new(blocks)))] {
+                    let r = run(SimConfig {
+                        partition_map: map,
+                        ..cfg(parts)
+                    });
+                    assert_eq!(
+                        r, base,
+                        "{name}/{} partitions={parts} map={scheme}",
+                        wl.name
+                    );
+                }
             }
         }
     }
