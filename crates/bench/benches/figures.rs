@@ -7,34 +7,38 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use wsdf::routing::{RouteMode, VcScheme};
-use wsdf::{
-    AdaptiveConfig, Bench, PatternSpec, SaturationReport, Session, SweepConfig, SweepPoint,
-};
+use wsdf::sim::SimConfig;
+use wsdf::{AdaptiveConfig, Bench, PatternSpec, SaturationReport, Session, SweepPoint};
 use wsdf_bench::{figures, Effort};
 use wsdf_topo::{SlParams, SwParams};
 use wsdf_traffic::{PermKind, RingDirection};
 
-fn quick() -> SweepConfig {
-    SweepConfig::default().scaled(0.05)
+fn quick() -> SimConfig {
+    SimConfig {
+        partitions: 0,
+        ..SimConfig::default()
+    }
+    .scaled(0.05)
 }
 
-fn sweep(bench: &Bench, cfg: &SweepConfig, spec: PatternSpec, rates: &[f64]) -> Vec<SweepPoint> {
+fn sweep(bench: &Bench, spec: PatternSpec, rates: &[f64]) -> Vec<SweepPoint> {
     Session::bench(bench)
-        .sweep(cfg, spec, rates)
+        .sim(quick())
+        .sweep(spec, rates)
         .unwrap()
         .report
 }
 
-fn adaptive_sweep(bench: &Bench, cfg: &AdaptiveConfig, spec: PatternSpec) -> SaturationReport {
-    Session::bench(bench).adaptive(cfg, spec).unwrap().report
-}
-
-fn quick_adaptive() -> AdaptiveConfig {
-    AdaptiveConfig {
+fn adaptive_sweep(bench: &Bench, spec: PatternSpec) -> SaturationReport {
+    let cfg = AdaptiveConfig {
         start_chip: 0.2,
         ..Default::default()
-    }
-    .scaled(0.05)
+    };
+    Session::bench(bench)
+        .sim(quick())
+        .adaptive(&cfg, spec)
+        .unwrap()
+        .report
 }
 
 fn bench_small_figures(c: &mut Criterion) {
@@ -52,7 +56,7 @@ fn bench_figure_families_reduced_scale(c: &mut Criterion) {
     g.bench_function("global_uniform_5wg", |b| {
         let p = SlParams::radix16().with_wgroups(5);
         let bench = Bench::switchless(&p, RouteMode::Minimal, VcScheme::Baseline);
-        b.iter(|| sweep(&bench, &quick(), PatternSpec::Uniform, &[0.2, 0.4, 0.6]));
+        b.iter(|| sweep(&bench, PatternSpec::Uniform, &[0.2, 0.4, 0.6]));
     });
     // Fig. 10(d) family: permutation traffic on one W-group.
     g.bench_function("local_bitreverse_1wg", |b| {
@@ -61,7 +65,6 @@ fn bench_figure_families_reduced_scale(c: &mut Criterion) {
         b.iter(|| {
             sweep(
                 &bench,
-                &quick(),
                 PatternSpec::Permutation(PermKind::BitReverse),
                 &[0.5, 1.0, 1.5],
             )
@@ -71,7 +74,7 @@ fn bench_figure_families_reduced_scale(c: &mut Criterion) {
     g.bench_function("worstcase_valiant_5wg", |b| {
         let p = SlParams::radix16().with_wgroups(5);
         let bench = Bench::switchless(&p, RouteMode::Valiant, VcScheme::Baseline);
-        b.iter(|| sweep(&bench, &quick(), PatternSpec::WorstCase, &[0.15, 0.3]));
+        b.iter(|| sweep(&bench, PatternSpec::WorstCase, &[0.15, 0.3]));
     });
     // Fig. 14 family: bidirectional W-group rings.
     g.bench_function("allreduce_bi_1wg", |b| {
@@ -80,7 +83,6 @@ fn bench_figure_families_reduced_scale(c: &mut Criterion) {
         b.iter(|| {
             sweep(
                 &bench,
-                &quick(),
                 PatternSpec::RingWGroup(RingDirection::Bidirectional),
                 &[0.6, 1.2],
             )
@@ -90,7 +92,7 @@ fn bench_figure_families_reduced_scale(c: &mut Criterion) {
     g.bench_function("switchbased_uniform_5grp", |b| {
         let p = SwParams::radix16().with_groups(5);
         let bench = Bench::switchbased(&p, RouteMode::Minimal);
-        b.iter(|| sweep(&bench, &quick(), PatternSpec::Uniform, &[0.3, 0.6]));
+        b.iter(|| sweep(&bench, PatternSpec::Uniform, &[0.3, 0.6]));
     });
     // Adaptive saturation search: the full two-phase driver (geometric
     // coarse scan + knee bisection) on one W-group — times the per-figure
@@ -98,7 +100,7 @@ fn bench_figure_families_reduced_scale(c: &mut Criterion) {
     g.bench_function("adaptive_saturation_1wg", |b| {
         let p = SlParams::radix16().with_wgroups(1);
         let bench = Bench::switchless(&p, RouteMode::Minimal, VcScheme::Baseline);
-        b.iter(|| adaptive_sweep(&bench, &quick_adaptive(), PatternSpec::Uniform));
+        b.iter(|| adaptive_sweep(&bench, PatternSpec::Uniform));
     });
     g.finish();
 }
@@ -116,7 +118,7 @@ fn bench_vc_ablation(c: &mut Criterion) {
         g.bench_function(name, |b| {
             let p = SlParams::radix16().with_wgroups(1);
             let bench = Bench::switchless(&p, RouteMode::Minimal, scheme);
-            b.iter(|| sweep(&bench, &quick(), PatternSpec::Uniform, &[0.4, 0.8]));
+            b.iter(|| sweep(&bench, PatternSpec::Uniform, &[0.4, 0.8]));
         });
     }
     g.finish();

@@ -6,9 +6,7 @@
 use crate::Effort;
 use wsdf::report::{Curve, Figure};
 use wsdf::routing::{RouteMode, VcScheme};
-use wsdf::{
-    AdaptiveConfig, Bench, PatternSpec, SaturationReport, Session, SweepConfig, SweepPoint,
-};
+use wsdf::{AdaptiveConfig, Bench, PatternSpec, SaturationReport, Session, SweepPoint};
 use wsdf_analysis::EnergyModel;
 use wsdf_sim::SimConfig;
 use wsdf_topo::{SlParams, SwParams};
@@ -18,21 +16,23 @@ fn rates(max: f64, steps: usize) -> Vec<f64> {
     (1..=steps).map(|i| max * i as f64 / steps as f64).collect()
 }
 
+/// The sim config of every figure sweep and saturation search.
+fn sim(scale: f64) -> SimConfig {
+    SimConfig {
+        partitions: 0,
+        ..SimConfig::default()
+    }
+    .scaled(scale)
+}
+
 // All figure sweeps route through the unified Session frontend; the
 // trace-free paths below cannot fail, so the unwraps never fire.
-fn sweep(bench: &Bench, cfg: &SweepConfig, spec: PatternSpec, rates: &[f64]) -> Vec<SweepPoint> {
+fn sweep(bench: &Bench, scale: f64, spec: PatternSpec, rates: &[f64]) -> Vec<SweepPoint> {
     Session::bench(bench)
-        .sweep(cfg, spec, rates)
+        .sim(sim(scale))
+        .sweep(spec, rates)
         .unwrap()
         .report
-}
-
-fn adaptive_sweep(bench: &Bench, cfg: &AdaptiveConfig, spec: PatternSpec) -> SaturationReport {
-    Session::bench(bench).adaptive(cfg, spec).unwrap().report
-}
-
-fn cfg(scale: f64) -> SweepConfig {
-    SweepConfig::default().scaled(scale)
 }
 
 /// Fig. 10(a,b): intra-C-group (intra-switch) latency, uniform and
@@ -56,14 +56,11 @@ pub fn fig10ab(effort: Effort) -> Vec<Figure> {
     ] {
         let mut fig = Figure::new(id, title);
         let sw = Bench::single_switch(16);
-        fig.push(Curve::new(
-            "Switch",
-            sweep(&sw, &cfg(s), spec, &rates(1.4, 7)),
-        ));
+        fig.push(Curve::new("Switch", sweep(&sw, s, spec, &rates(1.4, 7))));
         let mesh = Bench::single_mesh(4, 2, 1);
         fig.push(Curve::new(
             "2D-Mesh",
-            sweep(&mesh, &cfg(s), spec, &rates(max_rate, 9)),
+            sweep(&mesh, s, spec, &rates(max_rate, 9)),
         ));
         figs.push(fig);
     }
@@ -121,7 +118,7 @@ pub fn fig10cf(effort: Effort) -> Vec<Figure> {
             };
             fig.push(Curve::new(
                 bench.label.clone(),
-                sweep(&bench, &cfg(s), spec, &rates(max, 8)),
+                sweep(&bench, s, spec, &rates(max, 8)),
             ));
         }
         figs.push(fig);
@@ -154,7 +151,7 @@ pub fn fig11(effort: Effort) -> Vec<Figure> {
         ] {
             fig.push(Curve::new(
                 bench.label.clone(),
-                sweep(&bench, &cfg(s), spec, &rates(max_rate, 7)),
+                sweep(&bench, s, spec, &rates(max_rate, 7)),
             ));
         }
         figs.push(fig);
@@ -182,7 +179,7 @@ pub fn fig12(effort: Effort) -> Vec<Figure> {
             let max = if bench.label == "SW-based" { 1.4 } else { 1.8 };
             fig.push(Curve::new(
                 bench.label.clone(),
-                sweep(&bench, &cfg(s), PatternSpec::Uniform, &rates(max, 7)),
+                sweep(&bench, s, PatternSpec::Uniform, &rates(max, 7)),
             ));
         }
         figs.push(fig);
@@ -203,7 +200,7 @@ pub fn fig12(effort: Effort) -> Vec<Figure> {
         ] {
             fig.push(Curve::new(
                 bench.label.clone(),
-                sweep(&bench, &cfg(s), PatternSpec::Uniform, &rates(0.9, 6)),
+                sweep(&bench, s, PatternSpec::Uniform, &rates(0.9, 6)),
             ));
         }
         figs.push(fig);
@@ -245,10 +242,7 @@ pub fn fig13(effort: Effort) -> Vec<Figure> {
             } else {
                 format!("{}-Min", bench.label)
             };
-            fig.push(Curve::new(
-                label,
-                sweep(&bench, &cfg(s), spec, &rates(max, 6)),
-            ));
+            fig.push(Curve::new(label, sweep(&bench, s, spec, &rates(max, 6))));
         }
         figs.push(fig);
     }
@@ -270,7 +264,7 @@ pub fn fig14(effort: Effort) -> Vec<Figure> {
             let sw = Bench::single_switch(16);
             fig.push(Curve::new(
                 format!("SW-based-{tag}"),
-                sweep(&sw, &cfg(s), PatternSpec::RingCGroup(dir), &rates(1.6, 8)),
+                sweep(&sw, s, PatternSpec::RingCGroup(dir), &rates(1.6, 8)),
             ));
             let mesh = Bench::single_mesh(4, 2, 1);
             let max = if dir == RingDirection::Bidirectional {
@@ -280,7 +274,7 @@ pub fn fig14(effort: Effort) -> Vec<Figure> {
             };
             fig.push(Curve::new(
                 format!("SW-less-{tag}"),
-                sweep(&mesh, &cfg(s), PatternSpec::RingCGroup(dir), &rates(max, 8)),
+                sweep(&mesh, s, PatternSpec::RingCGroup(dir), &rates(max, 8)),
             ));
         }
         figs.push(fig);
@@ -298,18 +292,18 @@ pub fn fig14(effort: Effort) -> Vec<Figure> {
             let b = Bench::switchbased(&sw, RouteMode::Minimal);
             fig.push(Curve::new(
                 format!("SW-based-{tag}"),
-                sweep(&b, &cfg(s), PatternSpec::RingWGroup(dir), &rates(1.5, 8)),
+                sweep(&b, s, PatternSpec::RingWGroup(dir), &rates(1.5, 8)),
             ));
             let b = Bench::switchless(&sl, RouteMode::Minimal, VcScheme::Baseline);
             fig.push(Curve::new(
                 format!("SW-less-{tag}"),
-                sweep(&b, &cfg(s), PatternSpec::RingWGroup(dir), &rates(2.0, 8)),
+                sweep(&b, s, PatternSpec::RingWGroup(dir), &rates(2.0, 8)),
             ));
             if dir == RingDirection::Bidirectional {
                 let b = Bench::switchless(&sl2, RouteMode::Minimal, VcScheme::Baseline);
                 fig.push(Curve::new(
                     "SW-less-Bi-2B",
-                    sweep(&b, &cfg(s), PatternSpec::RingWGroup(dir), &rates(2.6, 8)),
+                    sweep(&b, s, PatternSpec::RingWGroup(dir), &rates(2.6, 8)),
                 ));
             }
         }
@@ -323,24 +317,28 @@ pub fn fig14(effort: Effort) -> Vec<Figure> {
 /// benches), no hand-tuned rate grids. Each entry carries the full
 /// measured point set with p50/p95/p99 latency.
 pub fn saturation_scan(effort: Effort) -> Vec<(String, SaturationReport)> {
-    let cfg = |scale: f64, start: f64| {
-        AdaptiveConfig {
-            start_chip: start,
-            ..Default::default()
-        }
-        .scaled(scale)
-    };
     let s = effort.small();
+    let adaptive = |bench: &Bench, start_chip: f64| {
+        let cfg = AdaptiveConfig {
+            start_chip,
+            ..Default::default()
+        };
+        Session::bench(bench)
+            .sim(sim(s))
+            .adaptive(&cfg, PatternSpec::Uniform)
+            .unwrap()
+            .report
+    };
     let mut out = Vec::new();
     for (bench, start) in [
         (Bench::single_switch(16), 0.2),
         (Bench::single_mesh(4, 2, 1), 0.2),
     ] {
-        let report = adaptive_sweep(&bench, &cfg(s, start), PatternSpec::Uniform);
+        let report = adaptive(&bench, start);
         out.push((format!("intra-cgroup/{}", bench.label), report));
     }
     for bench in local_benches() {
-        let report = adaptive_sweep(&bench, &cfg(s, 0.15), PatternSpec::Uniform);
+        let report = adaptive(&bench, 0.15);
         out.push((format!("local/{}", bench.label), report));
     }
     out
@@ -507,7 +505,7 @@ pub fn vc_ablation(effort: Effort) -> Vec<Figure> {
             let bench = Bench::switchless(&p, RouteMode::Minimal, scheme);
             fig.push(Curve::new(
                 label,
-                sweep(&bench, &cfg(s), PatternSpec::Uniform, &rates(2.0, 8)),
+                sweep(&bench, s, PatternSpec::Uniform, &rates(2.0, 8)),
             ));
         }
         figs.push(fig);
@@ -527,7 +525,7 @@ pub fn vc_ablation(effort: Effort) -> Vec<Figure> {
             let bench = Bench::switchless(&p, RouteMode::Valiant, scheme);
             fig.push(Curve::new(
                 label,
-                sweep(&bench, &cfg(sm), PatternSpec::WorstCase, &rates(0.5, 6)),
+                sweep(&bench, sm, PatternSpec::WorstCase, &rates(0.5, 6)),
             ));
         }
         figs.push(fig);

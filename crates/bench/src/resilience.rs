@@ -11,6 +11,7 @@
 
 use crate::collectives::family_benches;
 use crate::Effort;
+use wsdf::sim::SimConfig;
 use wsdf::{PatternSpec, ResilienceConfig, ResilienceReport, Session};
 
 /// Partition counts every fraction is verified over.
@@ -20,23 +21,6 @@ pub const PARTITIONS: &[usize] = &[1, 2, 4];
 /// link fraction — see [`ResilienceConfig::router_ratio`]).
 pub const FRACTIONS: &[f64] = &[0.0, 0.05, 0.10, 0.20];
 
-/// Suite configuration for one [`Effort`] level and partition count.
-fn config(effort: Effort, partitions: usize) -> ResilienceConfig {
-    let scale = effort.small();
-    let mut cfg = ResilienceConfig {
-        fractions: FRACTIONS.to_vec(),
-        collective_flits: match effort {
-            Effort::Smoke => 16,
-            Effort::Standard => 128,
-            Effort::Full => 512,
-        },
-        ..Default::default()
-    }
-    .scaled(scale);
-    cfg.sim.partitions = partitions;
-    cfg
-}
-
 /// Run the full suite: both families × [`FRACTIONS`], verified
 /// bit-identical across [`PARTITIONS`], reported once per family.
 ///
@@ -45,12 +29,27 @@ fn config(effort: Effort, partitions: usize) -> ResilienceConfig {
 /// BSP determinism regression, not a measurement.
 pub fn resilience(effort: Effort) -> Vec<ResilienceReport> {
     let mut out = Vec::new();
+    let cfg = ResilienceConfig {
+        fractions: FRACTIONS.to_vec(),
+        collective_flits: match effort {
+            Effort::Smoke => 16,
+            Effort::Standard => 128,
+            Effort::Full => 512,
+        },
+        ..Default::default()
+    };
     for bench in family_benches() {
         let mut reports: Vec<ResilienceReport> = PARTITIONS
             .iter()
-            .map(|&parts| {
+            .map(|&partitions| {
+                let sim = SimConfig {
+                    partitions,
+                    ..SimConfig::default()
+                }
+                .scaled(effort.small());
                 Session::bench(&bench)
-                    .resilience(&config(effort, parts), PatternSpec::Uniform)
+                    .sim(sim)
+                    .resilience(&cfg, PatternSpec::Uniform)
                     .unwrap()
                     .report
             })

@@ -68,7 +68,7 @@ pub use resilience::{ResilienceConfig, ResiliencePoint, ResilienceReport};
 pub use scenario::{PartitionerKind, Partitioning, Scenario, ScenarioOutcome, Stepping};
 pub use serving::{ClassStat, JobRecord, ServingReport};
 pub use session::{Outcome, Session, TraceOutcome};
-pub use sweep::{saturation_rate, AdaptiveConfig, SaturationReport, SweepConfig, SweepPoint};
+pub use sweep::{saturation_rate, AdaptiveConfig, SaturationReport, SweepPoint};
 pub use wsdf_sim::{TraceConfig, TraceRec};
 pub use wsdf_workload::Workload;
 

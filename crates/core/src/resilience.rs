@@ -21,26 +21,25 @@
 //! The zero-fault point runs the *pristine* bench (same oracle, same hot
 //! path), so it is bit-identical to an ordinary
 //! [`Session::sweep`](crate::Session::sweep) point at
-//! the same rate — the resilience axis costs the pristine path nothing.
-//! Every number is a deterministic function of `(bench, config)`:
-//! identical across BSP partition and worker counts, like everything else
-//! in the engine.
+//! the same rate and [`Session::sim`](crate::Session::sim) settings — the
+//! resilience axis costs the pristine path nothing. Every number is a
+//! deterministic function of `(bench, sim, config)`: identical across BSP
+//! partition and worker counts, like everything else in the engine.
 
 use crate::bench::{Bench, PatternSpec};
 use crate::collective::WorkloadUnits;
 use crate::json::{self, Json, Value};
-use crate::sweep::SweepConfig;
 use wsdf_exec::BspPool;
 use wsdf_sim::{json_object, SimConfig, TraceRec, Tracer};
 use wsdf_topo::{FaultSet, FaultSpec};
 use wsdf_workload::Workload;
 
 /// Configuration of a resilience sweep
-/// ([`Session::resilience`](crate::Session::resilience)).
+/// ([`Session::resilience`](crate::Session::resilience)): the members of
+/// a scenario's `resilience` run section. The simulation settings come
+/// from [`Session::sim`](crate::Session::sim).
 #[derive(Debug, Clone)]
 pub struct ResilienceConfig {
-    /// Simulation template (VCs raised per bench automatically).
-    pub sim: SimConfig,
     /// Offered load of the open-loop probe, flits/cycle/chip.
     pub rate_chip: f64,
     /// Link-fault fractions to sweep (0.0 first gives the pristine
@@ -58,7 +57,6 @@ pub struct ResilienceConfig {
 impl Default for ResilienceConfig {
     fn default() -> Self {
         ResilienceConfig {
-            sim: SimConfig::default(),
             rate_chip: 0.3,
             fractions: vec![0.0, 0.05, 0.10, 0.20],
             router_ratio: 0.5,
@@ -69,12 +67,6 @@ impl Default for ResilienceConfig {
 }
 
 impl ResilienceConfig {
-    /// Scale simulation windows (quick modes for tests/benches/smoke).
-    pub fn scaled(mut self, f: f64) -> Self {
-        self.sim = self.sim.scaled(f);
-        self
-    }
-
     /// The [`FaultSpec`] sampled at link-fault fraction `f`.
     pub fn fault_spec(&self, f: f64) -> FaultSpec {
         FaultSpec {
@@ -203,10 +195,11 @@ fn pattern_name(spec: PatternSpec) -> String {
 /// fraction is delimited by a [`TraceRec::Epoch`] record *before* its
 /// probes — every fraction is an independent simulation starting at
 /// cycle 0, so the epoch records are the segment boundaries of the
-/// concatenated stream. `cfg.sim` arrives with its partition map
-/// resolved on the pristine bench, and that map serves every fraction.
+/// concatenated stream. `sim` arrives with its partition map resolved on
+/// the pristine bench, and that map serves every fraction.
 pub(crate) fn resilience_impl(
     bench: &Bench,
+    sim: &SimConfig,
     cfg: &ResilienceConfig,
     spec: PatternSpec,
     pool: &BspPool,
@@ -234,11 +227,7 @@ pub(crate) fn resilience_impl(
 
         // Open-loop probe through the shared sweep measurement core (same
         // saturation rule, same normalization) — one rate, no early stop.
-        let scfg = SweepConfig {
-            sim: cfg.sim.clone(),
-            ..Default::default()
-        };
-        let probe = crate::sweep::sweep_impl(&fb, &scfg, spec, &[cfg.rate_chip], pool, trace)
+        let probe = crate::sweep::sweep_impl(&fb, sim, spec, &[cfg.rate_chip], pool, trace)
             .pop()
             .expect("single-rate sweep yields one point");
 
@@ -253,7 +242,7 @@ pub(crate) fn resilience_impl(
         let (completion_cycles, collective_chips) = if cfg.collective_flits > 0 && chips.len() >= 2
         {
             let wl = Workload::ring_allreduce(&chips, cfg.collective_flits);
-            let wcfg = fb.prepare_cfg(&cfg.sim);
+            let wcfg = fb.prepare_cfg(sim);
             let r = crate::collective::run_workload_impl(&fb, &wcfg, &wl, &units, pool, trace)
                 .unwrap_or_else(|e| panic!("[{} @ {f}] allreduce probe: {e}", bench.label));
             (r.completion_cycles, chips.len() as u32)
@@ -291,8 +280,16 @@ mod tests {
     use super::*;
     use crate::session::Session;
 
+    fn sim() -> SimConfig {
+        SimConfig::default().scaled(0.1)
+    }
+
     fn run_res(bench: &Bench, cfg: &ResilienceConfig, spec: PatternSpec) -> ResilienceReport {
-        Session::bench(bench).resilience(cfg, spec).unwrap().report
+        Session::bench(bench)
+            .sim(sim())
+            .resilience(cfg, spec)
+            .unwrap()
+            .report
     }
 
     fn quick() -> ResilienceConfig {
@@ -300,7 +297,6 @@ mod tests {
             collective_flits: 16,
             ..Default::default()
         }
-        .scaled(0.1)
     }
 
     #[test]
@@ -315,12 +311,9 @@ mod tests {
         assert_eq!(p0.unreachable_pairs, 0);
         // The pristine sweep at the same rate must agree bit for bit: the
         // zero-fault path is the pristine path, not a detour-oracle run.
-        let scfg = SweepConfig {
-            sim: cfg.sim.clone(),
-            ..Default::default()
-        };
         let q = Session::bench(&bench)
-            .sweep(&scfg, PatternSpec::Uniform, &[cfg.rate_chip])
+            .sim(sim())
+            .sweep(PatternSpec::Uniform, &[cfg.rate_chip])
             .unwrap()
             .report
             .pop()

@@ -30,7 +30,7 @@ use crate::json::{self, read, Value};
 use crate::report::{Curve, Figure};
 use crate::resilience::{resilience_impl, ResilienceConfig, ResilienceReport};
 use crate::serving::{run_serving_impl, ServingReport};
-use crate::sweep::{adaptive_impl, sweep_impl, AdaptiveConfig, SaturationReport, SweepConfig};
+use crate::sweep::{adaptive_impl, sweep_impl, AdaptiveConfig, SaturationReport};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use wsdf_exec::BspPool;
@@ -1414,11 +1414,7 @@ impl Scenario {
                     Some(r) => r.clone(),
                     None => vec![t.rate.expect("validated at parse") * bench.nodes_per_chip],
                 };
-                let scfg = SweepConfig {
-                    sim: cfg,
-                    ..Default::default()
-                };
-                let points = sweep_impl(&bench, &scfg, t.pattern, &rates, pool, trace);
+                let points = sweep_impl(&bench, &cfg, t.pattern, &rates, pool, trace);
                 let mut fig = Figure::new(
                     self.name.clone(),
                     format!("scenario {} — {}", self.name, pattern_name(t.pattern)),
@@ -1434,16 +1430,12 @@ impl Scenario {
             } => {
                 let t = self.traffic.as_ref().expect("validated at parse");
                 let acfg = AdaptiveConfig {
-                    base: SweepConfig {
-                        sim: cfg,
-                        ..Default::default()
-                    },
                     start_chip: *start_chip,
                     growth: *growth,
                     rel_tol: *rel_tol,
                     max_points: *max_points as usize,
                 };
-                let report = adaptive_impl(&bench, &acfg, t.pattern, pool, trace);
+                let report = adaptive_impl(&bench, &cfg, &acfg, t.pattern, pool, trace);
                 Ok(ScenarioOutcome::Adaptive {
                     label: bench.label.clone(),
                     report,
@@ -1475,14 +1467,13 @@ impl Scenario {
             } => {
                 let t = self.traffic.as_ref().expect("validated at parse");
                 let rcfg = ResilienceConfig {
-                    sim: cfg,
                     rate_chip: *rate_chip,
                     fractions: fractions.clone(),
                     router_ratio: *router_ratio,
                     seed: *seed,
                     collective_flits: *collective_flits,
                 };
-                let report = resilience_impl(&bench, &rcfg, t.pattern, pool, trace);
+                let report = resilience_impl(&bench, &cfg, &rcfg, t.pattern, pool, trace);
                 Ok(ScenarioOutcome::Resilience(report))
             }
             RunSpec::Serving { spec } => {

@@ -25,15 +25,19 @@
 //! # Run settings
 //!
 //! A run's settings come from its arguments alone. A scenario session
-//! takes stepping, windows and partitioning from the scenario. A bench
-//! session takes them from its [`SimConfig`] template (event-driven
-//! stepping by default). Either way the partition map is resolved once,
-//! before dispatch, by [`Partitioning::apply`]: from the scenario's
-//! `partitioning` section, or for a bench session from the template's
-//! `partitions` with the locality partitioner (skipped when the
-//! template already carries a map). Reports are bit-identical under any
-//! map, so it shows only in wall-clock time. Every run executes on the
-//! [`BspPool`] given by [`Session::pool`], else the process-wide pool.
+//! takes stepping, windows and partitioning from the scenario, and
+//! rejects [`Session::sim`]. A bench session takes them from the one
+//! [`SimConfig`] given by [`Session::sim`] ([`SimConfig::default`]
+//! otherwise: Table IV windows, event-driven stepping, one partition),
+//! for every run kind; the kind configs ([`AdaptiveConfig`],
+//! [`ResilienceConfig`]) hold only the kind's own settings. Either way
+//! the partition map is resolved once, before dispatch, by
+//! [`Partitioning::apply`]: from the scenario's `partitioning` section,
+//! or for a bench session from the config's `partitions` with the
+//! locality partitioner (skipped when the config already carries a
+//! map). Reports are bit-identical under any map, so it shows only in
+//! wall-clock time. Every run executes on the [`BspPool`] given by
+//! [`Session::pool`], else the process-wide pool.
 //!
 //! # Telemetry
 //!
@@ -49,9 +53,7 @@ use crate::collective::{run_workload_impl, WorkloadReport, WorkloadUnits};
 use crate::resilience::{resilience_impl, ResilienceConfig, ResilienceReport};
 use crate::scenario::{PartitionerKind, Partitioning, Scenario, ScenarioOutcome};
 use crate::serving::{run_serving_impl, ServingReport};
-use crate::sweep::{
-    adaptive_impl, sweep_impl, AdaptiveConfig, SaturationReport, SweepConfig, SweepPoint,
-};
+use crate::sweep::{adaptive_impl, sweep_impl, AdaptiveConfig, SaturationReport, SweepPoint};
 use wsdf_exec::BspPool;
 use wsdf_sim::{json, Metrics, SimConfig, TraceConfig, Tracer, TrafficPattern};
 use wsdf_workload::tenancy::ServingSpec;
@@ -119,11 +121,11 @@ impl<'a> Session<'a> {
         Session::new(Source::Scenario(scenario))
     }
 
-    /// Simulation config template (windows, seed, buffering, stepping,
-    /// partitions). Bench sessions default to [`SimConfig::default`]; for
-    /// kind configs that embed their own template ([`SweepConfig::sim`],
-    /// [`ResilienceConfig::sim`]) this replaces it. Scenario sessions
-    /// take their sim section from the scenario instead and ignore this.
+    /// Simulation config of a bench session (windows, seed, buffering,
+    /// stepping, partitions): the only one its run reads, whatever the
+    /// kind. Defaults to [`SimConfig::default`]. A scenario session takes
+    /// its sim section from the scenario, so [`Session::run`] rejects
+    /// this.
     pub fn sim(mut self, cfg: SimConfig) -> Session<'a> {
         self.sim = Some(cfg);
         self
@@ -169,12 +171,11 @@ impl<'a> Session<'a> {
         }
     }
 
-    /// The sim template of a bench session: the [`Session::sim`] override
-    /// (else `base`, the kind config's own template) with
-    /// [`Session::partitions`] applied and the partition map resolved,
-    /// unless the template already carries one.
-    fn bench_sim(&self, bench: &Bench, base: &SimConfig) -> Result<SimConfig, String> {
-        let mut cfg = self.sim.clone().unwrap_or_else(|| base.clone());
+    /// The sim config of a bench session: [`Session::sim`] (else
+    /// [`SimConfig::default`]) with [`Session::partitions`] applied and
+    /// the partition map resolved, unless the config already carries one.
+    fn bench_sim(&self, bench: &Bench) -> Result<SimConfig, String> {
+        let mut cfg = self.sim.clone().unwrap_or_default();
         if let Some(p) = self.partitions {
             cfg.partitions = p;
         }
@@ -191,7 +192,7 @@ impl<'a> Session<'a> {
     /// Run one open-loop simulation and return its raw [`Metrics`].
     pub fn metrics(self, pattern: &dyn TrafficPattern) -> Result<Outcome<Metrics>, String> {
         let bench = self.need_bench("metrics")?;
-        let cfg = bench.prepare_cfg(&self.bench_sim(bench, &SimConfig::default())?);
+        let cfg = bench.prepare_cfg(&self.bench_sim(bench)?);
         let pool = self.executor();
         traced(self.trace, |trace| {
             bench
@@ -200,22 +201,19 @@ impl<'a> Session<'a> {
         })
     }
 
-    /// Run a fixed-grid load-latency sweep. The session's sim and
-    /// partitions settings apply on top of `cfg.sim`.
+    /// Run a fixed-grid load-latency sweep: one simulation per rate in
+    /// `rates_chip` (flits/cycle/chip), in order, stopping one point past
+    /// saturation.
     pub fn sweep(
         self,
-        cfg: &SweepConfig,
         spec: PatternSpec,
         rates_chip: &[f64],
     ) -> Result<Outcome<Vec<SweepPoint>>, String> {
         let bench = self.need_bench("sweep")?;
-        let scfg = SweepConfig {
-            sim: self.bench_sim(bench, &cfg.sim)?,
-            ..cfg.clone()
-        };
+        let sim = self.bench_sim(bench)?;
         let pool = self.executor();
         traced(self.trace, |trace| {
-            Ok(sweep_impl(bench, &scfg, spec, rates_chip, pool, trace))
+            Ok(sweep_impl(bench, &sim, spec, rates_chip, pool, trace))
         })
     }
 
@@ -226,16 +224,10 @@ impl<'a> Session<'a> {
         spec: PatternSpec,
     ) -> Result<Outcome<SaturationReport>, String> {
         let bench = self.need_bench("adaptive")?;
-        let acfg = AdaptiveConfig {
-            base: SweepConfig {
-                sim: self.bench_sim(bench, &cfg.base.sim)?,
-                ..cfg.base.clone()
-            },
-            ..cfg.clone()
-        };
+        let sim = self.bench_sim(bench)?;
         let pool = self.executor();
         traced(self.trace, |trace| {
-            Ok(adaptive_impl(bench, &acfg, spec, pool, trace))
+            Ok(adaptive_impl(bench, &sim, cfg, spec, pool, trace))
         })
     }
 
@@ -246,7 +238,7 @@ impl<'a> Session<'a> {
         units: &WorkloadUnits,
     ) -> Result<Outcome<WorkloadReport>, String> {
         let bench = self.need_bench("workload")?;
-        let cfg = bench.prepare_cfg(&self.bench_sim(bench, &SimConfig::default())?);
+        let cfg = bench.prepare_cfg(&self.bench_sim(bench)?);
         let pool = self.executor();
         traced(self.trace, |trace| {
             run_workload_impl(bench, &cfg, wl, units, pool, trace)
@@ -258,7 +250,7 @@ impl<'a> Session<'a> {
     /// concurrent run only (isolated baselines are untraced).
     pub fn serving(self, spec: &ServingSpec) -> Result<Outcome<ServingReport>, String> {
         let bench = self.need_bench("serving")?;
-        let cfg = bench.prepare_cfg(&self.bench_sim(bench, &SimConfig::default())?);
+        let cfg = bench.prepare_cfg(&self.bench_sim(bench)?);
         let pool = self.executor();
         traced(self.trace, |trace| {
             run_serving_impl(bench, &cfg, spec, pool, trace)
@@ -275,26 +267,30 @@ impl<'a> Session<'a> {
         spec: PatternSpec,
     ) -> Result<Outcome<ResilienceReport>, String> {
         let bench = self.need_bench("resilience")?;
-        let rcfg = ResilienceConfig {
-            sim: self.bench_sim(bench, &cfg.sim)?,
-            ..cfg.clone()
-        };
+        let sim = self.bench_sim(bench)?;
         let pool = self.executor();
         traced(self.trace, |trace| {
-            Ok(resilience_impl(bench, &rcfg, spec, pool, trace))
+            Ok(resilience_impl(bench, &sim, cfg, spec, pool, trace))
         })
     }
 
     /// Execute a scenario session: dispatch on the scenario's run
     /// section, with a [`Session::partitions`] override applied and
     /// telemetry from [`Session::trace`] or, failing that, the
-    /// scenario's own `telemetry` section.
+    /// scenario's own `telemetry` section. Errors if [`Session::sim`]
+    /// was set: the scenario's sim section is the run's only one.
     pub fn run(self) -> Result<Outcome<ScenarioOutcome>, String> {
         let Source::Scenario(scenario) = self.source else {
             return Err("Session::run: bench sessions pick a run kind \
                  (metrics/sweep/adaptive/workload/serving/resilience)"
                 .to_string());
         };
+        if self.sim.is_some() {
+            return Err(
+                "Session::sim: a scenario session takes its sim section from the scenario"
+                    .to_string(),
+            );
+        }
         // A partitions override rewrites the section it shadows, so the
         // one scenario run path sees one consistent spec.
         let mut eff = scenario.clone();
@@ -409,5 +405,23 @@ mod tests {
         let bench = Bench::single_mesh(2, 2, 1);
         let err = Session::bench(&bench).run().unwrap_err();
         assert!(err.contains("bench sessions pick a run kind"), "{err}");
+    }
+
+    #[test]
+    fn scenario_sessions_reject_a_sim_config() {
+        let scenario = Scenario::from_json_str(
+            r#"{"name": "s", "topology": {"family": "mesh", "m": 2, "chiplet": 2, "width": 1},
+                "traffic": {"pattern": "uniform", "rate": 0.05},
+                "run": {"kind": "open_loop"}}"#,
+        )
+        .unwrap();
+        let err = Session::scenario(&scenario)
+            .sim(SimConfig::default())
+            .run()
+            .unwrap_err();
+        assert_eq!(
+            err,
+            "Session::sim: a scenario session takes its sim section from the scenario"
+        );
     }
 }

@@ -5,7 +5,7 @@
 //!
 //! * [`Session::sweep`](crate::Session::sweep) — the classic fixed-grid
 //!   runner: walk a caller-supplied list of offered rates in order, stop
-//!   early past saturation. Used by the figure harness, whose x-axes
+//!   one point past saturation. Used by the figure harness, whose x-axes
 //!   mirror the paper's.
 //! * [`Session::adaptive`](crate::Session::adaptive) — the
 //!   saturation-seeking runner: a geometric coarse scan brackets the
@@ -13,6 +13,12 @@
 //!   relative tolerance. It finds the saturation throughput with strictly
 //!   fewer simulations than a dense grid and returns a
 //!   [`SaturationReport`].
+//!
+//! Both take their simulation settings (windows, seed, stepping,
+//! partitions) from [`Session::sim`](crate::Session::sim) and classify
+//! points by one fixed rule: a point is saturated once its mean latency
+//! exceeds 12× the zero-load reference or its accepted/offered ratio
+//! drops below 0.80.
 //!
 //! Every measured point carries the full latency distribution summary
 //! (p50/p95/p99/max) from the engine's streaming
@@ -56,56 +62,25 @@ pub struct SweepPoint {
     pub skipped_cycles: u64,
 }
 
-/// Sweep configuration.
-#[derive(Debug, Clone)]
-pub struct SweepConfig {
-    /// Simulation config template (VCs raised per bench automatically).
-    pub sim: SimConfig,
-    /// A point counts as saturated once its latency exceeds this multiple
-    /// of the zero-load (first point) latency.
-    pub latency_blowup: f64,
-    /// ... or once accepted/offered drops below this.
-    pub min_acceptance: f64,
-    /// Fixed-grid driver only ([`Session::sweep`](crate::Session::sweep)):
-    /// keep at most this many points past saturation before stopping the
-    /// walk (the figures show the "knee" and one diverging point). The
-    /// adaptive driver ignores it —
-    /// bisection keeps every point it measures, saturated or not, because
-    /// the saturated probes *are* the knee refinement.
-    pub post_saturation_points: usize,
-}
+/// A point counts as saturated once its mean latency exceeds this
+/// multiple of the zero-load reference latency...
+const LATENCY_BLOWUP: f64 = 12.0;
 
-impl Default for SweepConfig {
-    fn default() -> Self {
-        let sim = SimConfig {
-            // Sweeps over large fabrics benefit from the BSP-parallel
-            // engine; results are partition-count independent.
-            partitions: 0,
-            ..Default::default()
-        };
-        SweepConfig {
-            sim,
-            latency_blowup: 12.0,
-            min_acceptance: 0.80,
-            post_saturation_points: 1,
-        }
-    }
-}
+/// ... or once its accepted/offered ratio drops below this.
+const MIN_ACCEPTANCE: f64 = 0.80;
 
-impl SweepConfig {
-    /// Scale simulation windows (quick modes for tests/benches).
-    pub fn scaled(mut self, f: f64) -> Self {
-        self.sim = self.sim.scaled(f);
-        self
-    }
-}
+/// Points the fixed-grid driver keeps past saturation before it stops the
+/// walk (the figures show the knee and one diverging point). The adaptive
+/// driver keeps every point it measures, saturated or not, because the
+/// saturated probes *are* the knee refinement.
+const POST_SATURATION_POINTS: usize = 1;
 
 /// Configuration of the adaptive saturation-seeking driver
-/// ([`Session::adaptive`](crate::Session::adaptive)).
+/// ([`Session::adaptive`](crate::Session::adaptive)): the members of a
+/// scenario's `adaptive` run section. The simulation settings come from
+/// [`Session::sim`](crate::Session::sim).
 #[derive(Debug, Clone)]
 pub struct AdaptiveConfig {
-    /// Shared sweep settings (simulation template, saturation rule).
-    pub base: SweepConfig,
     /// First coarse-scan rate in flits/cycle/chip. If even this saturates,
     /// the driver backs off geometrically before scanning up.
     pub start_chip: f64,
@@ -121,20 +96,11 @@ pub struct AdaptiveConfig {
 impl Default for AdaptiveConfig {
     fn default() -> Self {
         AdaptiveConfig {
-            base: SweepConfig::default(),
             start_chip: 0.1,
             growth: 1.6,
             rel_tol: 0.02,
             max_points: 24,
         }
-    }
-}
-
-impl AdaptiveConfig {
-    /// Scale simulation windows (quick modes for tests/benches).
-    pub fn scaled(mut self, f: f64) -> Self {
-        self.base = self.base.scaled(f);
-        self
     }
 }
 
@@ -174,11 +140,10 @@ impl SaturationReport {
 }
 
 /// Shared measurement core of both sweep drivers: owns the bench, the
-/// executor, the saturation rule, and the zero-load reference latency that
-/// classifies subsequent points.
+/// executor, the prepared simulation config, and the zero-load reference
+/// latency that classifies subsequent points.
 struct SweepDriver<'a> {
     bench: &'a Bench,
-    cfg: &'a SweepConfig,
     spec: PatternSpec,
     pool: &'a BspPool,
     sim: SimConfig,
@@ -193,7 +158,7 @@ struct SweepDriver<'a> {
 impl<'a> SweepDriver<'a> {
     fn new(
         bench: &'a Bench,
-        cfg: &'a SweepConfig,
+        sim: &SimConfig,
         spec: PatternSpec,
         pool: &'a BspPool,
         trace: Option<&'a Tracer>,
@@ -202,14 +167,13 @@ impl<'a> SweepDriver<'a> {
             spec,
             PatternSpec::RingCGroup(_) | PatternSpec::RingWGroup(_)
         );
-        let mut sim = cfg.sim.clone();
+        let mut sim = sim.clone();
         sim.per_endpoint_stats = bottleneck;
         // Normalize once: the VC raise is rate-independent, so every
         // point of the sweep shares one prepared config.
         let sim = bench.prepare_cfg(&sim);
         SweepDriver {
             bench,
-            cfg,
             spec,
             pool,
             sim,
@@ -252,8 +216,7 @@ impl<'a> SweepDriver<'a> {
         // Compare against the realized injection (source queues may clip).
         let offered_effective = (metrics.injected_rate() / af).max(1e-12);
         let acceptance = accepted_node / offered_effective;
-        let saturated =
-            latency > zero_load * self.cfg.latency_blowup || acceptance < self.cfg.min_acceptance;
+        let saturated = latency > zero_load * LATENCY_BLOWUP || acceptance < MIN_ACCEPTANCE;
         let pct = |q: Option<u64>| q.map(|v| v as f64).unwrap_or(f64::INFINITY);
         SweepPoint {
             offered_chip: rate_chip,
@@ -282,23 +245,23 @@ fn latency_max_cycles(m: &Metrics) -> f64 {
     }
 }
 
-/// Run a fixed-grid sweep: one simulation per offered per-chip rate, in
-/// order, stopping early past saturation (see
-/// [`SweepConfig::post_saturation_points`]). The [`crate::Session`] sweep
-/// run kind and the resilience probe both route through here.
+/// Run a fixed-grid sweep of `sim`: one simulation per offered per-chip
+/// rate, in order, stopping one point past saturation. The
+/// [`crate::Session`] sweep run kind, the scenario `open_loop` run and the
+/// resilience probe all route through here.
 ///
 /// Every point runs on the *same* persistent executor, so worker threads —
 /// and their partition-pinned cache state — are reused across sweep points
 /// instead of being re-created per simulation.
 pub(crate) fn sweep_impl(
     bench: &Bench,
-    cfg: &SweepConfig,
+    sim: &SimConfig,
     spec: PatternSpec,
     rates_chip: &[f64],
     pool: &BspPool,
     trace: Option<&Tracer>,
 ) -> Vec<SweepPoint> {
-    let mut driver = SweepDriver::new(bench, cfg, spec, pool, trace);
+    let mut driver = SweepDriver::new(bench, sim, spec, pool, trace);
     let mut out = Vec::new();
     let mut past_saturation = 0usize;
     for &rate_chip in rates_chip {
@@ -307,7 +270,7 @@ pub(crate) fn sweep_impl(
         out.push(point);
         if saturated {
             past_saturation += 1;
-            if past_saturation > cfg.post_saturation_points {
+            if past_saturation > POST_SATURATION_POINTS {
                 break;
             }
         }
@@ -321,8 +284,8 @@ pub(crate) fn sweep_impl(
 /// rate; inside it, latency climbs steeply).
 const ANCHOR_SLACK: f64 = 1.5;
 
-/// Run an adaptive saturation-seeking sweep — the core behind the
-/// [`crate::Session`] adaptive run kind.
+/// Run an adaptive saturation-seeking sweep of `sim` — the core behind the
+/// [`crate::Session`] adaptive run kind and the scenario `adaptive` run.
 ///
 /// Phase 1 anchors the zero-load reference: the start rate is probed, then
 /// validated by one geometrically slower probe — backing off further while
@@ -343,6 +306,7 @@ const ANCHOR_SLACK: f64 = 1.5;
 /// (covered by the determinism matrix in `tests/determinism_and_vcs.rs`).
 pub(crate) fn adaptive_impl(
     bench: &Bench,
+    sim: &SimConfig,
     cfg: &AdaptiveConfig,
     spec: PatternSpec,
     pool: &BspPool,
@@ -351,7 +315,7 @@ pub(crate) fn adaptive_impl(
     assert!(cfg.growth > 1.0, "growth must be > 1");
     assert!(cfg.start_chip > 0.0, "start_chip must be > 0");
     assert!(cfg.rel_tol > 0.0, "rel_tol must be > 0");
-    let mut driver = SweepDriver::new(bench, &cfg.base, spec, pool, trace);
+    let mut driver = SweepDriver::new(bench, sim, spec, pool, trace);
     let budget = cfg.max_points.max(3);
     let mut points: Vec<SweepPoint> = Vec::new();
 
@@ -388,7 +352,7 @@ pub(crate) fn adaptive_impl(
     // anchor-independent and its verdicts are kept.
     if let Some(anchor) = driver.zero_load {
         for p in &mut points {
-            if p.latency > anchor * cfg.base.latency_blowup {
+            if p.latency > anchor * LATENCY_BLOWUP {
                 p.saturated = true;
             }
         }
@@ -471,29 +435,28 @@ mod tests {
     use crate::bench::Bench;
     use crate::session::Session;
 
-    fn run_sweep(
-        bench: &Bench,
-        cfg: &SweepConfig,
-        spec: PatternSpec,
-        rates: &[f64],
-    ) -> Vec<SweepPoint> {
+    fn quick() -> SimConfig {
+        SimConfig::default().scaled(0.12)
+    }
+
+    fn run_sweep(bench: &Bench, spec: PatternSpec, rates: &[f64]) -> Vec<SweepPoint> {
         Session::bench(bench)
-            .sweep(cfg, spec, rates)
+            .sim(quick())
+            .sweep(spec, rates)
             .unwrap()
             .report
     }
 
     fn run_adaptive(bench: &Bench, cfg: &AdaptiveConfig, spec: PatternSpec) -> SaturationReport {
-        Session::bench(bench).adaptive(cfg, spec).unwrap().report
-    }
-
-    fn quick() -> SweepConfig {
-        SweepConfig::default().scaled(0.12)
+        Session::bench(bench)
+            .sim(quick())
+            .adaptive(cfg, spec)
+            .unwrap()
+            .report
     }
 
     fn quick_adaptive() -> AdaptiveConfig {
         AdaptiveConfig {
-            base: quick(),
             start_chip: 0.2,
             ..Default::default()
         }
@@ -506,8 +469,8 @@ mod tests {
         let mesh = Bench::single_mesh(4, 2, 1);
         let sw = Bench::single_switch(16);
         let rates: Vec<f64> = (1..=8).map(|i| i as f64 * 0.4).collect();
-        let pm = run_sweep(&mesh, &quick(), PatternSpec::Uniform, &rates);
-        let ps = run_sweep(&sw, &quick(), PatternSpec::Uniform, &rates);
+        let pm = run_sweep(&mesh, PatternSpec::Uniform, &rates);
+        let ps = run_sweep(&sw, PatternSpec::Uniform, &rates);
         let sat_mesh = saturation_rate(&pm);
         let sat_sw = saturation_rate(&ps);
         assert!(
@@ -521,7 +484,7 @@ mod tests {
     fn sweep_stops_after_saturation() {
         let sw = Bench::single_switch(8);
         let rates: Vec<f64> = (1..=20).map(|i| i as f64 * 0.25).collect();
-        let pts = run_sweep(&sw, &quick(), PatternSpec::Uniform, &rates);
+        let pts = run_sweep(&sw, PatternSpec::Uniform, &rates);
         assert!(pts.len() < rates.len(), "sweep must stop early");
         assert!(pts.last().unwrap().saturated);
     }
@@ -529,7 +492,7 @@ mod tests {
     #[test]
     fn latency_grows_monotonically_near_saturation() {
         let mesh = Bench::single_mesh(4, 2, 1);
-        let pts = run_sweep(&mesh, &quick(), PatternSpec::Uniform, &[0.4, 1.2, 2.0, 2.8]);
+        let pts = run_sweep(&mesh, PatternSpec::Uniform, &[0.4, 1.2, 2.0, 2.8]);
         assert!(pts.len() >= 3);
         assert!(
             pts.last().unwrap().latency > pts[0].latency,
@@ -540,7 +503,7 @@ mod tests {
     #[test]
     fn sweep_points_carry_percentiles() {
         let mesh = Bench::single_mesh(4, 2, 1);
-        let pts = run_sweep(&mesh, &quick(), PatternSpec::Uniform, &[0.8]);
+        let pts = run_sweep(&mesh, PatternSpec::Uniform, &[0.8]);
         let p = &pts[0];
         assert!(p.p50.is_finite() && p.p95.is_finite() && p.p99.is_finite());
         // Percentiles are monotone and bracketed by the mean's
@@ -560,9 +523,12 @@ mod tests {
             (Bench::single_switch(16), 1.4),
         ] {
             let dense: Vec<f64> = (1..=24).map(|i| dense_max * i as f64 / 24.0).collect();
-            let mut grid_cfg = quick();
-            grid_cfg.post_saturation_points = dense.len(); // no early stop
-            let grid = run_sweep(&bench, &grid_cfg, PatternSpec::Uniform, &dense);
+            // One single-rate sweep per grid rate: a one-point walk never
+            // stops early, so every grid rate is measured.
+            let grid: Vec<SweepPoint> = dense
+                .iter()
+                .flat_map(|&rate| run_sweep(&bench, PatternSpec::Uniform, &[rate]))
+                .collect();
             let sat_grid = saturation_rate(&grid);
 
             let report = run_adaptive(&bench, &quick_adaptive(), PatternSpec::Uniform);
@@ -628,7 +594,6 @@ mod tests {
         // reject it, so the reported zero-load reference and saturation
         // estimate match a run started from the flat region.
         let congested = AdaptiveConfig {
-            base: quick(),
             start_chip: 0.9,
             ..Default::default()
         };
@@ -657,7 +622,6 @@ mod tests {
         // produce a sane estimate.
         let sw = Bench::single_switch(8);
         let cfg = AdaptiveConfig {
-            base: quick(),
             start_chip: 4.0,
             ..Default::default()
         };

@@ -49,30 +49,9 @@ pub trait RouteOracle: Sync + Send {
     fn tag_packet(&self, _pkt: &mut PacketHeader, _rng: &mut SplitMix64) {}
 }
 
-/// Blanket impl so oracles can be boxed/shared.
+/// Blanket impls so oracles can be borrowed (`Simulation<&dyn RouteOracle>`)
+/// or shared (`Arc`).
 impl<T: RouteOracle + ?Sized> RouteOracle for &T {
-    fn route(
-        &self,
-        router: u32,
-        in_port: u8,
-        in_vc: u8,
-        pkt: &PacketHeader,
-        rng: &mut SplitMix64,
-    ) -> RouteChoice {
-        (**self).route(router, in_port, in_vc, pkt, rng)
-    }
-    fn initial_vc(&self, pkt: &PacketHeader) -> u8 {
-        (**self).initial_vc(pkt)
-    }
-    fn num_vcs(&self) -> u8 {
-        (**self).num_vcs()
-    }
-    fn tag_packet(&self, pkt: &mut PacketHeader, rng: &mut SplitMix64) {
-        (**self).tag_packet(pkt, rng)
-    }
-}
-
-impl<T: RouteOracle + ?Sized> RouteOracle for Box<T> {
     fn route(
         &self,
         router: u32,

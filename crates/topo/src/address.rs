@@ -242,49 +242,34 @@ impl SlParams {
                 "nodes_per_chip",
             ],
         )?;
-        let preset = match v.get("preset") {
-            None => None,
-            Some(p) => match p.as_str() {
-                Some("radix16") => Some(SlParams::radix16()),
-                Some("radix32") => Some(SlParams::radix32()),
-                _ => {
-                    return Err(format!(
-                        "{path}.preset: expected \"radix16\" or \"radix32\""
-                    ))
-                }
-            },
-        };
-        let u32f = |key: &str, dflt: Option<u32>| -> Result<u32, String> {
-            match (v.get(key), dflt) {
-                (None, Some(d)) => Ok(d),
-                (None, None) => Err(format!("{path}.{key}: missing required key")),
-                (Some(_), _) => {
-                    let x = read::field::<u64>(v, path, key)?;
-                    u32::try_from(x)
-                        .map_err(|_| format!("{path}.{key}: expected non-negative integer"))
-                }
-            }
-        };
-        let mut p = SlParams {
-            a: u32f("a", preset.map(|p| p.a))?,
-            b: u32f("b", preset.map(|p| p.b))?,
-            m: u32f("m", preset.map(|p| p.m))?,
-            chiplet: u32f("chiplet", preset.map(|p| p.chiplet))?,
-            wgroups: u32f("wgroups", preset.map(|p| p.wgroups).or(Some(0)))?,
-            mesh_width: {
-                let w = u32f(
-                    "mesh_width",
-                    preset.map(|p| p.mesh_width as u32).or(Some(1)),
-                )?;
-                u8::try_from(w).map_err(|_| format!("{path}.mesh_width: expected 1, 2 or 4"))?
-            },
+        let preset = preset(v, path, SlParams::radix16, SlParams::radix32)?;
+        let required = preset.is_none();
+        let mut p = preset.unwrap_or(SlParams {
+            a: 0,
+            b: 0,
+            m: 0,
+            chiplet: 0,
+            wgroups: 0,
+            mesh_width: 1,
             nodes_per_chip: 0.0,
-        };
+        });
+        for (key, slot) in [
+            ("a", &mut p.a),
+            ("b", &mut p.b),
+            ("m", &mut p.m),
+            ("chiplet", &mut p.chiplet),
+        ] {
+            read::member(v, path, key, slot, required, |_, _| Ok(()))?;
+        }
+        read::member(v, path, "wgroups", &mut p.wgroups, false, |_, _| Ok(()))?;
+        let mut width = u32::from(p.mesh_width);
+        read::member(v, path, "mesh_width", &mut width, false, |_, _| Ok(()))?;
+        p.mesh_width =
+            u8::try_from(width).map_err(|_| format!("{path}.mesh_width: expected 1, 2 or 4"))?;
         p.nodes_per_chip = match read::opt_f64_field(v, path, "nodes_per_chip")? {
             Some(x) => x,
-            None => preset
-                .map(|p| p.nodes_per_chip)
-                .unwrap_or(f64::from(p.chiplet) * f64::from(p.chiplet)),
+            None if required => f64::from(p.chiplet) * f64::from(p.chiplet),
+            None => p.nodes_per_chip,
         };
         if p.wgroups == 0 {
             p.wgroups = p.wgroup_shape().map_err(|e| format!("{path}: {e}"))?.1;
@@ -590,35 +575,22 @@ impl SwParams {
             path,
             &["preset", "terminals", "locals", "globals", "groups"],
         )?;
-        let preset = match v.get("preset") {
-            None => None,
-            Some(p) => match p.as_str() {
-                Some("radix16") => Some(SwParams::radix16()),
-                Some("radix32") => Some(SwParams::radix32()),
-                _ => {
-                    return Err(format!(
-                        "{path}.preset: expected \"radix16\" or \"radix32\""
-                    ))
-                }
-            },
-        };
-        let u32f = |key: &str, dflt: Option<u32>| -> Result<u32, String> {
-            match (v.get(key), dflt) {
-                (None, Some(d)) => Ok(d),
-                (None, None) => Err(format!("{path}.{key}: missing required key")),
-                (Some(_), _) => {
-                    let x = read::field::<u64>(v, path, key)?;
-                    u32::try_from(x)
-                        .map_err(|_| format!("{path}.{key}: expected non-negative integer"))
-                }
-            }
-        };
-        let mut p = SwParams {
-            terminals: u32f("terminals", preset.map(|p| p.terminals))?,
-            locals: u32f("locals", preset.map(|p| p.locals))?,
-            globals: u32f("globals", preset.map(|p| p.globals))?,
-            groups: u32f("groups", preset.map(|p| p.groups).or(Some(0)))?,
-        };
+        let preset = preset(v, path, SwParams::radix16, SwParams::radix32)?;
+        let required = preset.is_none();
+        let mut p = preset.unwrap_or(SwParams {
+            terminals: 0,
+            locals: 0,
+            globals: 0,
+            groups: 0,
+        });
+        for (key, slot) in [
+            ("terminals", &mut p.terminals),
+            ("locals", &mut p.locals),
+            ("globals", &mut p.globals),
+        ] {
+            read::member(v, path, key, slot, required, |_, _| Ok(()))?;
+        }
+        read::member(v, path, "groups", &mut p.groups, false, |_, _| Ok(()))?;
         if p.groups == 0 {
             p.check_ports().map_err(|e| format!("{path}: {e}"))?;
             p.groups = p.max_groups();
@@ -674,6 +646,24 @@ impl SwParams {
             return None;
         }
         Some((v, q_back))
+    }
+}
+
+/// The paper preset named by the optional `"preset"` member of `v`, the
+/// starting point of [`SlParams::from_json`] and [`SwParams::from_json`].
+fn preset<P>(
+    v: &Value,
+    path: &str,
+    radix16: fn() -> P,
+    radix32: fn() -> P,
+) -> Result<Option<P>, String> {
+    match v.get("preset").map(Value::as_str) {
+        None => Ok(None),
+        Some(Some("radix16")) => Ok(Some(radix16())),
+        Some(Some("radix32")) => Ok(Some(radix32())),
+        Some(_) => Err(format!(
+            "{path}.preset: expected \"radix16\" or \"radix32\""
+        )),
     }
 }
 

@@ -8,6 +8,7 @@
 //! ```
 
 use wsdf::routing::{RouteMode, VcScheme};
+use wsdf::sim::SimConfig;
 use wsdf::topo::{SlParams, SwParams};
 use wsdf::{AdaptiveConfig, Bench, PatternSpec, Session};
 
@@ -23,6 +24,10 @@ fn main() {
     let cfg = AdaptiveConfig {
         start_chip: 0.05,
         ..Default::default()
+    };
+    let sim = SimConfig {
+        partitions: 0,
+        ..SimConfig::default()
     }
     .scaled(0.3);
 
@@ -42,7 +47,11 @@ fn main() {
             } else {
                 "minimal"
             };
-            let report = Session::bench(&bench).adaptive(&cfg, spec).unwrap().report;
+            let report = Session::bench(&bench)
+                .sim(sim.clone())
+                .adaptive(&cfg, spec)
+                .unwrap()
+                .report;
             let knee = report.points.iter().rev().find(|p| !p.saturated);
             let p99 = knee.map(|p| p.p99).unwrap_or(f64::NAN);
             println!(

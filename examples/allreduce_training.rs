@@ -12,19 +12,20 @@
 //! ```
 
 use wsdf::routing::{RouteMode, VcScheme};
+use wsdf::sim::SimConfig;
 use wsdf::topo::{SlParams, SwParams};
 use wsdf::traffic::RingDirection;
-use wsdf::{saturation_rate, Bench, PatternSpec, Session, SweepConfig, SweepPoint};
+use wsdf::{saturation_rate, Bench, PatternSpec, Session, SweepPoint};
 
-fn sweep(bench: &Bench, cfg: &SweepConfig, spec: PatternSpec, rates: &[f64]) -> Vec<SweepPoint> {
+fn sweep(bench: &Bench, spec: PatternSpec, rates: &[f64]) -> Vec<SweepPoint> {
     Session::bench(bench)
-        .sweep(cfg, spec, rates)
+        .sim(SimConfig::default().scaled(0.5))
+        .sweep(spec, rates)
         .unwrap()
         .report
 }
 
 fn main() {
-    let cfg = SweepConfig::default().scaled(0.5);
     let rates: Vec<f64> = (1..=11).map(|i| i as f64 * 0.4).collect();
 
     println!("Ring AllReduce saturation bandwidth (flits/cycle/chip)\n");
@@ -34,9 +35,9 @@ fn main() {
         (RingDirection::Bidirectional, "bidirectional "),
     ] {
         let sw = Bench::single_switch(16);
-        let sat_sw = saturation_rate(&sweep(&sw, &cfg, PatternSpec::RingCGroup(dir), &rates));
+        let sat_sw = saturation_rate(&sweep(&sw, PatternSpec::RingCGroup(dir), &rates));
         let mesh = Bench::single_mesh(4, 2, 1);
-        let sat_sl = saturation_rate(&sweep(&mesh, &cfg, PatternSpec::RingCGroup(dir), &rates));
+        let sat_sl = saturation_rate(&sweep(&mesh, PatternSpec::RingCGroup(dir), &rates));
         println!(
             "  {name}:  switch-based {sat_sw:.2}   switch-less {sat_sl:.2}   ({:.1}x)",
             sat_sl / sat_sw
@@ -52,11 +53,11 @@ fn main() {
         (RingDirection::Bidirectional, "bidirectional "),
     ] {
         let sw = Bench::switchbased(&swp, RouteMode::Minimal);
-        let sat_sw = saturation_rate(&sweep(&sw, &cfg, PatternSpec::RingWGroup(dir), &rates));
+        let sat_sw = saturation_rate(&sweep(&sw, PatternSpec::RingWGroup(dir), &rates));
         let sl = Bench::switchless(&slp, RouteMode::Minimal, VcScheme::Baseline);
-        let sat_sl = saturation_rate(&sweep(&sl, &cfg, PatternSpec::RingWGroup(dir), &rates));
+        let sat_sl = saturation_rate(&sweep(&sl, PatternSpec::RingWGroup(dir), &rates));
         let sl2 = Bench::switchless(&slp2, RouteMode::Minimal, VcScheme::Baseline);
-        let sat_sl2 = saturation_rate(&sweep(&sl2, &cfg, PatternSpec::RingWGroup(dir), &rates));
+        let sat_sl2 = saturation_rate(&sweep(&sl2, PatternSpec::RingWGroup(dir), &rates));
         println!(
             "  {name}:  switch-based {sat_sw:.2}   switch-less {sat_sl:.2}   switch-less-2B {sat_sl2:.2}"
         );

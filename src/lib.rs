@@ -1,22 +1,7 @@
-//! Root crate of the *Switch-Less Dragonfly on Wafers* reproduction
+//! Root package of the *Switch-Less Dragonfly on Wafers* reproduction
 //! workspace.
 //!
-//! This crate only re-exports the facade library [`wsdf`] so that the
-//! workspace-level `examples/` and `tests/` have a single import root; all
-//! functionality lives in the `crates/` members:
-//!
-//! * [`wsdf_sim`] — cycle-accurate flit-level simulator substrate
-//! * [`wsdf_topo`] — topology builders (switch-based and switch-less Dragonfly)
-//! * [`wsdf_routing`] — routing algorithms and VC disciplines
-//! * [`wsdf_traffic`] — synthetic/adversarial/collective traffic patterns
-//! * [`wsdf_workload`] — closed-loop collective workload DAGs + driver
-//! * [`wsdf_analysis`] — analytical cost/throughput/layout models
-//! * [`wsdf`] — high-level API used by examples, tests and the harness
-
-pub use wsdf;
-pub use wsdf_analysis as analysis;
-pub use wsdf_routing as routing;
-pub use wsdf_sim as sim;
-pub use wsdf_topo as topo;
-pub use wsdf_traffic as traffic;
-pub use wsdf_workload as workload;
+//! It holds no code of its own: it is the package of the workspace-level
+//! `examples/` and `tests/`, which import everything through the facade
+//! crate [`wsdf`] (`wsdf::sim`, `wsdf::topo`, `wsdf::routing`, ...). All
+//! functionality lives in the `crates/` members.

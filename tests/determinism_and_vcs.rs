@@ -6,7 +6,7 @@ use wsdf::routing::{RouteMode, VcScheme};
 use wsdf::sim::SimConfig;
 use wsdf::sim::{Metrics, TrafficPattern};
 use wsdf::topo::{SlParams, SwParams};
-use wsdf::{AdaptiveConfig, Bench, PatternSpec, Session, SweepConfig};
+use wsdf::{AdaptiveConfig, Bench, PatternSpec, Session};
 
 fn run(bench: &Bench, cfg: &SimConfig, pat: &dyn TrafficPattern) -> Metrics {
     Session::bench(bench)
@@ -303,15 +303,18 @@ fn adaptive_sweep_bit_identical_across_partitions() {
     ];
     for (name, bench) in benches {
         let run = |parts: usize| {
-            let mut base = SweepConfig::default().scaled(0.1);
-            base.sim.partitions = parts;
+            let sim = SimConfig {
+                partitions: parts,
+                ..SimConfig::default()
+            }
+            .scaled(0.1);
             let cfg = AdaptiveConfig {
-                base,
                 start_chip: 0.2,
                 max_points: 16,
                 ..Default::default()
             };
             Session::bench(&bench)
+                .sim(sim)
                 .adaptive(&cfg, PatternSpec::Uniform)
                 .unwrap()
                 .report

@@ -3,19 +3,25 @@
 //! sweep). These are the regression guards for the reproduction claims.
 
 use wsdf::routing::{RouteMode, VcScheme};
+use wsdf::sim::SimConfig;
 use wsdf::topo::{SlParams, SwParams};
 use wsdf::traffic::{PermKind, RingDirection};
-use wsdf::{saturation_rate, Bench, PatternSpec, Session, SweepConfig, SweepPoint};
+use wsdf::{saturation_rate, Bench, PatternSpec, Session, SweepPoint};
 
-fn sweep(bench: &Bench, cfg: &SweepConfig, spec: PatternSpec, rates: &[f64]) -> Vec<SweepPoint> {
-    Session::bench(bench)
-        .sweep(cfg, spec, rates)
-        .unwrap()
-        .report
+fn quick() -> SimConfig {
+    SimConfig {
+        partitions: 0,
+        ..SimConfig::default()
+    }
+    .scaled(0.12)
 }
 
-fn quick() -> SweepConfig {
-    SweepConfig::default().scaled(0.12)
+fn sweep(bench: &Bench, spec: PatternSpec, rates: &[f64]) -> Vec<SweepPoint> {
+    Session::bench(bench)
+        .sim(quick())
+        .sweep(spec, rates)
+        .unwrap()
+        .report
 }
 
 fn rates(max: f64, steps: usize) -> Vec<f64> {
@@ -28,13 +34,8 @@ fn rates(max: f64, steps: usize) -> Vec<f64> {
 fn intra_cgroup_mesh_beats_switch() {
     let mesh = Bench::single_mesh(4, 2, 1);
     let sw = Bench::single_switch(16);
-    let sat_mesh = saturation_rate(&sweep(
-        &mesh,
-        &quick(),
-        PatternSpec::Uniform,
-        &rates(3.6, 9),
-    ));
-    let sat_sw = saturation_rate(&sweep(&sw, &quick(), PatternSpec::Uniform, &rates(1.4, 7)));
+    let sat_mesh = saturation_rate(&sweep(&mesh, PatternSpec::Uniform, &rates(3.6, 9)));
+    let sat_sw = saturation_rate(&sweep(&sw, PatternSpec::Uniform, &rates(1.4, 7)));
     assert!(
         sat_sw > 0.85 && sat_sw <= 1.05,
         "ideal switch ≈ 1: {sat_sw}"
@@ -61,9 +62,9 @@ fn local_uniform_ordering() {
         VcScheme::Baseline,
     );
     let r = rates(2.4, 8);
-    let sat_sw = saturation_rate(&sweep(&sw, &quick(), PatternSpec::Uniform, &rates(1.4, 7)));
-    let sat_sl = saturation_rate(&sweep(&sl, &quick(), PatternSpec::Uniform, &r));
-    let sat_sl2 = saturation_rate(&sweep(&sl2, &quick(), PatternSpec::Uniform, &r));
+    let sat_sw = saturation_rate(&sweep(&sw, PatternSpec::Uniform, &rates(1.4, 7)));
+    let sat_sl = saturation_rate(&sweep(&sl, PatternSpec::Uniform, &r));
+    let sat_sl2 = saturation_rate(&sweep(&sl2, PatternSpec::Uniform, &r));
     assert!(
         sat_sl > sat_sw,
         "SW-less ({sat_sl:.2}) must beat SW-based ({sat_sw:.2})"
@@ -92,9 +93,9 @@ fn bit_shuffle_negative_result() {
         VcScheme::Baseline,
     );
     let r = rates(0.8, 6);
-    let sat_sw = saturation_rate(&sweep(&sw, &quick(), spec, &r));
-    let sat_sl = saturation_rate(&sweep(&sl, &quick(), spec, &r));
-    let sat_sl2 = saturation_rate(&sweep(&sl2, &quick(), spec, &r));
+    let sat_sw = saturation_rate(&sweep(&sw, spec, &r));
+    let sat_sl = saturation_rate(&sweep(&sl, spec, &r));
+    let sat_sl2 = saturation_rate(&sweep(&sl2, spec, &r));
     assert!(
         sat_sl < sat_sw * 1.15,
         "switch-less must not clearly win bit-shuffle ({sat_sl:.2} vs {sat_sw:.2})"
@@ -112,18 +113,8 @@ fn valiant_rescues_worst_case() {
     let slp = SlParams::radix16().with_wgroups(9);
     let minimal = Bench::switchless(&slp, RouteMode::Minimal, VcScheme::Baseline);
     let valiant = Bench::switchless(&slp, RouteMode::Valiant, VcScheme::Baseline);
-    let sat_min = saturation_rate(&sweep(
-        &minimal,
-        &quick(),
-        PatternSpec::WorstCase,
-        &rates(0.25, 5),
-    ));
-    let sat_mis = saturation_rate(&sweep(
-        &valiant,
-        &quick(),
-        PatternSpec::WorstCase,
-        &rates(0.6, 6),
-    ));
+    let sat_min = saturation_rate(&sweep(&minimal, PatternSpec::WorstCase, &rates(0.25, 5)));
+    let sat_mis = saturation_rate(&sweep(&valiant, PatternSpec::WorstCase, &rates(0.6, 6)));
     // At 9 W-groups minimal routing still finds 1/8 of the global links,
     // so the rescue factor is ~2.5× here; at the paper's 41 groups it is
     // an order of magnitude (`repro fig13`).
@@ -141,25 +132,21 @@ fn allreduce_ring_multipliers() {
     let r = rates(4.4, 11);
     let mesh_uni = saturation_rate(&sweep(
         &Bench::single_mesh(4, 2, 1),
-        &quick(),
         PatternSpec::RingCGroup(RingDirection::Unidirectional),
         &r,
     ));
     let mesh_bi = saturation_rate(&sweep(
         &Bench::single_mesh(4, 2, 1),
-        &quick(),
         PatternSpec::RingCGroup(RingDirection::Bidirectional),
         &r,
     ));
     let sw_uni = saturation_rate(&sweep(
         &Bench::single_switch(16),
-        &quick(),
         PatternSpec::RingCGroup(RingDirection::Unidirectional),
         &rates(1.5, 6),
     ));
     let sw_bi = saturation_rate(&sweep(
         &Bench::single_switch(16),
-        &quick(),
         PatternSpec::RingCGroup(RingDirection::Bidirectional),
         &rates(1.5, 6),
     ));
@@ -174,7 +161,6 @@ fn allreduce_ring_multipliers() {
 #[test]
 fn energy_per_bit_direction() {
     use wsdf::analysis::EnergyModel;
-    use wsdf::sim::SimConfig;
     let cfg = SimConfig::default().scaled(0.15);
     let sw = Bench::switchbased(&SwParams::radix16().with_groups(5), RouteMode::Minimal);
     let pat = sw.pattern(PatternSpec::Uniform, 0.2);

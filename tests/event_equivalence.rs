@@ -10,30 +10,15 @@
 //! `cycles_run` into busy + skipped — and that split is itself the same
 //! in every partitions × workers cell.
 
+mod common;
+
 use std::sync::Arc;
 
+use common::families;
 use wsdf::exec::BspPool;
-use wsdf::routing::{RouteMode, VcScheme};
 use wsdf::sim::{Metrics, SimConfig};
-use wsdf::topo::{contiguous_blocks, SlParams, SwParams};
-use wsdf::{Bench, PatternSpec, Session, Workload, WorkloadUnits};
-
-fn families() -> Vec<(&'static str, Bench)> {
-    vec![
-        (
-            "switchless",
-            Bench::switchless(
-                &SlParams::radix16().with_wgroups(1),
-                RouteMode::Minimal,
-                VcScheme::Baseline,
-            ),
-        ),
-        (
-            "switchbased",
-            Bench::switchbased(&SwParams::radix16().with_groups(1), RouteMode::Minimal),
-        ),
-    ]
-}
+use wsdf::topo::contiguous_blocks;
+use wsdf::{PatternSpec, Session, Workload, WorkloadUnits};
 
 fn cfg(parts: usize, event: bool) -> SimConfig {
     SimConfig {

@@ -6,37 +6,29 @@
 //! families, the zero-fault point must match the pristine sweep exactly,
 //! and the detour discipline must survive saturation without deadlocking.
 
+mod common;
+
+use common::families;
 use wsdf::exec::BspPool;
-use wsdf::routing::{PathVerdict, RouteMode, VcScheme};
-use wsdf::topo::{FaultSet, FaultSpec, SlParams, SwParams};
-use wsdf::{Bench, PatternSpec, ResilienceConfig, ResilienceReport, Session, SweepConfig};
+use wsdf::routing::PathVerdict;
+use wsdf::sim::SimConfig;
+use wsdf::topo::{FaultSet, FaultSpec};
+use wsdf::{PatternSpec, ResilienceConfig, ResilienceReport, Session};
 
-fn families() -> Vec<(&'static str, Bench)> {
-    vec![
-        (
-            "switchless",
-            Bench::switchless(
-                &SlParams::radix16().with_wgroups(1),
-                RouteMode::Minimal,
-                VcScheme::Baseline,
-            ),
-        ),
-        (
-            "switchbased",
-            Bench::switchbased(&SwParams::radix16().with_groups(1), RouteMode::Minimal),
-        ),
-    ]
-}
-
-fn quick(partitions: usize) -> ResilienceConfig {
-    let mut cfg = ResilienceConfig {
+fn quick() -> ResilienceConfig {
+    ResilienceConfig {
         fractions: vec![0.0, 0.15],
         collective_flits: 16,
         ..Default::default()
     }
-    .scaled(0.08);
-    cfg.sim.partitions = partitions;
-    cfg
+}
+
+fn sim(partitions: usize) -> SimConfig {
+    SimConfig {
+        partitions,
+        ..SimConfig::default()
+    }
+    .scaled(0.08)
 }
 
 /// The headline determinism matrix: partitions {1,2,4} × workers {1,2,4},
@@ -50,7 +42,8 @@ fn resilience_reports_bit_identical_across_partitions_and_workers() {
                 let pool = BspPool::new(workers);
                 let r = Session::bench(&bench)
                     .pool(&pool)
-                    .resilience(&quick(parts), PatternSpec::Uniform)
+                    .sim(sim(parts))
+                    .resilience(&quick(), PatternSpec::Uniform)
                     .unwrap()
                     .report;
                 match &base {
@@ -77,21 +70,19 @@ fn resilience_reports_bit_identical_across_partitions_and_workers() {
 #[test]
 fn zero_fault_point_matches_pristine_sweep_on_both_families() {
     for (name, bench) in families() {
-        let cfg = quick(1);
+        let cfg = quick();
         let pool = BspPool::new(1);
         let report = Session::bench(&bench)
             .pool(&pool)
+            .sim(sim(1))
             .resilience(&cfg, PatternSpec::Uniform)
             .unwrap()
             .report;
         let p0 = &report.points[0];
-        let scfg = SweepConfig {
-            sim: cfg.sim.clone(),
-            ..Default::default()
-        };
         let q = Session::bench(&bench)
             .pool(&pool)
-            .sweep(&scfg, PatternSpec::Uniform, &[cfg.rate_chip])
+            .sim(sim(1))
+            .sweep(PatternSpec::Uniform, &[cfg.rate_chip])
             .unwrap()
             .report
             .pop()
@@ -120,7 +111,7 @@ fn degraded_fabric_saturates_without_deadlock() {
     );
     assert!(!fs.is_empty());
     let fb = bench.with_fault_set(&fs);
-    let mut sim = wsdf::sim::SimConfig::default().scaled(0.1);
+    let mut sim = SimConfig::default().scaled(0.1);
     sim.drain_cycles = 100;
     // Far past saturation for a degraded W-group.
     let pattern = fb.pattern(PatternSpec::Uniform, 0.8);

@@ -16,31 +16,16 @@
 //! event-driven cycle skipping cannot change who arrives), and fixed
 //! traces admit exactly their listed cycles.
 
+mod common;
+
 use std::sync::Arc;
 
+use common::families;
 use wsdf::exec::BspPool;
-use wsdf::routing::{RouteMode, VcScheme};
 use wsdf::sim::{SimConfig, SplitMix64};
-use wsdf::topo::{locality_partition, SlParams, SwParams};
+use wsdf::topo::locality_partition;
 use wsdf::workload::tenancy::{ArrivalProcess, JobClass, Placement, ServingSpec};
 use wsdf::{Bench, ServingReport, Session};
-
-fn families() -> Vec<(&'static str, Bench)> {
-    vec![
-        (
-            "switchless",
-            Bench::switchless(
-                &SlParams::radix16().with_wgroups(1),
-                RouteMode::Minimal,
-                VcScheme::Baseline,
-            ),
-        ),
-        (
-            "switchbased",
-            Bench::switchbased(&SwParams::radix16().with_groups(1), RouteMode::Minimal),
-        ),
-    ]
-}
 
 /// A small but genuinely concurrent mix: three classes, three placement
 /// schemes, arrivals tight enough that jobs overlap in flight.

@@ -6,10 +6,11 @@
 //! test's allocations — including those made on BSP worker threads).
 //! Telemetry state is allocated solely by `Simulation::attach_trace`,
 //! so an untraced run's allocation count must be *exactly* reproducible
-//! run over run — any telemetry residue (lazily grown buffers, leaked
-//! channel state) would break the equality — while the identical traced
-//! run must allocate strictly more (proving the counter actually sees
-//! telemetry's buffers and writer machinery).
+//! run over run — any telemetry residue (lazily grown buffers, state
+//! kept from an earlier traced run) would break the equality — while the
+//! identical traced run must allocate strictly more (proving the counter
+//! actually sees telemetry's per-partition `PartTrace` buffers, the
+//! barrier batch and the shared JSONL string).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -84,8 +85,8 @@ fn disabled_telemetry_allocates_nothing() {
     );
 
     // Sanity: the counter is live — the same run with telemetry enabled
-    // allocates strictly more (per-partition buffers, writer thread,
-    // JSONL serialization).
+    // allocates strictly more (per-partition `PartTrace` buffers, the
+    // barrier batch, the shared JSONL string).
     let traced = allocs_during(|| {
         Session::bench(&bench)
             .sim(cfg.clone())

@@ -7,12 +7,14 @@
 //! {1, 2, 4} on both evaluated topology families, with every run
 //! terminating at quiescence rather than a fixed cycle budget.
 
+mod common;
+
 use std::sync::Arc;
 
+use common::families;
 use wsdf::exec::BspPool;
-use wsdf::routing::{RouteMode, VcScheme};
 use wsdf::sim::SimConfig;
-use wsdf::topo::{contiguous_blocks, SlParams, SwParams};
+use wsdf::topo::contiguous_blocks;
 use wsdf::{Bench, Session, Workload, WorkloadReport, WorkloadUnits};
 
 fn run_workload(bench: &Bench, cfg: SimConfig, wl: &Workload) -> WorkloadReport {
@@ -28,23 +30,6 @@ fn chip_participants(bench: &Bench) -> Vec<u32> {
     (0..bench.scope.num_chips())
         .map(|c| bench.scope.node_of(c, 0))
         .collect()
-}
-
-fn families() -> Vec<(&'static str, Bench)> {
-    vec![
-        (
-            "switchless",
-            Bench::switchless(
-                &SlParams::radix16().with_wgroups(1),
-                RouteMode::Minimal,
-                VcScheme::Baseline,
-            ),
-        ),
-        (
-            "switchbased",
-            Bench::switchbased(&SwParams::radix16().with_groups(1), RouteMode::Minimal),
-        ),
-    ]
 }
 
 fn acceptance_workloads(participants: &[u32]) -> Vec<Workload> {
