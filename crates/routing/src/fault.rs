@@ -112,7 +112,7 @@ impl ReachMap {
     }
 
     /// Ordered endpoint pairs `(s, d)` with `s != d` that are *not*
-    /// routable (dead ends included).
+    /// routable (dead ends included); 0 when the map covers no endpoint.
     pub fn unreachable_pairs(&self) -> u64 {
         let n = self.comp.len() as u64;
         let mut sizes = std::collections::HashMap::new();
@@ -120,7 +120,7 @@ impl ReachMap {
             *sizes.entry(c).or_insert(0u64) += 1;
         }
         let routable: u64 = sizes.values().map(|&s| s * (s - 1)).sum();
-        n * (n - 1) - routable
+        n * n.saturating_sub(1) - routable
     }
 
     /// The live endpoints of the largest component (ties broken toward the
@@ -722,6 +722,18 @@ mod tests {
         // Grid diameter is 3 (corner to corner); up*/down* over the BFS
         // order of this grid achieves it.
         assert_eq!(max, 3);
+    }
+
+    #[test]
+    fn a_fabric_without_endpoints_has_no_unreachable_pairs() {
+        let mut net = NetworkDesc::new();
+        net.add_router(2);
+        net.add_router(2);
+        net.connect((0, 1), (1, 1), 1, 1, ChannelClass::ShortReach);
+        net.validate().unwrap();
+        let reach = DetourOracle::pristine(&net).reach_map();
+        assert_eq!((reach.endpoints(), reach.live_endpoints()), (0, 0));
+        assert_eq!(reach.unreachable_pairs(), 0);
     }
 
     #[test]

@@ -1,11 +1,14 @@
 //! Channel descriptions: the static wiring of the network, plus the
-//! bounded timed ring buffer that backs every channel queue at runtime.
+//! per-partition delivery wheel that carries every flit and credit in
+//! flight at runtime.
 //!
 //! Channels are unidirectional. A physical full-duplex link in the paper is
 //! two `ChannelDesc`s in opposite directions. Each channel has a latency in
 //! cycles and a width in flits/cycle; the paper's `2B`/`4B` configurations
 //! (doubled/quadrupled intra-C-group bandwidth) are expressed purely through
 //! `width`.
+
+use crate::router::{clear_bit, set_bit, RotatedOnes, NIL};
 
 /// Index of a channel in [`crate::network::NetworkDesc::channels`].
 pub type ChannelId = u32;
@@ -155,345 +158,261 @@ impl ChannelDesc {
     }
 }
 
-// --- Timed ring buffer ------------------------------------------------------
+// --- Delivery wheel ---------------------------------------------------------
 
-/// Error returned by [`TimedRing::try_push`] when the ring is at capacity.
-///
-/// Channel queues are sized at network-compile time from the physical bound
-/// `(latency + 1) × width (× consumer speedup for credit queues)`, so a full
-/// ring during simulation means the sizing invariant was violated — the
-/// engine treats it as a hard error rather than silently growing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RingFull;
+/// The port of an endpoint's channel end. Routers have at most
+/// [`MAX_PORTS`](crate::MAX_PORTS) ports, so it names no router port.
+pub(crate) const EP_PORT: u8 = u8::MAX;
 
-impl std::fmt::Display for RingFull {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "timed ring buffer is full")
-    }
+/// One end of a channel inside its partition: port `port` of the local
+/// router `agent`, or the local endpoint `agent` when `port` is
+/// [`EP_PORT`]. A channel's flits go to its receiving end and its credits
+/// to its sending end.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct End {
+    pub(crate) agent: u32,
+    pub(crate) port: u8,
 }
 
-impl std::error::Error for RingFull {}
-
-/// A bounded FIFO of `(arrival_cycle, payload)` entries.
-///
-/// This backs every channel's flit and credit queue. Producers stamp each
-/// entry with its arrival cycle (`now + latency`); consumers drain entries
-/// whose arrival cycle has been reached with [`TimedRing::pop_due`].
-/// Because a channel has exactly one producer with a fixed latency, arrival
-/// stamps are non-decreasing in push order, so FIFO order *is* arrival
-/// order and a plain ring suffices — no priority queue, no per-cycle heap
-/// churn.
-///
-/// The capacity is fixed at construction and `try_push` reports overflow
-/// at exactly that many entries, which doubles as backpressure in unit
-/// tests and as an invariant check in the engine. Storage is sized by
-/// peak occupancy instead: a new ring holds no cells, and the cells — a
-/// power of two in number — double only when every one is occupied, so a
-/// ring never holds more than `capacity().next_power_of_two()` cells, and
-/// a steady stream cycles through about as many cells as it occupies.
-#[derive(Debug, Clone)]
-pub struct TimedRing<T> {
-    /// The cells: none, or a power of two. Cell `(head + i) & (cells − 1)`
-    /// holds queue position `i`.
-    buf: Vec<(u64, T)>,
-    cap: usize,
-    head: usize,
-    len: usize,
+/// One event of a [`Wheel`]: the flit in pool slot `slot` joining input
+/// VC `vc` of port `port` of local router `agent`, or, when `slot` is
+/// [`NIL`], a credit for VC `vc` at the end `(agent, port)`: an output VC
+/// of a local router, or an injection VC of a local endpoint.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Delivery {
+    pub(crate) slot: u32,
+    pub(crate) agent: u32,
+    pub(crate) port: u8,
+    pub(crate) vc: u8,
 }
 
-impl<T: Copy> TimedRing<T> {
-    /// Ring with room for `cap` entries (at least 1). Allocates nothing.
-    pub fn with_capacity(cap: usize) -> Self {
-        TimedRing {
-            buf: Vec::new(),
-            cap: cap.max(1),
-            head: 0,
-            len: 0,
+const _: () = assert!(std::mem::size_of::<Delivery>() == 12);
+
+impl Delivery {
+    /// The flit in pool slot `slot`, joining input VC `vc` at `to`.
+    #[inline]
+    pub(crate) fn flit(slot: u32, to: End, vc: u8) -> Self {
+        Delivery {
+            slot,
+            agent: to.agent,
+            port: to.port,
+            vc,
         }
     }
 
-    /// Entries currently queued.
+    /// A credit for VC `vc` at `to`.
     #[inline]
-    pub fn len(&self) -> usize {
-        self.len
+    pub(crate) fn credit(to: End, vc: u8) -> Self {
+        Delivery::flit(NIL, to, vc)
     }
 
-    /// True when nothing is queued.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Maximum entries this ring can hold.
-    #[inline]
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
-    /// Index mask of the cells (`cells − 1`; only read with a cell).
-    #[inline]
-    fn mask(&self) -> usize {
-        self.buf.len().wrapping_sub(1)
-    }
-
-    /// Append an entry arriving at cycle `arrive`; `Err(RingFull)` when at
-    /// capacity (backpressure).
-    #[inline]
-    pub fn try_push(&mut self, arrive: u64, item: T) -> Result<(), RingFull> {
-        if self.len == self.cap {
-            return Err(RingFull);
-        }
-        if self.len == self.buf.len() {
-            self.grow((arrive, item));
-        }
-        let pos = (self.head + self.len) & self.mask();
-        self.buf[pos] = (arrive, item);
-        self.len += 1;
-        Ok(())
-    }
-
-    /// Double the cells, every one of which is occupied (one cell from
-    /// none), and unroll the queue to cell 0. The new cells start as
-    /// copies of `fill`.
-    #[cold]
-    #[inline(never)]
-    fn grow(&mut self, fill: (u64, T)) {
-        let cells = (self.buf.len() * 2).max(1);
-        debug_assert!(cells <= self.cap.next_power_of_two());
-        self.buf.rotate_left(self.head);
-        self.buf.reserve_exact(cells - self.buf.len());
-        self.buf.resize(cells, fill);
-        self.head = 0;
-    }
-
-    /// The oldest entry, if any.
-    #[inline]
-    pub fn front(&self) -> Option<&(u64, T)> {
-        if self.len == 0 {
-            None
-        } else {
-            Some(&self.buf[self.head])
-        }
-    }
-
-    /// Remove and return the oldest entry.
-    #[inline]
-    pub fn pop_front(&mut self) -> Option<(u64, T)> {
-        if self.len == 0 {
-            return None;
-        }
-        let e = self.buf[self.head];
-        self.head = (self.head + 1) & self.mask();
-        self.len -= 1;
-        Some(e)
-    }
-
-    /// Debug builds: the queued entries, oldest first.
+    /// Debug builds: the end this event is delivered to.
     #[cfg(debug_assertions)]
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &(u64, T)> + '_ {
-        (0..self.len).map(move |i| &self.buf[(self.head + i) & self.mask()])
+    pub(crate) fn end(&self) -> End {
+        End {
+            agent: self.agent,
+            port: self.port,
+        }
+    }
+}
+
+/// The flits and credits in flight inside one partition, bucketed by the
+/// cycle they are due: a hashed timing wheel (Varghese & Lauck, SOSP
+/// 1987) of `W` buckets, `W` the power of two above the longest channel
+/// latency.
+///
+/// A send at cycle `t` is due at `t + latency ≤ t + W − 1`, and a
+/// cross-partition message is pushed at its delivery, no earlier than
+/// the cycle after its send. Every executed cycle drains its own bucket,
+/// and the engine never jumps past a due cycle, so the events pending at
+/// any time span fewer than `W` cycles: bucket `due & (W − 1)` holds
+/// exactly the events due at `due`, in push order. A bitmask of the
+/// non-empty buckets finds the next due cycle in O(W / 64) words.
+#[derive(Debug)]
+pub(crate) struct Wheel {
+    buckets: Vec<Vec<Delivery>>,
+    /// Bit `b` set ⇔ bucket `b` holds an event.
+    busy: Vec<u64>,
+    /// Debug builds: the due cycle of each non-empty bucket's events.
+    #[cfg(debug_assertions)]
+    due: Vec<u64>,
+}
+
+impl Wheel {
+    /// A wheel for channels of at most `max_latency` cycles. Allocates
+    /// no bucket storage until the first push.
+    pub(crate) fn new(max_latency: u32) -> Self {
+        let w = (max_latency as usize + 1).next_power_of_two();
+        Wheel {
+            buckets: (0..w).map(|_| Vec::new()).collect(),
+            busy: vec![0; w.div_ceil(64)],
+            #[cfg(debug_assertions)]
+            due: vec![0; w],
+        }
     }
 
-    /// Remove and return the oldest entry iff it has arrived by `now`.
-    /// This is the consumer-side primitive of every absorb loop.
     #[inline]
-    pub fn pop_due(&mut self, now: u64) -> Option<(u64, T)> {
-        match self.front() {
-            Some(&(arrive, _)) if arrive <= now => self.pop_front(),
-            _ => None,
+    fn bucket(&self, cycle: u64) -> usize {
+        cycle as usize & (self.buckets.len() - 1)
+    }
+
+    /// Append `d`, due at cycle `due`, to its bucket.
+    #[inline]
+    pub(crate) fn push(&mut self, due: u64, d: Delivery) {
+        let b = self.bucket(due);
+        #[cfg(debug_assertions)]
+        {
+            if self.buckets[b].is_empty() {
+                self.due[b] = due;
+            }
+            assert_eq!(
+                self.due[b], due,
+                "delivery wheel bucket {b} would hold events due at two cycles"
+            );
+        }
+        self.buckets[b].push(d);
+        set_bit(&mut self.busy, b);
+    }
+
+    /// Remove the events due at `now`, yielding them in push order.
+    #[inline]
+    pub(crate) fn drain(&mut self, now: u64) -> std::vec::Drain<'_, Delivery> {
+        let b = self.bucket(now);
+        #[cfg(debug_assertions)]
+        assert!(
+            self.buckets[b].is_empty() || self.due[b] == now,
+            "delivery wheel drained events due at cycle {} at cycle {now}",
+            self.due[b]
+        );
+        clear_bit(&mut self.busy, b);
+        self.buckets[b].drain(..)
+    }
+
+    /// The earliest cycle at which an event is due (`u64::MAX` with
+    /// none). Every pending event must be due at or after `now`.
+    pub(crate) fn next_due(&self, now: u64) -> u64 {
+        let start = self.bucket(now);
+        let Some(b) = RotatedOnes::new(&self.busy, start).next() else {
+            return u64::MAX;
+        };
+        let due = now + (b.wrapping_sub(start) & (self.buckets.len() - 1)) as u64;
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            self.due[b], due,
+            "delivery wheel holds events due at cycle {}, before cycle {now}",
+            self.due[b]
+        );
+        due
+    }
+
+    /// Test builds: the bucket count `W`.
+    #[cfg(test)]
+    pub(crate) fn width(&self) -> usize {
+        self.buckets.len()
+    }
+
+    /// Debug builds: every pending event, bucket by bucket.
+    #[cfg(debug_assertions)]
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Delivery> + '_ {
+        self.buckets.iter().flatten()
+    }
+
+    /// Debug builds: the bit of every bucket is set iff it holds an event.
+    #[cfg(debug_assertions)]
+    pub(crate) fn assert_busy_exact(&self) {
+        for (b, bucket) in self.buckets.iter().enumerate() {
+            assert_eq!(
+                self.busy[b / 64] >> (b % 64) & 1 == 1,
+                !bucket.is_empty(),
+                "delivery wheel bitmask out of step with bucket {b}"
+            );
         }
     }
 }
 
 #[cfg(test)]
-mod ring_tests {
-    use super::*;
-
-    #[test]
-    fn fifo_order_is_preserved() {
-        let mut r = TimedRing::with_capacity(4);
-        for i in 0..4u64 {
-            r.try_push(i, i as u8).unwrap();
-        }
-        for i in 0..4u64 {
-            assert_eq!(r.pop_front(), Some((i, i as u8)));
-        }
-        assert!(r.pop_front().is_none());
-    }
-
-    #[test]
-    fn wrap_around_reuses_slots_without_reallocating() {
-        let mut r = TimedRing::with_capacity(3);
-        // Fill, drain partially, and keep cycling through the wrap point.
-        r.try_push(0, 0u8).unwrap();
-        r.try_push(1, 1).unwrap();
-        assert_eq!(r.pop_front(), Some((0, 0)));
-        for i in 2..50u64 {
-            r.try_push(i, i as u8).unwrap();
-            assert_eq!(r.pop_front(), Some((i - 1, (i - 1) as u8)));
-            assert_eq!(r.len(), 1);
-        }
-        // Physical storage never exceeded the fixed capacity.
-        assert!(r.buf.len() <= r.capacity());
-        assert_eq!(r.capacity(), 3);
-    }
-
-    #[test]
-    fn full_queue_exerts_backpressure() {
-        let mut r = TimedRing::with_capacity(2);
-        r.try_push(0, 1u8).unwrap();
-        r.try_push(0, 2).unwrap();
-        assert_eq!(r.try_push(0, 3), Err(RingFull));
-        assert_eq!(r.len(), 2);
-        // Draining one slot re-admits one entry.
-        assert_eq!(r.pop_front(), Some((0, 1)));
-        r.try_push(9, 3).unwrap();
-        assert_eq!(r.try_push(9, 4), Err(RingFull));
-    }
-
-    #[test]
-    fn pop_due_respects_arrival_cycles() {
-        let mut r = TimedRing::with_capacity(4);
-        r.try_push(5, 10u8).unwrap();
-        r.try_push(5, 11).unwrap();
-        r.try_push(8, 12).unwrap();
-        // Nothing due before cycle 5.
-        assert_eq!(r.pop_due(4), None);
-        assert_eq!(r.len(), 3);
-        // Both cycle-5 entries drain in order; the cycle-8 entry stays.
-        assert_eq!(r.pop_due(5), Some((5, 10)));
-        assert_eq!(r.pop_due(5), Some((5, 11)));
-        assert_eq!(r.pop_due(5), None);
-        assert_eq!(r.pop_due(8), Some((8, 12)));
-        assert!(r.is_empty());
-    }
-
-    #[test]
-    fn zero_capacity_is_clamped_to_one() {
-        let mut r = TimedRing::with_capacity(0);
-        assert_eq!(r.capacity(), 1);
-        r.try_push(0, 1u8).unwrap();
-        assert_eq!(r.try_push(0, 2), Err(RingFull));
-    }
-}
-
-/// The cells grow with peak occupancy, checked against a `VecDeque`.
-#[cfg(test)]
-mod ring_growth_tests {
+mod wheel_tests {
     use super::*;
     use crate::rng::SplitMix64;
-    use std::collections::VecDeque;
 
-    fn cells<T>(r: &TimedRing<T>) -> usize {
-        r.buf.len()
+    fn ev(n: u32) -> Delivery {
+        Delivery::flit(n, End { agent: n, port: 0 }, 0)
+    }
+
+    fn drained(w: &mut Wheel, now: u64) -> Vec<u32> {
+        w.drain(now).map(|d| d.slot).collect()
     }
 
     #[test]
-    fn a_new_ring_holds_no_cells() {
-        let r = TimedRing::<u8>::with_capacity(144);
-        assert_eq!(cells(&r), 0);
-        assert_eq!(r.buf.capacity(), 0);
-        assert_eq!(r.capacity(), 144);
-    }
-
-    #[test]
-    fn k_pushes_from_empty_take_the_next_power_of_two_cells() {
-        for k in 1..=100usize {
-            let mut r = TimedRing::with_capacity(100);
-            for i in 0..k {
-                r.try_push(i as u64, i as u32).unwrap();
-            }
-            assert_eq!(cells(&r), k.next_power_of_two(), "k {k}");
+    fn width_is_the_power_of_two_above_the_longest_latency() {
+        for (latency, width, words) in [(1, 2, 1), (8, 16, 1), (1000, 1024, 16)] {
+            let w = Wheel::new(latency);
+            assert_eq!((w.width(), w.busy.len()), (width, words), "{latency}");
+            assert!(w.buckets.iter().all(|b| b.capacity() == 0));
         }
     }
 
     #[test]
-    fn ring_full_fires_at_exactly_cap_when_cells_exceed_it() {
-        let mut r = TimedRing::with_capacity(5);
-        for i in 0..5u64 {
-            r.try_push(i, i as u8).unwrap();
+    fn each_bucket_drains_in_push_order() {
+        let mut w = Wheel::new(8);
+        for n in 0..6 {
+            w.push(10, ev(n));
+            w.push(12, ev(100 + n));
         }
-        assert_eq!(r.try_push(5, 5), Err(RingFull));
-        assert_eq!(r.len(), 5);
-        assert_eq!(cells(&r), 8);
-        // The three spare cells never admit a sixth entry, even after the
-        // queue has wrapped through them.
-        for i in 5..40u64 {
-            assert_eq!(r.pop_front(), Some((i - 5, (i - 5) as u8)));
-            r.try_push(i, i as u8).unwrap();
-            assert_eq!(r.try_push(i, 0), Err(RingFull));
-        }
-        assert_eq!(cells(&r), 8);
+        assert!(drained(&mut w, 9).is_empty());
+        assert_eq!(drained(&mut w, 10), [0, 1, 2, 3, 4, 5]);
+        assert!(drained(&mut w, 11).is_empty());
+        assert_eq!(drained(&mut w, 12), [100, 101, 102, 103, 104, 105]);
+        assert_eq!(w.next_due(13), u64::MAX);
     }
 
     #[test]
-    fn growth_from_a_wrapped_head_keeps_fifo_order() {
-        let mut r = TimedRing::with_capacity(64);
-        let mut want = VecDeque::new();
-        // Four cells, head moved to cell 3, queue wrapped past the end.
-        for i in 0..4u64 {
-            r.try_push(i, i).unwrap();
-            want.push_back((i, i));
-        }
-        for _ in 0..3 {
-            assert_eq!(r.pop_front(), want.pop_front());
-        }
-        for i in 4..7u64 {
-            r.try_push(i, i).unwrap();
-            want.push_back((i, i));
-        }
-        assert_eq!((cells(&r), r.head, r.len()), (4, 3, 4));
-        // The fifth entry doubles the cells from the wrapped state.
-        for i in 7..16u64 {
-            r.try_push(i, i).unwrap();
-            want.push_back((i, i));
-        }
-        assert_eq!(cells(&r), 16);
-        while let Some(e) = r.pop_front() {
-            assert_eq!(Some(e), want.pop_front());
-        }
-        assert!(want.is_empty());
+    fn next_due_wraps_around_and_is_max_when_empty() {
+        let mut w = Wheel::new(8);
+        assert_eq!(w.next_due(0), u64::MAX);
+        // Cycle 14 is bucket 14 of 16; cycles 17 and 29 wrap to buckets 1
+        // and 13, both below it.
+        w.push(29, ev(2));
+        w.push(17, ev(1));
+        assert_eq!(w.next_due(14), 17);
+        assert_eq!(drained(&mut w, 17), [1]);
+        assert_eq!(w.next_due(18), 29);
+        assert_eq!(drained(&mut w, 29), [2]);
+        assert_eq!(w.next_due(30), u64::MAX);
+        // Across the words of a 1024-bucket wheel.
+        let mut w = Wheel::new(1000);
+        w.push(1000 + 1000, ev(3));
+        assert_eq!(w.next_due(1000), 2000);
+        w.push(1001, ev(4));
+        assert_eq!(w.next_due(1000), 1001);
     }
 
     #[test]
-    fn a_steady_stream_never_adds_cells() {
-        let mut r = TimedRing::with_capacity(144);
-        for i in 0..5u64 {
-            r.try_push(i, i as u8).unwrap();
-        }
-        assert_eq!(cells(&r), 8);
-        for i in 5..10_005u64 {
-            r.try_push(i, i as u8).unwrap();
-            assert_eq!(r.pop_front().map(|e| e.0), Some(i - 5));
-        }
-        assert_eq!((cells(&r), r.len()), (8, 5));
-    }
-
-    #[test]
-    fn random_pushes_and_pops_match_a_vecdeque() {
-        let mut rng = SplitMix64::new(0x7173);
-        for cap in [1usize, 2, 3, 5, 9, 16, 144] {
-            let mut r = TimedRing::with_capacity(cap);
-            let mut want = VecDeque::new();
-            let mut peak = 0;
-            for t in 0..4_000u64 {
+    fn random_pushes_drain_at_their_due_cycle_in_push_order() {
+        let mut rng = SplitMix64::new(0x3EE1);
+        for max_latency in [1u32, 3, 8, 100] {
+            let mut w = Wheel::new(max_latency);
+            let mut pending: Vec<(u64, u32)> = Vec::new();
+            let mut now = 0u64;
+            for n in 0..5_000u32 {
                 if !rng.next_u64().is_multiple_of(3) {
-                    let ok = r.try_push(t, t as u32).is_ok();
-                    assert_eq!(ok, want.len() < cap, "cap {cap}");
-                    if ok {
-                        want.push_back((t, t as u32));
-                    }
-                } else {
-                    assert_eq!(r.pop_front(), want.pop_front(), "cap {cap}");
+                    let due = now + 1 + rng.next_u64() % max_latency as u64;
+                    w.push(due, ev(n));
+                    pending.push((due, n));
+                    continue;
                 }
-                peak = peak.max(want.len());
-                let want_cells = if peak == 0 {
-                    0
-                } else {
-                    peak.next_power_of_two()
-                };
-                assert_eq!(cells(&r), want_cells, "cap {cap}");
-                assert!(cells(&r) <= cap.next_power_of_two());
+                // Jump to the next due cycle, as the engine does.
+                let next = pending.iter().map(|&(d, _)| d).min().unwrap_or(u64::MAX);
+                assert_eq!(w.next_due(now), next, "max latency {max_latency}");
+                if next == u64::MAX {
+                    continue;
+                }
+                now = next;
+                let want: Vec<u32> = pending.iter().filter(|e| e.0 == now).map(|e| e.1).collect();
+                pending.retain(|e| e.0 != now);
+                assert_eq!(drained(&mut w, now), want, "max latency {max_latency}");
+                #[cfg(debug_assertions)]
+                w.assert_busy_exact();
             }
         }
     }

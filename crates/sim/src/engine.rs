@@ -10,17 +10,18 @@
 //! *not* a thread spawn/join. Each pool slot owns a fixed contiguous range
 //! of partitions for the whole run (weight-balanced over routers +
 //! endpoints at compile time), so the same OS thread touches the same
-//! router and ring state every cycle: cache and NUMA affinity come from
+//! router and wheel state every cycle: cache and NUMA affinity come from
 //! the mapping, no `sched_setaffinity` needed.
 //!
 //! Inside a broadcast, each partition:
 //!
 //! 1. **Delivers** last cycle's cross-partition messages: it drains the
 //!    *read* mailbox of every in-edge of the partition adjacency graph
-//!    into the channel queues it owns.
-//! 2. **Advances** its endpoints and routers one cycle. Flits/credits
-//!    crossing into another partition are appended to the *write* mailbox
-//!    of the corresponding out-edge.
+//!    onto its delivery wheel.
+//! 2. **Advances** one cycle: it drains the wheel's events due now, then
+//!    steps its endpoints and routers. Flits/credits crossing into
+//!    another partition are appended to the *write* mailbox of the
+//!    corresponding out-edge.
 //!
 //! Cross-partition exchange is **sparse**: the partition adjacency graph
 //! is computed at network-compile time (one directed edge per adjacent
@@ -61,41 +62,45 @@
 //! ## Pending-work bitmaps
 //!
 //! The bitmaps (`router::Pending`) are the one record of which agents have
-//! work. Each partition keeps a pending-flit and a pending-credit word
-//! per local router (bit = port whose ring holds an entry) and one
-//! summary bit per local router (a pending port or a buffered flit) and
-//! per local endpoint (a queued packet or an injection credit in
-//! flight). Every ring push, mailbox delivery and closed-loop submission
-//! marks its consumer; a router clears a port bit when the ring drains,
-//! and an agent clears its summary bit after a step that leaves it idle.
+//! work: one bit per local router (a buffered flit) and per local endpoint
+//! (a queued packet). A flit the wheel delivers marks its router, a
+//! closed-loop submission marks its endpoint, and an agent clears its bit
+//! after a step that leaves it idle.
 //!
-//! Every executed cycle — event-driven, storm or dense — marks the
-//! endpoints whose open-loop emission is due, then steps the endpoints
-//! and then the routers whose bit is set, in ascending order. Any other
-//! agent's step would be a strict no-op. Between cycles the same bits
-//! give the next-event cycle for the idle fast-forward: a busy agent is
-//! due now, any other at the earliest front of its pending rings. Debug
-//! builds assert that every bit is exact at every storm exit and at both
-//! run exits.
+//! Every executed cycle — event-driven, storm or dense — drains the
+//! wheel's events due now, marks the endpoints whose open-loop emission is
+//! due, then steps the endpoints and then the routers whose bit is set, in
+//! ascending order. Any other agent's step would be a strict no-op.
+//! Between cycles the same bits give the next-event cycle for the idle
+//! fast-forward: a partition with a bit set is due now, any other at the
+//! earliest of its first non-empty wheel bucket, its earliest undelivered
+//! outbound message and its next open-loop emission. Debug builds assert
+//! that every bit is exact at every storm exit and at both run exits.
 //!
-//! ## Bounded channel queues and one flit store per partition
+//! ## One delivery wheel and one flit store per partition
 //!
-//! Channel queues are [`TimedRing`]s bounded when the network is compiled:
-//! a channel can hold at most `width` entries per cycle for `latency`
-//! cycles (plus one cycle of producer/consumer skew within a BSP step), so
-//! flit rings admit `(latency + 1) × width` entries and credit rings
-//! additionally scale by the consuming router's crossbar speedup (its
-//! per-cycle credit-return bound); an entry past the bound is a hard
-//! error. The flits in a partition's rings and router buffers sit in its
+//! Every flit and credit in flight to a partition's agents is an event on
+//! its delivery wheel (`channel::Wheel`): `W` buckets, `W` the power of two
+//! above the longest channel latency, with bucket `due & (W − 1)` holding
+//! the events due at `due` in push order. A partition-local send appends
+//! its flit and its credit. A cross-partition message is appended when it
+//! is delivered, before the cycle's drain, since a latency-1 message is
+//! due the cycle it arrives. Each executed cycle drains its bucket after
+//! the telemetry queue-depth sample and before any agent steps: flits link
+//! into their input VCs and count as moved, credits go back to output VCs
+//! or endpoints. The flits of one input VC come over one channel, so they
+//! join it in send order. A flit joining an input VC that already buffers
+//! `buffer_flits` flits, or a credit returning to a VC that already holds
+//! `buffer_flits` credits, panics in every build.
+//!
+//! The flits on a partition's wheel and in its router buffers sit in its
 //! flit pool (`router::FlitPool`): input VCs are FIFOs of pool slots, and
-//! flit rings carry slot indices.
-//!
-//! Storage grows only when a ring or the pool reaches a new peak: a ring
-//! doubles its cells when every one is occupied, the pool adds a slot
-//! when its free list is empty, and neither ever shrinks. Once a run has
-//! seen its peak occupancy, stepping allocates nothing.
+//! a flit event carries a slot index. Storage grows only at a new peak: a
+//! bucket grows like any `Vec`, the pool adds a slot when its free list is
+//! empty, and neither ever shrinks. Once a run has seen its peak
+//! occupancy, stepping allocates nothing.
 
-use crate::channel::{Terminus, TimedRing};
+use crate::channel::{Delivery, End, Terminus, Wheel, EP_PORT};
 use crate::config::SimConfig;
 use crate::fault::FaultMap;
 use crate::flit::{PacketHeader, NO_INTERMEDIATE};
@@ -104,8 +109,8 @@ use crate::network::NetworkDesc;
 use crate::oracle::RouteOracle;
 use crate::pattern::TrafficPattern;
 use crate::router::{
-    clear_bit, AllocScratch, Arrival, Consumer, CreditTarget, CycleCtx, EndpointRt, FlitPool,
-    FlitTarget, Hop, Msg, Ones, Pending, PortIn, PortOut, RouterRt,
+    clear_bit, AllocScratch, Arrival, CreditTarget, CycleCtx, EndpointRt, FlitPool, FlitTarget,
+    Msg, Ones, Pending, PortIn, PortOut, RouterRt, NIL,
 };
 use crate::telemetry::{self, PartTrace, TraceRec, Tracer};
 use wsdf_exec::BspPool;
@@ -143,15 +148,17 @@ impl std::error::Error for SimError {}
 /// Result alias for engine operations.
 pub type SimResult<T> = Result<T, SimError>;
 
-/// One BSP partition: a contiguous block of routers plus their endpoints
-/// and the channel queues they own. Cross-partition mailboxes live outside
-/// the partition (in `Mailboxes`) so the exchange can run in parallel.
+/// One BSP partition: the routers one partition id names in the
+/// router→partition assignment, their endpoints, and the wheel of the
+/// flits and credits in flight to them. The cross-partition mailboxes
+/// live outside the partition, in the sparse `Exchange`, so the exchange
+/// can run in parallel.
 struct Partition {
     routers: Vec<RouterRt>,
     endpoints: Vec<EndpointRt>,
-    flit_qs: Vec<TimedRing<Hop>>,
-    credit_qs: Vec<TimedRing<u8>>,
-    /// The flits buffered in these routers or riding these flit rings.
+    /// The flits and credits in flight to these agents, by due cycle.
+    wheel: Wheel,
+    /// The flits buffered in these routers or riding this wheel.
     pool: FlitPool,
     metrics: Metrics,
     moved: u64,
@@ -159,7 +166,7 @@ struct Partition {
     /// Packet-arrival events of this cycle (closed-loop runs only; stays
     /// empty — and unallocated — in open-loop runs).
     arrivals: Vec<Arrival>,
-    /// Which local agents and ports have work (see [`Pending`]).
+    /// Which local agents have work (see [`Pending`]).
     pend: Pending,
     /// Allocator scratch shared by this partition's routers.
     alloc: AllocScratch,
@@ -170,8 +177,7 @@ struct Partition {
     /// Earliest arrival cycle among the cross-partition messages this
     /// partition emitted on its latest advance (`u64::MAX` if none). After
     /// the barrier those messages sit undelivered in the read mailboxes,
-    /// their consumers not yet marked, so this bounds the idle
-    /// fast-forward.
+    /// on no wheel yet, so this bounds the idle fast-forward.
     out_min: u64,
     /// Opt-in telemetry state ([`Simulation::attach_trace`]); `None`
     /// keeps the hot path allocation- and branch-cost-free apart from one
@@ -180,11 +186,9 @@ struct Partition {
 }
 
 impl Partition {
-    /// Deliver one source partition's mailbox into the channel queues this
-    /// partition owns, marking each consumer (the producer partition
-    /// cannot reach these bitmaps, so remote messages mark at delivery).
-    /// Each delivered flit takes a slot in this partition's pool.
-    fn deliver(&mut self, msgs: &mut Vec<Msg>, flit_loc: &[(u32, u32)], credit_loc: &[(u32, u32)]) {
+    /// Deliver one source partition's mailbox onto this partition's
+    /// wheel. Each delivered flit takes a slot in this partition's pool.
+    fn deliver(&mut self, msgs: &mut Vec<Msg>, flit_end: &[(u32, End)], credit_end: &[(u32, End)]) {
         for msg in msgs.drain(..) {
             match msg {
                 Msg::Flit {
@@ -193,76 +197,42 @@ impl Partition {
                     vc,
                     flit,
                 } => {
-                    let (_, idx) = flit_loc[ch as usize];
                     let slot = self.pool.alloc(flit);
-                    self.flit_qs[idx as usize]
-                        .try_push(arrive, Hop { slot, vc })
-                        .expect("remote flit ring overflow: capacity bound violated");
-                    self.pend.flit_pushed(idx);
+                    let to = flit_end[ch as usize].1;
+                    self.wheel.push(arrive, Delivery::flit(slot, to, vc));
                 }
                 Msg::Credit { ch, arrive, vc } => {
-                    let (_, idx) = credit_loc[ch as usize];
-                    self.credit_qs[idx as usize]
-                        .try_push(arrive, vc)
-                        .expect("remote credit ring overflow: capacity bound violated");
-                    self.pend.credit_pushed(idx);
+                    let to = credit_end[ch as usize].1;
+                    self.wheel.push(arrive, Delivery::credit(to, vc));
                 }
             }
         }
     }
 
-    /// Debug-build invariant: the pending-work bitmaps are exact. A port
-    /// bit is set iff the ring behind it holds an entry; a router's bit
-    /// iff a port is pending or a flit buffered; an endpoint's bit iff a
-    /// packet is queued or an injection credit in flight. Ejection is
-    /// final at the router, so every endpoint-consumed flit ring stays
-    /// empty. Both stepping modes read the same bitmaps, so the
+    /// Debug-build invariant: the pending-work bitmaps are exact. A
+    /// router's bit is set iff it buffers a flit, an endpoint's iff it
+    /// queues a packet. Both stepping modes read the same bitmaps, so the
     /// dense/event equivalence suites cannot see a missed bit; this check
-    /// can. The allocator scratch, which every router step must leave
-    /// clear, is swept whole here as well.
+    /// can. The wheel's bucket bitmask, and the allocator scratch, which
+    /// every router step must leave clear, are swept here as well.
     #[cfg(debug_assertions)]
     fn assert_pending_bitmaps(&self) {
         use crate::router::set_bit;
         self.alloc.assert_clear();
+        self.wheel.assert_busy_exact();
         let pend = &self.pend;
-        let mut flit = vec![0u64; self.routers.len()];
-        let mut credit = vec![0u64; self.routers.len()];
         let mut routers = vec![0u64; pend.routers.len()];
         let mut endpoints = vec![0u64; pend.endpoints.len()];
-        for (q, ring) in self.flit_qs.iter().enumerate() {
-            match pend.flit_cons[q] {
-                _ if ring.is_empty() => {}
-                Consumer::Router { lidx, port } => flit[lidx as usize] |= 1 << port,
-                Consumer::Endpoint(e) => panic!("ejection flit ring of endpoint {e} holds a flit"),
-            }
-        }
-        for (q, ring) in self.credit_qs.iter().enumerate() {
-            match pend.credit_cons[q] {
-                Consumer::Router { lidx, port } if !ring.is_empty() => {
-                    credit[lidx as usize] |= 1 << port
-                }
-                // Injection-credit rings count through `EndpointRt::idle`.
-                _ => {}
-            }
-        }
         for (lr, r) in self.routers.iter().enumerate() {
-            if r.buffered() > 0 || (flit[lr] | credit[lr]) != 0 {
+            if !r.idle() {
                 set_bit(&mut routers, lr);
             }
         }
         for (le, e) in self.endpoints.iter().enumerate() {
-            if !e.idle(&self.credit_qs) {
+            if !e.idle() {
                 set_bit(&mut endpoints, le);
             }
         }
-        assert_eq!(
-            pend.flit, flit,
-            "pending-flit bitmap out of step with the flit rings"
-        );
-        assert_eq!(
-            pend.credit, credit,
-            "pending-credit bitmap out of step with the credit rings"
-        );
         assert_eq!(
             pend.routers, routers,
             "router pending bitmap out of step with the routers"
@@ -273,17 +243,17 @@ impl Partition {
         );
     }
 
-    /// Advance the agents with work one cycle, appending outbound
-    /// cross-partition messages to `outboxes` (this partition's row of the
-    /// write-side mailbox buffer). Monomorphizes per oracle/pattern.
+    /// Advance one cycle, appending outbound cross-partition messages to
+    /// `outboxes` (this partition's row of the write-side mailbox buffer).
+    /// Monomorphizes per oracle/pattern.
     ///
-    /// Every executed cycle — event, storm or dense — walks the
-    /// pending-work bitmaps: endpoints, then routers, in ascending order,
-    /// after marking every endpoint whose open-loop emission is due. An
-    /// agent without its bit set would have been a strict no-op — no
-    /// flit or credit due, nothing buffered, nothing to generate — so
-    /// every stepping mode executes the identical sequence of state
-    /// changes, in the identical order.
+    /// Every executed cycle — event, storm or dense — first drains the
+    /// wheel's events due now, then walks the pending-work bitmaps:
+    /// endpoints, then routers, in ascending order, after marking every
+    /// endpoint whose open-loop emission is due. An agent without its bit
+    /// set would have been a strict no-op — nothing buffered or queued,
+    /// nothing to generate — so every stepping mode executes the identical
+    /// sequence of state changes, in the identical order.
     #[allow(clippy::too_many_arguments)]
     fn advance<O: RouteOracle + ?Sized, P: TrafficPattern + ?Sized>(
         &mut self,
@@ -301,8 +271,7 @@ impl Partition {
         let Partition {
             routers,
             endpoints,
-            flit_qs,
-            credit_qs,
+            wheel,
             pool,
             metrics,
             moved,
@@ -317,17 +286,31 @@ impl Partition {
         } = self;
         // Telemetry cycle entry: flush any completed sampling window and
         // take the boundary queue-depth sample *before* this cycle's state
-        // changes. Runs for every partition at every executed cycle (even
-        // with no agent to step), which is what makes the emitted stream
-        // independent of the stepping mode — see `crate::telemetry`.
+        // changes, the wheel's deliveries included. Runs for every
+        // partition at every executed cycle (even with no agent to step),
+        // which is what makes the emitted stream independent of the
+        // stepping mode — see `crate::telemetry`.
         let mut trace = trace.as_deref_mut();
         if let Some(t) = trace.as_deref_mut() {
             t.begin_cycle(now, routers);
         }
+        // Deliver the flits and credits due now, before any agent steps:
+        // an agent reads its own flits and credits only in its own step,
+        // so delivering them all first changes nothing a step sees.
+        for d in wheel.drain(now) {
+            if d.slot != NIL {
+                routers[d.agent as usize].accept(pool, d.port, d.vc, d.slot);
+                pend.mark_router(d.agent as usize);
+                *moved += 1;
+            } else if d.port == EP_PORT {
+                endpoints[d.agent as usize].credit(d.vc);
+            } else {
+                routers[d.agent as usize].credit(d.port, d.vc);
+            }
+        }
         let mut ctx = CycleCtx {
             now,
-            flit_qs,
-            credit_qs,
+            wheel,
             outboxes,
             metrics,
             arrivals,
@@ -338,7 +321,6 @@ impl Partition {
             injecting: now < measure_end,
             measure_start,
             measure_end,
-            pend,
             out_min,
             trace,
             alloc,
@@ -348,21 +330,19 @@ impl Partition {
         if gen_due {
             for (e, &ng) in next_gen.iter().enumerate() {
                 if ng <= now {
-                    ctx.pend.mark_endpoint(e);
+                    pend.mark_endpoint(e);
                 }
             }
         }
-        // Each word is copied before it is walked: a push made this cycle
-        // is due at `now + 1` or later, so a bit it sets in the current
-        // word would only have added a no-op visit.
-        for w in 0..ctx.pend.endpoints.len() {
-            for b in Ones(ctx.pend.endpoints[w]) {
+        // No step sets a bit: what a step sends goes onto a wheel or into
+        // a mailbox, due at `now + 1` or later.
+        for w in 0..pend.endpoints.len() {
+            for b in Ones(pend.endpoints[w]) {
                 let e = w * 64 + b;
                 let ep = &mut endpoints[e];
-                ep.absorb_credits(&mut ctx);
                 ep.cycle(&mut ctx, oracle, pattern, packet_len);
-                if ep.idle(ctx.credit_qs) {
-                    clear_bit(&mut ctx.pend.endpoints, e);
+                if ep.idle() {
+                    clear_bit(&mut pend.endpoints, e);
                 }
                 // Re-arm the emission schedule of an endpoint that fired.
                 if gen_due && next_gen[e] <= now {
@@ -373,56 +353,34 @@ impl Partition {
         if gen_due {
             *gen_min = next_gen.iter().copied().min().unwrap_or(u64::MAX);
         }
-        for w in 0..ctx.pend.routers.len() {
-            for b in Ones(ctx.pend.routers[w]) {
+        for w in 0..pend.routers.len() {
+            for b in Ones(pend.routers[w]) {
                 let lr = w * 64 + b;
                 let r = &mut routers[lr];
-                r.cycle(&mut ctx, oracle, lr as u32);
-                if r.idle(ctx.pend, lr as u32) {
-                    clear_bit(&mut ctx.pend.routers, lr);
+                r.cycle(&mut ctx, oracle);
+                if r.idle() {
+                    clear_bit(&mut pend.routers, lr);
                 }
             }
         }
     }
 
-    /// Earliest cycle ≥ `now` at which this partition has work: the
-    /// earliest undelivered outbound message, the next open-loop emission
-    /// (while `gen_live`), and, over the agents whose pending-work bit is
-    /// set, `now` for a router with a buffered flit or an endpoint with a
-    /// queued packet, else the earliest front of their pending rings.
-    /// Ring dues are monotone within each ring and every entry is
-    /// consumed at its due cycle, so no earlier work can hide behind a
-    /// front.
+    /// Earliest cycle ≥ `now` at which this partition has work: `now`
+    /// while an agent's bit is set (a buffered flit or a queued packet),
+    /// else the earliest of its first non-empty wheel bucket, its earliest
+    /// undelivered outbound message and, while `gen_live`, its next
+    /// open-loop emission. Every wheel event is drained at its due cycle,
+    /// so none is due before `now`.
     fn next_event(&self, now: u64, gen_live: bool) -> u64 {
-        let mut t = self.out_min;
+        if self.pend.any() {
+            return now;
+        }
+        let t = self.out_min.min(self.wheel.next_due(now));
         if gen_live {
-            t = t.min(self.gen_min);
+            t.min(self.gen_min)
+        } else {
+            t
         }
-        for (w, &word) in self.pend.endpoints.iter().enumerate() {
-            for b in Ones(word) {
-                t = t.min(self.endpoints[w * 64 + b].next_due(now, &self.credit_qs));
-                if t <= now {
-                    return now;
-                }
-            }
-        }
-        for (w, &word) in self.pend.routers.iter().enumerate() {
-            for b in Ones(word) {
-                let lr = w * 64 + b;
-                let due = self.routers[lr].next_due(
-                    now,
-                    &self.flit_qs,
-                    &self.credit_qs,
-                    &self.pend,
-                    lr as u32,
-                );
-                t = t.min(due);
-                if t <= now {
-                    return now;
-                }
-            }
-        }
-        t
     }
 }
 
@@ -554,8 +512,8 @@ impl CycleShared<'_> {
         now: u64,
         measure_start: u64,
         measure_end: u64,
-        flit_loc: &[(u32, u32)],
-        credit_loc: &[(u32, u32)],
+        flit_end: &[(u32, End)],
+        credit_end: &[(u32, End)],
         packet_len: u8,
         collect_arrivals: bool,
     ) {
@@ -566,7 +524,7 @@ impl CycleShared<'_> {
         for &e in &self.in_flat[self.in_start[p] as usize..self.in_start[p + 1] as usize] {
             let cell = &mut *self.read.add(e as usize);
             *self.drained.add(e as usize) += cell.len() as u64;
-            part.deliver(cell, flit_loc, credit_loc);
+            part.deliver(cell, flit_end, credit_end);
         }
         // This partition's out-edge cells are its outbox set; emit targets
         // were compiled to slot indices within this range.
@@ -620,10 +578,12 @@ pub struct Simulation<O: RouteOracle> {
     oracle: O,
     partitions: Vec<Partition>,
     exch: Exchange,
-    /// channel id → (owning partition, local flit-queue index)
-    flit_loc: Vec<(u32, u32)>,
-    /// channel id → (owning partition, local credit-queue index)
-    credit_loc: Vec<(u32, u32)>,
+    /// channel id → its receiving end, with that end's partition: where
+    /// the channel's flits are delivered.
+    flit_end: Vec<(u32, End)>,
+    /// channel id → its sending end, with that end's partition: where the
+    /// channel's credits are delivered.
+    credit_end: Vec<(u32, End)>,
     /// endpoint id → (owning partition, local endpoint index)
     ep_loc: Vec<(u32, u32)>,
     /// endpoint id → attach router id (canonical arrival ordering).
@@ -740,49 +700,30 @@ impl<O: RouteOracle> Simulation<O> {
         };
         let part_of = |r: usize| -> u32 { assign[r] };
 
-        // Queue ownership: flit queue with the channel's consumer, credit
-        // queue with the channel's producer (endpoints live with their
-        // router's partition). Ring capacities come from the physical
-        // channel bound — see the module docs.
-        let home = |t: &Terminus| -> u32 {
-            match t {
-                Terminus::Router { router, .. } => part_of(*router as usize),
-                Terminus::Endpoint { endpoint } => {
-                    part_of(net.endpoints[*endpoint as usize].router as usize)
-                }
-            }
-        };
-        let mut flit_loc = Vec::with_capacity(net.channels.len());
-        let mut credit_loc = Vec::with_capacity(net.channels.len());
-        let mut flit_caps: Vec<Vec<usize>> = vec![Vec::new(); nparts];
-        let mut credit_caps: Vec<Vec<usize>> = vec![Vec::new(); nparts];
-        for ch in &net.channels {
-            // Credits for a channel are returned by its consuming router,
-            // whose per-cycle forwarding (and hence credit) bound is
-            // `width × speedup`; endpoints consume at channel width.
-            let consumer_speedup = match ch.dst {
-                Terminus::Router { router, .. } => {
-                    net.routers[router as usize].speedup.max(1) as usize
-                }
-                Terminus::Endpoint { .. } => 1,
+        // Endpoints live with their router.
+        let router_loc = locate((0..nr).map(part_of), nparts);
+        let ep_loc = locate(
+            net.endpoints.iter().map(|ed| part_of(ed.router as usize)),
+            nparts,
+        );
+        // Every channel end with its partition: the receiving end takes
+        // the channel's flits, the sending end its credits.
+        let end_of = |t: Terminus| -> (u32, End) {
+            let ((p, agent), port) = match t {
+                Terminus::Router { router, port } => (router_loc[router as usize], port),
+                Terminus::Endpoint { endpoint } => (ep_loc[endpoint as usize], EP_PORT),
             };
-            let base = (ch.latency as usize + 1) * ch.width as usize;
-            let fp = home(&ch.dst);
-            flit_loc.push((fp, flit_caps[fp as usize].len() as u32));
-            flit_caps[fp as usize].push(base);
-            let cp = home(&ch.src);
-            credit_loc.push((cp, credit_caps[cp as usize].len() as u32));
-            credit_caps[cp as usize].push(base * consumer_speedup);
-        }
+            (p, End { agent, port })
+        };
+        let flit_end: Vec<(u32, End)> = net.channels.iter().map(|ch| end_of(ch.dst)).collect();
+        let credit_end: Vec<(u32, End)> = net.channels.iter().map(|ch| end_of(ch.src)).collect();
 
-        let mut partitions: Vec<Partition> = flit_caps
-            .iter()
-            .zip(credit_caps.iter())
-            .map(|(fc, cc)| Partition {
+        let max_latency = net.channels.iter().map(|ch| ch.latency).max().unwrap_or(1);
+        let mut partitions: Vec<Partition> = (0..nparts)
+            .map(|_| Partition {
                 routers: Vec::new(),
                 endpoints: Vec::new(),
-                flit_qs: fc.iter().map(|&c| TimedRing::with_capacity(c)).collect(),
-                credit_qs: cc.iter().map(|&c| TimedRing::with_capacity(c)).collect(),
+                wheel: Wheel::new(max_latency),
                 pool: FlitPool::default(),
                 metrics: Metrics {
                     ejected_per_endpoint: if cfg.per_endpoint_stats {
@@ -821,37 +762,20 @@ impl<O: RouteOracle> Simulation<O> {
                 cfg.seed,
             ));
         }
-        // Port wiring. Routers were pushed in ascending global id order,
-        // so a router's partition-local index is its insertion rank within
-        // its partition (works for any assignment, contiguous or not).
-        let local_idx: Vec<u32> = {
-            let mut counts = vec![0u32; nparts];
-            (0..nr)
-                .map(|r| {
-                    let p = part_of(r) as usize;
-                    let idx = counts[p];
-                    counts[p] += 1;
-                    idx
-                })
-                .collect()
-        };
-        let local_router = |r: u32| -> (usize, usize) {
-            (part_of(r as usize) as usize, local_idx[r as usize] as usize)
-        };
 
         // Partition adjacency: every live cross-partition channel induces a
         // flit edge (producer partition → consumer partition, i.e. the
-        // credit-queue home → flit-queue home) and a credit edge in the
-        // opposite direction. Dead channels are skipped, so a `seal`-ed
-        // fault map shrinks the graph consistently with the dead-channel
-        // traversal asserts.
+        // sending end's partition → the receiving end's) and a credit edge
+        // in the opposite direction. Dead channels are skipped, so a
+        // `seal`-ed fault map shrinks the graph consistently with the
+        // dead-channel traversal asserts.
         let mut adj_edges: Vec<(u32, u32)> = Vec::new();
         for c in 0..net.channels.len() {
             if channel_dead(c) {
                 continue;
             }
-            let (fp, _) = flit_loc[c];
-            let (cp, _) = credit_loc[c];
+            let (fp, _) = flit_end[c];
+            let (cp, _) = credit_end[c];
             if fp != cp {
                 adj_edges.push((cp, fp));
                 adj_edges.push((fp, cp));
@@ -872,25 +796,24 @@ impl<O: RouteOracle> Simulation<O> {
             }
         };
 
+        // Port wiring.
         for (c, ch) in net.channels.iter().enumerate() {
-            let (fp, fq) = flit_loc[c];
-            let (cp, cq) = credit_loc[c];
+            let (fp, to) = flit_end[c];
+            let (cp, from) = credit_end[c];
             // Output side.
-            if let Terminus::Router { router, port } = ch.src {
-                let (p, lr) = local_router(router);
-                let flit_to = if fp as usize == p {
-                    FlitTarget::Local(fq)
+            if let Terminus::Router { port, .. } = ch.src {
+                let flit_to = if fp == cp {
+                    FlitTarget::Local(to)
                 } else {
                     FlitTarget::Remote {
-                        slot: remote_slot(p as u32, fp, channel_dead(c)),
+                        slot: remote_slot(cp, fp, channel_dead(c)),
                         ch: c as u32,
                     }
                 };
-                partitions[p].routers[lr].wire_out(
+                partitions[cp as usize].routers[from.agent as usize].wire_out(
                     port,
                     PortOut {
                         ch: c as u32,
-                        credit_q: cq,
                         flit_to,
                         latency: ch.latency,
                         width: ch.width,
@@ -901,20 +824,18 @@ impl<O: RouteOracle> Simulation<O> {
                 );
             }
             // Input side.
-            if let Terminus::Router { router, port } = ch.dst {
-                let (p, lr) = local_router(router);
-                let credit_to = if cp as usize == p {
-                    CreditTarget::Local(cq)
+            if let Terminus::Router { port, .. } = ch.dst {
+                let credit_to = if cp == fp {
+                    CreditTarget::Local(from)
                 } else {
                     CreditTarget::Remote {
-                        slot: remote_slot(p as u32, cp, channel_dead(c)),
+                        slot: remote_slot(fp, cp, channel_dead(c)),
                         ch: c as u32,
                     }
                 };
-                partitions[p].routers[lr].wire_in(
+                partitions[fp as usize].routers[to.agent as usize].wire_in(
                     port,
                     PortIn {
-                        flit_q: fq,
                         credit_to,
                         credit_latency: ch.latency,
                         width: ch.width,
@@ -932,63 +853,32 @@ impl<O: RouteOracle> Simulation<O> {
                 inj_of[endpoint as usize] = c;
             }
         }
-        let mut ep_loc = Vec::with_capacity(net.num_endpoints());
-        for (e, ed) in net.endpoints.iter().enumerate() {
-            let p = part_of(ed.router as usize) as usize;
-            ep_loc.push((p as u32, partitions[p].endpoints.len() as u32));
+        for (e, &(p, _)) in ep_loc.iter().enumerate() {
             let inj = inj_of[e];
             let inj_ch = &net.channels[inj];
-            let (ifp, ifq) = flit_loc[inj];
-            let inj_to = if ifp as usize == p {
-                FlitTarget::Local(ifq)
+            let (ifp, to) = flit_end[inj];
+            let inj_to = if ifp == p {
+                FlitTarget::Local(to)
             } else {
                 FlitTarget::Remote {
-                    slot: remote_slot(p as u32, ifp, channel_dead(inj)),
+                    slot: remote_slot(p, ifp, channel_dead(inj)),
                     ch: inj as u32,
                 }
             };
-            let (icp, icq) = credit_loc[inj];
-            debug_assert_eq!(icp as usize, p, "inj credit queue must be local");
-            partitions[p].endpoints.push(EndpointRt::new(
+            partitions[p as usize].endpoints.push(EndpointRt::new(
                 e as u32,
                 cfg.num_vcs,
                 cfg.buffer_flits,
                 inj as u32,
                 inj_to,
-                icq,
                 inj_ch.latency,
                 inj_ch.width,
                 cfg.seed,
                 channel_dead(inj),
             ));
         }
-
-        // Consumer maps for the pending-work bitmaps: a channel's flits are
-        // popped by its dst, its credits by its src (the flit producer
-        // absorbs credit returns). Ring indices were handed out in channel
-        // order, so pushing in channel order lines the maps up with them.
-        let consumer = |t: Terminus| match t {
-            Terminus::Router { router, port } => Consumer::Router {
-                lidx: local_idx[router as usize],
-                port,
-            },
-            Terminus::Endpoint { endpoint } => Consumer::Endpoint(ep_loc[endpoint as usize].1),
-        };
-        let mut flit_cons: Vec<Vec<Consumer>> = vec![Vec::new(); nparts];
-        let mut credit_cons: Vec<Vec<Consumer>> = vec![Vec::new(); nparts];
-        for (c, ch) in net.channels.iter().enumerate() {
-            let (fp, fq) = flit_loc[c];
-            debug_assert_eq!(flit_cons[fp as usize].len(), fq as usize);
-            flit_cons[fp as usize].push(consumer(ch.dst));
-            let (cp, cq) = credit_loc[c];
-            debug_assert_eq!(credit_cons[cp as usize].len(), cq as usize);
-            credit_cons[cp as usize].push(consumer(ch.src));
-        }
-        for (part, (fc, cc)) in partitions
-            .iter_mut()
-            .zip(flit_cons.into_iter().zip(credit_cons))
-        {
-            part.pend = Pending::new(part.routers.len(), part.endpoints.len(), fc, cc);
+        for part in &mut partitions {
+            part.pend = Pending::new(part.routers.len(), part.endpoints.len());
             part.alloc = AllocScratch::for_routers(&part.routers);
             part.next_gen = vec![u64::MAX; part.endpoints.len()];
         }
@@ -998,8 +888,8 @@ impl<O: RouteOracle> Simulation<O> {
             oracle,
             exch,
             partitions,
-            flit_loc,
-            credit_loc,
+            flit_end,
+            credit_end,
             ep_loc,
             ep_router: net.endpoints.iter().map(|ed| ed.router).collect(),
             now: 0,
@@ -1029,7 +919,7 @@ impl<O: RouteOracle> Simulation<O> {
     /// worker count, and stepping mode.
     pub fn attach_trace(&mut self, tracer: &Tracer) {
         let cfg = tracer.config();
-        let channels = self.flit_loc.len();
+        let channels = self.flit_end.len();
         let endpoints = self.ep_loc.len();
         for part in &mut self.partitions {
             part.trace = Some(Box::new(PartTrace::new(cfg, channels, endpoints)));
@@ -1347,7 +1237,7 @@ impl<O: RouteOracle> Simulation<O> {
     }
 
     /// Debug builds: assert every partition's pending bitmaps against its
-    /// rings and agents (see `Partition::assert_pending_bitmaps`), that
+    /// agents (see `Partition::assert_pending_bitmaps`), that
     /// every slot of its flit pool is in exactly one place (see
     /// `FlitPool::assert_conserved`), and that flits and credits are
     /// conserved (see `assert_conservation`). Runs at every storm exit and
@@ -1358,11 +1248,7 @@ impl<O: RouteOracle> Simulation<O> {
         {
             for part in &self.partitions {
                 part.assert_pending_bitmaps();
-                let hops = part
-                    .flit_qs
-                    .iter()
-                    .flat_map(|q| q.iter().map(|(_, hop)| hop));
-                part.pool.assert_conserved(&part.routers, hops);
+                part.pool.assert_conserved(&part.routers, &part.wheel);
             }
             self.assert_conservation();
         }
@@ -1370,27 +1256,27 @@ impl<O: RouteOracle> Simulation<O> {
 
     /// Debug-build invariant: flits and credits are conserved.
     ///
-    /// * Every flit injected and not yet ejected is in a router-consumed
-    ///   flit ring, buffered in a router, or in an undelivered
-    ///   `Msg::Flit`: the partitions' `in_flight` counters add up to
-    ///   exactly that.
+    /// * Every flit injected and not yet ejected is on a wheel, buffered
+    ///   in a router, or in an undelivered `Msg::Flit`: the partitions'
+    ///   `in_flight` counters add up to exactly that.
     /// * For every channel into a router and every VC on it, each slot of
     ///   the receiving input VC's buffer is accounted for exactly once: a
     ///   credit held by the sender (output VC or endpoint), a credit on its
-    ///   way back (credit ring or undelivered `Msg::Credit`), a flit on its
-    ///   way (a `Hop` in the flit ring or an undelivered `Msg::Flit`, each
-    ///   naming its VC), or a flit in the buffer. The sum is
-    ///   `buffer_flits`.
+    ///   way back (a wheel event or an undelivered `Msg::Credit`), a flit
+    ///   on its way (a wheel event or an undelivered `Msg::Flit`), or a
+    ///   flit in the buffer. The sum is `buffer_flits`.
     /// * Ejection outputs hold all `buffer_flits` credits.
     ///
-    /// O(rings + buffered flits + channels × VCs).
+    /// O(wheel events + buffered flits + channels × VCs).
     #[cfg(debug_assertions)]
     fn assert_conservation(&self) {
+        use std::collections::HashMap;
         let vcs = self.cfg.num_vcs as usize;
         let depth = self.cfg.buffer_flits as i64;
-        // Slots accounted per (channel, VC); the undelivered messages go
-        // in first, then each channel adds its rings and endpoints.
-        let mut slots = vec![0i64; self.flit_loc.len() * vcs];
+        // Slots accounted per (channel, VC); the undelivered messages and
+        // the wheel events go in first, then each channel adds its sender's
+        // credits and its receiver's buffer.
+        let mut slots = vec![0i64; self.flit_end.len() * vcs];
         let mut flits = 0i64;
         for msg in self.exch.read.iter().chain(&self.exch.write).flatten() {
             match *msg {
@@ -1401,29 +1287,38 @@ impl<O: RouteOracle> Simulation<O> {
                 Msg::Credit { ch, vc, .. } => slots[ch as usize * vcs + vc as usize] += 1,
             }
         }
-        for (c, (&(fp, fq), &(cp, cq))) in self.flit_loc.iter().zip(&self.credit_loc).enumerate() {
-            let (dst, src) = (&self.partitions[fp as usize], &self.partitions[cp as usize]);
-            let Consumer::Router { lidx, port } = dst.pend.flit_cons[fq as usize] else {
-                continue;
-            };
-            let row = &mut slots[c * vcs..][..vcs];
-            for (_, hop) in dst.flit_qs[fq as usize].iter() {
-                row[hop.vc as usize] += 1;
-                flits += 1;
-            }
-            for &(_, vc) in src.credit_qs[cq as usize].iter() {
-                row[vc as usize] += 1;
-            }
-            let receiver = &dst.routers[lidx as usize];
-            for (vc, n) in row.iter_mut().enumerate() {
-                let vc = vc as u8;
-                let held = match src.pend.credit_cons[cq as usize] {
-                    Consumer::Router { lidx, port } => {
-                        src.routers[lidx as usize].out_credits(port, vc)
-                    }
-                    Consumer::Endpoint(e) => src.endpoints[e as usize].inj_credits(vc),
+        // A wheel event names a channel end; each end has one channel.
+        let index = |ends: &[(u32, End)]| -> HashMap<(u32, End), usize> {
+            ends.iter().enumerate().map(|(c, &end)| (end, c)).collect()
+        };
+        let (flit_ch, credit_ch) = (index(&self.flit_end), index(&self.credit_end));
+        for (p, part) in self.partitions.iter().enumerate() {
+            for d in part.wheel.iter() {
+                let end = (p as u32, d.end());
+                let c = if d.slot != NIL {
+                    flits += 1;
+                    flit_ch[&end]
+                } else {
+                    credit_ch[&end]
                 };
-                *n += held as i64 + receiver.in_buffered(port, vc) as i64;
+                slots[c * vcs + d.vc as usize] += 1;
+            }
+        }
+        for (c, (&(fp, to), &(cp, from))) in self.flit_end.iter().zip(&self.credit_end).enumerate()
+        {
+            if to.port == EP_PORT {
+                continue;
+            }
+            let (dst, src) = (&self.partitions[fp as usize], &self.partitions[cp as usize]);
+            let receiver = &dst.routers[to.agent as usize];
+            for (vc, n) in slots[c * vcs..][..vcs].iter_mut().enumerate() {
+                let vc = vc as u8;
+                let held = if from.port == EP_PORT {
+                    src.endpoints[from.agent as usize].inj_credits(vc)
+                } else {
+                    src.routers[from.agent as usize].out_credits(from.port, vc)
+                };
+                *n += held as i64 + receiver.in_buffered(to.port, vc) as i64;
                 assert_eq!(
                     *n, depth,
                     "credit conservation violated on channel {c} VC {vc}: credits held, \
@@ -1442,7 +1337,7 @@ impl<O: RouteOracle> Simulation<O> {
         }
         assert_eq!(
             in_flight, flits,
-            "flit conservation violated: in_flight counts {in_flight} flits, but rings, \
+            "flit conservation violated: in_flight counts {in_flight} flits, but wheels, \
              router buffers and undelivered messages hold {flits}"
         );
     }
@@ -1478,8 +1373,8 @@ impl<O: RouteOracle> Simulation<O> {
         collect_arrivals: bool,
     ) -> (u64, i64) {
         let now = self.now;
-        let flit_loc = &self.flit_loc;
-        let credit_loc = &self.credit_loc;
+        let flit_end = &self.flit_end;
+        let credit_end = &self.credit_end;
         let packet_len = self.packet_len;
         let oracle = &self.oracle;
 
@@ -1510,8 +1405,8 @@ impl<O: RouteOracle> Simulation<O> {
                         now,
                         measure_start,
                         measure_end,
-                        flit_loc,
-                        credit_loc,
+                        flit_end,
+                        credit_end,
                         packet_len,
                         collect_arrivals,
                     );
@@ -1762,6 +1657,21 @@ impl TrafficPattern for IdlePattern {
     }
 }
 
+/// (partition, partition-local index) of each agent, given each agent's
+/// partition in ascending global id order. Agents are pushed onto their
+/// partitions in that order, so a local index is the agent's rank within
+/// its partition, for any assignment, contiguous or not.
+fn locate(parts: impl Iterator<Item = u32>, nparts: usize) -> Vec<(u32, u32)> {
+    let mut counts = vec![0u32; nparts];
+    parts
+        .map(|p| {
+            let i = counts[p as usize];
+            counts[p as usize] += 1;
+            (p, i)
+        })
+        .collect()
+}
+
 /// Resolve the partition count. Explicit requests are honored verbatim
 /// (clamped to the router count — determinism makes any value valid);
 /// auto (`0`) scales to the executor's worker count, capped so no
@@ -1816,6 +1726,11 @@ mod tests {
     /// A ring of `n` routers, endpoint on port 0, ring links on ports 1 (cw
     /// out) and 2 (cw in).
     pub(super) fn ring(n: u32) -> NetworkDesc {
+        ring_with_latency(n, 1)
+    }
+
+    /// [`ring`] with ring links `latency` cycles long.
+    fn ring_with_latency(n: u32, latency: u32) -> NetworkDesc {
         let mut net = NetworkDesc::new();
         for _ in 0..n {
             net.add_router(3);
@@ -1830,7 +1745,7 @@ mod tests {
                 1,
                 next,
                 2,
-                1,
+                latency,
                 1,
                 ChannelClass::ShortReach,
             ));
@@ -1971,6 +1886,41 @@ mod tests {
                 m.class_hops.total(),
                 a.class_hops.total(),
                 "workers={workers}"
+            );
+        }
+    }
+
+    #[test]
+    fn long_links_wrap_the_wheel_and_event_stepping_matches_dense() {
+        // 100-cycle ring links: a 128-bucket wheel, wrapping every 128
+        // cycles, under traffic light enough to leave idle stretches.
+        let net = ring_with_latency(8, 100);
+        let run = |event_driven: bool, partitions: usize| {
+            let cfg = SimConfig {
+                event_driven,
+                partitions,
+                ..small_cfg()
+            };
+            let mut sim = Simulation::new(&net, &cfg, &RingOracle { n: 8 }).unwrap();
+            assert!(sim.partitions.iter().all(|p| p.wheel.width() == 128));
+            sim.run(&UniformPattern::new(8, 0.02)).unwrap()
+        };
+        let dense = run(false, 1);
+        assert_eq!((dense.packets_ejected, dense.latency_sum), (7, 1448));
+        assert_eq!((dense.busy_cycles, dense.skipped_cycles), (900, 0));
+        for partitions in [1, 2, 4] {
+            let event = run(true, partitions);
+            assert_eq!(event.packets_created, dense.packets_created);
+            assert_eq!(event.packets_ejected, dense.packets_ejected);
+            assert_eq!(event.latency_sum, dense.latency_sum);
+            assert_eq!(event.latency_hist, dense.latency_hist);
+            assert_eq!(event.flits_ejected_measured, dense.flits_ejected_measured);
+            assert_eq!(event.class_hops.flit_hops, dense.class_hops.flit_hops);
+            assert_eq!(event.cycles_run, dense.cycles_run);
+            assert_eq!(
+                (event.busy_cycles, event.skipped_cycles),
+                (65, 835),
+                "P={partitions}"
             );
         }
     }
@@ -2351,7 +2301,7 @@ mod tests {
             Simulation::new(&net, &small_cfg(), &RingOracle { n: 2 }).err()
         };
         // Valid by index, but port 69 overflows the 64-bit per-router
-        // pending bitmaps.
+        // occupied-port word.
         assert_eq!(
             pair(70),
             Some(SimError::Invalid(

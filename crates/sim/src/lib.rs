@@ -52,10 +52,10 @@ pub mod network;
 pub mod oracle;
 pub mod pattern;
 pub mod rng;
-pub mod router;
+mod router;
 pub mod telemetry;
 
-pub use channel::{ChannelClass, ChannelDesc, ChannelId, RingFull, Terminus, TimedRing};
+pub use channel::{ChannelClass, ChannelDesc, ChannelId, Terminus};
 pub use config::SimConfig;
 pub use engine::{
     effective_partitions, simulate_traced_on, ExchangeEdge, Injector, SimError, SimResult,

@@ -7,8 +7,8 @@
 
 use crate::channel::{ChannelClass, ChannelDesc, Terminus};
 
-/// Most ports one router may have. The engine keeps its per-router
-/// pending-work bitmaps in one `u64` each (bit = port) and its per-input
+/// Most ports one router may have. The engine keeps each router's
+/// occupied-port set in one `u64` (bit = port) and its per-input
 /// switch-allocation quotas in a fixed array of this length;
 /// [`NetworkDesc::validate`] rejects larger routers.
 pub const MAX_PORTS: usize = 64;

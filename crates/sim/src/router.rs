@@ -31,18 +31,23 @@
 //! Flits live in one `FlitPool` per partition, shared the same way. Each
 //! input VC is a FIFO of pool slots linked through the slots themselves
 //! (a dynamically allocated multi-queue buffer: Tamir & Frazier, *IEEE
-//! Trans. Computers* 41(6), 1992), so an empty VC holds no storage. A
-//! flit ring carries `Hop`s — a slot index plus the input VC the flit
-//! joins downstream — so a flit crossing a partition-local channel is
-//! never copied; one crossing into another partition travels by value in
-//! a [`Msg`] and gets a slot in the receiving partition's pool.
+//! Trans. Computers* 41(6), 1992), so an empty VC holds no storage.
+//!
+//! A send over a partition-local channel appends two 12-byte events to
+//! the partition's delivery wheel (`crate::channel::Wheel`): the flit's
+//! slot with the router, input port and VC it joins, and the credit for
+//! the input VC it left. The flit is never copied; one crossing into
+//! another partition travels by value in a [`Msg`] and gets a slot in
+//! the receiving partition's pool at delivery. The engine drains the
+//! events due at a cycle before any agent steps, so a router steps only
+//! while it buffers a flit.
 //!
 //! Endpoints ([`EndpointRt`]) are open-loop sources with unbounded packet
 //! queues plus sinks with bounded ejection bandwidth. All cross-router
-//! communication flows through per-partition queues or [`Msg`] mailboxes so
-//! the engine can run partitions in parallel without locks.
+//! communication flows through per-partition wheels or [`Msg`] mailboxes
+//! so the engine can run partitions in parallel without locks.
 
-use crate::channel::{ChannelClass, TimedRing};
+use crate::channel::{ChannelClass, Delivery, End, Wheel};
 use crate::flit::{Flit, PacketHeader};
 use crate::metrics::Metrics;
 use crate::network::MAX_PORTS;
@@ -52,12 +57,12 @@ use crate::rng::SplitMix64;
 use crate::telemetry::PartTrace;
 use std::collections::VecDeque;
 
-/// Cross-partition message: a flit or credit addressed to a channel queue
-/// owned by another partition.
+/// Cross-partition message: a flit or credit for a channel end in
+/// another partition, which pushes it onto its wheel at delivery.
 #[derive(Debug, Clone, Copy)]
 pub enum Msg {
-    /// Deliver `flit` into channel `ch`'s flit queue at cycle `arrive`,
-    /// bound for input VC `vc` of the receiving router.
+    /// `flit` reaches the receiving end of channel `ch` at cycle
+    /// `arrive` and joins input VC `vc` there.
     Flit {
         /// Global channel id.
         ch: u32,
@@ -68,7 +73,8 @@ pub enum Msg {
         /// The flit.
         flit: Flit,
     },
-    /// Deliver one credit for VC `vc` into channel `ch`'s credit queue.
+    /// One credit for VC `vc` reaches the sending end of channel `ch` at
+    /// cycle `arrive`.
     Credit {
         /// Global channel id.
         ch: u32,
@@ -80,16 +86,6 @@ pub enum Msg {
 }
 
 const _: () = assert!(std::mem::size_of::<Msg>() == 48);
-
-/// A flit-ring entry: the pool slot holding the flit, and the input VC it
-/// joins at the receiving router.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Hop {
-    pub(crate) slot: u32,
-    pub(crate) vc: u8,
-}
-
-const _: () = assert!(std::mem::size_of::<(u64, Hop)>() == 16);
 
 /// A fully ejected packet, reported to a closed-loop workload driver.
 ///
@@ -115,9 +111,9 @@ pub struct Arrival {
 /// Where a flit sent on an output port lands.
 #[derive(Debug, Clone, Copy)]
 pub enum FlitTarget {
-    /// Flit queue owned by this partition (dense local index).
-    Local(u32),
-    /// Flit queue owned by another partition; route via mailbox.
+    /// An input port of a router in this partition.
+    Local(End),
+    /// A router in another partition; route via mailbox.
     Remote {
         /// Out-edge slot within the emitting partition's outbox range of
         /// the sparse exchange (compiled from the partition adjacency
@@ -132,9 +128,9 @@ pub enum FlitTarget {
 /// Where a credit for a consumed flit goes (upstream of an input port).
 #[derive(Debug, Clone, Copy)]
 pub enum CreditTarget {
-    /// Credit queue owned by this partition.
-    Local(u32),
-    /// Credit queue owned by another partition.
+    /// An output port of a router, or an endpoint, in this partition.
+    Local(End),
+    /// An agent in another partition.
     Remote {
         /// Out-edge slot within the emitting partition's outbox range
         /// (see [`FlitTarget::Remote`]).
@@ -147,8 +143,6 @@ pub enum CreditTarget {
 /// Compiled input-port wiring.
 #[derive(Debug, Clone, Copy)]
 pub struct PortIn {
-    /// Local index of the incoming channel's flit queue (owned here).
-    pub flit_q: u32,
     /// Upstream credit destination.
     pub credit_to: CreditTarget,
     /// Credit return latency (= channel latency).
@@ -162,8 +156,6 @@ pub struct PortIn {
 pub struct PortOut {
     /// Global channel id (per-channel statistics).
     pub ch: u32,
-    /// Local index of the outgoing channel's credit queue (owned here).
-    pub credit_q: u32,
     /// Downstream flit destination.
     pub flit_to: FlitTarget,
     /// Channel latency in cycles.
@@ -251,8 +243,8 @@ struct Slot {
 const _: () = assert!(std::mem::size_of::<Slot>() == 40);
 
 /// The flit store of one partition: every flit buffered in one of its
-/// routers or riding one of its flit rings sits in a slot here. Its
-/// routers step one at a time, so they share it.
+/// routers or riding its delivery wheel sits in a slot here. Its routers
+/// step one at a time, so they share it.
 ///
 /// The free list is LIFO, so the slot a router step frees is the next one
 /// allocated, while it is still in cache. The pool grows to the
@@ -310,15 +302,11 @@ impl FlitPool {
     }
 
     /// Debug builds: every slot is in exactly one place — the free list,
-    /// one input-VC FIFO of `routers`, or one of `hops` (the entries of the
-    /// partition's flit rings) — and every FIFO walk takes exactly `len`
-    /// steps and ends at its tail. O(slots + ring entries + routers).
+    /// one input-VC FIFO of `routers`, or one of `wheel`'s flit events —
+    /// and every FIFO walk takes exactly `len` steps and ends at its tail.
+    /// O(slots + wheel events + routers).
     #[cfg(debug_assertions)]
-    pub(crate) fn assert_conserved<'h>(
-        &self,
-        routers: &[RouterRt],
-        hops: impl Iterator<Item = &'h Hop>,
-    ) {
+    pub(crate) fn assert_conserved(&self, routers: &[RouterRt], wheel: &Wheel) {
         let n = self.slots.len();
         let mut placed = vec![false; n];
         let mut place = |s: u32, what: &dyn Fn() -> String| {
@@ -383,14 +371,14 @@ impl FlitPool {
                 r.id, r.buffered
             );
         }
-        for hop in hops {
-            place(hop.slot, &|| "a flit ring".into());
+        for d in wheel.iter().filter(|d| d.slot != NIL) {
+            place(d.slot, &|| "a wheel event".into());
         }
         if let Some(s) = placed.iter().position(|&p| !p) {
             let lost = placed.iter().filter(|&&p| !p).count();
             panic!(
                 "flit pool conservation violated: {lost} of {n} slots are in no place \
-                 (first: slot {s}), neither free, buffered nor on a flit ring"
+                 (first: slot {s}), neither free, buffered nor on the delivery wheel"
             );
         }
     }
@@ -410,10 +398,9 @@ struct OutputVc {
 pub struct CycleCtx<'a> {
     /// Current cycle.
     pub now: u64,
-    /// Flit queues owned by this partition (indexed by local id).
-    pub(crate) flit_qs: &'a mut [TimedRing<Hop>],
-    /// Credit queues owned by this partition.
-    pub credit_qs: &'a mut [TimedRing<u8>],
+    /// This partition's delivery wheel: every send over a
+    /// partition-local channel appends its flit and credit here.
+    pub(crate) wheel: &'a mut Wheel,
     /// Outgoing mailboxes, one per out-edge of this partition in the
     /// sparse partition adjacency graph (indexed by the compiled
     /// [`FlitTarget::Remote`]/[`CreditTarget::Remote`] slot).
@@ -437,14 +424,11 @@ pub struct CycleCtx<'a> {
     pub measure_start: u64,
     /// First cycle after the measurement window.
     pub measure_end: u64,
-    /// This partition's pending-work bitmaps: every local ring push marks
-    /// its consumer here.
-    pub(crate) pend: &'a mut Pending,
     /// Earliest arrival among this cycle's outbound cross-partition
-    /// messages (reset to `u64::MAX` each advance). They mark their
-    /// consumers only at delivery, so the engine caps idle fast-forwards
-    /// here — keeping the jump schedule identical for every partition
-    /// count.
+    /// messages (reset to `u64::MAX` each advance). They reach the
+    /// receiving wheel only at delivery, so the engine caps idle
+    /// fast-forwards here — keeping the jump schedule identical for every
+    /// partition count.
     pub out_min: &'a mut u64,
     /// Opt-in telemetry buffer (`None` when tracing is off — the hot path
     /// pays one branch per emission site and nothing else). Observe-only:
@@ -460,123 +444,56 @@ impl CycleCtx<'_> {
     #[inline]
     fn emit(&mut self, slot: u32, msg: Msg) {
         // Tracked on every cycle: the emissions sit undelivered in the
-        // mailboxes, with no bit set yet, until the next executed cycle,
-        // and a jump must not overshoot them.
+        // mailboxes, on no wheel yet, until the next executed cycle, and a
+        // jump must not overshoot them.
         let arrive = match &msg {
             Msg::Flit { arrive, .. } | Msg::Credit { arrive, .. } => *arrive,
         };
         *self.out_min = (*self.out_min).min(arrive);
         self.outboxes[slot as usize].push(msg);
     }
-
-    /// Push a flit's hop into a locally owned ring and mark its consumer.
-    #[inline]
-    fn push_flit(&mut self, q: u32, arrive: u64, hop: Hop) {
-        self.flit_qs[q as usize]
-            .try_push(arrive, hop)
-            .expect("flit ring overflow: capacity bound violated");
-        self.pend.flit_pushed(q);
-    }
-
-    /// Push a credit into a locally owned ring and mark its consumer.
-    #[inline]
-    fn push_credit(&mut self, q: u32, arrive: u64, vc: u8) {
-        self.credit_qs[q as usize]
-            .try_push(arrive, vc)
-            .expect("credit ring overflow: capacity bound violated");
-        self.pend.credit_pushed(q);
-    }
-}
-
-/// The agent that pops a channel ring.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Consumer {
-    /// The partition-local router `lidx`, through its input port `port`
-    /// (flit ring) or output port `port` (credit ring).
-    Router { lidx: u32, port: u8 },
-    /// The partition-local endpoint with this index.
-    Endpoint(u32),
 }
 
 /// One partition's pending-work bitmaps: the engine's only record of
-/// which agents have work.
+/// which agents have work, one bit per local agent. A router's bit means
+/// a buffered flit; an endpoint's, a queued packet or an open-loop
+/// emission due this cycle.
 ///
-/// * `flit` / `credit`, one word per local router: bit = input port whose
-///   flit ring, or output port whose credit ring, holds an entry. The
-///   router clears a bit when absorption drains the ring, so absorption
-///   walks only ports with work.
-/// * `routers` / `endpoints`, one bit per local agent: a router's bit
-///   means a pending port or a buffered flit; an endpoint's, a queued
-///   packet or an injection credit in flight.
-///
-/// Every ring push marks its consumer in both levels, and an agent clears
-/// its own summary bit after a step that leaves it idle. Every executed
-/// cycle visits exactly the agents whose summary bit is set; the step of
-/// any other agent would be a strict no-op.
+/// A flit the wheel delivers marks its router, a closed-loop submission
+/// marks its endpoint, and an agent clears its own bit after a step that
+/// leaves it idle. Every executed cycle visits exactly the agents whose
+/// bit is set; the step of any other agent would be a strict no-op.
 #[derive(Debug, Default)]
 pub(crate) struct Pending {
-    pub(crate) flit: Vec<u64>,
-    pub(crate) credit: Vec<u64>,
     pub(crate) routers: Vec<u64>,
     pub(crate) endpoints: Vec<u64>,
-    /// Local flit ring index → its consumer.
-    pub(crate) flit_cons: Vec<Consumer>,
-    /// Local credit ring index → its consumer.
-    pub(crate) credit_cons: Vec<Consumer>,
 }
 
 impl Pending {
     /// All-clear bitmaps for `routers` × `endpoints` local agents.
-    pub(crate) fn new(
-        routers: usize,
-        endpoints: usize,
-        flit_cons: Vec<Consumer>,
-        credit_cons: Vec<Consumer>,
-    ) -> Self {
+    pub(crate) fn new(routers: usize, endpoints: usize) -> Self {
         Pending {
-            flit: vec![0; routers],
-            credit: vec![0; routers],
             routers: vec![0; routers.div_ceil(64)],
             endpoints: vec![0; endpoints.div_ceil(64)],
-            flit_cons,
-            credit_cons,
         }
     }
 
-    /// A flit entered local ring `q`: mark its consumer.
+    /// Mark local router `r` (a flit arrived).
     #[inline]
-    pub(crate) fn flit_pushed(&mut self, q: u32) {
-        let c = self.flit_cons[q as usize];
-        self.mark(c, true);
-    }
-
-    /// A credit entered local ring `q`: mark its consumer.
-    #[inline]
-    pub(crate) fn credit_pushed(&mut self, q: u32) {
-        let c = self.credit_cons[q as usize];
-        self.mark(c, false);
-    }
-
-    #[inline]
-    fn mark(&mut self, c: Consumer, flit: bool) {
-        match c {
-            Consumer::Router { lidx, port } => {
-                let ports = if flit {
-                    &mut self.flit
-                } else {
-                    &mut self.credit
-                };
-                ports[lidx as usize] |= 1 << port;
-                set_bit(&mut self.routers, lidx as usize);
-            }
-            Consumer::Endpoint(e) => set_bit(&mut self.endpoints, e as usize),
-        }
+    pub(crate) fn mark_router(&mut self, r: usize) {
+        set_bit(&mut self.routers, r);
     }
 
     /// Mark local endpoint `e` (a queued packet, or an emission due).
     #[inline]
     pub(crate) fn mark_endpoint(&mut self, e: usize) {
         set_bit(&mut self.endpoints, e);
+    }
+
+    /// True when some agent has work.
+    #[inline]
+    pub(crate) fn any(&self) -> bool {
+        self.routers.iter().chain(&self.endpoints).any(|&w| w != 0)
     }
 }
 
@@ -613,7 +530,7 @@ impl Iterator for Ones {
 /// arbiter's priority order with its pointer at `ptr`. For any `n` that
 /// covers the set bits this is ascending `(i + n − ptr) % n`, with no
 /// sort. `ptr` must lie inside the mask (`ptr < 64 × mask.len()`).
-struct RotatedOnes<'a> {
+pub(crate) struct RotatedOnes<'a> {
     mask: &'a [u64],
     /// Unvisited bits of word `word`.
     bits: u64,
@@ -625,7 +542,7 @@ struct RotatedOnes<'a> {
 }
 
 impl<'a> RotatedOnes<'a> {
-    fn new(mask: &'a [u64], ptr: usize) -> Self {
+    pub(crate) fn new(mask: &'a [u64], ptr: usize) -> Self {
         let (word, bit) = (ptr / 64, ptr % 64);
         RotatedOnes {
             mask,
@@ -774,8 +691,7 @@ pub struct RouterRt {
     /// Rotating priority pointer per output port (SA).
     sa_ptr: Vec<u16>,
     /// Buffered flits across all input VCs. Non-zero keeps the router's
-    /// pending-work bit set, so it steps every cycle until it drains, and
-    /// gates the RC/VA/SA stages.
+    /// pending-work bit set, so it steps every cycle until it drains.
     buffered: u32,
     /// Crossbar input speedup (flits one input port may forward per cycle).
     speedup: u8,
@@ -788,6 +704,9 @@ pub struct RouterRt {
     /// Bit p set ⇔ `occ[p] != 0` ([`MAX_PORTS`] bounds the port count), so
     /// the walk skips empty ports too.
     occ_ports: u64,
+    /// `buffer_flits`: the most flits an input VC buffers and the most
+    /// credits an output VC holds.
+    depth: u16,
 }
 
 impl RouterRt {
@@ -816,6 +735,7 @@ impl RouterRt {
             rng: SplitMix64::for_agent(seed, 0x5157 ^ (id as u64) << 1),
             occ: vec![0; ports as usize],
             occ_ports: 0,
+            depth: buffer_flits,
         }
     }
 
@@ -827,11 +747,6 @@ impl RouterRt {
     /// Attach output wiring to `port`.
     pub fn wire_out(&mut self, port: u8, pout: PortOut) {
         self.out_ports[port as usize] = Some(pout);
-    }
-
-    /// Number of ports.
-    pub fn ports(&self) -> u8 {
-        self.ports
     }
 
     /// Flits currently buffered in this router.
@@ -877,30 +792,19 @@ impl RouterRt {
         port as usize * self.vcs as usize + vc as usize
     }
 
-    /// One simulation cycle: arrivals, credit returns, RC, VA, SA, traversal.
+    /// One simulation cycle: RC, VA, SA, traversal.
     ///
-    /// `lidx` is this router's partition-local index (its slot in the
-    /// partition's `Pending` bitmaps). The engine calls this only for
-    /// routers whose pending-work bit is set: a flit buffered, or a flit
-    /// or credit ring pending. A router not called would have done
-    /// nothing — no flit or credit due, nothing buffered — so skipping it
+    /// The engine calls this only for routers whose pending-work bit is
+    /// set, after it has delivered the cycle's flits and credits: a
+    /// router with no flit buffered would do nothing, so skipping it
     /// changes no state.
     ///
     /// Generic over the oracle so the per-flit route computation
     /// monomorphizes — no virtual dispatch on the hot path. A type-erased
     /// `Simulation<&dyn RouteOracle>` instantiates this with
     /// `O = &dyn RouteOracle` instead.
-    pub fn cycle<O: RouteOracle + ?Sized>(
-        &mut self,
-        ctx: &mut CycleCtx<'_>,
-        oracle: &O,
-        lidx: u32,
-    ) {
-        self.absorb_credits(ctx, lidx);
-        self.absorb_arrivals(ctx, lidx);
-        if self.buffered == 0 {
-            return;
-        }
+    pub fn cycle<O: RouteOracle + ?Sized>(&mut self, ctx: &mut CycleCtx<'_>, oracle: &O) {
+        debug_assert!(self.buffered > 0, "router {} stepped idle", self.id);
         // The scratch leaves the context for the step: SA sends flits
         // through the context while it walks the candidate rows.
         let mut scratch = std::mem::take(ctx.alloc);
@@ -915,98 +819,51 @@ impl RouterRt {
     }
 
     /// True when [`cycle`](Self::cycle) would be a strict no-op: nothing
-    /// buffered and no flit or credit ring pending on any port. A router
-    /// clears its pending-work bit after a step that leaves it idle.
+    /// buffered. A router clears its pending-work bit after a step that
+    /// leaves it idle.
     #[inline]
-    pub(crate) fn idle(&self, pend: &Pending, lidx: u32) -> bool {
-        self.buffered == 0 && (pend.flit[lidx as usize] | pend.credit[lidx as usize]) == 0
+    pub(crate) fn idle(&self) -> bool {
+        self.buffered == 0
     }
 
-    /// Earliest cycle ≥ `now` at which this router has work: `now` while
-    /// a flit is buffered, else the earliest front of its pending rings
-    /// (`u64::MAX` with none).
-    pub(crate) fn next_due(
-        &self,
-        now: u64,
-        flit_qs: &[TimedRing<Hop>],
-        credit_qs: &[TimedRing<u8>],
-        pend: &Pending,
-        lidx: u32,
-    ) -> u64 {
-        if self.buffered > 0 {
-            return now;
-        }
-        let flits = Ones(pend.flit[lidx as usize]).map(|port| {
-            let pin = self.in_ports[port].expect("pending flit on unwired port");
-            front_due(&flit_qs[pin.flit_q as usize])
-        });
-        let credits = Ones(pend.credit[lidx as usize]).map(|port| {
-            let pout = self.out_ports[port].expect("pending credit on unwired port");
-            front_due(&credit_qs[pout.credit_q as usize])
-        });
-        flits.chain(credits).min().unwrap_or(u64::MAX)
-    }
-
-    /// Pull returned credits into output VC counters.
+    /// Link the flit in pool slot `slot`, just arrived, into input VC
+    /// `vc` of `port`.
     ///
-    /// Driven by the partition's pending-credit word: only ports with
-    /// credits actually in flight are touched (the bit is set by
-    /// [`CycleCtx::push_credit`]/mailbox delivery and cleared here once
-    /// the ring drains), instead of scanning every output port every
-    /// cycle.
-    fn absorb_credits(&mut self, ctx: &mut CycleCtx<'_>, lidx: u32) {
-        let mut pend = ctx.pend.credit[lidx as usize];
-        if pend == 0 {
-            return;
-        }
-        let mut left = pend;
-        while left != 0 {
-            let port = left.trailing_zeros() as usize;
-            left &= left - 1;
-            let pout = self.out_ports[port].expect("pending credit on unwired port");
-            let q = &mut ctx.credit_qs[pout.credit_q as usize];
-            while let Some((_, vc)) = q.pop_due(ctx.now) {
-                let f = self.flat(port as u8, vc);
-                self.outputs[f].credits += 1;
-            }
-            if q.is_empty() {
-                pend &= !(1 << port);
-            }
-        }
-        ctx.pend.credit[lidx as usize] = pend;
+    /// # Panics
+    /// If that VC already buffers `buffer_flits` flits: credit flow
+    /// control never lets a sender exceed it.
+    #[inline]
+    pub(crate) fn accept(&mut self, pool: &mut FlitPool, port: u8, vc: u8, slot: u32) {
+        let f = self.flat(port, vc);
+        let iv = &mut self.inputs[f];
+        assert!(
+            iv.len < self.depth,
+            "flit overflow: router {} port {port} VC {vc} already buffers {} flits",
+            self.id,
+            self.depth
+        );
+        iv.link(pool, slot);
+        self.occ[port as usize] |= 1 << vc;
+        self.occ_ports |= 1 << port;
+        self.buffered += 1;
     }
 
-    /// Link arrived flits into the input VCs their hops name.
+    /// Return one credit to output VC `vc` of `port`.
     ///
-    /// Driven by the partition's pending-flit word, like
-    /// [`absorb_credits`](Self::absorb_credits): only input ports whose
-    /// ring holds a flit are touched (the bit is set by
-    /// [`CycleCtx::push_flit`]/mailbox delivery and cleared here once the
-    /// ring drains).
-    fn absorb_arrivals(&mut self, ctx: &mut CycleCtx<'_>, lidx: u32) {
-        let mut pend = ctx.pend.flit[lidx as usize];
-        if pend == 0 {
-            return;
-        }
-        let mut left = pend;
-        while left != 0 {
-            let port = left.trailing_zeros() as usize;
-            left &= left - 1;
-            let pin = self.in_ports[port].expect("pending flit on unwired port");
-            let q = &mut ctx.flit_qs[pin.flit_q as usize];
-            while let Some((_, hop)) = q.pop_due(ctx.now) {
-                let f = self.flat(port as u8, hop.vc);
-                self.inputs[f].link(ctx.pool, hop.slot);
-                self.occ[port] |= 1 << hop.vc;
-                self.occ_ports |= 1 << port;
-                self.buffered += 1;
-                *ctx.moved += 1;
-            }
-            if q.is_empty() {
-                pend &= !(1 << port);
-            }
-        }
-        ctx.pend.flit[lidx as usize] = pend;
+    /// # Panics
+    /// If that VC already holds `buffer_flits` credits: a credit returns
+    /// only for a flit the VC sent.
+    #[inline]
+    pub(crate) fn credit(&mut self, port: u8, vc: u8) {
+        let f = self.flat(port, vc);
+        let out = &mut self.outputs[f];
+        assert!(
+            out.credits < self.depth,
+            "credit overflow: router {} port {port} VC {vc} already holds {} credits",
+            self.id,
+            self.depth
+        );
+        out.credits += 1;
     }
 
     /// The walk: one pass over the occupied input VCs in ascending flat
@@ -1189,7 +1046,9 @@ impl RouterRt {
         let pin = self.in_ports[in_port].expect("flit came from a wired input");
         let credit_arrive = ctx.now + pin.credit_latency as u64;
         match pin.credit_to {
-            CreditTarget::Local(q) => ctx.push_credit(q, credit_arrive, in_vc as u8),
+            CreditTarget::Local(to) => ctx
+                .wheel
+                .push(credit_arrive, Delivery::credit(to, in_vc as u8)),
             CreditTarget::Remote { slot, ch } => ctx.emit(
                 slot,
                 Msg::Credit {
@@ -1213,7 +1072,7 @@ impl RouterRt {
             let vc = rc.out_vc;
             match pout.flit_to {
                 // The slot moves with the flit: the receiver links it.
-                FlitTarget::Local(q) => ctx.push_flit(q, arrive, Hop { slot: s, vc }),
+                FlitTarget::Local(to) => ctx.wheel.push(arrive, Delivery::flit(s, to, vc)),
                 // The flit leaves this partition's pool by value.
                 FlitTarget::Remote { slot, ch } => {
                     let flit = *ctx.pool.flit(s);
@@ -1275,12 +1134,6 @@ fn eject(flit: Flit, arrive: u64, ctx: &mut CycleCtx<'_>) {
     }
 }
 
-/// Due cycle of a ring's oldest entry (`u64::MAX` when empty).
-#[inline]
-fn front_due<T: Copy>(ring: &TimedRing<T>) -> u64 {
-    ring.front().map_or(u64::MAX, |&(due, _)| due)
-}
-
 // --- Endpoint --------------------------------------------------------------
 
 /// Packets an open-loop endpoint must have emitted by the end of cycle `t`
@@ -1306,11 +1159,8 @@ pub struct EndpointRt {
     credits: Vec<u16>,
     /// Global channel id of the injection channel (statistics).
     inj_ch: u32,
-    /// Local flit-queue index of the injection channel (dst side is the
-    /// router — but the *credit* queue for it is ours). Flit delivery target:
+    /// Where the injection channel delivers flits.
     inj_to: FlitTarget,
-    /// Local credit-queue index of the injection channel (owned here).
-    inj_credit_q: u32,
     /// Injection channel latency/width.
     inj_latency: u32,
     inj_width: u8,
@@ -1331,6 +1181,8 @@ pub struct EndpointRt {
     /// True if the injection channel is faulted (attach router dead): any
     /// injection attempt is a hard assert.
     inj_dead: bool,
+    /// `buffer_flits`: the most credits an injection VC holds.
+    depth: u16,
 }
 
 impl EndpointRt {
@@ -1342,7 +1194,6 @@ impl EndpointRt {
         buffer_flits: u16,
         inj_ch: u32,
         inj_to: FlitTarget,
-        inj_credit_q: u32,
         inj_latency: u32,
         inj_width: u8,
         seed: u64,
@@ -1356,7 +1207,6 @@ impl EndpointRt {
             credits: vec![buffer_flits; vcs as usize],
             inj_ch,
             inj_to,
-            inj_credit_q,
             inj_latency,
             inj_width,
             rng: SplitMix64::for_agent(seed, 0xE9D0 ^ ((id as u64) << 1 | 1)),
@@ -1364,6 +1214,7 @@ impl EndpointRt {
             next_pkt: (id as u64) << 20,
             emitted: 0,
             inj_dead,
+            depth: buffer_flits,
         }
     }
 
@@ -1449,26 +1300,14 @@ impl EndpointRt {
         }
     }
 
-    /// True with nothing queued and no injection credit in flight. Unless
-    /// an open-loop emission is due (which the engine tracks in its
-    /// emission schedule), this cycle's
-    /// [`absorb_credits`](Self::absorb_credits) and [`cycle`](Self::cycle)
-    /// would be strict no-ops: no state change, no RNG draw. An endpoint
-    /// clears its pending-work bit after a step that leaves it idle.
+    /// True with nothing queued. Unless an open-loop emission is due
+    /// (which the engine tracks in its emission schedule), this cycle's
+    /// [`cycle`](Self::cycle) would be a strict no-op: no state change, no
+    /// RNG draw. An endpoint clears its pending-work bit after a step that
+    /// leaves it idle.
     #[inline]
-    pub(crate) fn idle(&self, credit_qs: &[TimedRing<u8>]) -> bool {
-        self.queue.is_empty() && credit_qs[self.inj_credit_q as usize].is_empty()
-    }
-
-    /// Earliest cycle ≥ `now` at which this endpoint has queue or credit
-    /// work: `now` while a packet is queued, else the due cycle of its
-    /// next injection credit (`u64::MAX` with none).
-    pub(crate) fn next_due(&self, now: u64, credit_qs: &[TimedRing<u8>]) -> u64 {
-        if self.queue.is_empty() {
-            front_due(&credit_qs[self.inj_credit_q as usize])
-        } else {
-            now
-        }
+    pub(crate) fn idle(&self) -> bool {
+        self.queue.is_empty()
     }
 
     /// Stream id of the per-cycle keyed generation RNG (distinct from the
@@ -1535,9 +1374,9 @@ impl EndpointRt {
             let flit = Flit::new(pkt, self.send_seq);
             let arrive = ctx.now + self.inj_latency as u64;
             match self.inj_to {
-                FlitTarget::Local(q) => {
+                FlitTarget::Local(to) => {
                     let slot = ctx.pool.alloc(flit);
-                    ctx.push_flit(q, arrive, Hop { slot, vc });
+                    ctx.wheel.push(arrive, Delivery::flit(slot, to, vc));
                 }
                 FlitTarget::Remote { slot, ch } => ctx.emit(
                     slot,
@@ -1571,12 +1410,20 @@ impl EndpointRt {
         }
     }
 
-    /// Absorb returned injection credits.
-    pub fn absorb_credits(&mut self, ctx: &mut CycleCtx<'_>) {
-        let q = &mut ctx.credit_qs[self.inj_credit_q as usize];
-        while let Some((_, vc)) = q.pop_due(ctx.now) {
-            self.credits[vc as usize] += 1;
-        }
+    /// Return one credit to injection VC `vc`.
+    ///
+    /// # Panics
+    /// If that VC already holds `buffer_flits` credits.
+    #[inline]
+    pub(crate) fn credit(&mut self, vc: u8) {
+        let credits = &mut self.credits[vc as usize];
+        assert!(
+            *credits < self.depth,
+            "credit overflow: endpoint {} injection VC {vc} already holds {} credits",
+            self.id,
+            self.depth
+        );
+        *credits += 1;
     }
 
     /// The persistent stream `Injector::submit` tags closed-loop packets
@@ -1628,7 +1475,7 @@ mod tests {
         let mut pool = FlitPool::default();
         let mut inputs = vec![InputVc::EMPTY; VCS];
         let mut model: Vec<VecDeque<u64>> = vec![VecDeque::new(); VCS];
-        // Allocated slots outside every FIFO, as a flit ring holds them.
+        // Allocated slots outside every FIFO, as wheel events hold them.
         let mut loose: Vec<u32> = Vec::new();
         let (mut next_id, mut peak, mut last_freed) = (0u64, 0usize, None);
         for _ in 0..50_000 {
@@ -1762,6 +1609,33 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "flit overflow: router 3 port 1 VC 1 already buffers 2 flits")]
+    fn a_flit_past_the_buffer_depth_panics() {
+        let mut r = RouterRt::new(3, 2, 2, 2, 1, 1);
+        let mut pool = FlitPool::default();
+        for id in 0..3 {
+            let s = pool.alloc(mk_flit(id));
+            r.accept(&mut pool, 1, 1, s);
+            assert_eq!(r.buffered(), id as u32 + 1);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "credit overflow: router 3 port 0 VC 1 already holds 2 credits")]
+    fn a_credit_past_the_buffer_depth_panics() {
+        let mut r = RouterRt::new(3, 2, 2, 2, 1, 1);
+        r.credit(0, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "credit overflow: endpoint 5 injection VC 0 already holds 4 credits")]
+    fn an_injection_credit_past_the_buffer_depth_panics() {
+        let to = FlitTarget::Local(End { agent: 0, port: 0 });
+        let mut e = EndpointRt::new(5, 2, 4, 0, to, 1, 1, 1, false);
+        e.credit(0);
     }
 
     #[test]

@@ -373,7 +373,7 @@ impl PartTrace {
     /// with the window end, not the current cycle — see the module docs
     /// for why this is stepping-mode invariant), then sample queue depths
     /// if `now` is a stride boundary.
-    pub fn begin_cycle(&mut self, now: u64, routers: &[RouterRt]) {
+    pub(crate) fn begin_cycle(&mut self, now: u64, routers: &[RouterRt]) {
         if now >= self.next_sample {
             self.flush_windows();
             self.next_sample = (now / self.stride + 1) * self.stride;

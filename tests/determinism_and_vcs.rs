@@ -47,7 +47,7 @@ fn bsp_partitioning_is_invisible() {
 
 /// Partition counts {1, 2, 4, 7} must produce bit-identical `Metrics` on
 /// both evaluated topology families — the invariant the monomorphized
-/// engine core and the fixed-capacity channel rings must preserve. Every
+/// engine core and the per-partition delivery wheels must preserve. Every
 /// counter is compared, including the optional per-endpoint/per-channel
 /// vectors.
 #[test]
