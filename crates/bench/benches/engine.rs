@@ -175,19 +175,25 @@ fn bench_resilience(c: &mut Criterion) {
 
 fn bench_detour_build(c: &mut Criterion) {
     // The detour-oracle build alone, on the fabric and fault density of a
-    // mid-sweep resilience point: every faulted point rebuilds it.
+    // mid-sweep resilience point: every faulted point rebuilds it. The
+    // switch-based fabric has few BFS levels and a high live degree.
     let net = SwitchlessFabric::build(&SlParams::radix16().with_wgroups(10)).net;
+    let switched = SwitchFabric::build(&SwParams::radix16()).net;
     let spec = FaultSpec {
         link_fraction: 0.1,
         router_fraction: 0.05,
         ..Default::default()
     };
     let fs = FaultSet::sample(&net, &spec);
+    let switched_fs = FaultSet::sample(&switched, &spec);
     let mut g = c.benchmark_group("routing");
     g.sample_size(20);
     g.meta("link_fraction", 0.1);
     g.bench_function("detour_build", |b| {
         b.iter(|| DetourOracle::build(&net, fs.map()));
+    });
+    g.bench_function("detour_build_switchbased", |b| {
+        b.iter(|| DetourOracle::build(&switched, switched_fs.map()));
     });
     g.finish();
     // Sampling that fault set: link pairing, seeded draws and sealing.

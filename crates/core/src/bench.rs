@@ -304,9 +304,8 @@ impl Bench {
         match &self.faults {
             None => chips.collect(),
             Some(f) => {
-                let comp: std::collections::HashSet<u32> =
-                    f.reach.largest_component_endpoints().into_iter().collect();
-                chips.filter(|n| comp.contains(n)).collect()
+                let comp = f.reach.largest_component_endpoints();
+                chips.filter(|n| comp.binary_search(n).is_ok()).collect()
             }
         }
     }

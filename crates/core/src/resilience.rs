@@ -238,9 +238,12 @@ pub(crate) fn resilience_impl(
         };
 
         // Closed-loop probe: ring allreduce over surviving chips.
-        let chips = fb.live_chips();
-        let (completion_cycles, collective_chips) = if cfg.collective_flits > 0 && chips.len() >= 2
-        {
+        let chips = if cfg.collective_flits > 0 {
+            fb.live_chips()
+        } else {
+            Vec::new()
+        };
+        let (completion_cycles, collective_chips) = if chips.len() >= 2 {
             let wl = Workload::ring_allreduce(&chips, cfg.collective_flits);
             let wcfg = fb.prepare_cfg(sim);
             let r = crate::collective::run_workload_impl(&fb, &wcfg, &wl, &units, pool, trace)

@@ -25,30 +25,42 @@
 //!   router in a phase, a hop takes the **lowest port among hops on a
 //!   shortest legal path** to the destination router.
 //!
-//! The next hops come from a bit-parallel multi-source BFS (Then et al.,
-//! "The More the Merrier", VLDB 2014): one level-synchronous two-state
-//! BFS settles 256 destinations at once, one bit each in a `[u64; 4]`
-//! mask per router and phase. Every router pulls the next level from its
-//! own port-ordered out-edges (an up edge carries the neighbour's up
-//! frontier, a down edge its down frontier), and a newly settled
-//! (destination, phase) bit is *claimed* by the first such edge, which is
-//! the lowest-port rule above. A level visits only the routers next to
-//! one that gained states on the previous level: the top-down step of
-//! Beamer et al. ("Direction-Optimizing Breadth-First Search", SC 2012).
-//! The build is single-threaded.
+//! The next hops come from shortest legal distances. Up\*/down\* makes
+//! the down edges acyclic in rank order and the up edges acyclic in its
+//! reverse, so the distances take one relaxation sweep per phase in rank
+//! order: shortest paths in a DAG (Cormen et al., *Introduction to
+//! Algorithms*, §24.2) over the up\*/down\* order of Autonet (Schroeder et
+//! al., IEEE JSAC 1991). A batch settles 64 destinations, one lane each
+//! of a `[u16; 64]` distance row per router and phase:
+//!
+//! * The **down sweep** visits the live routers in decreasing rank. A down
+//!   edge leads to a higher rank, so a router's down distance is one more
+//!   than the least down distance among its down neighbours, all final.
+//! * The **up sweep** visits them in increasing rank. An up edge leads to a
+//!   lower rank, so a router's up distance is one more than the least of
+//!   its up neighbours' up distances and its down neighbours' down
+//!   distances, all final.
+//!
+//! A router's own destination lane is 0 in both phases. Each router and
+//! phase then walks its out-edges in port order, and an edge *claims* the
+//! lanes whose distance it shortens by exactly one hop, among those no
+//! earlier edge claimed: the lowest-port rule above. The build is
+//! single-threaded.
 //!
 //! The oracle keeps the claims themselves: per live directed edge and
 //! phase, one bit per destination router, set iff that edge is the next
 //! hop toward it. A router's claim words for one (phase, 64 destinations)
 //! sit side by side, one cache line for up to eight edges, and a hop
 //! takes the edge whose word holds the destination's bit. No two edges
-//! claim one state (debug builds check this after every pass). Claim
-//! memory is `2 × live directed edges × ⌈destination-routers / 256⌉ × 32`
+//! claim one state (debug builds check this after every batch). Claim
+//! memory is `2 × live directed edges × ⌈destination-routers / 64⌉ × 8`
 //! bytes, less than a byte per (phase, router, destination) wherever the
-//! average live out-degree is below 8. The build adds six `[u64; 4]`
-//! masks (192 bytes) of scratch per router, plus its frontier lists and
-//! bitmaps. Meant for C-group/W-group-scale resilience studies, not the
-//! full 18560-chip system in one piece.
+//! average live out-degree is below 8. The build adds two distance rows
+//! (256 bytes) of scratch per router. A shortest legal path never
+//! revisits a router, so distances fit a `u16` in any live component of
+//! fewer than 65535 routers; a larger component panics. Meant for
+//! C-group/W-group-scale resilience studies, not the full 18560-chip
+//! system in one piece.
 //!
 //! Endpoint pairs in different components (or with a dead attach router)
 //! get an explicit [`PathVerdict::Unreachable`]; asking `route` for such a
@@ -115,11 +127,11 @@ impl ReachMap {
     /// routable (dead ends included); 0 when the map covers no endpoint.
     pub fn unreachable_pairs(&self) -> u64 {
         let n = self.comp.len() as u64;
-        let mut sizes = std::collections::HashMap::new();
-        for &c in self.comp.iter().filter(|&&c| c != DEAD) {
-            *sizes.entry(c).or_insert(0u64) += 1;
-        }
-        let routable: u64 = sizes.values().map(|&s| s * (s - 1)).sum();
+        let routable: u64 = self
+            .component_sizes()
+            .iter()
+            .map(|&s| s * s.saturating_sub(1))
+            .sum();
         n * n.saturating_sub(1) - routable
     }
 
@@ -127,22 +139,30 @@ impl ReachMap {
     /// lower component id), ascending — the natural participant set for a
     /// collective on a degraded fabric.
     pub fn largest_component_endpoints(&self) -> Vec<u32> {
-        let mut sizes = std::collections::HashMap::new();
-        for &c in self.comp.iter().filter(|&&c| c != DEAD) {
-            *sizes.entry(c).or_insert(0u64) += 1;
-        }
-        let Some((&best, _)) = sizes
-            .iter()
-            .max_by_key(|(&c, &s)| (s, std::cmp::Reverse(c)))
-        else {
+        let sizes = self.component_sizes();
+        let Some(best) = (0..sizes.len()).max_by_key(|&c| (sizes[c], std::cmp::Reverse(c))) else {
             return Vec::new();
         };
         self.comp
             .iter()
             .enumerate()
-            .filter(|&(_, &c)| c == best)
+            .filter(|&(_, &c)| c as usize == best)
             .map(|(e, _)| e as u32)
             .collect()
+    }
+
+    /// Live endpoints per component id (ids are dense), up to the highest
+    /// id any live endpoint has.
+    fn component_sizes(&self) -> Vec<u64> {
+        let mut sizes = Vec::new();
+        for &c in self.comp.iter().filter(|&&c| c != DEAD) {
+            let c = c as usize;
+            if c >= sizes.len() {
+                sizes.resize(c + 1, 0);
+            }
+            sizes[c] += 1;
+        }
+        sizes
     }
 }
 
@@ -163,8 +183,7 @@ pub struct DetourOracle {
     edge_off: Vec<u32>,
     /// Per edge: its port, plus [`DOWN_BIT`] on a down edge.
     edge_byte: Vec<u8>,
-    /// Claim words per (edge, phase): one bit per destination index,
-    /// padded to whole BFS passes.
+    /// Claim words per (edge, phase): one bit per destination index.
     words: usize,
     /// Per-edge claim bitsets: bit `d % 64` of word `claim_row(edge_off[r],
     /// deg, words, p, d / 64) + k` is set iff edge `k` of router `r` is its
@@ -194,15 +213,15 @@ impl DetourOracle {
 
         // Destinations: live attach routers of endpoints.
         let mut dst_index = vec![u32::MAX; net.num_routers()];
-        let mut dsts = Vec::new();
+        let mut ndst = 0;
         for &r in &ep_router {
             if !faults.router_dead(r) && dst_index[r as usize] == u32::MAX {
-                dst_index[r as usize] = dsts.len() as u32;
-                dsts.push(r);
+                dst_index[r as usize] = ndst;
+                ndst += 1;
             }
         }
-        let words = LANES * dsts.len().div_ceil(BATCH);
-        let claims = bit_parallel_claims(&g, &dsts, words);
+        let words = (ndst as usize).div_ceil(64);
+        let claims = sweep_claims(&g, &dst_index, words);
 
         // Endpoint components (a dead router has component DEAD).
         let comp = ep_router.iter().map(|&r| g.comp[r as usize]).collect();
@@ -254,6 +273,9 @@ struct LiveGraph {
     to: Vec<u32>,
     /// Per router: live-component id ([`DEAD`] for a dead router).
     comp: Vec<u32>,
+    /// The live routers in rank order `(BFS level, id)`: a down edge leads
+    /// to a later router, an up edge to an earlier one.
+    order: Vec<u32>,
 }
 
 impl LiveGraph {
@@ -322,7 +344,9 @@ impl LiveGraph {
             comp[r] = ncomp;
             level[r] = 0;
             queue.push_back(r as u32);
+            let mut size = 0usize;
             while let Some(v) = queue.pop_front() {
+                size += 1;
                 for &w in &to[edges(&off, v as usize)] {
                     if comp[w as usize] == DEAD {
                         comp[w as usize] = ncomp;
@@ -331,6 +355,13 @@ impl LiveGraph {
                     }
                 }
             }
+            // A shortest legal path visits each router at most once, so
+            // this bound keeps every distance of the sweeps below FAR.
+            assert!(
+                size < usize::from(FAR),
+                "live component of {size} routers reaches the detour oracle's \
+                 u16 distance limit of {FAR}"
+            );
             ncomp += 1;
         }
 
@@ -343,11 +374,16 @@ impl LiveGraph {
                 }
             }
         }
+        let mut order: Vec<u32> = (0..nr as u32)
+            .filter(|&r| comp[r as usize] != DEAD)
+            .collect();
+        order.sort_unstable_by_key(|&r| rank(r));
         LiveGraph {
             off,
             byte,
             to,
             comp,
+            order,
         }
     }
 }
@@ -366,155 +402,169 @@ fn claim_row(first: usize, deg: usize, words: usize, p: usize, w: usize) -> usiz
     first * 2 * words + (p * words + w) * deg
 }
 
-/// Words of a destination mask.
-const LANES: usize = 4;
-/// Destinations settled per bit-parallel BFS pass: one mask bit each.
-const BATCH: usize = 64 * LANES;
-/// One bit per destination of a batch.
-type Mask = [u64; LANES];
+/// Shortest legal distances from a router, in one phase, to the 64
+/// destinations of a batch: lane `l` of batch `w` is destination index
+/// `64 × w + l`.
+type Row = [u16; 64];
+/// The distance of a lane with no legal path.
+const FAR: u16 = u16::MAX;
 
-/// Claims for `dsts` over the live graph `g`, laid out as
-/// `DetourOracle::claims` with `words` words per (edge, phase): the
-/// bit-parallel BFS of the module docs, one pass per [`BATCH`]
-/// destinations. Level `k` of a pass settles the (router, phase,
-/// destination) states at shortest legal distance `k`.
-fn bit_parallel_claims(g: &LiveGraph, dsts: &[u32], words: usize) -> Vec<u64> {
-    let nr = g.comp.len();
+/// Claims over the live graph `g` toward the destinations of `dst_index`,
+/// laid out as `DetourOracle::claims` with `words` words per (edge,
+/// phase): the two sweeps of the module docs, one batch of 64
+/// destinations per claim word.
+fn sweep_claims(g: &LiveGraph, dst_index: &[u32], words: usize) -> Vec<u64> {
     let mut claims = vec![0u64; g.to.len() * 2 * words];
-    // Per router, `[up, down]` masks: states settled so far, states of the
-    // previous level, states of the level being built.
-    let none = [[0u64; LANES]; 2];
-    let mut seen = vec![none; nr];
-    let mut front = vec![none; nr];
-    let mut next = vec![none; nr];
-    // The routers holding `front` / `next` states, and bitmaps (bit =
-    // router id) of the routers next to them: the only ones the current /
-    // next level can settle anything at.
-    let mut held = Vec::new();
-    let mut gained = Vec::new();
-    let mut visit = vec![0u64; nr.div_ceil(64)];
-    let mut visit_next = visit.clone();
-    for (bi, batch) in dsts.chunks(BATCH).enumerate() {
-        seen.fill(none);
-        for (b, &d) in batch.iter().enumerate() {
-            let d = d as usize;
-            for mask in &mut front[d] {
-                mask[b / 64] |= 1 << (b % 64);
+    // Per router, its up-phase and down-phase rows of the current batch. A
+    // sweep writes every live router's row before a neighbour reads it.
+    let mut du = vec![[FAR; 64]; g.comp.len()];
+    let mut dd = du.clone();
+    let is_down = |e: usize| g.byte[e] & DOWN_BIT != 0;
+    for w in 0..words {
+        // Router `v`'s lane, if it is a destination of this batch.
+        let own = |v: usize| {
+            let d = dst_index[v];
+            (d != u32::MAX && d as usize / 64 == w).then_some(d as usize % 64)
+        };
+        // Down sweep, decreasing rank: a down edge leads to a higher rank.
+        for &v in g.order.iter().rev() {
+            let (v, es) = (v as usize, edges(&g.off, v as usize));
+            let mut row = [FAR; 64];
+            for e in es.clone().filter(|&e| is_down(e)) {
+                min_into(&mut row, &dd[g.to[e] as usize]);
             }
-            seen[d] = front[d];
-            held.push(d);
-            mark(&mut visit, &g.to[edges(&g.off, d)]);
+            dd[v] = one_hop_more(row, own(v));
+            let at = claim_row(es.start, es.len(), words, 1, w);
+            claim(&mut claims[at..], es, &dd[v], |e| {
+                is_down(e).then(|| &dd[g.to[e] as usize])
+            });
         }
-        while !held.is_empty() {
-            for (i, word) in visit.iter_mut().enumerate() {
-                let mut bits = std::mem::take(word);
-                while bits != 0 {
-                    let v = i * 64 + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let es = edges(&g.off, v);
-                    let deg = es.len();
-                    let up = claim_row(es.start, deg, words, 0, bi * LANES);
-                    let down = claim_row(es.start, deg, words, 1, bi * LANES);
-                    let mut new = none;
-                    for (k, e) in es.clone().enumerate() {
-                        // An up edge offers the neighbour's up frontier to
-                        // the up phase, a down edge its down frontier to
-                        // both phases.
-                        let down_edge = g.byte[e] & DOWN_BIT != 0;
-                        let cand = &front[g.to[e] as usize][usize::from(down_edge)];
-                        claim(&mut new[0], cand, &seen[v][0], &mut claims[up + k..], deg);
-                        if down_edge {
-                            claim(&mut new[1], cand, &seen[v][1], &mut claims[down + k..], deg);
-                        }
-                    }
-                    if new != none {
-                        // Only router v reads seen[v]: it absorbs the level
-                        // now.
-                        for (s, n) in seen[v].iter_mut().zip(&new) {
-                            for (s, n) in s.iter_mut().zip(n) {
-                                *s |= n;
-                            }
-                        }
-                        next[v] = new;
-                        gained.push(v);
-                        mark(&mut visit_next, &g.to[es]);
-                    }
-                }
+        // Up sweep, increasing rank: an up edge leads to a lower rank, and
+        // every down distance is final.
+        for &v in &g.order {
+            let (v, es) = (v as usize, edges(&g.off, v as usize));
+            let mut row = [FAR; 64];
+            for e in es.clone() {
+                let to = g.to[e] as usize;
+                min_into(&mut row, if is_down(e) { &dd[to] } else { &du[to] });
             }
-            for &w in &held {
-                front[w] = none;
-            }
-            held.clear();
-            std::mem::swap(&mut front, &mut next);
-            std::mem::swap(&mut held, &mut gained);
-            std::mem::swap(&mut visit, &mut visit_next);
+            du[v] = one_hop_more(row, own(v));
+            let at = claim_row(es.start, es.len(), words, 0, w);
+            claim(&mut claims[at..], es, &du[v], |e| {
+                let to = g.to[e] as usize;
+                Some(if is_down(e) { &dd[to] } else { &du[to] })
+            });
         }
         #[cfg(debug_assertions)]
-        check_claims(g, &claims, words, bi, batch, &seen);
+        check_claims(g, &claims, words, w, [&du, &dd]);
     }
     claims
 }
 
-/// Set the bit of each router of `routers` in the bitmap `bits`.
+/// Lower each lane of `row` to the same lane of `next`.
 #[inline]
-fn mark(bits: &mut [u64], routers: &[u32]) {
-    for &r in routers {
-        bits[r as usize / 64] |= 1 << (r % 64);
+fn min_into(row: &mut Row, next: &Row) {
+    for (r, &n) in row.iter_mut().zip(next) {
+        *r = (*r).min(n);
     }
 }
 
-/// Settle, in one phase of one router, the states of `cand` that neither
-/// `seen` nor an earlier edge of this level (`new`) holds: add them to
-/// `new` and claim them for the edge whose claim word for this pass's
-/// first lane is `words[0]` (its later lanes follow at `stride`).
+/// `row` one hop further away ([`FAR`] stays [`FAR`]), with lane `own`,
+/// the router's own destination, at 0.
 #[inline]
-fn claim(new: &mut Mask, cand: &Mask, seen: &Mask, words: &mut [u64], stride: usize) {
-    for i in 0..LANES {
-        let m = cand[i] & !seen[i] & !new[i];
-        new[i] |= m;
-        words[i * stride] |= m;
+fn one_hop_more(mut row: Row, own: Option<usize>) -> Row {
+    for r in &mut row {
+        *r = r.saturating_add(1);
     }
+    if let Some(l) = own {
+        row[l] = 0;
+    }
+    row
 }
 
-/// The claim invariant after pass `bi` over `batch`: at every router and
-/// phase, the edges' claim words are pairwise disjoint (so `route` may
-/// stop at the first set bit) and together hold exactly the states the
-/// BFS settled there, which is `seen` minus the router's own destination
-/// bit.
-#[cfg(debug_assertions)]
-fn check_claims(
-    g: &LiveGraph,
-    claims: &[u64],
-    words: usize,
-    bi: usize,
-    batch: &[u32],
-    seen: &[[Mask; 2]],
+/// The lanes of `dist` at a finite, non-zero distance: the ones a router
+/// claims an edge for.
+#[inline]
+fn open_lanes(dist: &Row) -> u64 {
+    let mut open = [0u8; 64];
+    for (o, &d) in open.iter_mut().zip(dist) {
+        *o = u8::from(d != 0 && d != FAR);
+    }
+    bits(&open)
+}
+
+/// The lanes where `next` is exactly one hop shorter than `dist`.
+#[inline]
+fn one_closer(next: &Row, dist: &Row) -> u64 {
+    let mut closer = [0u8; 64];
+    for ((c, &n), &d) in closer.iter_mut().zip(next).zip(dist) {
+        *c = u8::from(n.wrapping_add(1) == d);
+    }
+    bits(&closer)
+}
+
+/// The 64-bit mask of `lanes`, each 0 or 1 (bit `l` = lane `l`). Eight
+/// 0/1 bytes times this constant put byte `i` at bit `56 + i`, and no two
+/// partial products meet, so nothing carries.
+#[inline]
+fn bits(lanes: &[u8; 64]) -> u64 {
+    let mut m = 0;
+    for (i, group) in lanes.chunks_exact(8).enumerate() {
+        let x = u64::from_le_bytes(group.try_into().expect("8 lanes"));
+        m |= (x.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * i);
+    }
+    m
+}
+
+/// Claim the open lanes of `dist`, a router's row in one phase, for its
+/// edges `es` in port order: an edge takes the lanes no earlier edge took
+/// where the row `next(e)` it leads to is one hop shorter (`None`: the
+/// edge is illegal in this phase). `words[k]` is the claim word of the
+/// router's `k`-th edge.
+#[inline]
+fn claim<'a>(
+    words: &mut [u64],
+    es: std::ops::Range<usize>,
+    dist: &Row,
+    next: impl Fn(usize) -> Option<&'a Row>,
 ) {
-    let mut own = vec![[0u64; LANES]; seen.len()];
-    for (b, &d) in batch.iter().enumerate() {
-        own[d as usize][b / 64] |= 1 << (b % 64);
+    let mut open = open_lanes(dist);
+    for (k, e) in es.enumerate() {
+        if open == 0 {
+            break;
+        }
+        if let Some(next) = next(e) {
+            let c = one_closer(next, dist) & open;
+            words[k] = c;
+            open &= !c;
+        }
     }
-    for (v, seen) in seen.iter().enumerate() {
-        let es = edges(&g.off, v);
-        for (p, seen) in seen.iter().enumerate() {
-            for i in 0..LANES {
-                let w = bi * LANES + i;
-                let row = claim_row(es.start, es.len(), words, p, w);
-                let mut union = 0u64;
-                for &c in &claims[row..row + es.len()] {
-                    assert!(
-                        union & c == 0,
-                        "detour claim invariant violated: two edges claim one state \
-                         at router {v}, phase {p}, destination word {w}"
-                    );
-                    union |= c;
-                }
+}
+
+/// The claim invariant after batch `w`, given the batch's `[up, down]`
+/// rows: at every router and phase, the edges' claim words are pairwise
+/// disjoint (so `route` may stop at the first set bit) and together hold
+/// exactly the router's open lanes.
+#[cfg(debug_assertions)]
+fn check_claims(g: &LiveGraph, claims: &[u64], words: usize, w: usize, rows: [&[Row]; 2]) {
+    for &v in &g.order {
+        let es = edges(&g.off, v as usize);
+        for (p, rows) in rows.iter().enumerate() {
+            let at = claim_row(es.start, es.len(), words, p, w);
+            let mut union = 0u64;
+            for &c in &claims[at..at + es.len()] {
                 assert!(
-                    union == seen[i] & !own[v][i],
-                    "detour claim invariant violated: claims differ from the settled \
-                     states at router {v}, phase {p}, destination word {w}"
+                    union & c == 0,
+                    "detour claim invariant violated: two edges claim one state \
+                     at router {v}, phase {p}, destination word {w}"
                 );
+                union |= c;
             }
+            assert!(
+                union == open_lanes(&rows[v as usize]),
+                "detour claim invariant violated: claims differ from the finite, \
+                 non-zero distances at router {v}, phase {p}, destination word {w}"
+            );
         }
     }
 }
@@ -523,9 +573,9 @@ fn check_claims(
 #[cfg(test)]
 const NO_HOP: u8 = 0xFF;
 
-/// The scalar fill the bit-parallel BFS replaced, kept as its test
-/// oracle: per destination, a two-state backward BFS for shortest legal
-/// distances, then a forward pass picking each router's best hop. Entry
+/// A scalar fill kept as the claim sweeps' test oracle: per destination,
+/// a two-state backward BFS for shortest legal distances, then a forward
+/// pass picking each router's best hop. Entry
 /// `(d × 2 + p) × routers + r` is the edge byte of router `r`'s next hop
 /// toward `dsts[d]` in phase `p`, or [`NO_HOP`].
 #[cfg(test)]
@@ -662,7 +712,7 @@ impl RouteOracle for DetourOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::walk::{PortMap, Walker};
+    use crate::walk::{DependencyGraph, PortMap, Walker};
     use wsdf_sim::flit::NO_INTERMEDIATE;
     use wsdf_sim::ChannelClass;
 
@@ -885,7 +935,7 @@ mod tests {
     }
 
     #[test]
-    fn bit_parallel_tables_match_the_reference() {
+    fn claim_tables_match_the_reference() {
         use wsdf_topo::{FaultSet, FaultSpec, SlParams, SwParams, SwitchFabric, SwitchlessFabric};
         let fabrics = [
             ("grid", grid()),
@@ -1002,5 +1052,178 @@ mod tests {
         assert_eq!(a.claims, b.claims);
         assert_eq!(a.edge_byte, b.edge_byte);
         assert_eq!(a.comp, b.comp);
+    }
+
+    /// A packet to endpoint `dst`, to ask `route` about.
+    fn to(dst: u32) -> PacketHeader {
+        PacketHeader {
+            id: 1,
+            src: 0,
+            dst,
+            inter_w: NO_INTERMEDIATE,
+            created: 0,
+            len: 4,
+        }
+    }
+
+    /// `o`'s hop at `router` in `phase` (0 up, 1 down) toward endpoint
+    /// `dst`, as `(out_port, out_vc)`.
+    fn hop(o: &DetourOracle, router: u32, phase: u8, dst: u32) -> (u8, u8) {
+        let c = o.route(router, 0, phase, &to(dst), &mut SplitMix64::new(0));
+        (c.out_port, c.out_vc)
+    }
+
+    /// `net`'s pristine oracle, after checking its claims against the
+    /// reference and walking every pair.
+    fn checked_pristine(net: &NetworkDesc) -> DetourOracle {
+        let (o, table) = with_reference(net, &FaultMap::pristine(net));
+        assert!(
+            decoded_table(&o) == table,
+            "table differs from the reference"
+        );
+        walk_all_pairs(net, &o, &o.reach_map());
+        o
+    }
+
+    #[test]
+    fn up_phase_ties_go_to_the_lower_port_across_edge_kinds() {
+        // Root 0 over routers 1 and 2 (level 1, linked, so 2 → 1 is an up
+        // edge), 4 below 1 and 3 below 2 (level 2, linked, so 3 → 4 is a
+        // down edge). From 2 toward 4, the up edge 2 → 1 → 4 and the down
+        // edge 2 → 3 → 4 are both 2 hops: the lower port must win, whatever
+        // its kind.
+        for down_first in [true, false] {
+            let (to1, to3) = if down_first { (3, 2) } else { (2, 3) };
+            let mut net = NetworkDesc::new();
+            for r in 0..5 {
+                net.add_router(4);
+                let e = net.add_endpoint(r);
+                net.attach_endpoint(e, r, 0, 1, 1);
+            }
+            let links = [
+                ((0, 1), (1, 1)),
+                ((0, 2), (2, 1)),
+                ((1, 2), (2, to1)),
+                ((2, to3), (3, 1)),
+                ((1, 3), (4, 1)),
+                ((3, 2), (4, 2)),
+            ];
+            for (a, b) in links {
+                net.connect(a, b, 1, 1, ChannelClass::ShortReach);
+            }
+            let o = checked_pristine(&net);
+            let want = if down_first { (to3, 1) } else { (to1, 0) };
+            assert_eq!(hop(&o, 2, 0, 4), want, "down edge first: {down_first}");
+            // The down phase has only the down edge.
+            assert_eq!(hop(&o, 2, 1, 4), (to3, 1));
+        }
+    }
+
+    #[test]
+    fn down_paths_may_stay_inside_one_bfs_level() {
+        // Root 0 on port r of r1..r6 (routers 1..6, all at BFS depth 1),
+        // plus the chain r1 – r2 – … – r6 (port 2 to the next, port 3 to
+        // the previous). Each chain link runs down toward the higher id, so
+        // the down distance from r1 to r6 is 5.
+        let mut net = NetworkDesc::new();
+        net.add_router(7);
+        for _ in 1..=6 {
+            net.add_router(4);
+        }
+        for r in 0..=6 {
+            let e = net.add_endpoint(r);
+            net.attach_endpoint(e, r, 0, 1, 1);
+        }
+        for r in 1..=6u32 {
+            net.connect((0, r as u8), (r, 1), 1, 1, ChannelClass::ShortReach);
+        }
+        for r in 1..6 {
+            net.connect((r, 2), (r + 1, 3), 1, 1, ChannelClass::ShortReach);
+        }
+        let o = checked_pristine(&net);
+        // The down phase follows the chain: 5 hops from r1.
+        for r in 1..6 {
+            assert_eq!(hop(&o, r, 1, 6), (2, 1), "down phase at r{r}");
+        }
+        // The up phase goes through the root (2 hops) where the chain is
+        // longer; at r4 both take 2 hops and the root's port 1 wins.
+        for r in 1..=4 {
+            assert_eq!(hop(&o, r, 0, 6), (1, 0), "up phase at r{r}");
+        }
+        assert_eq!(hop(&o, 5, 0, 6), (2, 1));
+        assert_eq!(hop(&o, 0, 0, 6), (6, 1));
+    }
+
+    /// A chain of `n` routers (port 1 to the next, port 2 to the previous)
+    /// with one endpoint at each end.
+    fn chain(n: u32) -> NetworkDesc {
+        let mut net = NetworkDesc::new();
+        for _ in 0..n {
+            net.add_router(3);
+        }
+        for r in [0, n - 1] {
+            let e = net.add_endpoint(r);
+            net.attach_endpoint(e, r, 0, 1, 1);
+        }
+        for r in 1..n {
+            net.connect((r - 1, 1), (r, 2), 1, 1, ChannelClass::ShortReach);
+        }
+        net
+    }
+
+    #[test]
+    fn distances_reach_the_u16_limit_without_losing_a_claim() {
+        // The far ends of a 65534-router chain sit 65533 hops apart, the
+        // longest distance a component may hold.
+        let n = u32::from(u16::MAX) - 1;
+        let o = DetourOracle::pristine(&chain(n));
+        assert_eq!(o.reach_map().unreachable_pairs(), 0);
+        assert_eq!(hop(&o, 0, 0, 1), (1, 1));
+        assert_eq!(hop(&o, n - 1, 0, 0), (2, 0));
+        assert_eq!(hop(&o, 1, 1, 1), (1, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "u16 distance limit of 65535")]
+    fn a_component_past_the_u16_distance_limit_panics() {
+        DetourOracle::pristine(&chain(u32::from(u16::MAX)));
+    }
+
+    /// The channel-dependency graph of every routable endpoint pair's
+    /// route under `o`.
+    fn dependencies(net: &NetworkDesc, o: &DetourOracle) -> DependencyGraph {
+        let map = PortMap::new(net);
+        let w = Walker::new(&map, o);
+        let reach = o.reach_map();
+        let mut g = DependencyGraph::default();
+        for s in 0..reach.endpoints() {
+            for d in (0..reach.endpoints()).filter(|&d| d != s && reach.routable(s, d)) {
+                g.add(&w.walk(s, d, NO_INTERMEDIATE).unwrap());
+            }
+        }
+        g
+    }
+
+    #[test]
+    fn detour_routes_cannot_deadlock() {
+        use wsdf_topo::{FaultSet, FaultSpec, SlParams, SwitchlessFabric};
+        let net = grid();
+        let g = dependencies(&net, &DetourOracle::pristine(&net));
+        assert_eq!(g.cycle(), None, "2×3 grid");
+        let net = SwitchlessFabric::build(&SlParams::radix16().with_wgroups(1)).net;
+        for seed in 1..=3 {
+            let fs = FaultSet::sample(
+                &net,
+                &FaultSpec {
+                    seed,
+                    link_fraction: 0.1,
+                    router_fraction: 0.05,
+                    ..Default::default()
+                },
+            );
+            let g = dependencies(&net, &DetourOracle::build(&net, fs.map()));
+            assert!(g.channels() > 0);
+            assert_eq!(g.cycle(), None, "1 W-group, fault seed {seed}");
+        }
     }
 }

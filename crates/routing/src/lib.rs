@@ -30,7 +30,7 @@ pub use fault::{DetourOracle, PathVerdict, ReachMap};
 pub use mesh::{MeshOracle, SwitchNodeOracle};
 pub use switchbased::SwOracle;
 pub use switchless::{SlOracle, VcScheme};
-pub use walk::{PortMap, RouteTrace, Walker};
+pub use walk::{DependencyGraph, PortMap, RouteTrace, VcChannel, Walker};
 
 /// Minimal vs non-minimal (Valiant) routing mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -3,7 +3,8 @@
 //!
 //! Used by tests and the analysis harness for reachability, hop-count
 //! (diameter, Eq. 7), VC-monotonicity and up*/down*-legality checks, and by
-//! the energy model to cross-check simulated hop counts.
+//! the energy model to cross-check simulated hop counts. A
+//! [`DependencyGraph`] over walked routes checks deadlock freedom.
 
 use wsdf_sim::{
     flit::NO_INTERMEDIATE, ChannelClass, NetworkDesc, PacketHeader, RouteOracle, SplitMix64,
@@ -204,6 +205,98 @@ impl<'a> Walker<'a> {
     }
 }
 
+/// A channel a route holds: the output port it takes at a router and the
+/// VC it asks for downstream, as `(router, out_port, out_vc)`.
+pub type VcChannel = (u32, u8, u8);
+
+/// The channel-dependency graph of walked routes (Dally & Seitz,
+/// "Deadlock-Free Message Routing in Multiprocessor Interconnection
+/// Networks", IEEE TC 1987): one node per [`VcChannel`] a route takes, and
+/// an edge from each hop of a route to the next. A packet holding one
+/// channel waits for the next, so routes whose graph has no cycle cannot
+/// deadlock.
+#[derive(Debug, Default)]
+pub struct DependencyGraph {
+    /// Node id per channel.
+    ids: std::collections::HashMap<VcChannel, usize>,
+    /// Channel per node id.
+    nodes: Vec<VcChannel>,
+    /// Successor node ids per node id, without repeats.
+    succ: Vec<Vec<usize>>,
+}
+
+impl DependencyGraph {
+    /// Add the dependencies between consecutive hops of `route`.
+    pub fn add(&mut self, route: &RouteTrace) {
+        let mut prev: Option<usize> = None;
+        for h in &route.hops {
+            let next = self.node((h.router, h.out_port, h.out_vc));
+            if let Some(p) = prev {
+                if !self.succ[p].contains(&next) {
+                    self.succ[p].push(next);
+                }
+            }
+            prev = Some(next);
+        }
+    }
+
+    /// The node id of `c`, added if new.
+    fn node(&mut self, c: VcChannel) -> usize {
+        *self.ids.entry(c).or_insert_with(|| {
+            self.nodes.push(c);
+            self.succ.push(Vec::new());
+            self.nodes.len() - 1
+        })
+    }
+
+    /// Channels in the graph.
+    pub fn channels(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// One dependency cycle, as its channels in order, or `None` when the
+    /// graph is acyclic: an iterative depth-first search that stops at the
+    /// first edge back into its own path.
+    pub fn cycle(&self) -> Option<Vec<VcChannel>> {
+        const NEW: u8 = 0;
+        const ON_PATH: u8 = 1;
+        const DONE: u8 = 2;
+        let mut state = vec![NEW; self.nodes.len()];
+        // The current path: per node, the index of its next successor.
+        let mut path: Vec<(usize, usize)> = Vec::new();
+        for root in 0..self.nodes.len() {
+            if state[root] != NEW {
+                continue;
+            }
+            state[root] = ON_PATH;
+            path.push((root, 0));
+            while let Some((v, i)) = path.last_mut() {
+                let Some(&w) = self.succ[*v].get(*i) else {
+                    state[*v] = DONE;
+                    path.pop();
+                    continue;
+                };
+                *i += 1;
+                match state[w] {
+                    NEW => {
+                        state[w] = ON_PATH;
+                        path.push((w, 0));
+                    }
+                    ON_PATH => {
+                        let start = path
+                            .iter()
+                            .position(|&(u, _)| u == w)
+                            .expect("a node on the path is on the path stack");
+                        return Some(path[start..].iter().map(|&(u, _)| self.nodes[u]).collect());
+                    }
+                    _ => {}
+                }
+            }
+        }
+        None
+    }
+}
+
 /// Walk every (src, dst) pair. Returns the maximum network-hop count (the
 /// measured diameter) or the first error. Only feasible for small fabrics.
 pub fn all_pairs_diameter(
@@ -283,5 +376,64 @@ mod tests {
         let w = Walker::new(&map, &Bad);
         let err = w.walk(0, 5, NO_INTERMEDIATE).unwrap_err();
         assert!(err.contains("misdelivered"), "{err}");
+    }
+
+    #[test]
+    fn clockwise_ring_on_one_vc_closes_a_dependency_cycle() {
+        // Four routers in a ring: endpoint on port 0, the clockwise link
+        // out of port 1 into port 2, and one VC with no dateline.
+        struct Clockwise;
+        impl RouteOracle for Clockwise {
+            fn route(
+                &self,
+                router: u32,
+                _: u8,
+                _: u8,
+                pkt: &PacketHeader,
+                _: &mut SplitMix64,
+            ) -> wsdf_sim::RouteChoice {
+                wsdf_sim::RouteChoice {
+                    out_port: if pkt.dst == router { 0 } else { 1 },
+                    out_vc: 0,
+                }
+            }
+            fn initial_vc(&self, _: &PacketHeader) -> u8 {
+                0
+            }
+            fn num_vcs(&self) -> u8 {
+                1
+            }
+        }
+        let n = 4;
+        let mut net = NetworkDesc::new();
+        for _ in 0..n {
+            net.add_router(3);
+        }
+        for r in 0..n {
+            let e = net.add_endpoint(r);
+            net.attach_endpoint(e, r, 0, 1, 1);
+            net.add_channel(wsdf_sim::ChannelDesc::router_to_router(
+                r,
+                1,
+                (r + 1) % n,
+                2,
+                1,
+                1,
+                ChannelClass::ShortReach,
+            ));
+        }
+        let map = PortMap::new(&net);
+        let w = Walker::new(&map, &Clockwise);
+        let mut g = DependencyGraph::default();
+        for s in 0..n {
+            for d in (0..n).filter(|&d| d != s) {
+                g.add(&w.walk(s, d, NO_INTERMEDIATE).unwrap());
+            }
+        }
+        // Four ring channels and four ejection channels.
+        assert_eq!(g.channels(), 8);
+        let mut cycle = g.cycle().expect("the clockwise ring closes a cycle");
+        cycle.sort_unstable();
+        assert_eq!(cycle, [(0, 1, 0), (1, 1, 0), (2, 1, 0), (3, 1, 0)]);
     }
 }
