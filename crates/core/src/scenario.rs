@@ -13,8 +13,11 @@
 //! * **Precise validation.** Every parse error names the exact JSON path
 //!   (`scenario.traffic.rate: expected number in (0,1]`), so a corpus of
 //!   malformed files can pin error strings in tests.
-//! * **Canonical round-trip.** [`Scenario::to_json`] writes the full
-//!   resolved form; parsing it back yields an identical scenario.
+//! * **Canonical round-trip.** Every section implements the [`Json`]
+//!   codec: its reader holds the section's own rules, and the
+//!   [`Scenario`] reader checks the rules that tie sections together once
+//!   all of them are read. [`Scenario::to_json`] writes the full resolved
+//!   form; parsing it back yields an identical scenario.
 //! * **Environment independence.** Stepping mode and the partition map
 //!   are resolved from the scenario itself, and reports are bit-identical
 //!   for any worker count, so a scenario's report digest is a pure
@@ -26,7 +29,7 @@
 
 use crate::bench::{Bench, PatternSpec};
 use crate::collective::{run_workload_impl, WorkloadReport, WorkloadUnits};
-use crate::json::{self, read, Value};
+use crate::json::{self, read, Json, ObjectWriter, Value};
 use crate::report::{Curve, Figure};
 use crate::resilience::{resilience_impl, ResilienceConfig, ResilienceReport};
 use crate::serving::{run_serving_impl, ServingReport};
@@ -35,11 +38,12 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use wsdf_exec::BspPool;
 use wsdf_routing::{RouteMode, VcScheme};
-use wsdf_sim::{SimConfig, TraceConfig, Tracer, MAX_PORTS};
+use wsdf_sim::{json_names, json_object, SimConfig, TraceConfig, Tracer, MAX_PORTS};
 use wsdf_topo::{FaultSchedule, FaultSet, FaultSpec, SlParams, SwParams};
-use wsdf_traffic::{PermKind, RingDirection};
-use wsdf_workload::tenancy::{ArrivalProcess, JobClass, Placement, ServingSpec};
-use wsdf_workload::Workload;
+use wsdf_traffic::PermKind::{BitReverse, BitShuffle, BitTranspose};
+use wsdf_traffic::RingDirection::{Bidirectional, Unidirectional};
+use wsdf_workload::tenancy::ServingSpec;
+use wsdf_workload::{read_collective, Workload};
 
 /// Largest standalone mesh side: its `m²` routers fit the u32 id space.
 const MAX_MESH_SIDE: u64 = 65_535;
@@ -86,69 +90,63 @@ impl Topology {
             _ => 1,
         }
     }
+}
 
-    fn to_json(&self) -> String {
+/// Tagged by `family`: `params` for the two Dragonfly families (see
+/// [`SlParams`] and [`SwParams`]), `m`, `chiplet` and `width` (1 by
+/// default) for a mesh, and `terminals` for a switch.
+impl Json for Topology {
+    fn write(&self, out: &mut String) {
+        let mut obj = ObjectWriter::new(out, None);
+        obj.tag("family", self.family());
         match self {
-            Topology::Switchless(p) => {
-                format!(
-                    "{{\"family\": \"switchless\", \"params\": {}}}",
-                    p.to_json()
-                )
+            Topology::Switchless(p) => obj.member("params", p),
+            Topology::Switchbased(p) => obj.member("params", p),
+            Topology::Mesh { m, chiplet, width } => {
+                obj.member("m", m);
+                obj.member("chiplet", chiplet);
+                obj.member("width", width);
             }
-            Topology::Switchbased(p) => {
-                format!(
-                    "{{\"family\": \"switchbased\", \"params\": {}}}",
-                    p.to_json()
-                )
-            }
-            Topology::Mesh { m, chiplet, width } => format!(
-                "{{\"family\": \"mesh\", \"m\": {m}, \"chiplet\": {chiplet}, \"width\": {width}}}"
-            ),
-            Topology::Switch { terminals } => {
-                format!("{{\"family\": \"switch\", \"terminals\": {terminals}}}")
-            }
+            Topology::Switch { terminals } => obj.member("terminals", terminals),
         }
+        obj.end();
     }
 
-    fn from_json(v: &Value, path: &str) -> Result<Self, String> {
-        read::obj(v, path)?;
-        let family = read::str_field(v, path, "family")?;
-        match family {
+    fn read(v: &Value, path: &str) -> Result<Self, String> {
+        let families = ["switchless", "switchbased", "mesh", "switch"];
+        match read::tag(v, path, "family", &families)? {
             "switchless" => {
                 read::check_keys(v, path, &["family", "params"])?;
-                let p =
-                    SlParams::from_json(read::req(v, path, "params")?, &format!("{path}.params"))?;
-                Ok(Topology::Switchless(p))
+                Ok(Topology::Switchless(read::field(v, path, "params")?))
             }
             "switchbased" => {
                 read::check_keys(v, path, &["family", "params"])?;
-                let p =
-                    SwParams::from_json(read::req(v, path, "params")?, &format!("{path}.params"))?;
-                Ok(Topology::Switchbased(p))
+                Ok(Topology::Switchbased(read::field(v, path, "params")?))
             }
             "mesh" => {
                 read::check_keys(v, path, &["family", "m", "chiplet", "width"])?;
-                let m = read::field::<u64>(v, path, "m")?;
-                let chiplet = read::field::<u64>(v, path, "chiplet")?;
-                let width = read::u64_or(v, path, "width", 1)?;
+                let m: u64 = read::field(v, path, "m")?;
+                let chiplet: u64 = read::field(v, path, "chiplet")?;
+                let width: u64 = read::or(v, path, "width", 1)?;
                 if !(2..=MAX_MESH_SIDE).contains(&m) {
                     return Err(format!("{path}.m: expected integer in 2..={MAX_MESH_SIDE}"));
                 }
-                if chiplet == 0 || m % chiplet != 0 {
+                if chiplet == 0 || !m.is_multiple_of(chiplet) {
                     return Err(format!("{path}.chiplet: must divide m ({m})"));
                 }
-                if width == 0 || width > 255 {
-                    return Err(format!("{path}.width: expected integer in 1..=255"));
-                }
+                let width = u8::try_from(width)
+                    .ok()
+                    .filter(|&w| w > 0)
+                    .ok_or_else(|| format!("{path}.width: expected integer in 1..=255"))?;
                 Ok(Topology::Mesh {
                     m: m as u32,
                     chiplet: chiplet as u32,
-                    width: width as u8,
+                    width,
                 })
             }
-            "switch" => {
+            _ => {
                 read::check_keys(v, path, &["family", "terminals"])?;
-                let terminals = read::field::<u64>(v, path, "terminals")?;
+                let terminals: u64 = read::field(v, path, "terminals")?;
                 // One router carries every terminal, so the engine's port
                 // limit bounds them.
                 if !(2..=MAX_PORTS as u64).contains(&terminals) {
@@ -160,12 +158,18 @@ impl Topology {
                     terminals: terminals as u32,
                 })
             }
-            _ => Err(format!(
-                "{path}.family: expected \"switchless\", \"switchbased\", \"mesh\" or \"switch\""
-            )),
         }
     }
 }
+
+/// The `oracle` section: the routing mode of a Dragonfly family, and the
+/// VC scheme of the switch-less one.
+struct Oracle {
+    route: RouteMode,
+    vcs: Option<VcScheme>,
+}
+
+json_object!(Oracle, Oracle { route: RouteMode::Minimal, vcs: None }; route?, vcs?);
 
 /// Simulation-window overrides of a scenario (a [`SimConfig`] subset; the
 /// engine's Table-IV defaults fill anything unspecified).
@@ -199,58 +203,28 @@ impl Default for SimSpec {
     }
 }
 
-impl SimSpec {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"warmup_cycles\": {}, \"measure_cycles\": {}, \"drain_cycles\": {}, \
-             \"seed\": {}, \"packet_len\": {}, \"buffer_flits\": {}}}",
-            self.warmup_cycles,
-            self.measure_cycles,
-            self.drain_cycles,
-            self.seed,
-            self.packet_len,
-            self.buffer_flits
-        )
-    }
-
-    fn from_json(v: &Value, path: &str) -> Result<Self, String> {
-        read::check_keys(
-            v,
-            path,
-            &[
-                "warmup_cycles",
-                "measure_cycles",
-                "drain_cycles",
-                "seed",
-                "packet_len",
-                "buffer_flits",
-            ],
-        )?;
-        let d = SimSpec::default();
-        let packet_len = read::u64_or(v, path, "packet_len", d.packet_len as u64)?;
-        if packet_len == 0 || packet_len > 255 {
-            return Err(format!("{path}.packet_len: expected integer in 1..=255"));
-        }
-        let buffer_flits = read::u64_or(v, path, "buffer_flits", d.buffer_flits as u64)?;
-        if buffer_flits < packet_len || buffer_flits > 65_535 {
-            return Err(format!(
-                "{path}.buffer_flits: expected integer in {packet_len}..=65535 (at least one packet)"
-            ));
-        }
-        let spec = SimSpec {
-            warmup_cycles: read::u64_or(v, path, "warmup_cycles", d.warmup_cycles)?,
-            measure_cycles: read::u64_or(v, path, "measure_cycles", d.measure_cycles)?,
-            drain_cycles: read::u64_or(v, path, "drain_cycles", d.drain_cycles)?,
-            seed: read::u64_or(v, path, "seed", d.seed)?,
-            packet_len: packet_len as u8,
-            buffer_flits: buffer_flits as u16,
-        };
-        if spec.measure_cycles == 0 {
-            return Err(format!("{path}.measure_cycles: must be at least 1"));
-        }
-        Ok(spec)
+/// Reject a zero `measure_cycles`.
+fn at_least_one(x: &u64, path: &str) -> Result<(), String> {
+    match x {
+        0 => Err(format!("{path}: must be at least 1")),
+        _ => Ok(()),
     }
 }
+
+/// Reject a zero `packet_len`.
+fn packet_len(x: &u8, path: &str) -> Result<(), String> {
+    match x {
+        0 => Err(format!("{path}: expected integer in 1..=255")),
+        _ => Ok(()),
+    }
+}
+
+// Every member is optional. `buffer_flits` must hold one packet; the
+// scenario reader checks that, once both are read.
+json_object!(SimSpec, SimSpec::default();
+    warmup_cycles?, measure_cycles? if at_least_one, drain_cycles?, seed?,
+    packet_len? if packet_len, buffer_flits?,
+);
 
 /// Engine stepping mode, fixed by the scenario and handed to the run's
 /// [`SimConfig::event_driven`]. Both modes simulate identically; only
@@ -263,15 +237,7 @@ pub enum Stepping {
     Dense,
 }
 
-impl Stepping {
-    /// Stable lowercase name used by scenario files.
-    pub fn name(self) -> &'static str {
-        match self {
-            Stepping::Event => "event",
-            Stepping::Dense => "dense",
-        }
-    }
-}
+json_names!(Stepping; Event = "event", Dense = "dense");
 
 /// Which partition-map builder a scenario uses when it runs parallel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -284,15 +250,7 @@ pub enum PartitionerKind {
     Blocks,
 }
 
-impl PartitionerKind {
-    /// Stable lowercase name used by scenario files.
-    pub fn name(self) -> &'static str {
-        match self {
-            PartitionerKind::Locality => "locality",
-            PartitionerKind::Blocks => "blocks",
-        }
-    }
-}
+json_names!(PartitionerKind; Locality = "locality", Blocks = "blocks");
 
 /// How a run assigns routers to BSP partitions. [`Partitioning::apply`]
 /// resolves it to the run's [`SimConfig::partition_map`]: a scenario
@@ -389,47 +347,40 @@ impl Partitioning {
         }
         Ok(())
     }
+}
 
-    fn to_json(&self) -> String {
+/// `{"partitions": N, "partitioner": "locality" | "blocks"}` (1 and
+/// locality by default) or `{"map": [..]}`, not both.
+impl Json for Partitioning {
+    fn write(&self, out: &mut String) {
+        let mut obj = ObjectWriter::new(out, None);
         match self {
             Partitioning::Auto {
                 partitions,
                 partitioner,
-            } => format!(
-                "{{\"partitions\": {partitions}, \"partitioner\": \"{}\"}}",
-                partitioner.name()
-            ),
-            Partitioning::Map(map) => format!("{{\"map\": {}}}", json::to_string(map)),
+            } => {
+                obj.member("partitions", partitions);
+                obj.member("partitioner", partitioner);
+            }
+            Partitioning::Map(map) => obj.member("map", map),
         }
+        obj.end();
     }
 
-    fn from_json(v: &Value, path: &str) -> Result<Self, String> {
+    fn read(v: &Value, path: &str) -> Result<Self, String> {
         read::check_keys(v, path, &["partitions", "partitioner", "map"])?;
-        if v.get("map").is_some() {
-            if v.get("partitions").is_some() || v.get("partitioner").is_some() {
-                return Err(format!(
-                    "{path}: give either \"map\" or \"partitions\"/\"partitioner\", not both"
-                ));
-            }
-            return Ok(Partitioning::Map(read::field(v, path, "map")?));
+        if v.get("map").is_none() {
+            return Ok(Partitioning::Auto {
+                partitions: read::or(v, path, "partitions", 1)?,
+                partitioner: read::or(v, path, "partitioner", PartitionerKind::Locality)?,
+            });
         }
-        let partitions = read::u64_or(v, path, "partitions", 1)?;
-        let partitioner = match v.get("partitioner") {
-            None => PartitionerKind::Locality,
-            Some(p) => match p.as_str() {
-                Some("locality") => PartitionerKind::Locality,
-                Some("blocks") => PartitionerKind::Blocks,
-                _ => {
-                    return Err(format!(
-                        "{path}.partitioner: expected \"locality\" or \"blocks\""
-                    ))
-                }
-            },
-        };
-        Ok(Partitioning::Auto {
-            partitions,
-            partitioner,
-        })
+        if v.get("partitions").is_some() || v.get("partitioner").is_some() {
+            return Err(format!(
+                "{path}: give either \"map\" or \"partitions\"/\"partitioner\", not both"
+            ));
+        }
+        Ok(Partitioning::Map(read::field(v, path, "map")?))
     }
 }
 
@@ -448,38 +399,30 @@ pub enum FaultsSpec {
     },
 }
 
-impl FaultsSpec {
-    fn to_json(&self) -> String {
+/// `{"spec": {..}}` or `{"schedule": [..], "at_cycle": N}`.
+impl Json for FaultsSpec {
+    fn write(&self, out: &mut String) {
+        let mut obj = ObjectWriter::new(out, None);
         match self {
-            FaultsSpec::Spec(s) => format!("{{\"spec\": {}}}", json::to_string(s)),
-            FaultsSpec::Schedule { schedule, at_cycle } => format!(
-                "{{\"schedule\": {}, \"at_cycle\": {at_cycle}}}",
-                json::to_string(schedule)
-            ),
+            FaultsSpec::Spec(spec) => obj.member("spec", spec),
+            FaultsSpec::Schedule { schedule, at_cycle } => {
+                obj.member("schedule", schedule);
+                obj.member("at_cycle", at_cycle);
+            }
         }
+        obj.end();
     }
 
-    fn from_json(v: &Value, path: &str) -> Result<Self, String> {
+    fn read(v: &Value, path: &str) -> Result<Self, String> {
         read::check_keys(v, path, &["spec", "schedule", "at_cycle"])?;
-        match (v.get("spec").is_some(), v.get("schedule").is_some()) {
-            (true, true) => Err(format!(
-                "{path}: give either \"spec\" or \"schedule\", not both"
-            )),
-            (false, false) => Err(format!(
-                "{path}: expected a \"spec\" or \"schedule\" member"
-            )),
-            (true, false) => {
-                if v.get("at_cycle").is_some() {
-                    return Err(format!("{path}.at_cycle: only a schedule takes at_cycle"));
-                }
-                Ok(FaultsSpec::Spec(read::field(v, path, "spec")?))
-            }
-            (false, true) => {
-                let schedule = read::field(v, path, "schedule")?;
-                let at_cycle = read::field::<u64>(v, path, "at_cycle")?;
-                Ok(FaultsSpec::Schedule { schedule, at_cycle })
-            }
+        if read::either(v, path, "spec", "schedule")? {
+            read::only(v, path, &["at_cycle"], "a schedule takes")?;
+            return Ok(FaultsSpec::Spec(read::field(v, path, "spec")?));
         }
+        Ok(FaultsSpec::Schedule {
+            schedule: read::field(v, path, "schedule")?,
+            at_cycle: read::field(v, path, "at_cycle")?,
+        })
     }
 }
 
@@ -493,23 +436,18 @@ pub struct TrafficSpec {
     pub rate: Option<f64>,
 }
 
-impl TrafficSpec {
-    fn to_json(&self) -> String {
-        match self.rate {
-            Some(r) => format!(
-                "{{\"pattern\": \"{}\", \"rate\": {}}}",
-                pattern_name(self.pattern),
-                json::num(r)
-            ),
-            None => format!("{{\"pattern\": \"{}\"}}", pattern_name(self.pattern)),
-        }
+/// `{"pattern": "<name>", "rate": r}`, the rate optional.
+impl Json for TrafficSpec {
+    fn write(&self, out: &mut String) {
+        let mut obj = ObjectWriter::new(out, None);
+        obj.member("pattern", &self.pattern);
+        obj.member("rate", &self.rate);
+        obj.end();
     }
 
-    fn from_json(v: &Value, path: &str) -> Result<Self, String> {
+    fn read(v: &Value, path: &str) -> Result<Self, String> {
         read::check_keys(v, path, &["pattern", "rate"])?;
-        let name = read::str_field(v, path, "pattern")?;
-        let pattern = pattern_from_name(name)
-            .ok_or_else(|| format!("{path}.pattern: unknown pattern \"{name}\""))?;
+        let pattern = read::field(v, path, "pattern")?;
         let rate = match v.get("rate") {
             None => None,
             Some(Value::Num(x)) if *x > 0.0 && *x <= 1.0 => Some(*x),
@@ -519,37 +457,42 @@ impl TrafficSpec {
     }
 }
 
+/// Every [`PatternSpec`] under its stable scenario-file name.
+const PATTERNS: [(&str, PatternSpec); 10] = [
+    ("uniform", PatternSpec::Uniform),
+    ("bit_reverse", PatternSpec::Permutation(BitReverse)),
+    ("bit_shuffle", PatternSpec::Permutation(BitShuffle)),
+    ("bit_transpose", PatternSpec::Permutation(BitTranspose)),
+    ("hotspot", PatternSpec::Hotspot),
+    ("worst_case", PatternSpec::WorstCase),
+    ("ring_cgroup", PatternSpec::RingCGroup(Unidirectional)),
+    ("ring_cgroup_bidir", PatternSpec::RingCGroup(Bidirectional)),
+    ("ring_wgroup", PatternSpec::RingWGroup(Unidirectional)),
+    ("ring_wgroup_bidir", PatternSpec::RingWGroup(Bidirectional)),
+];
+
 /// Stable scenario-file name of a [`PatternSpec`].
 pub fn pattern_name(spec: PatternSpec) -> &'static str {
-    match spec {
-        PatternSpec::Uniform => "uniform",
-        PatternSpec::Permutation(PermKind::BitReverse) => "bit_reverse",
-        PatternSpec::Permutation(PermKind::BitShuffle) => "bit_shuffle",
-        PatternSpec::Permutation(PermKind::BitTranspose) => "bit_transpose",
-        PatternSpec::Hotspot => "hotspot",
-        PatternSpec::WorstCase => "worst_case",
-        PatternSpec::RingCGroup(RingDirection::Unidirectional) => "ring_cgroup",
-        PatternSpec::RingCGroup(RingDirection::Bidirectional) => "ring_cgroup_bidir",
-        PatternSpec::RingWGroup(RingDirection::Unidirectional) => "ring_wgroup",
-        PatternSpec::RingWGroup(RingDirection::Bidirectional) => "ring_wgroup_bidir",
-    }
+    let named = PATTERNS.iter().find(|(_, p)| *p == spec);
+    named.expect("PATTERNS names every pattern").0
 }
 
 /// Inverse of [`pattern_name`].
 pub fn pattern_from_name(name: &str) -> Option<PatternSpec> {
-    Some(match name {
-        "uniform" => PatternSpec::Uniform,
-        "bit_reverse" => PatternSpec::Permutation(PermKind::BitReverse),
-        "bit_shuffle" => PatternSpec::Permutation(PermKind::BitShuffle),
-        "bit_transpose" => PatternSpec::Permutation(PermKind::BitTranspose),
-        "hotspot" => PatternSpec::Hotspot,
-        "worst_case" => PatternSpec::WorstCase,
-        "ring_cgroup" => PatternSpec::RingCGroup(RingDirection::Unidirectional),
-        "ring_cgroup_bidir" => PatternSpec::RingCGroup(RingDirection::Bidirectional),
-        "ring_wgroup" => PatternSpec::RingWGroup(RingDirection::Unidirectional),
-        "ring_wgroup_bidir" => PatternSpec::RingWGroup(RingDirection::Bidirectional),
-        _ => return None,
-    })
+    PATTERNS.iter().find(|(n, _)| *n == name).map(|(_, p)| *p)
+}
+
+/// Written as its [`pattern_name`]; an unknown name fails as `unknown
+/// pattern "<name>"`.
+impl Json for PatternSpec {
+    fn write(&self, out: &mut String) {
+        pattern_name(*self).to_string().write(out);
+    }
+
+    fn read(v: &Value, path: &str) -> Result<Self, String> {
+        let name = String::read(v, path)?;
+        pattern_from_name(&name).ok_or_else(|| format!("{path}: unknown pattern \"{name}\""))
+    }
 }
 
 /// Closed-loop workload participants.
@@ -560,6 +503,24 @@ pub enum Participants {
     Chips,
     /// Explicit endpoint ids.
     List(Vec<u32>),
+}
+
+/// `"chips"` or an array of endpoint ids.
+impl Json for Participants {
+    fn write(&self, out: &mut String) {
+        match self {
+            Participants::Chips => out.push_str("\"chips\""),
+            Participants::List(ids) => ids.write(out),
+        }
+    }
+
+    fn read(v: &Value, path: &str) -> Result<Self, String> {
+        match v {
+            Value::Str(s) if s == "chips" => Ok(Participants::Chips),
+            Value::Arr(_) => Json::read(v, path).map(Participants::List),
+            _ => Err(format!("{path}: expected \"chips\" or an id array")),
+        }
+    }
 }
 
 /// Closed-loop workload of a scenario: a named collective builder or an
@@ -582,49 +543,12 @@ pub enum WorkloadSpec {
     Dag(Workload),
 }
 
-/// Read the `collective`, `flits` and `microbatches` members a
-/// closed-loop workload and a serving class share: a name from
-/// [`wsdf_workload::COLLECTIVES`], at least one flit (64 by default), and
-/// a microbatch count (1 by default) that only `pipeline` may set.
-fn read_collective(v: &Value, path: &str) -> Result<(String, u64, u32), String> {
-    let kind = read::str_field(v, path, "collective")?;
-    if !wsdf_workload::COLLECTIVES.contains(&kind) {
-        return Err(format!("{path}.collective: unknown collective \"{kind}\""));
-    }
-    let flits = read::u64_or(v, path, "flits", 64)?;
-    if flits == 0 {
-        return Err(format!("{path}.flits: must be at least 1"));
-    }
-    let microbatches = match v.get("microbatches") {
-        None => 1,
-        Some(_) if kind != "pipeline" => {
-            return Err(format!(
-                "{path}.microbatches: only the pipeline collective takes microbatches"
-            ))
-        }
-        Some(_) => {
-            let mb = read::field::<u64>(v, path, "microbatches")?;
-            if mb == 0 || mb > u32::MAX as u64 {
-                return Err(format!("{path}.microbatches: must be at least 1"));
-            }
-            mb as u32
-        }
-    };
-    Ok((kind.to_string(), flits, microbatches))
-}
-
-/// The `flits` member, then `microbatches` for a pipeline: the writer
-/// side of [`read_collective`] (the caller writes `collective`).
-fn payload_json(kind: &str, flits: u64, microbatches: u32) -> String {
-    if kind == "pipeline" {
-        format!("\"flits\": {flits}, \"microbatches\": {microbatches}")
-    } else {
-        format!("\"flits\": {flits}")
-    }
-}
-
-impl WorkloadSpec {
-    fn to_json(&self) -> String {
+/// `{"collective": "<name>", "participants", "flits", "microbatches"}`
+/// (participants `"chips"` by default, the rest as [`read_collective`]
+/// reads them) or `{"dag": {..}}`.
+impl Json for WorkloadSpec {
+    fn write(&self, out: &mut String) {
+        let mut obj = ObjectWriter::new(out, None);
         match self {
             WorkloadSpec::Collective {
                 kind,
@@ -632,64 +556,37 @@ impl WorkloadSpec {
                 flits,
                 microbatches,
             } => {
-                let parts = match participants {
-                    Participants::Chips => "\"chips\"".to_string(),
-                    Participants::List(ids) => json::to_string(ids),
-                };
-                format!(
-                    "{{\"collective\": \"{kind}\", \"participants\": {parts}, {}}}",
-                    payload_json(kind, *flits, *microbatches)
-                )
+                obj.member("collective", kind);
+                obj.member("participants", participants);
+                obj.member("flits", flits);
+                obj.member(
+                    "microbatches",
+                    &(kind == "pipeline").then_some(*microbatches),
+                );
             }
-            WorkloadSpec::Dag(wl) => format!("{{\"dag\": {}}}", json::to_string(wl)),
+            WorkloadSpec::Dag(wl) => obj.member("dag", wl),
         }
+        obj.end();
     }
 
-    fn from_json(v: &Value, path: &str) -> Result<Self, String> {
+    fn read(v: &Value, path: &str) -> Result<Self, String> {
         read::check_keys(
             v,
             path,
             &["collective", "dag", "participants", "flits", "microbatches"],
         )?;
-        match (v.get("collective").is_some(), v.get("dag").is_some()) {
-            (true, true) => Err(format!(
-                "{path}: give either \"collective\" or \"dag\", not both"
-            )),
-            (false, false) => Err(format!(
-                "{path}: expected a \"collective\" or \"dag\" member"
-            )),
-            (false, true) => {
-                for key in ["participants", "flits", "microbatches"] {
-                    if v.get(key).is_some() {
-                        return Err(format!(
-                            "{path}.{key}: only collective workloads take {key}"
-                        ));
-                    }
-                }
-                Ok(WorkloadSpec::Dag(read::field(v, path, "dag")?))
-            }
-            (true, false) => {
-                let (kind, flits, microbatches) = read_collective(v, path)?;
-                let participants = match v.get("participants") {
-                    None => Participants::Chips,
-                    Some(Value::Str(s)) if s == "chips" => Participants::Chips,
-                    Some(Value::Arr(_)) => {
-                        Participants::List(read::field(v, path, "participants")?)
-                    }
-                    Some(_) => {
-                        return Err(format!(
-                            "{path}.participants: expected \"chips\" or an id array"
-                        ))
-                    }
-                };
-                Ok(WorkloadSpec::Collective {
-                    kind,
-                    participants,
-                    flits,
-                    microbatches,
-                })
-            }
+        if !read::either(v, path, "collective", "dag")? {
+            let keys = ["participants", "flits", "microbatches"];
+            read::only(v, path, &keys, "collective workloads take")?;
+            return Ok(WorkloadSpec::Dag(read::field(v, path, "dag")?));
         }
+        let (kind, flits, microbatches) = read_collective(v, path)?;
+        Ok(WorkloadSpec::Collective {
+            kind,
+            participants: read::or(v, path, "participants", Participants::Chips)?,
+            flits,
+            microbatches,
+        })
     }
 }
 
@@ -754,122 +651,81 @@ impl RunSpec {
             RunSpec::Serving { .. } => "serving",
         }
     }
+}
 
-    fn to_json(&self) -> String {
+/// Tagged by `kind`; every other member is optional and defaults as the
+/// run kind's config does ([`AdaptiveConfig`], [`WorkloadUnits`],
+/// [`ResilienceConfig`]), except a closed-loop `workload` and the serving
+/// `arrivals` and `classes`.
+impl Json for RunSpec {
+    fn write(&self, out: &mut String) {
+        let mut obj = ObjectWriter::new(out, None);
+        obj.tag("kind", self.kind());
         match self {
-            RunSpec::OpenLoop { rates_chip } => match rates_chip {
-                None => "{\"kind\": \"open_loop\"}".to_string(),
-                Some(rates) => format!(
-                    "{{\"kind\": \"open_loop\", \"rates_chip\": {}}}",
-                    json::to_string(rates)
-                ),
-            },
+            RunSpec::OpenLoop { rates_chip } => obj.member("rates_chip", rates_chip),
             RunSpec::Adaptive {
                 start_chip,
                 growth,
                 rel_tol,
                 max_points,
-            } => format!(
-                "{{\"kind\": \"adaptive\", \"start_chip\": {}, \"growth\": {}, \
-                 \"rel_tol\": {}, \"max_points\": {max_points}}}",
-                json::num(*start_chip),
-                json::num(*growth),
-                json::num(*rel_tol)
-            ),
+            } => {
+                obj.member("start_chip", start_chip);
+                obj.member("growth", growth);
+                obj.member("rel_tol", rel_tol);
+                obj.member("max_points", max_points);
+            }
             RunSpec::ClosedLoop {
                 workload,
                 flit_bytes,
                 clock_ghz,
-            } => format!(
-                "{{\"kind\": \"closed_loop\", \"workload\": {}, \"flit_bytes\": {}, \
-                 \"clock_ghz\": {}}}",
-                workload.to_json(),
-                json::num(*flit_bytes),
-                json::num(*clock_ghz)
-            ),
+            } => {
+                obj.member("workload", workload);
+                obj.member("flit_bytes", flit_bytes);
+                obj.member("clock_ghz", clock_ghz);
+            }
             RunSpec::Resilience {
                 rate_chip,
                 fractions,
                 router_ratio,
                 seed,
                 collective_flits,
-            } => format!(
-                "{{\"kind\": \"resilience\", \"rate_chip\": {}, \"fractions\": {}, \
-                 \"router_ratio\": {}, \"seed\": {seed}, \"collective_flits\": {collective_flits}}}",
-                json::num(*rate_chip),
-                json::to_string(fractions),
-                json::num(*router_ratio)
-            ),
+            } => {
+                obj.member("rate_chip", rate_chip);
+                obj.member("fractions", fractions);
+                obj.member("router_ratio", router_ratio);
+                obj.member("seed", seed);
+                obj.member("collective_flits", collective_flits);
+            }
             RunSpec::Serving { spec } => {
-                let arrivals = match &spec.arrivals {
-                    ArrivalProcess::Poisson {
-                        rate_per_kcycle,
-                        horizon,
-                    } => format!(
-                        "{{\"process\": \"poisson\", \"rate_per_kcycle\": {}, \"horizon\": {horizon}}}",
-                        json::num(*rate_per_kcycle)
-                    ),
-                    ArrivalProcess::Trace { cycles } => format!(
-                        "{{\"process\": \"trace\", \"cycles\": {}}}",
-                        json::to_string(cycles)
-                    ),
-                };
-                let classes: Vec<String> = spec
-                    .classes
-                    .iter()
-                    .map(|c| {
-                        format!(
-                            "{{\"name\": \"{}\", \"collective\": \"{}\", {}, \
-                             \"participants\": {}, \"placement\": \"{}\", \"slo_cycles\": {}, \
-                             \"weight\": {}}}",
-                            json::escape(&c.name),
-                            c.collective,
-                            payload_json(&c.collective, c.flits, c.microbatches),
-                            c.participants,
-                            c.placement.name(),
-                            c.slo_cycles,
-                            json::num(c.weight)
-                        )
-                    })
-                    .collect();
-                format!(
-                    "{{\"kind\": \"serving\", \"seed\": {}, \"max_jobs\": {}, \
-                     \"arrivals\": {arrivals}, \"classes\": [{}]}}",
-                    spec.seed,
-                    spec.max_jobs,
-                    classes.join(", ")
-                )
+                obj.member("seed", &spec.seed);
+                obj.member("max_jobs", &spec.max_jobs);
+                obj.member("arrivals", &spec.arrivals);
+                obj.member("classes", &spec.classes);
             }
         }
+        obj.end();
     }
 
-    fn from_json(v: &Value, path: &str) -> Result<Self, String> {
-        read::obj(v, path)?;
-        let kind = read::str_field(v, path, "kind")?;
-        match kind {
+    fn read(v: &Value, path: &str) -> Result<Self, String> {
+        let kinds = [
+            "open_loop",
+            "adaptive",
+            "closed_loop",
+            "resilience",
+            "serving",
+        ];
+        match read::tag(v, path, "kind", &kinds)? {
             "open_loop" => {
                 read::check_keys(v, path, &["kind", "rates_chip"])?;
-                let rates_chip = match v.get("rates_chip") {
-                    None => None,
-                    Some(_) => {
-                        let arr = read::arr_field(v, path, "rates_chip")?;
-                        if arr.is_empty() {
-                            return Err(format!("{path}.rates_chip: expected at least one rate"));
-                        }
-                        let mut rates = Vec::with_capacity(arr.len());
-                        for (i, r) in arr.iter().enumerate() {
-                            match r {
-                                Value::Num(x) if *x > 0.0 => rates.push(*x),
-                                _ => {
-                                    return Err(format!(
-                                        "{path}.rates_chip[{i}]: expected number > 0"
-                                    ))
-                                }
-                            }
-                        }
-                        Some(rates)
+                let rates_chip: Option<Vec<f64>> = read::or(v, path, "rates_chip", None)?;
+                if let Some(rates) = &rates_chip {
+                    if rates.is_empty() {
+                        return Err(format!("{path}.rates_chip: expected at least one rate"));
                     }
-                };
+                    if let Some(i) = rates.iter().position(|r| r.is_nan() || *r <= 0.0) {
+                        return Err(format!("{path}.rates_chip[{i}]: expected number > 0"));
+                    }
+                }
                 Ok(RunSpec::OpenLoop { rates_chip })
             }
             "adaptive" => {
@@ -879,20 +735,10 @@ impl RunSpec {
                     &["kind", "start_chip", "growth", "rel_tol", "max_points"],
                 )?;
                 let d = AdaptiveConfig::default();
-                let start_chip =
-                    read::opt_f64_field(v, path, "start_chip")?.unwrap_or(d.start_chip);
-                if start_chip <= 0.0 {
-                    return Err(format!("{path}.start_chip: expected number > 0"));
-                }
-                let growth = read::opt_f64_field(v, path, "growth")?.unwrap_or(d.growth);
-                if growth <= 1.0 {
-                    return Err(format!("{path}.growth: expected number > 1"));
-                }
-                let rel_tol = read::opt_f64_field(v, path, "rel_tol")?.unwrap_or(d.rel_tol);
-                if rel_tol <= 0.0 {
-                    return Err(format!("{path}.rel_tol: expected number > 0"));
-                }
-                let max_points = read::u64_or(v, path, "max_points", d.max_points as u64)?;
+                let start_chip = read::above(v, path, "start_chip", d.start_chip, 0.0)?;
+                let growth = read::above(v, path, "growth", d.growth, 1.0)?;
+                let rel_tol = read::above(v, path, "rel_tol", d.rel_tol, 0.0)?;
+                let max_points = read::or(v, path, "max_points", d.max_points as u64)?;
                 if max_points < 3 {
                     return Err(format!("{path}.max_points: must be at least 3"));
                 }
@@ -905,24 +751,12 @@ impl RunSpec {
             }
             "closed_loop" => {
                 read::check_keys(v, path, &["kind", "workload", "flit_bytes", "clock_ghz"])?;
-                let workload = WorkloadSpec::from_json(
-                    read::req(v, path, "workload")?,
-                    &format!("{path}.workload"),
-                )?;
+                let workload = read::field(v, path, "workload")?;
                 let d = WorkloadUnits::default();
-                let flit_bytes =
-                    read::opt_f64_field(v, path, "flit_bytes")?.unwrap_or(d.flit_bytes);
-                if flit_bytes <= 0.0 {
-                    return Err(format!("{path}.flit_bytes: expected number > 0"));
-                }
-                let clock_ghz = read::opt_f64_field(v, path, "clock_ghz")?.unwrap_or(d.clock_ghz);
-                if clock_ghz <= 0.0 {
-                    return Err(format!("{path}.clock_ghz: expected number > 0"));
-                }
                 Ok(RunSpec::ClosedLoop {
                     workload,
-                    flit_bytes,
-                    clock_ghz,
+                    flit_bytes: read::above(v, path, "flit_bytes", d.flit_bytes, 0.0)?,
+                    clock_ghz: read::above(v, path, "clock_ghz", d.clock_ghz, 0.0)?,
                 })
             }
             "resilience" => {
@@ -939,35 +773,15 @@ impl RunSpec {
                     ],
                 )?;
                 let d = ResilienceConfig::default();
-                let rate_chip = read::opt_f64_field(v, path, "rate_chip")?.unwrap_or(d.rate_chip);
-                if rate_chip <= 0.0 {
-                    return Err(format!("{path}.rate_chip: expected number > 0"));
+                let rate_chip = read::above(v, path, "rate_chip", d.rate_chip, 0.0)?;
+                let fractions: Vec<f64> = read::or(v, path, "fractions", d.fractions)?;
+                if let Some(i) = fractions.iter().position(|f| !(0.0..=1.0).contains(f)) {
+                    return Err(format!("{path}.fractions[{i}]: expected number in [0, 1]"));
                 }
-                let fractions = match v.get("fractions") {
-                    None => d.fractions.clone(),
-                    Some(_) => {
-                        let arr = read::arr_field(v, path, "fractions")?;
-                        let mut out = Vec::with_capacity(arr.len());
-                        for (i, f) in arr.iter().enumerate() {
-                            match f {
-                                Value::Num(x) if (0.0..=1.0).contains(x) => out.push(*x),
-                                _ => {
-                                    return Err(format!(
-                                        "{path}.fractions[{i}]: expected number in [0, 1]"
-                                    ))
-                                }
-                            }
-                        }
-                        if out.is_empty() {
-                            return Err(format!(
-                                "{path}.fractions: expected at least one fraction"
-                            ));
-                        }
-                        out
-                    }
-                };
-                let router_ratio =
-                    read::opt_f64_field(v, path, "router_ratio")?.unwrap_or(d.router_ratio);
+                if fractions.is_empty() {
+                    return Err(format!("{path}.fractions: expected at least one fraction"));
+                }
+                let router_ratio = read::or(v, path, "router_ratio", d.router_ratio)?;
                 if !(0.0..=1.0).contains(&router_ratio) {
                     return Err(format!("{path}.router_ratio: expected number in [0, 1]"));
                 }
@@ -975,131 +789,28 @@ impl RunSpec {
                     rate_chip,
                     fractions,
                     router_ratio,
-                    seed: read::u64_or(v, path, "seed", d.seed)?,
-                    collective_flits: read::u64_or(
-                        v,
-                        path,
-                        "collective_flits",
-                        d.collective_flits,
-                    )?,
+                    seed: read::or(v, path, "seed", d.seed)?,
+                    collective_flits: read::or(v, path, "collective_flits", d.collective_flits)?,
                 })
             }
-            "serving" => {
+            _ => {
                 read::check_keys(
                     v,
                     path,
                     &["kind", "seed", "max_jobs", "arrivals", "classes"],
                 )?;
-                let seed = read::u64_or(v, path, "seed", 1)?;
-                let max_jobs = read::u64_or(v, path, "max_jobs", 256)?;
+                let seed = read::or(v, path, "seed", 1)?;
+                let max_jobs = read::or(v, path, "max_jobs", 256)?;
                 if max_jobs == 0 || max_jobs > wsdf_workload::message::MAX_JOBS {
                     return Err(format!(
                         "{path}.max_jobs: must be in 1..={}",
                         wsdf_workload::message::MAX_JOBS
                     ));
                 }
-                let apath = format!("{path}.arrivals");
-                let a = read::req(v, path, "arrivals")?;
-                read::check_keys(
-                    a,
-                    &apath,
-                    &["process", "rate_per_kcycle", "horizon", "cycles"],
-                )?;
-                let arrivals = match read::str_field(a, &apath, "process")? {
-                    "poisson" => {
-                        if a.get("cycles").is_some() {
-                            return Err(format!("{apath}.cycles: only trace arrivals take cycles"));
-                        }
-                        let rate =
-                            read::opt_f64_field(a, &apath, "rate_per_kcycle")?.unwrap_or(1.0);
-                        if !(rate > 0.0 && rate <= 1000.0) {
-                            return Err(format!(
-                                "{apath}.rate_per_kcycle: expected number in (0, 1000]"
-                            ));
-                        }
-                        let horizon = read::u64_or(a, &apath, "horizon", 10_000)?;
-                        if horizon == 0 {
-                            return Err(format!("{apath}.horizon: must be at least 1"));
-                        }
-                        ArrivalProcess::Poisson {
-                            rate_per_kcycle: rate,
-                            horizon,
-                        }
-                    }
-                    "trace" => {
-                        for key in ["rate_per_kcycle", "horizon"] {
-                            if a.get(key).is_some() {
-                                return Err(format!(
-                                    "{apath}.{key}: only poisson arrivals take {key}"
-                                ));
-                            }
-                        }
-                        let cycles: Vec<u64> = read::field(a, &apath, "cycles")?;
-                        if cycles.is_empty() {
-                            return Err(format!(
-                                "{apath}.cycles: expected at least one arrival cycle"
-                            ));
-                        }
-                        ArrivalProcess::Trace { cycles }
-                    }
-                    _ => {
-                        return Err(format!(
-                            "{apath}.process: expected \"poisson\" or \"trace\""
-                        ))
-                    }
-                };
-                let arr = read::arr_field(v, path, "classes")?;
-                if arr.is_empty() {
+                let arrivals = read::field(v, path, "arrivals")?;
+                let classes: Vec<_> = read::field(v, path, "classes")?;
+                if classes.is_empty() {
                     return Err(format!("{path}.classes: expected at least one class"));
-                }
-                let mut classes = Vec::with_capacity(arr.len());
-                for (i, c) in arr.iter().enumerate() {
-                    let cpath = format!("{path}.classes[{i}]");
-                    read::check_keys(
-                        c,
-                        &cpath,
-                        &[
-                            "name",
-                            "collective",
-                            "flits",
-                            "microbatches",
-                            "participants",
-                            "placement",
-                            "slo_cycles",
-                            "weight",
-                        ],
-                    )?;
-                    let name = read::str_field(c, &cpath, "name")?.to_string();
-                    if name.is_empty() {
-                        return Err(format!("{cpath}.name: must not be empty"));
-                    }
-                    let (collective, flits, microbatches) = read_collective(c, &cpath)?;
-                    let participants = read::field::<u64>(c, &cpath, "participants")?;
-                    if !(2..=u32::MAX as u64).contains(&participants) {
-                        return Err(format!("{cpath}.participants: must be at least 2"));
-                    }
-                    let placement = match c.get("placement") {
-                        None => Placement::Block,
-                        Some(p) => p.as_str().and_then(Placement::from_name).ok_or_else(|| {
-                            format!(
-                                "{cpath}.placement: expected \"block\", \"strided\" or \"overlapping\""
-                            )
-                        })?,
-                    };
-                    let weight = read::opt_f64_field(c, &cpath, "weight")?.unwrap_or(1.0);
-                    if weight <= 0.0 {
-                        return Err(format!("{cpath}.weight: expected number > 0"));
-                    }
-                    classes.push(JobClass {
-                        name,
-                        collective,
-                        flits,
-                        microbatches,
-                        participants: participants as u32,
-                        placement,
-                        slo_cycles: read::u64_or(c, &cpath, "slo_cycles", 0)?,
-                        weight,
-                    });
                 }
                 Ok(RunSpec::Serving {
                     spec: ServingSpec {
@@ -1110,10 +821,6 @@ impl RunSpec {
                     },
                 })
             }
-            _ => Err(format!(
-                "{path}.kind: expected \"open_loop\", \"adaptive\", \"closed_loop\", \
-                 \"resilience\" or \"serving\""
-            )),
         }
     }
 }
@@ -1152,232 +859,126 @@ pub struct Scenario {
 impl Scenario {
     /// Parse a scenario document (the whole file).
     pub fn from_json_str(text: &str) -> Result<Self, String> {
-        let v = Value::parse(text)?;
-        Self::from_json(&v, "scenario")
-    }
-
-    /// Parse a scenario from an already-parsed [`Value`] rooted at `path`.
-    pub fn from_json(v: &Value, path: &str) -> Result<Self, String> {
-        read::check_keys(
-            v,
-            path,
-            &[
-                "name",
-                "topology",
-                "oracle",
-                "sim",
-                "stepping",
-                "partitioning",
-                "faults",
-                "traffic",
-                "telemetry",
-                "run",
-            ],
-        )?;
-        let name = read::str_field(v, path, "name")?.to_string();
-        if name.is_empty() {
-            return Err(format!("{path}.name: must not be empty"));
-        }
-        let topology =
-            Topology::from_json(read::req(v, path, "topology")?, &format!("{path}.topology"))?;
-
-        // Oracle: only the Dragonfly families route configurably.
-        let (mut route, mut vcs) = (RouteMode::Minimal, VcScheme::Baseline);
-        if let Some(o) = v.get("oracle") {
-            let opath = format!("{path}.oracle");
-            match topology {
-                Topology::Mesh { .. } | Topology::Switch { .. } => {
-                    return Err(format!(
-                        "{opath}: not configurable for family \"{}\"",
-                        topology.family()
-                    ));
-                }
-                _ => {}
-            }
-            read::check_keys(o, &opath, &["route", "vcs"])?;
-            if let Some(r) = o.get("route") {
-                route = r
-                    .as_str()
-                    .and_then(RouteMode::from_name)
-                    .ok_or_else(|| format!("{opath}.route: expected \"minimal\" or \"valiant\""))?;
-            }
-            if let Some(s) = o.get("vcs") {
-                if !matches!(topology, Topology::Switchless(_)) {
-                    return Err(format!(
-                        "{opath}.vcs: only the switch-less family has a VC scheme"
-                    ));
-                }
-                vcs = s
-                    .as_str()
-                    .and_then(VcScheme::from_name)
-                    .ok_or_else(|| format!("{opath}.vcs: expected \"baseline\" or \"reduced\""))?;
-            }
-        }
-
-        let sim = match v.get("sim") {
-            None => SimSpec::default(),
-            Some(s) => SimSpec::from_json(s, &format!("{path}.sim"))?,
-        };
-        let stepping = match v.get("stepping") {
-            None => Stepping::Event,
-            Some(s) => match s.as_str() {
-                Some("event") => Stepping::Event,
-                Some("dense") => Stepping::Dense,
-                _ => return Err(format!("{path}.stepping: expected \"event\" or \"dense\"")),
-            },
-        };
-        let partitioning = match v.get("partitioning") {
-            None => Partitioning::default(),
-            Some(p) => Partitioning::from_json(p, &format!("{path}.partitioning"))?,
-        };
-        let faults = match v.get("faults") {
-            None => None,
-            Some(f) => Some(FaultsSpec::from_json(f, &format!("{path}.faults"))?),
-        };
-        let run = RunSpec::from_json(read::req(v, path, "run")?, &format!("{path}.run"))?;
-        let traffic = match v.get("traffic") {
-            None => None,
-            Some(t) => Some(TrafficSpec::from_json(t, &format!("{path}.traffic"))?),
-        };
-        let telemetry = match v.get("telemetry") {
-            None => None,
-            Some(t) => Some(TraceConfig::from_json(t, &format!("{path}.telemetry"))?),
-        };
-
-        // Cross-section rules: what each run kind takes.
-        let tpath = format!("{path}.traffic");
-        match &run {
-            RunSpec::ClosedLoop { .. } => {
-                if traffic.is_some() {
-                    return Err(format!(
-                        "{tpath}: closed-loop runs take {path}.run.workload, not traffic"
-                    ));
-                }
-            }
-            RunSpec::Serving { .. } => {
-                if traffic.is_some() {
-                    return Err(format!(
-                        "{tpath}: serving runs take {path}.run.classes, not traffic"
-                    ));
-                }
-            }
-            _ => {
-                let t = traffic
-                    .as_ref()
-                    .ok_or_else(|| format!("{tpath}: missing required key"))?;
-                match &run {
-                    RunSpec::OpenLoop { rates_chip } => {
-                        if rates_chip.is_some() && t.rate.is_some() {
-                            return Err(format!(
-                                "{tpath}.rate: run.rates_chip already sets the sweep rates; remove one"
-                            ));
-                        }
-                        if rates_chip.is_none() && t.rate.is_none() {
-                            return Err(format!("{tpath}.rate: missing required key"));
-                        }
-                    }
-                    RunSpec::Adaptive { .. } => {
-                        if t.rate.is_some() {
-                            return Err(format!(
-                                "{tpath}.rate: adaptive runs choose their own rates"
-                            ));
-                        }
-                    }
-                    RunSpec::Resilience { .. } => {
-                        if t.rate.is_some() {
-                            return Err(format!(
-                                "{tpath}.rate: resilience runs set {path}.run.rate_chip instead"
-                            ));
-                        }
-                    }
-                    RunSpec::ClosedLoop { .. } | RunSpec::Serving { .. } => unreachable!(),
-                }
-                if t.pattern == PatternSpec::Hotspot && topology.wgroups() < 4 {
-                    return Err(format!(
-                        "{tpath}.pattern: hotspot needs at least 4 W-groups (topology has {})",
-                        topology.wgroups()
-                    ));
-                }
-            }
-        }
-        if matches!(run, RunSpec::Resilience { .. }) && faults.is_some() {
-            return Err(format!(
-                "{path}.faults: resilience runs sample their own faults; remove this section"
-            ));
-        }
-
-        Ok(Scenario {
-            name,
-            topology,
-            route,
-            vcs,
-            sim,
-            stepping,
-            partitioning,
-            faults,
-            traffic,
-            telemetry,
-            run,
-        })
+        Self::read(&Value::parse(text)?, "scenario")
     }
 
     /// Canonical JSON form: every resolved field, one section per line.
     /// `Scenario::from_json_str(&s.to_json())` reproduces `s` exactly.
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n");
-        s.push_str(&format!("  \"name\": \"{}\",\n", json::escape(&self.name)));
-        s.push_str(&format!("  \"topology\": {},\n", self.topology.to_json()));
-        match &self.topology {
-            Topology::Switchless(_) => s.push_str(&format!(
-                "  \"oracle\": {{\"route\": \"{}\", \"vcs\": \"{}\"}},\n",
-                self.route.name(),
-                self.vcs.name()
-            )),
-            Topology::Switchbased(_) => s.push_str(&format!(
-                "  \"oracle\": {{\"route\": \"{}\"}},\n",
-                self.route.name()
-            )),
-            _ => {}
+        json::to_block(self)
+    }
+
+    /// Write every section through `obj`, the `oracle` section for the
+    /// Dragonfly families only.
+    fn write_members(&self, mut obj: ObjectWriter) {
+        let switchless = matches!(self.topology, Topology::Switchless(_));
+        let dragonfly = switchless || matches!(self.topology, Topology::Switchbased(_));
+        let oracle = dragonfly.then_some(Oracle {
+            route: self.route,
+            vcs: switchless.then_some(self.vcs),
+        });
+        obj.member("name", &self.name);
+        obj.member("topology", &self.topology);
+        obj.member("oracle", &oracle);
+        obj.member("sim", &self.sim);
+        obj.member("stepping", &self.stepping);
+        obj.member("partitioning", &self.partitioning);
+        obj.member("faults", &self.faults);
+        obj.member("traffic", &self.traffic);
+        obj.member("telemetry", &self.telemetry);
+        obj.member("run", &self.run);
+        obj.end();
+    }
+
+    /// The rules that tie sections together, checked once every section
+    /// is read: a buffer holds a packet, each run kind takes or refuses
+    /// traffic and a rate, hotspot traffic needs four W-groups, and
+    /// resilience runs sample their own faults.
+    fn check(&self, path: &str) -> Result<(), String> {
+        let (packet_len, buffer_flits) = (self.sim.packet_len, self.sim.buffer_flits);
+        if buffer_flits < u16::from(packet_len) {
+            return Err(format!(
+                "{path}.sim.buffer_flits: expected integer in {packet_len}..=65535 (at least one packet)"
+            ));
         }
-        s.push_str(&format!("  \"sim\": {},\n", self.sim.to_json()));
-        s.push_str(&format!("  \"stepping\": \"{}\",\n", self.stepping.name()));
-        s.push_str(&format!(
-            "  \"partitioning\": {},\n",
-            self.partitioning.to_json()
-        ));
-        if let Some(f) = &self.faults {
-            s.push_str(&format!("  \"faults\": {},\n", f.to_json()));
+        let tpath = format!("{path}.traffic");
+        match (&self.run, &self.traffic) {
+            (RunSpec::ClosedLoop { .. }, Some(_)) => {
+                return Err(format!(
+                    "{tpath}: closed-loop runs take {path}.run.workload, not traffic"
+                ))
+            }
+            (RunSpec::Serving { .. }, Some(_)) => {
+                return Err(format!(
+                    "{tpath}: serving runs take {path}.run.classes, not traffic"
+                ))
+            }
+            (RunSpec::ClosedLoop { .. } | RunSpec::Serving { .. }, None) => {}
+            (_, None) => return Err(format!("{tpath}: missing required key")),
+            (run, Some(t)) => {
+                let rate = |rule: &str| Err(format!("{tpath}.rate: {rule}"));
+                match run {
+                    RunSpec::OpenLoop {
+                        rates_chip: Some(_),
+                    } if t.rate.is_some() => {
+                        return rate("run.rates_chip already sets the sweep rates; remove one")
+                    }
+                    RunSpec::OpenLoop { rates_chip: None } if t.rate.is_none() => {
+                        return rate("missing required key")
+                    }
+                    RunSpec::Adaptive { .. } if t.rate.is_some() => {
+                        return rate("adaptive runs choose their own rates")
+                    }
+                    RunSpec::Resilience { .. } if t.rate.is_some() => {
+                        return rate(&format!("resilience runs set {path}.run.rate_chip instead"))
+                    }
+                    _ => {}
+                }
+                if t.pattern == PatternSpec::Hotspot && self.topology.wgroups() < 4 {
+                    return Err(format!(
+                        "{tpath}.pattern: hotspot needs at least 4 W-groups (topology has {})",
+                        self.topology.wgroups()
+                    ));
+                }
+            }
         }
-        if let Some(t) = &self.traffic {
-            s.push_str(&format!("  \"traffic\": {},\n", t.to_json()));
+        if matches!(self.run, RunSpec::Resilience { .. }) && self.faults.is_some() {
+            return Err(format!(
+                "{path}.faults: resilience runs sample their own faults; remove this section"
+            ));
         }
-        if let Some(t) = &self.telemetry {
-            s.push_str(&format!("  \"telemetry\": {},\n", t.to_json()));
-        }
-        s.push_str(&format!("  \"run\": {}\n}}\n", self.run.to_json()));
-        s
+        Ok(())
     }
 
     /// Build the bench this scenario describes (topology + oracle +
-    /// faults applied).
-    pub fn build_bench(&self) -> Bench {
+    /// faults applied). Explicit fault ids are checked against the built
+    /// fabric; a schedule is checked in the events it samples, named by
+    /// their cycle.
+    pub fn build_bench(&self) -> Result<Bench, String> {
         let bench = match &self.topology {
             Topology::Switchless(p) => Bench::switchless(p, self.route, self.vcs),
             Topology::Switchbased(p) => Bench::switchbased(p, self.route),
             Topology::Mesh { m, chiplet, width } => Bench::single_mesh(*m, *chiplet, *width),
             Topology::Switch { terminals } => Bench::single_switch(*terminals),
         };
-        match &self.faults {
-            None => bench,
+        let net = bench.fabric.net();
+        let faults = match &self.faults {
+            None => return Ok(bench),
             Some(FaultsSpec::Spec(spec)) => {
-                let fs = FaultSet::sample(bench.fabric.net(), spec);
-                bench.with_fault_set(&fs)
+                spec.check_ids(net)
+                    .map_err(|e| format!("scenario.faults.spec.{e}"))?;
+                FaultSet::sample(net, spec)
             }
             Some(FaultsSpec::Schedule { schedule, at_cycle }) => {
-                let fs = schedule.at_cycle(bench.fabric.net(), *at_cycle);
-                bench.with_fault_set(&fs)
+                for e in schedule.events().iter().filter(|e| e.cycle <= *at_cycle) {
+                    e.spec.check_ids(net).map_err(|err| {
+                        format!("scenario.faults.schedule[cycle {}].spec.{err}", e.cycle)
+                    })?;
+                }
+                schedule.at_cycle(net, *at_cycle)
             }
-        }
+        };
+        Ok(bench.with_fault_set(&faults))
     }
 
     /// The [`SimConfig`] this scenario runs with (before partitioning is
@@ -1404,7 +1005,7 @@ impl Scenario {
         pool: &BspPool,
         trace: Option<&Tracer>,
     ) -> Result<ScenarioOutcome, String> {
-        let bench = self.build_bench();
+        let bench = self.build_bench()?;
         let mut cfg = self.sim_config();
         self.partitioning.apply(&bench, &mut cfg)?;
         match &self.run {
@@ -1483,6 +1084,85 @@ impl Scenario {
                 Ok(ScenarioOutcome::Serving(Box::new(report)))
             }
         }
+    }
+}
+
+/// The whole file: `name`, `topology` and `run` required, every other
+/// section optional. Each section's reader checks its own members, the
+/// `oracle` section is checked against the family right after
+/// `topology`, and `Scenario::check` applies the rules that tie
+/// sections together once all are read. The report layout puts one
+/// section per line.
+impl Json for Scenario {
+    fn write(&self, out: &mut String) {
+        self.write_members(ObjectWriter::new(out, None));
+    }
+
+    fn read(v: &Value, path: &str) -> Result<Self, String> {
+        read::check_keys(
+            v,
+            path,
+            &[
+                "name",
+                "topology",
+                "oracle",
+                "sim",
+                "stepping",
+                "partitioning",
+                "faults",
+                "traffic",
+                "telemetry",
+                "run",
+            ],
+        )?;
+        let name: String = read::field(v, path, "name")?;
+        if name.is_empty() {
+            return Err(format!("{path}.name: must not be empty"));
+        }
+        let topology: Topology = read::field(v, path, "topology")?;
+        // Only the Dragonfly families route configurably, and only the
+        // switch-less one has a VC scheme.
+        let oracle = match v.get("oracle") {
+            None => None,
+            Some(o) => {
+                let opath = format!("{path}.oracle");
+                if matches!(topology, Topology::Mesh { .. } | Topology::Switch { .. }) {
+                    return Err(format!(
+                        "{opath}: not configurable for family \"{}\"",
+                        topology.family()
+                    ));
+                }
+                if o.get("vcs").is_some() && !matches!(topology, Topology::Switchless(_)) {
+                    return Err(format!(
+                        "{opath}.vcs: only the switch-less family has a VC scheme"
+                    ));
+                }
+                Some(Oracle::read(o, &opath)?)
+            }
+        };
+        let s = Scenario {
+            name,
+            topology,
+            route: oracle.as_ref().map_or(RouteMode::Minimal, |o| o.route),
+            vcs: oracle.and_then(|o| o.vcs).unwrap_or(VcScheme::Baseline),
+            sim: read::or(v, path, "sim", SimSpec::default())?,
+            stepping: read::or(v, path, "stepping", Stepping::Event)?,
+            partitioning: read::or(v, path, "partitioning", Partitioning::default())?,
+            faults: read::or(v, path, "faults", None)?,
+            run: read::field(v, path, "run")?,
+            traffic: read::or(v, path, "traffic", None)?,
+            telemetry: read::or(v, path, "telemetry", None)?,
+        };
+        s.check(path)?;
+        Ok(s)
+    }
+
+    fn is_block(&self) -> bool {
+        true
+    }
+
+    fn write_block(&self, out: &mut String, indent: usize) {
+        self.write_members(ObjectWriter::new(out, Some(indent)));
     }
 }
 
@@ -1638,32 +1318,30 @@ pub fn read_digests(dir: &Path) -> Result<Vec<(String, String)>, String> {
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     let v = Value::parse(&text)?;
     let members = read::obj(&v, "digests")?;
-    let mut out = Vec::with_capacity(members.len());
-    for (file, digest) in members {
-        let digest = digest
-            .as_str()
-            .ok_or_else(|| format!("digests.{file}: expected string"))?;
-        out.push((file.clone(), digest.to_string()));
-    }
-    Ok(out)
+    members
+        .iter()
+        .map(|(file, digest)| {
+            Ok((
+                file.clone(),
+                String::read(digest, &format!("digests.{file}"))?,
+            ))
+        })
+        .collect()
 }
 
 /// Serialize a digest table (one `"file": "digest"` line per entry,
 /// sorted by file name).
 pub fn digests_json(entries: &[(String, String)]) -> String {
-    let mut sorted: Vec<&(String, String)> = entries.iter().collect();
+    let mut sorted = entries.to_vec();
     sorted.sort_by(|a, b| a.0.cmp(&b.0));
-    let mut s = String::from("{\n");
-    for (i, (file, digest)) in sorted.iter().enumerate() {
-        s.push_str(&format!(
-            "  \"{}\": \"{}\"{}\n",
-            json::escape(file),
-            json::escape(digest),
-            if i + 1 < sorted.len() { "," } else { "" }
-        ));
+    let mut out = String::new();
+    let mut obj = ObjectWriter::new(&mut out, Some(0));
+    for (file, digest) in &sorted {
+        obj.member(file, digest);
     }
-    s.push_str("}\n");
-    s
+    obj.end();
+    out.push('\n');
+    out
 }
 
 #[cfg(test)]
@@ -1720,6 +1398,43 @@ mod tests {
         assert!(matches!(s.faults, Some(FaultsSpec::Spec(_))));
         let back = Scenario::from_json_str(&s.to_json()).unwrap();
         assert_eq!(back, s);
+    }
+
+    /// The canonical layout of a scenario that holds every section, byte
+    /// for byte: a layout drift keeps the round-trip a fixed point, so
+    /// only a pinned text shows it.
+    #[test]
+    fn canonical_form_is_pinned() {
+        let text = r#"{
+          "name": "every \"section\"",
+          "topology": {"family": "switchless", "params": {"preset": "radix16", "wgroups": 4, "mesh_width": 2}},
+          "oracle": {"route": "valiant", "vcs": "reduced"},
+          "sim": {"warmup_cycles": 100, "measure_cycles": 300, "seed": 7, "packet_len": 8, "buffer_flits": 16},
+          "stepping": "dense",
+          "partitioning": {"partitions": 3, "partitioner": "blocks"},
+          "faults": {"schedule": [{"cycle": 40, "spec": {"link_fraction": 0.05, "explicit_routers": [2]}}, {"cycle": 10, "spec": {"seed": 9, "router_fraction": 0.01}}], "at_cycle": 50},
+          "telemetry": {"stride": 64, "streams": ["links", "jobs"]},
+          "run": {"kind": "serving", "seed": 3, "max_jobs": 9,
+                  "arrivals": {"process": "poisson", "rate_per_kcycle": 2.5, "horizon": 4000},
+                  "classes": [{"name": "infer", "collective": "pipeline", "flits": 4, "microbatches": 2,
+                               "participants": 3, "placement": "overlapping", "weight": 0.5},
+                              {"name": "train", "collective": "ring_allreduce", "participants": 4, "slo_cycles": 5000}]}
+        }"#;
+        let want = r#"{
+  "name": "every \"section\"",
+  "topology": {"family": "switchless", "params": {"a": 4, "b": 2, "m": 4, "chiplet": 2, "wgroups": 4, "mesh_width": 2, "nodes_per_chip": 4}},
+  "oracle": {"route": "valiant", "vcs": "reduced"},
+  "sim": {"warmup_cycles": 100, "measure_cycles": 300, "drain_cycles": 0, "seed": 7, "packet_len": 8, "buffer_flits": 16},
+  "stepping": "dense",
+  "partitioning": {"partitions": 3, "partitioner": "blocks"},
+  "faults": {"schedule": [{"cycle": 10, "spec": {"seed": 9, "link_fraction": 0, "router_fraction": 0.01, "explicit_links": [], "explicit_routers": []}}, {"cycle": 40, "spec": {"seed": 4195835629, "link_fraction": 0.05, "router_fraction": 0, "explicit_links": [], "explicit_routers": [2]}}], "at_cycle": 50},
+  "telemetry": {"stride": 64, "streams": ["links", "jobs"]},
+  "run": {"kind": "serving", "seed": 3, "max_jobs": 9, "arrivals": {"process": "poisson", "rate_per_kcycle": 2.5, "horizon": 4000}, "classes": [{"name": "infer", "collective": "pipeline", "flits": 4, "microbatches": 2, "participants": 3, "placement": "overlapping", "slo_cycles": 0, "weight": 0.5}, {"name": "train", "collective": "ring_allreduce", "flits": 64, "participants": 4, "placement": "block", "slo_cycles": 5000, "weight": 1}]}
+}
+"#;
+        let s = Scenario::from_json_str(text).unwrap();
+        assert_eq!(s.to_json(), want);
+        assert_eq!(Scenario::from_json_str(want).unwrap(), s);
     }
 
     #[test]
@@ -1957,8 +1672,7 @@ mod tests {
             r#"{"partitions": 4, "partitioner": "locality"}"#,
         ] {
             let mut v = s.clone();
-            v.partitioning =
-                Partitioning::from_json(&Value::parse(partitioning).unwrap(), "p").unwrap();
+            v.partitioning = Partitioning::read(&Value::parse(partitioning).unwrap(), "p").unwrap();
             assert_eq!(run(&v).unwrap().digest(), reference, "{partitioning}");
         }
     }

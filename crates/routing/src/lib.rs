@@ -42,24 +42,7 @@ pub enum RouteMode {
     Valiant,
 }
 
-impl RouteMode {
-    /// Stable lowercase name used by scenario files and reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            RouteMode::Minimal => "minimal",
-            RouteMode::Valiant => "valiant",
-        }
-    }
-
-    /// Inverse of [`RouteMode::name`].
-    pub fn from_name(s: &str) -> Option<Self> {
-        match s {
-            "minimal" => Some(RouteMode::Minimal),
-            "valiant" => Some(RouteMode::Valiant),
-            _ => None,
-        }
-    }
-}
+wsdf_sim::json_names!(RouteMode; Minimal = "minimal", Valiant = "valiant");
 
 #[cfg(test)]
 mod tests {

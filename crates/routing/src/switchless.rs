@@ -46,24 +46,7 @@ pub enum VcScheme {
     Reduced,
 }
 
-impl VcScheme {
-    /// Stable lowercase name used by scenario files and reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            VcScheme::Baseline => "baseline",
-            VcScheme::Reduced => "reduced",
-        }
-    }
-
-    /// Inverse of [`VcScheme::name`].
-    pub fn from_name(s: &str) -> Option<Self> {
-        match s {
-            "baseline" => Some(VcScheme::Baseline),
-            "reduced" => Some(VcScheme::Reduced),
-            _ => None,
-        }
-    }
-}
+wsdf_sim::json_names!(VcScheme; Baseline = "baseline", Reduced = "reduced");
 
 /// Routing oracle for [`wsdf_topo::SwitchlessFabric`].
 #[derive(Debug, Clone)]

@@ -7,15 +7,17 @@
 //! canonical-digest helper ([`digest_hex`]) for the golden scenario
 //! corpus.
 //!
-//! Every record-shaped type (the `wsdf` reports, fault specs, workload
-//! DAGs) implements [`Json`] through one field table,
+//! [`Json`] is the one codec. Record-shaped types (the `wsdf` reports,
+//! fault specs, workload DAGs) implement it through one field table,
 //! [`json_object!`](crate::json_object): the same member list drives the
 //! canonical one-line writer ([`to_string`]), the multi-line report
 //! layout ([`to_block`]), unknown-key rejection and the path-qualified
-//! reader, so a value always reads back as it was written. The module
-//! lives in `wsdf-sim` — the lowest crate of the workspace — so topology,
-//! workload, and routing specs can use it without a dependency cycle;
-//! `wsdf` re-exports it as `wsdf::json`.
+//! reader, so a value always reads back as it was written. Name lists
+//! implement it through [`json_names!`](crate::json_names), and the
+//! rule-shaped scenario sections by hand with [`ObjectWriter`] and the
+//! [`read`] helpers. The module lives in `wsdf-sim` — the lowest crate of
+//! the workspace — so topology, workload, and routing specs can use it
+//! without a dependency cycle; `wsdf` re-exports it as `wsdf::json`.
 
 use std::fmt::Write as _;
 
@@ -150,8 +152,10 @@ pub fn digest_hex(text: &str) -> String {
 
 /// A value with one canonical JSON form that reads back as written.
 ///
-/// Scalars, strings and arrays implement it here; record types implement
-/// it through [`json_object!`](crate::json_object).
+/// Scalars, strings, arrays and options implement it here; record types
+/// implement it through [`json_object!`](crate::json_object), name lists
+/// through [`json_names!`](crate::json_names), and the rule-shaped
+/// scenario sections by hand.
 pub trait Json: Sized {
     /// Append the canonical one-line form: `{"k": v, ...}` and `[a, b]`
     /// with `", "` and `": "` separators, non-finite floats as `null`.
@@ -160,6 +164,12 @@ pub trait Json: Sized {
     /// Read a value, naming JSON `path` in every error
     /// (`"<path>: expected string"`).
     fn read(v: &Value, path: &str) -> Result<Self, String>;
+
+    /// True when an object member holding this value is left out
+    /// ([`ObjectWriter::member`]): a `None`.
+    fn is_absent(&self) -> bool {
+        false
+    }
 
     /// True when the report layout ([`to_block`]) spreads this value over
     /// several lines: an array, or an object that holds one.
@@ -218,6 +228,12 @@ scalar!(u64, "non-negative integer", u64::to_string, read::as_u64);
 scalar!(u32, "non-negative integer", u32::to_string, |v| {
     read::as_u64(v).and_then(|x| u32::try_from(x).ok())
 });
+scalar!(u16, "integer in 0..=65535", u16::to_string, |v| {
+    read::as_u64(v).and_then(|x| u16::try_from(x).ok())
+});
+scalar!(u8, "integer in 0..=255", u8::to_string, |v| {
+    read::as_u64(v).and_then(|x| u8::try_from(x).ok())
+});
 // Non-finite values write as `null`, and `null` reads back as NaN.
 scalar!(f64, "number", |x: &f64| num(*x), Value::as_f64);
 scalar!(bool, "boolean", bool::to_string, Value::as_bool);
@@ -270,9 +286,29 @@ impl<T: Json> Json for Vec<T> {
     }
 }
 
-/// Writes one object's members for [`json_object!`](crate::json_object):
-/// on one line, or (with an indent) one member per line.
-#[doc(hidden)]
+/// An optional member: [`ObjectWriter::member`] leaves `None` out, and a
+/// present value reads as `Some` (so `null` reads as whatever `T` makes
+/// of it). Written anywhere else, `None` is `null`; it always stays on
+/// one line.
+impl<T: Json> Json for Option<T> {
+    fn write(&self, out: &mut String) {
+        match self {
+            Some(x) => x.write(out),
+            None => out.push_str("null"),
+        }
+    }
+
+    fn read(v: &Value, path: &str) -> Result<Self, String> {
+        T::read(v, path).map(Some)
+    }
+
+    fn is_absent(&self) -> bool {
+        self.is_none()
+    }
+}
+
+/// Writes one object's members: on one line, or (with an indent) one
+/// member per line.
 pub struct ObjectWriter<'a> {
     out: &'a mut String,
     indent: Option<usize>,
@@ -290,8 +326,27 @@ impl<'a> ObjectWriter<'a> {
         }
     }
 
-    /// Append member `key`.
+    /// Append member `key`, unless `value` is absent (a `None`).
     pub fn member<T: Json>(&mut self, key: &str, value: &T) {
+        if value.is_absent() {
+            return;
+        }
+        self.key(key);
+        match self.indent {
+            Some(indent) => value.write_block(self.out, indent + 2),
+            None => value.write(self.out),
+        }
+    }
+
+    /// Append member `key` holding the string `name`: the tag of a
+    /// variant, read back by [`read::tag`].
+    pub fn tag(&mut self, key: &str, name: &str) {
+        self.key(key);
+        let _ = write!(self.out, "\"{}\"", escape(name));
+    }
+
+    /// Open member `key`, up to its value.
+    fn key(&mut self, key: &str) {
         if !self.first {
             self.out.push(',');
         }
@@ -301,11 +356,7 @@ impl<'a> ObjectWriter<'a> {
             None => {}
         }
         self.first = false;
-        let _ = write!(self.out, "\"{key}\": ");
-        match self.indent {
-            Some(indent) => value.write_block(self.out, indent + 2),
-            None => value.write(self.out),
-        }
+        let _ = write!(self.out, "\"{}\": ", escape(key));
     }
 
     /// Close the object.
@@ -382,15 +433,57 @@ macro_rules! json_object {
     };
 }
 
-/// Shared readers for the field tables and the schema-checked
-/// `from_json` constructors.
+/// Implement [`Json`](crate::json::Json) for a fieldless `Copy` enum from
+/// one list of its variants' names: `json_names!(Type; Variant = "name",
+/// ...)`.
+///
+/// The same list gives `Type::name` and its inverse `Type::from_name`. A
+/// value is written as its name; anything but a listed name fails as
+/// `"<path>: expected "a", "b" or "c""`.
+#[macro_export]
+macro_rules! json_names {
+    ($ty:ident; $($variant:ident = $name:literal),+ $(,)?) => {
+        impl $ty {
+            /// Stable lowercase name used by scenario files and reports.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $($ty::$variant => $name,)+
+                }
+            }
+
+            /// Inverse of [`name`](Self::name).
+            pub fn from_name(name: &str) -> Option<Self> {
+                match name {
+                    $($name => Some($ty::$variant),)+
+                    _ => None,
+                }
+            }
+        }
+
+        impl $crate::json::Json for $ty {
+            fn write(&self, out: &mut String) {
+                out.push_str(&format!("\"{}\"", self.name()));
+            }
+
+            fn read(v: &$crate::json::Value, path: &str) -> Result<Self, String> {
+                v.as_str().and_then(Self::from_name).ok_or_else(|| {
+                    format!("{path}: expected {}", $crate::json::read::one_of(&[$($name),+]))
+                })
+            }
+        }
+    };
+}
+
+/// Shared readers for the field tables and the hand-written [`Json`]
+/// impls of the rule-shaped scenario sections.
 ///
 /// Every helper takes the JSON `path` of the value being read (e.g.
 /// `scenario.faults.spec`) and produces errors of the shape
 /// `<path>.<key>: <what was expected>` — the precise-error-path contract
-/// of the scenario frontend. [`json_object!`](crate::json_object), the
-/// topology/workload/routing crates and the `wsdf::scenario` module all
-/// build on these, so the phrasing cannot drift between schemas.
+/// of the scenario frontend. [`json_object!`](crate::json_object),
+/// [`json_names!`](crate::json_names), the topology/workload/routing
+/// crates and the `wsdf::scenario` module all build on these, so the
+/// phrasing cannot drift between schemas.
 pub mod read {
     use super::{Json, Value};
 
@@ -425,37 +518,66 @@ pub mod read {
             .ok_or_else(|| format!("{path}.{key}: missing required key"))
     }
 
-    /// Required string member.
-    pub fn str_field<'a>(v: &'a Value, path: &str, key: &str) -> Result<&'a str, String> {
-        req(v, path, key)?
+    /// The tag member `key` of a tagged object: a string from `names`, or
+    /// `"<path>.<key>: expected "a", "b" or "c""`.
+    pub fn tag<'a>(v: &'a Value, path: &str, key: &str, names: &[&str]) -> Result<&'a str, String> {
+        let name = req(v, path, key)?
             .as_str()
-            .ok_or_else(|| format!("{path}.{key}: expected string"))
-    }
-
-    /// Optional finite-number member.
-    pub fn opt_f64_field(v: &Value, path: &str, key: &str) -> Result<Option<f64>, String> {
-        match v.get(key) {
-            None => Ok(None),
-            Some(Value::Num(x)) => Ok(Some(*x)),
-            Some(_) => Err(format!("{path}.{key}: expected number")),
+            .ok_or_else(|| format!("{path}.{key}: expected string"))?;
+        if names.contains(&name) {
+            Ok(name)
+        } else {
+            Err(format!("{path}.{key}: expected {}", one_of(names)))
         }
     }
 
-    /// Optional non-negative-integer member; `default` when absent.
-    pub fn u64_or(v: &Value, path: &str, key: &str, default: u64) -> Result<u64, String> {
+    /// Optional member `key`, read as a `T` at `"<path>.<key>"`, or
+    /// `default` when absent.
+    pub fn or<T: Json>(v: &Value, path: &str, key: &str, default: T) -> Result<T, String> {
         match v.get(key) {
             None => Ok(default),
-            Some(m) => {
-                as_u64(m).ok_or_else(|| format!("{path}.{key}: expected non-negative integer"))
-            }
+            Some(m) => T::read(m, &format!("{path}.{key}")),
         }
     }
 
-    /// Required array member.
-    pub fn arr_field<'a>(v: &'a Value, path: &str, key: &str) -> Result<&'a [Value], String> {
-        req(v, path, key)?
-            .as_arr()
-            .ok_or_else(|| format!("{path}.{key}: expected array"))
+    /// Optional number member `key` above `min` (`default` when absent),
+    /// or `"<path>.<key>: expected number > <min>"`.
+    pub fn above(v: &Value, path: &str, key: &str, default: f64, min: f64) -> Result<f64, String> {
+        let x = or(v, path, key, default)?;
+        if x > min {
+            Ok(x)
+        } else {
+            Err(format!("{path}.{key}: expected number > {min}"))
+        }
+    }
+
+    /// Which of two members that exclude each other `v` holds: `true` for
+    /// `a`, `false` for `b`. Both or neither fail.
+    pub fn either(v: &Value, path: &str, a: &str, b: &str) -> Result<bool, String> {
+        match (v.get(a).is_some(), v.get(b).is_some()) {
+            (true, true) => Err(format!("{path}: give either \"{a}\" or \"{b}\", not both")),
+            (false, false) => Err(format!("{path}: expected a \"{a}\" or \"{b}\" member")),
+            (has_a, _) => Ok(has_a),
+        }
+    }
+
+    /// Reject the members in `keys`, which only other variants take:
+    /// `"<path>.<key>: only <who> <key>"` (`who` such as `"trace arrivals
+    /// take"`).
+    pub fn only(v: &Value, path: &str, keys: &[&str], who: &str) -> Result<(), String> {
+        match keys.iter().find(|key| v.get(key).is_some()) {
+            Some(key) => Err(format!("{path}.{key}: only {who} {key}")),
+            None => Ok(()),
+        }
+    }
+
+    /// The names a value may take, quoted, as `"a", "b" or "c"`.
+    pub fn one_of(names: &[&str]) -> String {
+        let quoted: Vec<String> = names.iter().map(|n| format!("\"{n}\"")).collect();
+        match quoted.split_last() {
+            Some((last, rest)) if !rest.is_empty() => format!("{} or {last}", rest.join(", ")),
+            _ => quoted.concat(),
+        }
     }
 
     /// A JSON number as a non-negative integer, if it is one.
@@ -551,7 +673,7 @@ impl Parser<'_> {
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'n') => self.literal("null", Value::Null),
             Some(_) => self.number(),
-            None => Err("unexpected end of input".into()),
+            None => Err(format!("unexpected end of input at byte {}", self.pos)),
         }
     }
 
@@ -622,11 +744,12 @@ impl Parser<'_> {
     }
 
     fn string(&mut self) -> Result<String, String> {
+        let start = self.pos;
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
             match self.peek() {
-                None => return Err("unterminated string".into()),
+                None => return Err(format!("unterminated string at byte {start}")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
@@ -672,7 +795,8 @@ impl Parser<'_> {
                         end += 1;
                     }
                     out.push_str(
-                        std::str::from_utf8(&self.bytes[start..end]).map_err(|e| e.to_string())?,
+                        std::str::from_utf8(&self.bytes[start..end])
+                            .map_err(|_| format!("invalid UTF-8 at byte {start}"))?,
                     );
                     self.pos = end;
                 }
@@ -680,11 +804,12 @@ impl Parser<'_> {
         }
     }
 
-    /// Four hex digits starting at byte `at`.
+    /// The four hex digits at byte `at` of the `\u` escape at byte
+    /// `at - 2`.
     fn hex4(&self, at: usize) -> Result<u32, String> {
-        let hex = self.bytes.get(at..at + 4).ok_or("truncated \\u escape")?;
-        u32::from_str_radix(std::str::from_utf8(hex).map_err(|e| e.to_string())?, 16)
-            .map_err(|e| e.to_string())
+        let bad = || format!("bad \\u escape at byte {}", at - 2);
+        let hex = self.bytes.get(at..at + 4).ok_or_else(bad)?;
+        u32::from_str_radix(std::str::from_utf8(hex).map_err(|_| bad())?, 16).map_err(|_| bad())
     }
 
     fn number(&mut self) -> Result<Value, String> {
@@ -696,10 +821,14 @@ impl Parser<'_> {
                 break;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
-        text.parse::<f64>()
-            .map(Value::Num)
-            .map_err(|_| format!("invalid number '{text}' at byte {start}"))
+        // The scanned bytes are ASCII, so always UTF-8. A literal past the
+        // f64 range is refused rather than read as infinity, which writes
+        // back as `null`.
+        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap_or_default();
+        match text.parse::<f64>() {
+            Ok(x) if x.is_finite() => Ok(Value::Num(x)),
+            _ => Err(format!("invalid number '{text}' at byte {start}")),
+        }
     }
 }
 
@@ -784,6 +913,22 @@ mod tests {
         assert_eq!(digest_hex("{}"), format!("fnv64:{:016x}", fnv1a_64(b"{}")));
         assert_ne!(digest_hex("{\"a\": 1}"), digest_hex("{\"a\": 2}"));
         assert_eq!(digest_hex("x"), digest_hex("x"));
+    }
+
+    #[test]
+    fn every_syntax_error_names_its_byte() {
+        for (text, want) in [
+            ("\"open", "unterminated string at byte 0"),
+            ("{\"a\": ", "unexpected end of input at byte 6"),
+            (r#""\u12"#, r"bad \u escape at byte 1"),
+            (r#"["\u12é"]"#, r"bad \u escape at byte 2"),
+            (r#""\uzz12""#, r"bad \u escape at byte 1"),
+            (r#""\ud83d\u12""#, r"bad \u escape at byte 7"),
+            ("1e999", "invalid number '1e999' at byte 0"),
+            ("[1, -1e400]", "invalid number '-1e400' at byte 4"),
+        ] {
+            assert_eq!(Value::parse(text).unwrap_err(), want, "{text}");
+        }
     }
 
     #[test]

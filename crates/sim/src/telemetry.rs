@@ -49,7 +49,7 @@
 //!   the draining cycle and later batches only carry later stamps, so the
 //!   whole stream is cycle-monotonic.
 
-use crate::json::{escape, read, Value};
+use crate::json::{escape, read, Json, ObjectWriter, Value};
 use crate::router::RouterRt;
 use std::sync::{Arc, Mutex};
 
@@ -97,13 +97,29 @@ impl TraceConfig {
         ("jobs", |c| &mut c.jobs),
         ("epochs", |c| &mut c.epochs),
     ];
+}
 
-    /// Parse a scenario `telemetry` section: `{"stride": N, "streams":
-    /// ["links", ...]}`. `streams` absent enables everything; present, it
-    /// enables exactly the named streams. Errors carry exact paths.
-    pub fn from_json(v: &Value, path: &str) -> Result<TraceConfig, String> {
+/// A scenario `telemetry` section: `{"stride": N, "streams": ["links",
+/// ...]}`. `streams` absent enables everything; present, it enables
+/// exactly the named streams. Written with every field explicit and the
+/// streams in a fixed order, so scenario round-trips are byte-stable.
+impl Json for TraceConfig {
+    fn write(&self, out: &mut String) {
+        let mut cfg = self.clone();
+        let streams: Vec<String> = Self::STREAMS
+            .iter()
+            .filter(|(_, field)| *field(&mut cfg))
+            .map(|(name, _)| name.to_string())
+            .collect();
+        let mut obj = ObjectWriter::new(out, None);
+        obj.member("stride", &self.stride);
+        obj.member("streams", &streams);
+        obj.end();
+    }
+
+    fn read(v: &Value, path: &str) -> Result<TraceConfig, String> {
         read::check_keys(v, path, &["stride", "streams"])?;
-        let stride = read::u64_or(v, path, "stride", 256)?;
+        let stride = read::or(v, path, "stride", 256)?;
         if stride == 0 {
             return Err(format!("{path}.stride: expected positive integer"));
         }
@@ -111,37 +127,18 @@ impl TraceConfig {
             stride,
             ..TraceConfig::default()
         };
-        if v.get("streams").is_some() {
+        if let Some(names) = read::or::<Option<Vec<String>>>(v, path, "streams", None)? {
             for (_, field) in Self::STREAMS {
                 *field(&mut cfg) = false;
             }
-            for (i, item) in read::arr_field(v, path, "streams")?.iter().enumerate() {
-                let name = item
-                    .as_str()
-                    .ok_or_else(|| format!("{path}.streams[{i}]: expected string"))?;
-                let Some((_, field)) = Self::STREAMS.iter().find(|(n, _)| *n == name) else {
+            for (i, name) in names.iter().enumerate() {
+                let Some((_, field)) = Self::STREAMS.iter().find(|(n, _)| n == name) else {
                     return Err(format!("{path}.streams[{i}]: unknown stream \"{name}\""));
                 };
                 *field(&mut cfg) = true;
             }
         }
         Ok(cfg)
-    }
-
-    /// Canonical writer (inverse of [`TraceConfig::from_json`]): fixed
-    /// field and stream order so scenario round-trips are byte-stable.
-    pub fn to_json(&self) -> String {
-        let mut cfg = self.clone();
-        let streams: Vec<String> = Self::STREAMS
-            .iter()
-            .filter(|(_, field)| *field(&mut cfg))
-            .map(|(name, _)| format!("\"{name}\""))
-            .collect();
-        format!(
-            "{{\"stride\": {}, \"streams\": [{}]}}",
-            self.stride,
-            streams.join(", ")
-        )
     }
 }
 
@@ -474,18 +471,18 @@ mod tests {
     #[test]
     fn config_json_round_trip() {
         let v = Value::parse(r#"{"stride": 128, "streams": ["links", "queues"]}"#).unwrap();
-        let cfg = TraceConfig::from_json(&v, "telemetry").unwrap();
+        let cfg = TraceConfig::read(&v, "telemetry").unwrap();
         assert_eq!(cfg.stride, 128);
         assert!(cfg.links && cfg.queues);
         assert!(!cfg.latencies && !cfg.jobs && !cfg.epochs);
-        let back = Value::parse(&cfg.to_json()).unwrap();
-        assert_eq!(TraceConfig::from_json(&back, "telemetry").unwrap(), cfg);
+        let back = Value::parse(&crate::json::to_string(&cfg)).unwrap();
+        assert_eq!(TraceConfig::read(&back, "telemetry").unwrap(), cfg);
     }
 
     #[test]
     fn config_defaults_enable_everything() {
         let v = Value::parse("{}").unwrap();
-        let cfg = TraceConfig::from_json(&v, "telemetry").unwrap();
+        let cfg = TraceConfig::read(&v, "telemetry").unwrap();
         assert_eq!(cfg, TraceConfig::default());
     }
 
@@ -493,17 +490,17 @@ mod tests {
     fn config_errors_carry_exact_paths() {
         let v = Value::parse(r#"{"stride": 0}"#).unwrap();
         assert_eq!(
-            TraceConfig::from_json(&v, "telemetry").unwrap_err(),
+            TraceConfig::read(&v, "telemetry").unwrap_err(),
             "telemetry.stride: expected positive integer"
         );
         let v = Value::parse(r#"{"streams": ["links", "bogus"]}"#).unwrap();
         assert_eq!(
-            TraceConfig::from_json(&v, "telemetry").unwrap_err(),
+            TraceConfig::read(&v, "telemetry").unwrap_err(),
             "telemetry.streams[1]: unknown stream \"bogus\""
         );
         let v = Value::parse(r#"{"cadence": 4}"#).unwrap();
         assert_eq!(
-            TraceConfig::from_json(&v, "telemetry").unwrap_err(),
+            TraceConfig::read(&v, "telemetry").unwrap_err(),
             "telemetry.cadence: unknown key"
         );
     }

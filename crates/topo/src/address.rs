@@ -5,11 +5,11 @@
 //! arithmetic — no tables. This is what lets the routing oracles stay
 //! allocation-free on the hot path.
 //!
-//! Both parameter structs round-trip through JSON (`to_json`/`from_json`,
-//! built on `wsdf_sim::json`) so scenario files can bind a topology either
-//! by paper preset (`"preset": "radix16"`) or field by field.
+//! Both parameter structs implement the `wsdf_sim::json::Json` codec, so
+//! scenario files can bind a topology either by paper preset (`"preset":
+//! "radix16"`) or field by field, and write it back field by field.
 
-use wsdf_sim::json::{self, read, Value};
+use wsdf_sim::json::{read, Json, ObjectWriter, Value};
 
 /// Perimeter ring position of an m×m mesh, clockwise from the top-left
 /// corner: along the top row (+x), down the right column (−y), along the
@@ -203,79 +203,6 @@ impl SlParams {
             format!("ab*(m*m + k) = {per_wgroup} routers per W-group exceed the u32 id space")
         })?;
         Ok((per_wgroup, self.max_wgroups()))
-    }
-
-    /// Canonical one-line JSON form: every field explicit, preset-free, in
-    /// declaration order. `from_json(to_json(p)) == p` for any valid `p`.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"a\": {}, \"b\": {}, \"m\": {}, \"chiplet\": {}, \"wgroups\": {}, \
-             \"mesh_width\": {}, \"nodes_per_chip\": {}}}",
-            self.a,
-            self.b,
-            self.m,
-            self.chiplet,
-            self.wgroups,
-            self.mesh_width,
-            json::num(self.nodes_per_chip)
-        )
-    }
-
-    /// Parse switch-less parameters from a JSON object at `path` (for
-    /// error messages). Accepts an optional `"preset"` (`"radix16"` /
-    /// `"radix32"`) as the starting point, with any individual field as an
-    /// override; without a preset, `a`, `b`, `m` and `chiplet` are
-    /// required (`wgroups` defaults to the maximum, `mesh_width` to 1,
-    /// `nodes_per_chip` to `chiplet²`). The result is validated.
-    pub fn from_json(v: &Value, path: &str) -> Result<Self, String> {
-        read::check_keys(
-            v,
-            path,
-            &[
-                "preset",
-                "a",
-                "b",
-                "m",
-                "chiplet",
-                "wgroups",
-                "mesh_width",
-                "nodes_per_chip",
-            ],
-        )?;
-        let preset = preset(v, path, SlParams::radix16, SlParams::radix32)?;
-        let required = preset.is_none();
-        let mut p = preset.unwrap_or(SlParams {
-            a: 0,
-            b: 0,
-            m: 0,
-            chiplet: 0,
-            wgroups: 0,
-            mesh_width: 1,
-            nodes_per_chip: 0.0,
-        });
-        for (key, slot) in [
-            ("a", &mut p.a),
-            ("b", &mut p.b),
-            ("m", &mut p.m),
-            ("chiplet", &mut p.chiplet),
-        ] {
-            read::member(v, path, key, slot, required, |_, _| Ok(()))?;
-        }
-        read::member(v, path, "wgroups", &mut p.wgroups, false, |_, _| Ok(()))?;
-        let mut width = u32::from(p.mesh_width);
-        read::member(v, path, "mesh_width", &mut width, false, |_, _| Ok(()))?;
-        p.mesh_width =
-            u8::try_from(width).map_err(|_| format!("{path}.mesh_width: expected 1, 2 or 4"))?;
-        p.nodes_per_chip = match read::opt_f64_field(v, path, "nodes_per_chip")? {
-            Some(x) => x,
-            None if required => f64::from(p.chiplet) * f64::from(p.chiplet),
-            None => p.nodes_per_chip,
-        };
-        if p.wgroups == 0 {
-            p.wgroups = p.wgroup_shape().map_err(|e| format!("{path}: {e}"))?.1;
-        }
-        p.validate().map_err(|e| format!("{path}: {e}"))?;
-        Ok(p)
     }
 
     // ---- address arithmetic -------------------------------------------
@@ -556,49 +483,6 @@ impl SwParams {
         Ok(())
     }
 
-    /// Canonical one-line JSON form: every field explicit, preset-free.
-    /// `from_json(to_json(p)) == p` for any valid `p`.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"terminals\": {}, \"locals\": {}, \"globals\": {}, \"groups\": {}}}",
-            self.terminals, self.locals, self.globals, self.groups
-        )
-    }
-
-    /// Parse switch-based parameters from a JSON object at `path`.
-    /// Mirrors [`SlParams::from_json`]: optional `"preset"` plus field
-    /// overrides, or all of `terminals`/`locals`/`globals` explicit
-    /// (`groups` defaults to the maximum). The result is validated.
-    pub fn from_json(v: &Value, path: &str) -> Result<Self, String> {
-        read::check_keys(
-            v,
-            path,
-            &["preset", "terminals", "locals", "globals", "groups"],
-        )?;
-        let preset = preset(v, path, SwParams::radix16, SwParams::radix32)?;
-        let required = preset.is_none();
-        let mut p = preset.unwrap_or(SwParams {
-            terminals: 0,
-            locals: 0,
-            globals: 0,
-            groups: 0,
-        });
-        for (key, slot) in [
-            ("terminals", &mut p.terminals),
-            ("locals", &mut p.locals),
-            ("globals", &mut p.globals),
-        ] {
-            read::member(v, path, key, slot, required, |_, _| Ok(()))?;
-        }
-        read::member(v, path, "groups", &mut p.groups, false, |_, _| Ok(()))?;
-        if p.groups == 0 {
-            p.check_ports().map_err(|e| format!("{path}: {e}"))?;
-            p.groups = p.max_groups();
-        }
-        p.validate().map_err(|e| format!("{path}: {e}"))?;
-        Ok(p)
-    }
-
     /// Switch router id of (group, idx).
     pub fn switch_router(&self, group: u32, idx: u32) -> u32 {
         group * self.switches_per_group() + idx
@@ -649,8 +533,123 @@ impl SwParams {
     }
 }
 
+/// Written with every field explicit, preset-free, in declaration
+/// order. Read from an optional `"preset"` (`"radix16"` / `"radix32"`) as
+/// the starting point, with any individual field as an override; without
+/// a preset, `a`, `b`, `m` and `chiplet` are required (`wgroups` defaults
+/// to the maximum, `mesh_width` to 1, `nodes_per_chip` to `chiplet²`).
+/// The result is validated.
+impl Json for SlParams {
+    fn write(&self, out: &mut String) {
+        let mut obj = ObjectWriter::new(out, None);
+        obj.member("a", &self.a);
+        obj.member("b", &self.b);
+        obj.member("m", &self.m);
+        obj.member("chiplet", &self.chiplet);
+        obj.member("wgroups", &self.wgroups);
+        obj.member("mesh_width", &self.mesh_width);
+        obj.member("nodes_per_chip", &self.nodes_per_chip);
+        obj.end();
+    }
+
+    fn read(v: &Value, path: &str) -> Result<Self, String> {
+        read::check_keys(
+            v,
+            path,
+            &[
+                "preset",
+                "a",
+                "b",
+                "m",
+                "chiplet",
+                "wgroups",
+                "mesh_width",
+                "nodes_per_chip",
+            ],
+        )?;
+        let preset = preset(v, path, SlParams::radix16, SlParams::radix32)?;
+        let required = preset.is_none();
+        let mut p = preset.unwrap_or(SlParams {
+            a: 0,
+            b: 0,
+            m: 0,
+            chiplet: 0,
+            wgroups: 0,
+            mesh_width: 1,
+            nodes_per_chip: 0.0,
+        });
+        for (key, slot) in [
+            ("a", &mut p.a),
+            ("b", &mut p.b),
+            ("m", &mut p.m),
+            ("chiplet", &mut p.chiplet),
+        ] {
+            read::member(v, path, key, slot, required, |_, _| Ok(()))?;
+        }
+        read::member(v, path, "wgroups", &mut p.wgroups, false, |_, _| Ok(()))?;
+        read::member(v, path, "mesh_width", &mut p.mesh_width, false, |_, _| {
+            Ok(())
+        })?;
+        p.nodes_per_chip = match read::or(v, path, "nodes_per_chip", None)? {
+            Some(x) => x,
+            None if required => f64::from(p.chiplet) * f64::from(p.chiplet),
+            None => p.nodes_per_chip,
+        };
+        if p.wgroups == 0 {
+            p.wgroups = p.wgroup_shape().map_err(|e| format!("{path}: {e}"))?.1;
+        }
+        p.validate().map_err(|e| format!("{path}: {e}"))?;
+        Ok(p)
+    }
+}
+
+/// Written with every field explicit, preset-free. Read like
+/// [`SlParams`]: an optional `"preset"` plus field overrides, or all of
+/// `terminals`/`locals`/`globals` explicit (`groups` defaults to the
+/// maximum). The result is validated.
+impl Json for SwParams {
+    fn write(&self, out: &mut String) {
+        let mut obj = ObjectWriter::new(out, None);
+        obj.member("terminals", &self.terminals);
+        obj.member("locals", &self.locals);
+        obj.member("globals", &self.globals);
+        obj.member("groups", &self.groups);
+        obj.end();
+    }
+
+    fn read(v: &Value, path: &str) -> Result<Self, String> {
+        read::check_keys(
+            v,
+            path,
+            &["preset", "terminals", "locals", "globals", "groups"],
+        )?;
+        let preset = preset(v, path, SwParams::radix16, SwParams::radix32)?;
+        let required = preset.is_none();
+        let mut p = preset.unwrap_or(SwParams {
+            terminals: 0,
+            locals: 0,
+            globals: 0,
+            groups: 0,
+        });
+        for (key, slot) in [
+            ("terminals", &mut p.terminals),
+            ("locals", &mut p.locals),
+            ("globals", &mut p.globals),
+        ] {
+            read::member(v, path, key, slot, required, |_, _| Ok(()))?;
+        }
+        read::member(v, path, "groups", &mut p.groups, false, |_, _| Ok(()))?;
+        if p.groups == 0 {
+            p.check_ports().map_err(|e| format!("{path}: {e}"))?;
+            p.groups = p.max_groups();
+        }
+        p.validate().map_err(|e| format!("{path}: {e}"))?;
+        Ok(p)
+    }
+}
+
 /// The paper preset named by the optional `"preset"` member of `v`, the
-/// starting point of [`SlParams::from_json`] and [`SwParams::from_json`].
+/// starting point of reading [`SlParams`] and [`SwParams`].
 fn preset<P>(
     v: &Value,
     path: &str,
@@ -896,25 +895,25 @@ mod tests {
             SlParams::radix32(),
             SlParams::radix16().with_wgroups(3).with_mesh_width(2),
         ] {
-            let v = Value::parse(&p.to_json()).unwrap();
-            assert_eq!(SlParams::from_json(&v, "t").unwrap(), p);
+            let v = Value::parse(&wsdf_sim::json::to_string(&p)).unwrap();
+            assert_eq!(SlParams::read(&v, "t").unwrap(), p);
         }
         for p in [SwParams::radix16(), SwParams::radix32().with_groups(5)] {
-            let v = Value::parse(&p.to_json()).unwrap();
-            assert_eq!(SwParams::from_json(&v, "t").unwrap(), p);
+            let v = Value::parse(&wsdf_sim::json::to_string(&p)).unwrap();
+            assert_eq!(SwParams::read(&v, "t").unwrap(), p);
         }
     }
 
     #[test]
     fn params_from_json_presets_and_overrides() {
         let v = Value::parse(r#"{"preset": "radix16", "wgroups": 2}"#).unwrap();
-        let p = SlParams::from_json(&v, "t").unwrap();
+        let p = SlParams::read(&v, "t").unwrap();
         assert_eq!(p, SlParams::radix16().with_wgroups(2));
         let v = Value::parse(r#"{"preset": "radix32"}"#).unwrap();
-        assert_eq!(SwParams::from_json(&v, "t").unwrap(), SwParams::radix32());
+        assert_eq!(SwParams::read(&v, "t").unwrap(), SwParams::radix32());
         // Explicit form without preset: wgroups defaults to the maximum.
         let v = Value::parse(r#"{"a": 4, "b": 2, "m": 4, "chiplet": 2}"#).unwrap();
-        let p = SlParams::from_json(&v, "t").unwrap();
+        let p = SlParams::read(&v, "t").unwrap();
         assert_eq!(p.wgroups, p.max_wgroups());
         assert_eq!(p.nodes_per_chip, 4.0);
     }
@@ -950,11 +949,11 @@ mod tests {
         ];
         for (doc, want) in cases {
             let v = Value::parse(doc).unwrap();
-            assert_eq!(&SlParams::from_json(&v, "t").unwrap_err(), want, "{doc}");
+            assert_eq!(&SlParams::read(&v, "t").unwrap_err(), want, "{doc}");
         }
         let v = Value::parse(r#"{"terminals": 4}"#).unwrap();
         assert_eq!(
-            SwParams::from_json(&v, "t").unwrap_err(),
+            SwParams::read(&v, "t").unwrap_err(),
             "t.locals: missing required key"
         );
     }

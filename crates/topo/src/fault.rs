@@ -100,6 +100,34 @@ impl FaultSpec {
         }
         Ok(())
     }
+
+    /// Check the explicit ids against `net`, routers first, as
+    /// [`FaultSet::sample`] would, but as an error (`"explicit_links[2]:
+    /// channel 999 out of range (the fabric has 96 channels)"`) instead
+    /// of a panic.
+    pub fn check_ids(&self, net: &NetworkDesc) -> Result<(), String> {
+        for (key, ids, what, count) in [
+            (
+                "explicit_routers",
+                &self.explicit_routers,
+                "router",
+                net.num_routers(),
+            ),
+            (
+                "explicit_links",
+                &self.explicit_links,
+                "channel",
+                net.channels.len(),
+            ),
+        ] {
+            if let Some((i, id)) = ids.iter().enumerate().find(|(_, &id)| id as usize >= count) {
+                return Err(format!(
+                    "{key}[{i}]: {what} {id} out of range (the fabric has {count} {what}s)"
+                ));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Reject a fraction outside `[0, 1]`, NaN (read from `null`) included.
@@ -135,7 +163,8 @@ impl FaultSet {
     }
 
     /// Sample `spec` over `net` (see the module docs). Panics on an invalid
-    /// spec or on explicit ids out of range.
+    /// spec or on explicit ids out of range, which [`FaultSpec::check_ids`]
+    /// reports as an error.
     pub fn sample(net: &NetworkDesc, spec: &FaultSpec) -> Self {
         spec.validate().expect("invalid FaultSpec");
         let mut map = FaultMap::pristine(net);

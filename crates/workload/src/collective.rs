@@ -16,7 +16,7 @@
 //! and bandwidth per phase.
 
 use crate::message::{packet_count, MAX_MESSAGES, MAX_PACKETS_PER_MESSAGE};
-use wsdf_sim::json::{Json, Value};
+use wsdf_sim::json::{read, Json, Value};
 use wsdf_sim::json_object;
 
 /// One point-to-point message of a collective.
@@ -428,6 +428,30 @@ pub const COLLECTIVES: [&str; 6] = [
     "reduce",
     "pipeline",
 ];
+
+/// Read the `collective`, `flits` and `microbatches` members a
+/// closed-loop workload and a serving class share, at `path`: a name from
+/// [`COLLECTIVES`], at least one flit (64 by default), and a microbatch
+/// count (1 by default) that only `pipeline` may set.
+pub fn read_collective(v: &Value, path: &str) -> Result<(String, u64, u32), String> {
+    let kind: String = read::field(v, path, "collective")?;
+    if !COLLECTIVES.contains(&kind.as_str()) {
+        return Err(format!("{path}.collective: unknown collective \"{kind}\""));
+    }
+    let flits = read::or(v, path, "flits", 64)?;
+    if flits == 0 {
+        return Err(format!("{path}.flits: must be at least 1"));
+    }
+    if kind != "pipeline" {
+        read::only(v, path, &["microbatches"], "the pipeline collective takes")?;
+    }
+    let microbatches = read::or(v, path, "microbatches", 1u64)?;
+    let microbatches = u32::try_from(microbatches)
+        .ok()
+        .filter(|&mb| mb > 0)
+        .ok_or_else(|| format!("{path}.microbatches: must be at least 1"))?;
+    Ok((kind, flits, microbatches))
+}
 
 /// One message of the JSON form: a [`Message`] plus its predecessor ids.
 #[derive(Default)]

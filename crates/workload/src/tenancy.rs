@@ -25,12 +25,14 @@
 //!   `job id | intra-job id | seq` ([`crate::message::job_packet_id`]),
 //!   keeping concurrent jobs' reassembly state disjoint.
 
-use crate::collective::Workload;
+use crate::collective::{read_collective, Workload};
 use crate::message::{
     job_msg_of, job_of, job_packet_id, segments, Reassembly, MAX_JOBS, MAX_JOB_MESSAGES,
 };
 use std::collections::BTreeSet;
 use wsdf_exec::BspPool;
+use wsdf_sim::json::{read, Json, ObjectWriter, Value};
+use wsdf_sim::json_names;
 use wsdf_sim::{
     Arrival, FaultMap, Injector, Metrics, NetworkDesc, RouteOracle, SimConfig, SimResult,
     Simulation, SplitMix64, TraceRec, Tracer, WorkloadDriver,
@@ -96,6 +98,65 @@ impl ArrivalProcess {
     }
 }
 
+/// `{"process": "poisson", "rate_per_kcycle", "horizon"}` (rate 1 and
+/// horizon 10000 by default) or `{"process": "trace", "cycles": [..]}`
+/// (at least one cycle); each rejects the other's members.
+impl Json for ArrivalProcess {
+    fn write(&self, out: &mut String) {
+        let mut obj = ObjectWriter::new(out, None);
+        match self {
+            ArrivalProcess::Poisson {
+                rate_per_kcycle,
+                horizon,
+            } => {
+                obj.tag("process", "poisson");
+                obj.member("rate_per_kcycle", rate_per_kcycle);
+                obj.member("horizon", horizon);
+            }
+            ArrivalProcess::Trace { cycles } => {
+                obj.tag("process", "trace");
+                obj.member("cycles", cycles);
+            }
+        }
+        obj.end();
+    }
+
+    fn read(v: &Value, path: &str) -> Result<Self, String> {
+        read::check_keys(
+            v,
+            path,
+            &["process", "rate_per_kcycle", "horizon", "cycles"],
+        )?;
+        if read::tag(v, path, "process", &["poisson", "trace"])? == "poisson" {
+            read::only(v, path, &["cycles"], "trace arrivals take")?;
+            let rate_per_kcycle = read::or(v, path, "rate_per_kcycle", 1.0)?;
+            if !(rate_per_kcycle > 0.0 && rate_per_kcycle <= 1000.0) {
+                return Err(format!(
+                    "{path}.rate_per_kcycle: expected number in (0, 1000]"
+                ));
+            }
+            let horizon = read::or(v, path, "horizon", 10_000)?;
+            if horizon == 0 {
+                return Err(format!("{path}.horizon: must be at least 1"));
+            }
+            Ok(ArrivalProcess::Poisson {
+                rate_per_kcycle,
+                horizon,
+            })
+        } else {
+            let poisson = ["rate_per_kcycle", "horizon"];
+            read::only(v, path, &poisson, "poisson arrivals take")?;
+            let cycles: Vec<u64> = read::field(v, path, "cycles")?;
+            if cycles.is_empty() {
+                return Err(format!(
+                    "{path}.cycles: expected at least one arrival cycle"
+                ));
+            }
+            Ok(ArrivalProcess::Trace { cycles })
+        }
+    }
+}
+
 /// How a job's participants are laid out over the live endpoint list.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Placement {
@@ -111,26 +172,9 @@ pub enum Placement {
     Overlapping,
 }
 
+json_names!(Placement; Block = "block", Strided = "strided", Overlapping = "overlapping");
+
 impl Placement {
-    /// Stable scenario-file name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Placement::Block => "block",
-            Placement::Strided => "strided",
-            Placement::Overlapping => "overlapping",
-        }
-    }
-
-    /// Inverse of [`Self::name`].
-    pub fn from_name(name: &str) -> Option<Self> {
-        Some(match name {
-            "block" => Placement::Block,
-            "strided" => Placement::Strided,
-            "overlapping" => Placement::Overlapping,
-            _ => return None,
-        })
-    }
-
     /// Resolve the endpoint set of job `job_index` with `participants`
     /// members out of `endpoints` (the live endpoint list, in id order).
     /// Deterministic in `(self, seed, job_index)`; `participants` must
@@ -196,6 +240,64 @@ pub struct JobClass {
     pub slo_cycles: u64,
     /// Relative arrival weight among classes (> 0).
     pub weight: f64,
+}
+
+/// Every field explicit, with `microbatches` only for a pipeline. Read
+/// with `placement` block, `slo_cycles` 0 and `weight` 1 by default; the
+/// collective members as [`read_collective`] reads them.
+impl Json for JobClass {
+    fn write(&self, out: &mut String) {
+        let pipeline = self.collective == "pipeline";
+        let mut obj = ObjectWriter::new(out, None);
+        obj.member("name", &self.name);
+        obj.member("collective", &self.collective);
+        obj.member("flits", &self.flits);
+        obj.member("microbatches", &pipeline.then_some(self.microbatches));
+        obj.member("participants", &self.participants);
+        obj.member("placement", &self.placement);
+        obj.member("slo_cycles", &self.slo_cycles);
+        obj.member("weight", &self.weight);
+        obj.end();
+    }
+
+    fn read(v: &Value, path: &str) -> Result<Self, String> {
+        read::check_keys(
+            v,
+            path,
+            &[
+                "name",
+                "collective",
+                "flits",
+                "microbatches",
+                "participants",
+                "placement",
+                "slo_cycles",
+                "weight",
+            ],
+        )?;
+        let name: String = read::field(v, path, "name")?;
+        if name.is_empty() {
+            return Err(format!("{path}.name: must not be empty"));
+        }
+        let (collective, flits, microbatches) = read_collective(v, path)?;
+        let participants: u64 = read::field(v, path, "participants")?;
+        let participants = u32::try_from(participants)
+            .ok()
+            .filter(|&p| p >= 2)
+            .ok_or_else(|| format!("{path}.participants: must be at least 2"))?;
+        let placement = read::or(v, path, "placement", Placement::Block)?;
+        let weight = read::above(v, path, "weight", 1.0, 0.0)?;
+        Ok(JobClass {
+            name,
+            collective,
+            flits,
+            microbatches,
+            participants,
+            placement,
+            slo_cycles: read::or(v, path, "slo_cycles", 0)?,
+            weight,
+        })
+    }
 }
 
 /// A full serving workload: arrival process plus job-class mix.

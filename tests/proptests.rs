@@ -536,6 +536,18 @@ fn any_serving_spec(rng: &mut SplitMix64) -> wsdf::workload::tenancy::ServingSpe
     }
 }
 
+/// Random telemetry section: any stride, any subset of the streams.
+fn any_telemetry(rng: &mut SplitMix64) -> wsdf::TraceConfig {
+    wsdf::TraceConfig {
+        stride: 1 + rng.next_below(4096),
+        links: rng.chance(0.5),
+        queues: rng.chance(0.5),
+        latencies: rng.chance(0.5),
+        jobs: rng.chance(0.5),
+        epochs: rng.chance(0.5),
+    }
+}
+
 /// Random *valid* scenario across every topology family, run kind and
 /// optional section. Structurally valid (it parses back), but not
 /// necessarily cheap to execute — runnable cases are drawn separately.
@@ -688,7 +700,7 @@ fn any_scenario(rng: &mut SplitMix64) -> wsdf::scenario::Scenario {
         } else {
             Stepping::Dense
         },
-        telemetry: None,
+        telemetry: rng.chance(0.5).then(|| any_telemetry(rng)),
         partitioning: match rng.next_below(3) {
             0 => Partitioning::Auto {
                 partitions: rng.next_below(9),
