@@ -1,11 +1,14 @@
 //! Engine microbenchmarks: router-cycle throughput, topology construction,
 //! and small end-to-end simulations.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Bencher, BenchmarkId, Criterion};
 use wsdf::routing::{DetourOracle, RouteMode, VcScheme};
 use wsdf::workload::tenancy::ServingSpec;
-use wsdf::{Bench, PatternSpec, ServingReport, Session, Workload, WorkloadReport, WorkloadUnits};
-use wsdf_sim::{Metrics, SimConfig, TrafficPattern};
+use wsdf::{
+    Bench, PartitionerKind, Partitioning, PatternSpec, ServingReport, Session, Workload,
+    WorkloadReport, WorkloadUnits,
+};
+use wsdf_sim::{Metrics, SimConfig, Simulation, TrafficPattern};
 use wsdf_topo::{FaultSet, FaultSpec, SlParams, SwParams, SwitchFabric, SwitchlessFabric};
 
 fn quick_cfg() -> SimConfig {
@@ -26,6 +29,34 @@ fn run(bench: &Bench, cfg: &SimConfig, pat: &dyn TrafficPattern) -> Metrics {
         .metrics(pat)
         .unwrap()
         .report
+}
+
+/// Time the stepping of one `quick_cfg` open-loop run alone. The config
+/// is resolved once, as `Session::metrics` resolves it (the oracle's VC
+/// count, the locality partition map); each sample then compiles a fresh
+/// `Simulation` in the untimed setup, and the timed routine runs it. The
+/// oracle is the bench's enum, matched on every route call, where a
+/// session matches it once per run. One untimed run is checked against
+/// `run`, so the row times the harness's simulation.
+fn step_only(b: &mut Bencher, bench: &Bench, pat: &dyn TrafficPattern) {
+    let mut cfg = quick_cfg();
+    cfg.num_vcs = cfg.num_vcs.max(bench.num_vcs());
+    Partitioning::Auto {
+        partitions: cfg.partitions as u64,
+        partitioner: PartitionerKind::Locality,
+    }
+    .apply(bench, &mut cfg)
+    .unwrap();
+    let pool = wsdf::exec::global_pool();
+    let compile = || {
+        Simulation::with_faults(bench.fabric.net(), &cfg, &bench.oracle, bench.fault_map()).unwrap()
+    };
+    assert_eq!(
+        format!("{:?}", compile().run_on(pool, pat).unwrap()),
+        format!("{:?}", run(bench, &quick_cfg(), pat)),
+        "the compiled simulation differs from the session's"
+    );
+    b.iter_batched(compile, |mut sim| sim.run_on(pool, pat).unwrap());
 }
 
 fn run_workload(
@@ -63,6 +94,8 @@ fn bench_topology_build(c: &mut Criterion) {
     g.finish();
 }
 
+/// Stepping alone: every sample compiles its `Simulation` untimed
+/// (`step_only`).
 fn bench_simulation_cycles(c: &mut Criterion) {
     let mut g = c.benchmark_group("simulation");
     g.sample_size(10);
@@ -74,14 +107,14 @@ fn bench_simulation_cycles(c: &mut Criterion) {
                 let p = SlParams::radix16().with_wgroups(1);
                 let bench = Bench::switchless(&p, RouteMode::Minimal, VcScheme::Baseline);
                 let pat = bench.pattern(PatternSpec::Uniform, load);
-                b.iter(|| run(&bench, &quick_cfg(), pat.as_ref()));
+                step_only(b, &bench, pat.as_ref());
             },
         );
     }
     g.bench_function("mesh4x4_uniform_0.5", |b| {
         let bench = Bench::single_mesh(4, 2, 1);
         let pat = bench.pattern(PatternSpec::Uniform, 0.5);
-        b.iter(|| run(&bench, &quick_cfg(), pat.as_ref()));
+        step_only(b, &bench, pat.as_ref());
     });
     // The switch-based baseline's radix-16 switch: 16 ports × 16 VCs =
     // 256 input VCs, the router `serving_mix` runs, under a load that
@@ -90,7 +123,7 @@ fn bench_simulation_cycles(c: &mut Criterion) {
     g.bench_function("switchbased_uniform", |b| {
         let bench = Bench::switchbased(&SwParams::radix16().with_groups(2), RouteMode::Minimal);
         let pat = bench.pattern(PatternSpec::Uniform, 0.6);
-        b.iter(|| run(&bench, &quick_cfg(), pat.as_ref()));
+        step_only(b, &bench, pat.as_ref());
     });
     g.finish();
 }

@@ -323,7 +323,6 @@ impl Partition {
             measure_end,
             out_min,
             trace,
-            alloc,
             pool,
         };
         let gen_due = ctx.injecting && *gen_min <= now;
@@ -357,7 +356,7 @@ impl Partition {
             for b in Ones(pend.routers[w]) {
                 let lr = w * 64 + b;
                 let r = &mut routers[lr];
-                r.cycle(&mut ctx, oracle);
+                r.cycle(&mut ctx, alloc, oracle);
                 if r.idle() {
                     clear_bit(&mut pend.routers, lr);
                 }

@@ -5,7 +5,10 @@
 //! recursive-descent parser returning a dynamic [`Value`], the [`Json`]
 //! codec, string escaping and number formatting helpers, and a
 //! canonical-digest helper ([`digest_hex`]) for the golden scenario
-//! corpus.
+//! corpus. The parser takes RFC 8259 JSON only: numbers by its grammar
+//! (no `+` sign, no bare `.`), no raw control character in a string, and
+//! `\u` escapes of exactly four hex digits. Every syntax error names its
+//! byte.
 //!
 //! [`Json`] is the one codec. Record-shaped types (the `wsdf` reports,
 //! fault specs, workload DAGs) implement it through one field table,
@@ -672,7 +675,8 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'n') => self.literal("null", Value::Null),
-            Some(_) => self.number(),
+            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(_) => Err(format!("expected a value at byte {}", self.pos)),
             None => Err(format!("unexpected end of input at byte {}", self.pos)),
         }
     }
@@ -786,6 +790,12 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
+                Some(b) if b < 0x20 => {
+                    return Err(format!(
+                        "unescaped control character U+{b:04X} in string at byte {}",
+                        self.pos
+                    ))
+                }
                 Some(_) => {
                     // Consume one UTF-8 scalar (multi-byte sequences pass
                     // through unchanged).
@@ -805,21 +815,56 @@ impl Parser<'_> {
     }
 
     /// The four hex digits at byte `at` of the `\u` escape at byte
-    /// `at - 2`.
+    /// `at - 2`: exactly four, with no sign.
     fn hex4(&self, at: usize) -> Result<u32, String> {
         let bad = || format!("bad \\u escape at byte {}", at - 2);
-        let hex = self.bytes.get(at..at + 4).ok_or_else(bad)?;
-        u32::from_str_radix(std::str::from_utf8(hex).map_err(|_| bad())?, 16).map_err(|_| bad())
+        let hex = self
+            .bytes
+            .get(at..at + 4)
+            .filter(|hex| hex.iter().all(u8::is_ascii_hexdigit))
+            .ok_or_else(bad)?;
+        Ok(hex.iter().fold(0, |code, &b| {
+            code << 4 | (b as char).to_digit(16).unwrap_or(0)
+        }))
     }
 
+    /// Skip one byte if it is `b`.
+    fn eat(&mut self, b: u8) -> bool {
+        let hit = self.peek() == Some(b);
+        self.pos += hit as usize;
+        hit
+    }
+
+    /// Skip a run of one or more decimal digits.
+    fn digits(&mut self) -> Result<(), String> {
+        if !self.peek().is_some_and(|b| b.is_ascii_digit()) {
+            return Err(format!(
+                "invalid number: expected a digit at byte {}",
+                self.pos
+            ));
+        }
+        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
+            self.pos += 1;
+        }
+        Ok(())
+    }
+
+    /// A number by the RFC 8259 grammar: `-? (0 | [1-9][0-9]*)
+    /// (\.[0-9]+)? ([eE][+-]?[0-9]+)?`.
     fn number(&mut self) -> Result<Value, String> {
         let start = self.pos;
-        while let Some(b) = self.peek() {
-            if matches!(b, b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9') {
-                self.pos += 1;
-            } else {
-                break;
+        self.eat(b'-');
+        if !self.eat(b'0') {
+            self.digits()?;
+        }
+        if self.eat(b'.') {
+            self.digits()?;
+        }
+        if self.eat(b'e') || self.eat(b'E') {
+            if !self.eat(b'+') {
+                self.eat(b'-');
             }
+            self.digits()?;
         }
         // The scanned bytes are ASCII, so always UTF-8. A literal past the
         // f64 range is refused rather than read as infinity, which writes
@@ -929,6 +974,45 @@ mod tests {
         ] {
             assert_eq!(Value::parse(text).unwrap_err(), want, "{text}");
         }
+    }
+
+    #[test]
+    fn only_rfc8259_numbers_strings_and_escapes_parse() {
+        for (text, want) in [
+            ("+4", "expected a value at byte 0"),
+            ("[1, .3]", "expected a value at byte 4"),
+            ("-", "invalid number: expected a digit at byte 1"),
+            ("-.5", "invalid number: expected a digit at byte 1"),
+            ("1.", "invalid number: expected a digit at byte 2"),
+            ("1.e3", "invalid number: expected a digit at byte 2"),
+            ("1e", "invalid number: expected a digit at byte 2"),
+            ("[2E+]", "invalid number: expected a digit at byte 4"),
+            ("01", "trailing data at byte 1"),
+            ("[-01]", "expected ',' or ']' at byte 3"),
+            (
+                "\"a\tb\"",
+                "unescaped control character U+0009 in string at byte 2",
+            ),
+            (
+                "{\"k\r\": 1}",
+                "unescaped control character U+000D in string at byte 3",
+            ),
+            (r#""\u+041""#, r"bad \u escape at byte 1"),
+            (r#"["\u-041"]"#, r"bad \u escape at byte 2"),
+            (r#""\u 041""#, r"bad \u escape at byte 1"),
+        ] {
+            assert_eq!(Value::parse(text).unwrap_err(), want, "{text:?}");
+        }
+        for (text, want) in [
+            ("0", 0.0),
+            ("-0.5e-3", -0.0005),
+            ("10E+2", 1000.0),
+            ("1.25e2", 125.0),
+        ] {
+            assert_eq!(parse(text).as_f64(), Some(want), "{text}");
+        }
+        assert_eq!(parse(r#""\u0041\u00E9""#).as_str(), Some("Aé"));
+        assert_eq!(parse("\"\u{7f}é\"").as_str(), Some("\u{7f}é"));
     }
 
     #[test]

@@ -3,9 +3,22 @@
 //! One [`RouterRt`] is an input-queued virtual-channel router with
 //! credit-based flow control and separable round-robin allocation (Dally &
 //! Towles, *Principles and Practices of Interconnection Networks*,
-//! ch. 18–19). A busy router-cycle makes one walk over its occupied input
-//! VCs, in ascending flat id (`port × vcs + vc`), skipping empty ports and
-//! VCs through occupancy words:
+//! ch. 18–19).
+//!
+//! Each port is one 64-byte, cache-line-aligned record (`Port`): its
+//! occupancy word, its SA pointer, its input quota and its input and
+//! output wiring, so an allocator visit to a port loads one line. Input
+//! and output VCs have flat ids `port << s | vc`, where the VC stride
+//! `1 << s` is the VC count rounded up to a power of two: decoding a flat
+//! id is a shift and a mask, and flat order is `(port, vc)` order. The
+//! stride pads only VC counts that are not powers of two, at 16 bytes per
+//! input VC and 8 per output VC: switch-based Valiant routing's 24 VCs
+//! take 32 slots per port and switch-less Valiant's 12 take 16, while the
+//! 16, 8 and 4 VCs of the benchmark workloads take no padding.
+//!
+//! A busy router-cycle makes one walk over its occupied input VCs, in
+//! ascending flat id, skipping empty ports and VCs through occupancy
+//! words:
 //!
 //! * **RC** — an input VC whose front flit is a head without a route
 //!   queries the [`crate::RouteOracle`], in walk order, so the per-router
@@ -15,14 +28,23 @@
 //!   at or after its rotating pointer, wrapping to the first requester; the
 //!   walk finds that winner without a sort (`VaSlot`).
 //! * **SA** — every granted input VC (held over, or granted by VA this
-//!   cycle) is a candidate on its output port. Each output port, in
-//!   ascending order, grants up to `width(out_channel)` flits per cycle,
-//!   visiting candidates from its rotating pointer onwards and wrapping
-//!   (`RotatedOnes`, again no sort); each input port may forward at most
-//!   `width(in_channel) × speedup` flits per cycle.
+//!   cycle) joins the step's candidate list as `out_port << 16 | flat id`.
+//!   SA insertion-sorts the list (it holds one or two entries on a typical
+//!   step), so each output port's candidates form one ascending run, and
+//!   serves the ports in ascending order. A port grants up to
+//!   `width(out_channel)` flits per cycle: it visits its run from the first
+//!   candidate at or after its rotating pointer, wrapping to the run's
+//!   start, and sweeps again while quota and progress remain. Each input
+//!   port forwards at most `width(in_channel) × speedup` flits per cycle;
+//!   its quota is read when one of its VCs first competes in the step.
 //! * **ST/LT** — granted flits move onto the output channel (arriving
 //!   `latency` cycles later), a credit returns upstream, and a tail flit
 //!   releases its output VC.
+//!
+//! Every arbiter grants the candidate with the smallest `(f + n − ptr) %
+//! n` over flat ids `f` and pointer `ptr`. Padding the stride keeps that
+//! order: the padded ids are a monotone map of `port × vcs + vc`, and no
+//! candidate sits in the padding.
 //!
 //! The requests and candidates live in an `AllocScratch` that the routers
 //! of one partition share: they step one at a time, and each step leaves
@@ -329,8 +351,8 @@ impl FlitPool {
         for r in routers {
             let mut held = 0u32;
             for port in Ones(r.occ_ports) {
-                for vc in Ones(r.occ[port]) {
-                    let iv = &r.inputs[port * r.vcs as usize + vc];
+                for vc in Ones(r.ports[port].occ) {
+                    let iv = &r.inputs[port << r.shift | vc];
                     let fifo = || format!("router {} port {port} VC {vc}", r.id);
                     let mut s = iv.head;
                     for step in 0..iv.len {
@@ -387,10 +409,44 @@ impl FlitPool {
 /// Per-output-VC state.
 #[derive(Debug, Clone, Copy)]
 struct OutputVc {
-    /// Input VC (flat index) currently holding this output VC.
+    /// Input VC (flat id) currently holding this output VC.
     owner: Option<u16>,
     /// Remaining credits (free downstream buffer slots).
     credits: u16,
+    /// Rotating priority pointer of the VC arbiter (VA), a flat id.
+    va_ptr: u16,
+}
+
+const _: () = assert!(std::mem::size_of::<OutputVc>() == 8);
+
+/// One router port: the input and output halves the allocator reads
+/// together, in one cache line.
+#[derive(Debug, Clone, Copy)]
+#[repr(align(64))]
+struct Port {
+    /// Occupancy word: bit v set ⇔ input VC v buffers a flit. Keeps the
+    /// allocation walk proportional to occupied VCs, not to ports × VCs
+    /// (the hot-path cost at scale).
+    occ: u64,
+    /// Rotating priority pointer of the switch arbiter (SA), a flat id.
+    sa_ptr: u16,
+    /// Flits the input port may forward per cycle: the incoming channel's
+    /// width × the crossbar speedup, 0 while unwired.
+    quota: u16,
+    pin: Option<PortIn>,
+    pout: Option<PortOut>,
+}
+
+const _: () = assert!(std::mem::size_of::<Port>() == 64);
+
+impl Port {
+    const UNWIRED: Port = Port {
+        occ: 0,
+        sa_ptr: 0,
+        quota: 0,
+        pin: None,
+        pout: None,
+    };
 }
 
 /// Mutable per-cycle context handed to routers/endpoints by the engine.
@@ -434,8 +490,6 @@ pub struct CycleCtx<'a> {
     /// pays one branch per emission site and nothing else). Observe-only:
     /// nothing here may feed back into simulated state.
     pub trace: Option<&'a mut PartTrace>,
-    /// This partition's allocator scratch, shared by its routers.
-    pub(crate) alloc: &'a mut AllocScratch,
     /// This partition's flit store, shared by its routers and endpoints.
     pub(crate) pool: &'a mut FlitPool,
 }
@@ -632,34 +686,55 @@ pub(crate) struct AllocScratch {
     va: Vec<VaSlot>,
     /// Output VCs requested in the current step, in first-request order.
     va_touched: Vec<u16>,
-    /// SA candidates: row `p` (`words` words from `p × words`) is a
-    /// bitmask over the input-VC flat ids holding output port `p`.
-    sa: Vec<u64>,
-    words: usize,
-    /// Output ports whose `sa` row has a candidate.
-    sa_ports: u64,
+    /// SA candidates of the current step, `out_port << 16 | flat id`: each
+    /// granted input VC once.
+    cands: Vec<u32>,
+    /// Forwarding quota left per input port in the current step; an entry
+    /// is live only once SA has read it, which SA tracks in a seen-mask.
+    quota: Vec<u16>,
+    /// Debug builds: the input VCs (flat ids) in `cands`.
+    #[cfg(debug_assertions)]
+    listed: Vec<u64>,
 }
 
 impl AllocScratch {
     /// Scratch for the largest of `routers`.
     pub(crate) fn for_routers(routers: &[RouterRt]) -> Self {
-        let ports = routers.iter().map(|r| r.ports as usize).max().unwrap_or(0);
+        let ports = routers.iter().map(|r| r.ports.len()).max().unwrap_or(0);
         let nflat = routers.iter().map(|r| r.inputs.len()).max().unwrap_or(0);
-        let words = nflat.div_ceil(64);
         AllocScratch {
             va: vec![VaSlot::EMPTY; nflat],
             va_touched: Vec::with_capacity(nflat),
-            sa: vec![0; ports * words],
-            words,
-            sa_ports: 0,
+            cands: Vec::with_capacity(nflat),
+            quota: vec![0; ports],
+            #[cfg(debug_assertions)]
+            listed: vec![0; nflat.div_ceil(64)],
         }
     }
 
     /// Input VC `f` competes for output port `port` in SA.
     #[inline]
     fn candidate(&mut self, port: usize, f: usize) {
-        self.sa[port * self.words + f / 64] |= 1 << (f % 64);
-        self.sa_ports |= 1 << port;
+        #[cfg(debug_assertions)]
+        {
+            let (w, bit) = (f / 64, 1 << (f % 64));
+            assert!(
+                self.listed[w] & bit == 0,
+                "input VC {f} entered the SA candidate list twice in one step"
+            );
+            self.listed[w] |= bit;
+        }
+        self.cands.push((port as u32) << 16 | f as u32);
+    }
+
+    /// Empty the candidate list at the end of a step.
+    #[inline]
+    fn clear_candidates(&mut self) {
+        #[cfg(debug_assertions)]
+        for &c in &self.cands {
+            clear_bit(&mut self.listed, c as u16 as usize);
+        }
+        self.cands.clear();
     }
 
     /// Debug builds: every request and candidate is cleared.
@@ -667,11 +742,37 @@ impl AllocScratch {
     pub(crate) fn assert_clear(&self) {
         assert!(
             self.va_touched.is_empty()
-                && self.sa_ports == 0
+                && self.cands.is_empty()
                 && self.va.iter().all(|&v| v == VaSlot::EMPTY)
-                && self.sa.iter().all(|&w| w == 0),
+                && self.listed.iter().all(|&w| w == 0),
             "allocator scratch left dirty by a router step"
         );
+    }
+}
+
+/// The flat ids of one output port's run of sorted SA candidates in its
+/// arbiter's priority order: from the first at or after `ptr` onwards,
+/// then from the run's start. For any `n` above the ids this is ascending
+/// `(f + n − ptr) % n`, with no sort.
+#[inline]
+fn rotated(run: &[u32], ptr: u16) -> impl Iterator<Item = usize> + Clone + '_ {
+    let k = run.partition_point(|&c| (c as u16) < ptr);
+    run[k..].iter().chain(&run[..k]).map(|&c| c as u16 as usize)
+}
+
+/// Sort a step's SA candidates ascending. The list is short (one or two
+/// entries on most busy steps), so an insertion sort beats the library
+/// sort's set-up.
+#[inline]
+fn insertion_sort(v: &mut [u32]) {
+    for i in 1..v.len() {
+        let x = v[i];
+        let mut j = i;
+        while j > 0 && v[j - 1] > x {
+            v[j] = v[j - 1];
+            j -= 1;
+        }
+        v[j] = x;
     }
 }
 
@@ -680,29 +781,25 @@ impl AllocScratch {
 pub struct RouterRt {
     /// Global router id (passed to the oracle).
     pub id: u32,
-    ports: u8,
+    /// VCs per port.
     vcs: u8,
-    in_ports: Vec<Option<PortIn>>,
-    out_ports: Vec<Option<PortOut>>,
+    /// log2 of the VC stride: input and output VC `vc` of port `port` has
+    /// flat id `port << shift | vc`.
+    shift: u8,
+    /// Crossbar input speedup (flits one input port may forward per cycle).
+    speedup: u8,
+    ports: Vec<Port>,
+    /// Input VCs by flat id; the stride's padding slots stay empty.
     inputs: Vec<InputVc>,
+    /// Output VCs by flat id.
     outputs: Vec<OutputVc>,
-    /// Rotating priority pointer per output VC (VA).
-    va_ptr: Vec<u16>,
-    /// Rotating priority pointer per output port (SA).
-    sa_ptr: Vec<u16>,
     /// Buffered flits across all input VCs. Non-zero keeps the router's
     /// pending-work bit set, so it steps every cycle until it drains.
     buffered: u32,
-    /// Crossbar input speedup (flits one input port may forward per cycle).
-    speedup: u8,
     /// Deterministic stream for adaptive oracles.
     rng: SplitMix64,
-    /// Occupancy bitmap per port: bit v set ⇔ input VC v has buffered
-    /// flits. Keeps the allocation walk proportional to occupied VCs, not
-    /// to ports × VCs (the hot-path cost at scale).
-    occ: Vec<u64>,
-    /// Bit p set ⇔ `occ[p] != 0` ([`MAX_PORTS`] bounds the port count), so
-    /// the walk skips empty ports too.
+    /// Bit p set ⇔ port p's occupancy word is non-zero ([`MAX_PORTS`]
+    /// bounds the port count), so the walk skips empty ports too.
     occ_ports: u64,
     /// `buffer_flits`: the most flits an input VC buffers and the most
     /// credits an output VC holds.
@@ -713,27 +810,26 @@ impl RouterRt {
     /// Build a router with all ports unwired; the engine compiler attaches
     /// [`PortIn`]/[`PortOut`] afterwards.
     pub fn new(id: u32, ports: u8, vcs: u8, buffer_flits: u16, speedup: u8, seed: u64) -> Self {
-        let nflat = ports as usize * vcs as usize;
+        debug_assert!(ports as usize <= MAX_PORTS && (1..=64).contains(&vcs));
+        let shift = vcs.next_power_of_two().trailing_zeros() as u8;
+        let nflat = (ports as usize) << shift;
         RouterRt {
             id,
-            ports,
             vcs,
-            in_ports: vec![None; ports as usize],
-            out_ports: vec![None; ports as usize],
+            shift,
+            speedup: speedup.max(1),
+            ports: vec![Port::UNWIRED; ports as usize],
             inputs: vec![InputVc::EMPTY; nflat],
             outputs: vec![
                 OutputVc {
                     owner: None,
                     credits: buffer_flits,
+                    va_ptr: 0,
                 };
                 nflat
             ],
-            va_ptr: vec![0; nflat],
-            sa_ptr: vec![0; ports as usize],
             buffered: 0,
-            speedup: speedup.max(1),
             rng: SplitMix64::for_agent(seed, 0x5157 ^ (id as u64) << 1),
-            occ: vec![0; ports as usize],
             occ_ports: 0,
             depth: buffer_flits,
         }
@@ -741,12 +837,14 @@ impl RouterRt {
 
     /// Attach input wiring to `port`.
     pub fn wire_in(&mut self, port: u8, pin: PortIn) {
-        self.in_ports[port as usize] = Some(pin);
+        let p = &mut self.ports[port as usize];
+        p.quota = pin.width as u16 * self.speedup as u16;
+        p.pin = Some(pin);
     }
 
     /// Attach output wiring to `port`.
     pub fn wire_out(&mut self, port: u8, pout: PortOut) {
-        self.out_ports[port as usize] = Some(pout);
+        self.ports[port as usize].pout = Some(pout);
     }
 
     /// Flits currently buffered in this router.
@@ -771,8 +869,8 @@ impl RouterRt {
     /// all `buffer_flits` credits between cycles.
     #[cfg(debug_assertions)]
     pub(crate) fn assert_ejection_credits(&self, buffer_flits: u16) {
-        for (port, pout) in self.out_ports.iter().enumerate() {
-            if !pout.is_some_and(|p| p.is_ejection) {
+        for (port, p) in self.ports.iter().enumerate() {
+            if !p.pout.is_some_and(|pout| pout.is_ejection) {
                 continue;
             }
             for vc in 0..self.vcs {
@@ -789,7 +887,25 @@ impl RouterRt {
 
     #[inline]
     fn flat(&self, port: u8, vc: u8) -> usize {
-        port as usize * self.vcs as usize + vc as usize
+        (port as usize) << self.shift | vc as usize
+    }
+
+    /// The port and VC of flat id `f`.
+    #[inline]
+    fn port_vc(&self, f: usize) -> (usize, usize) {
+        (f >> self.shift, f & ((1 << self.shift) - 1))
+    }
+
+    /// The rotating pointer that follows a grant to flat id `f`: `f + 1`,
+    /// wrapping to 0 past the last flat id.
+    #[inline]
+    fn after(&self, f: usize) -> u16 {
+        let next = f + 1;
+        if next == self.inputs.len() {
+            0
+        } else {
+            next as u16
+        }
     }
 
     /// One simulation cycle: RC, VA, SA, traversal.
@@ -803,19 +919,20 @@ impl RouterRt {
     /// monomorphizes — no virtual dispatch on the hot path. A type-erased
     /// `Simulation<&dyn RouteOracle>` instantiates this with
     /// `O = &dyn RouteOracle` instead.
-    pub fn cycle<O: RouteOracle + ?Sized>(&mut self, ctx: &mut CycleCtx<'_>, oracle: &O) {
+    pub fn cycle<O: RouteOracle + ?Sized>(
+        &mut self,
+        ctx: &mut CycleCtx<'_>,
+        scratch: &mut AllocScratch,
+        oracle: &O,
+    ) {
         debug_assert!(self.buffered > 0, "router {} stepped idle", self.id);
-        // The scratch leaves the context for the step: SA sends flits
-        // through the context while it walks the candidate rows.
-        let mut scratch = std::mem::take(ctx.alloc);
-        self.route_and_request(oracle, &mut scratch, ctx.pool);
-        self.switch_allocate(ctx, &mut scratch);
+        self.route_and_request(oracle, scratch, ctx.pool);
+        self.switch_allocate(ctx, scratch);
         debug_assert!(
-            scratch.va_touched.is_empty() && scratch.sa_ports == 0,
+            scratch.va_touched.is_empty() && scratch.cands.is_empty(),
             "router {} left the allocator scratch dirty",
             self.id
         );
-        *ctx.alloc = scratch;
     }
 
     /// True when [`cycle`](Self::cycle) would be a strict no-op: nothing
@@ -843,7 +960,7 @@ impl RouterRt {
             self.depth
         );
         iv.link(pool, slot);
-        self.occ[port as usize] |= 1 << vc;
+        self.ports[port as usize].occ |= 1 << vc;
         self.occ_ports |= 1 << port;
         self.buffered += 1;
     }
@@ -868,7 +985,7 @@ impl RouterRt {
 
     /// The walk: one pass over the occupied input VCs in ascending flat
     /// id. It routes each unrouted head (RC), records each ungranted VC's
-    /// request for its output VC if that VC is free, and marks each granted
+    /// request for its output VC if that VC is free, and lists each granted
     /// VC as an SA candidate on its output port. VA then grants every
     /// requested output VC to its round-robin winner (see `VaSlot`), which
     /// becomes a candidate too.
@@ -878,10 +995,10 @@ impl RouterRt {
         s: &mut AllocScratch,
         pool: &FlitPool,
     ) {
-        let vcs = self.vcs as usize;
+        let shift = self.shift;
         for port in Ones(self.occ_ports) {
-            for vc in Ones(self.occ[port]) {
-                let f = port * vcs + vc;
+            for vc in Ones(self.ports[port].occ) {
+                let f = port << shift | vc;
                 let iu = &mut self.inputs[f];
                 let rc = match iu.route {
                     Some(rc) => rc,
@@ -901,11 +1018,11 @@ impl RouterRt {
                             &mut self.rng,
                         );
                         debug_assert!(
-                            (choice.out_port as usize) < self.ports as usize,
+                            (choice.out_port as usize) < self.ports.len(),
                             "oracle chose invalid port {} on router {} ({} ports)",
                             choice.out_port,
                             self.id,
-                            self.ports
+                            self.ports.len()
                         );
                         debug_assert!(choice.out_vc < self.vcs);
                         iu.route = Some(choice);
@@ -917,97 +1034,113 @@ impl RouterRt {
                     s.candidate(rc.out_port as usize, f);
                     continue;
                 }
-                let o = rc.out_port as usize * vcs + rc.out_vc as usize;
-                if self.outputs[o].owner.is_none() && s.va[o].offer(f as u16, self.va_ptr[o]) {
+                let o = self.flat(rc.out_port, rc.out_vc);
+                let out = &self.outputs[o];
+                if out.owner.is_none() && s.va[o].offer(f as u16, out.va_ptr) {
                     s.va_touched.push(o as u16);
                 }
             }
         }
-        let n = self.inputs.len() as u16;
         for i in 0..s.va_touched.len() {
             let o = s.va_touched[i] as usize;
             let winner = std::mem::replace(&mut s.va[o], VaSlot::EMPTY).winner();
-            self.outputs[o].owner = Some(winner);
+            let va_ptr = self.after(winner as usize);
+            let out = &mut self.outputs[o];
+            out.owner = Some(winner);
+            out.va_ptr = va_ptr;
             self.inputs[winner as usize].granted = true;
-            self.va_ptr[o] = (winner + 1) % n;
-            s.candidate(o / vcs, winner as usize);
+            s.candidate(o >> shift, winner as usize);
         }
         s.va_touched.clear();
     }
 
-    /// Switch allocation + traversal. Each output port with candidates, in
-    /// ascending order, grants up to `width` flits: it visits its
-    /// candidates in rotated order from its pointer, and sweeps again
-    /// while quota and progress remain (a wide link may take several flits
-    /// from one VC per cycle). Each input port forwards at most
-    /// `width × speedup` flits. Clears every candidate row it visits.
+    /// Switch allocation + traversal over the step's candidate list,
+    /// sorted so each output port's candidates form one ascending run.
+    /// Each port, in ascending order, grants up to `width` flits: it visits
+    /// its run in rotated order from its pointer, and sweeps again while
+    /// quota and progress remain (a wide link may take several flits from
+    /// one VC per cycle). Each input port forwards at most
+    /// `width × speedup` flits. Empties the list.
     fn switch_allocate(&mut self, ctx: &mut CycleCtx<'_>, s: &mut AllocScratch) {
-        if s.sa_ports == 0 {
-            return;
-        }
-        // Per-input-port forwarding quotas: `MAX_PORTS` bounds the port
-        // count, so a 128-byte stack array holds them.
-        let mut in_quota = [0u16; MAX_PORTS];
-        debug_assert!(self.ports as usize <= in_quota.len());
-        for (q, pin) in in_quota.iter_mut().zip(&self.in_ports) {
-            *q = pin.map_or(0, |pi| pi.width as u16 * self.speedup as u16);
-        }
-        let vcs = self.vcs as usize;
-        let n = self.inputs.len();
-        let words = n.div_ceil(64);
-        for oport in Ones(std::mem::take(&mut s.sa_ports)) {
-            let row = &mut s.sa[oport * s.words..][..words];
-            let pout = self.out_ports[oport].expect("route to unwired output port");
-            let mut quota = pout.width;
-            let ptr = self.sa_ptr[oport] as usize;
-            let mut granted_any = None;
-            while quota > 0 {
-                let mut progressed = false;
-                for f in RotatedOnes::new(row, ptr) {
-                    if quota == 0 {
+        insertion_sort(&mut s.cands);
+        // Bit p set ⇔ `s.quota[p]` holds input port p's quota left.
+        let mut seen = 0u64;
+        for run in s.cands.chunk_by(|a, b| a >> 16 == b >> 16) {
+            let oport = (run[0] >> 16) as usize;
+            let port = &self.ports[oport];
+            let pout = port.pout.expect("route to unwired output port");
+            let last = if run.len() == 1 && pout.width == 1 {
+                let f = run[0] as u16 as usize;
+                self.grant(f, pout, &mut s.quota, &mut seen, ctx)
+                    .then_some(f)
+            } else {
+                let order = rotated(run, port.sa_ptr);
+                let mut quota = pout.width;
+                let mut last = None;
+                'sweeps: loop {
+                    let mut progressed = false;
+                    for f in order.clone() {
+                        if self.grant(f, pout, &mut s.quota, &mut seen, ctx) {
+                            last = Some(f);
+                            progressed = true;
+                            quota -= 1;
+                            if quota == 0 {
+                                break 'sweeps;
+                            }
+                        }
+                    }
+                    if !progressed {
                         break;
                     }
-                    let in_port = f / vcs;
-                    if in_quota[in_port] == 0 {
-                        continue;
-                    }
-                    // Re-validate: a tail sent earlier in this sweep clears
-                    // the VC's route/grant; the next packet must go through
-                    // RC/VA again before it can compete.
-                    let iu = &self.inputs[f];
-                    if !iu.granted {
-                        continue;
-                    }
-                    let Some(rc) = iu.route else {
-                        continue;
-                    };
-                    if self.outputs[self.flat(rc.out_port, rc.out_vc)].credits == 0 {
-                        continue;
-                    }
-                    if iu.len == 0 {
-                        continue;
-                    }
-                    self.send_one(f, rc, pout, ctx);
-                    quota -= 1;
-                    in_quota[in_port] -= 1;
-                    granted_any = Some(f);
-                    progressed = true;
                 }
-                if !progressed {
-                    break;
-                }
-            }
-            row.fill(0);
-            if let Some(f) = granted_any {
-                self.sa_ptr[oport] = ((f + 1) % n) as u16;
+                last
+            };
+            if let Some(f) = last {
+                self.ports[oport].sa_ptr = self.after(f);
             }
         }
+        s.clear_candidates();
+    }
+
+    /// Send one flit from candidate input VC `f` over `pout` if it still
+    /// may: its input port has quota left, and it holds its output VC,
+    /// which has a credit, with a flit buffered. A tail sent earlier in the
+    /// step clears the VC's route and grant, and its next packet must pass
+    /// RC and VA again before it competes. An input port's quota enters
+    /// `quota` when one of its VCs first competes in the step (`seen`).
+    #[inline]
+    fn grant(
+        &mut self,
+        f: usize,
+        pout: PortOut,
+        quota: &mut [u16],
+        seen: &mut u64,
+        ctx: &mut CycleCtx<'_>,
+    ) -> bool {
+        let in_port = f >> self.shift;
+        if *seen & (1 << in_port) == 0 {
+            *seen |= 1 << in_port;
+            quota[in_port] = self.ports[in_port].quota;
+        }
+        let iu = &self.inputs[f];
+        let Some(rc) = iu.route else {
+            return false;
+        };
+        if quota[in_port] == 0
+            || !iu.granted
+            || iu.len == 0
+            || self.outputs[self.flat(rc.out_port, rc.out_vc)].credits == 0
+        {
+            return false;
+        }
+        self.send_one(f, rc, pout, ctx);
+        quota[in_port] -= 1;
+        true
     }
 
     /// Move one flit from input VC `f` onto the output port `rc` names.
     fn send_one(&mut self, f: usize, rc: RouteChoice, pout: PortOut, ctx: &mut CycleCtx<'_>) {
-        let vcs = self.vcs as usize;
-        let (in_port, in_vc) = (f / vcs, f % vcs);
+        let (in_port, in_vc) = self.port_vc(f);
         assert!(
             !pout.dead,
             "routing oracle sent a flit over dead channel {} (router {}, out port {}, dst {})",
@@ -1019,8 +1152,9 @@ impl RouterRt {
         let s = self.inputs[f].unlink(ctx.pool);
         let tail = ctx.pool.flit(s).kind.is_tail();
         if self.inputs[f].len == 0 {
-            self.occ[in_port] &= !(1 << in_vc);
-            if self.occ[in_port] == 0 {
+            let p = &mut self.ports[in_port];
+            p.occ &= !(1 << in_vc);
+            if p.occ == 0 {
                 self.occ_ports &= !(1 << in_port);
             }
         }
@@ -1043,7 +1177,9 @@ impl RouterRt {
         }
 
         // Credit back upstream for the freed buffer slot.
-        let pin = self.in_ports[in_port].expect("flit came from a wired input");
+        let pin = self.ports[in_port]
+            .pin
+            .expect("flit came from a wired input");
         let credit_arrive = ctx.now + pin.credit_latency as u64;
         match pin.credit_to {
             CreditTarget::Local(to) => ctx
@@ -1587,6 +1723,67 @@ mod tests {
                     assert_eq!(got, want, "n {n}, ptr {ptr}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn candidate_runs_match_the_sorted_rotation() {
+        let mut rng = SplitMix64::new(0xC4);
+        for n in SIZES {
+            for mask in masks(n, &mut rng) {
+                // Each candidate on one of up to 64 output ports, listed in
+                // a random order, as VA winners join after the walk's.
+                let ports = 1 + rng.next_u64() % MAX_PORTS as u64;
+                let mut cands: Vec<u32> = set_bits(&mask)
+                    .into_iter()
+                    .map(|f| ((rng.next_u64() % ports) as u32) << 16 | f as u32)
+                    .collect();
+                for i in (1..cands.len()).rev() {
+                    cands.swap(i, (rng.next_u64() % (i as u64 + 1)) as usize);
+                }
+                insertion_sort(&mut cands);
+                assert!(cands.windows(2).all(|w| w[0] < w[1]), "n {n}: unsorted");
+                for run in cands.chunk_by(|a, b| a >> 16 == b >> 16) {
+                    let port = run[0] >> 16;
+                    let ids: Vec<usize> = cands
+                        .iter()
+                        .filter(|&&c| c >> 16 == port)
+                        .map(|&c| c as u16 as usize)
+                        .collect();
+                    assert_eq!(ids.len(), run.len(), "n {n}: port {port} split");
+                    for ptr in pointers(n) {
+                        let mut want = ids.clone();
+                        want.sort_unstable_by_key(|&f| (f + n - ptr) % n);
+                        let got: Vec<usize> = rotated(run, ptr as u16).collect();
+                        assert_eq!(got, want, "n {n}, port {port}, ptr {ptr}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn flat_ids_are_monotone_and_decode_by_shift() {
+        for vcs in 1..=64u8 {
+            let r = RouterRt::new(0, MAX_PORTS as u8, vcs, 1, 1, 1);
+            let stride = 1 << r.shift;
+            assert!(
+                (vcs as usize..2 * vcs as usize).contains(&stride),
+                "vcs {vcs}: stride {stride}"
+            );
+            assert_eq!(r.inputs.len(), MAX_PORTS * stride);
+            let mut prev = None;
+            for id in 0..MAX_PORTS * vcs as usize {
+                let (port, vc) = (id / vcs as usize, id % vcs as usize);
+                let f = r.flat(port as u8, vc as u8);
+                assert_eq!(r.port_vc(f), (port, vc), "vcs {vcs}, id {id}");
+                assert!(
+                    prev.is_none_or(|p| p < f),
+                    "vcs {vcs}: flat id {f} of id {id} breaks (port, vc) order"
+                );
+                prev = Some(f);
+            }
+            assert!(prev.is_some_and(|f| f < r.inputs.len()));
         }
     }
 

@@ -3,7 +3,8 @@
 //! The build environment has no network access, so this workspace vendors
 //! the subset of criterion's API that its benches use: `Criterion`,
 //! benchmark groups with `sample_size`/`bench_function`/`bench_with_input`,
-//! `BenchmarkId`, and the `criterion_group!`/`criterion_main!` macros.
+//! `Bencher::iter` and `Bencher::iter_batched`, `BenchmarkId`, and the
+//! `criterion_group!`/`criterion_main!` macros.
 //!
 //! Measurement is deliberately simple — per benchmark: one warm-up
 //! iteration, then up to `sample_size` timed iterations bounded by a
@@ -261,13 +262,38 @@ impl Bencher {
     /// (bounded by a wall-clock budget). Every sample is kept so the shim
     /// can report iteration-time percentiles alongside mean/min.
     pub fn iter<R, F: FnMut() -> R>(&mut self, mut f: F) {
-        std::hint::black_box(f());
+        self.measure(|| {
+            let t0 = Instant::now();
+            std::hint::black_box(f());
+            t0.elapsed()
+        });
+    }
+
+    /// Time `routine` on a fresh input from `setup`, which runs before each
+    /// call and outside the timed span; samples are taken as in
+    /// [`iter`](Self::iter). Unlike criterion's, this takes no `BatchSize`:
+    /// every sample is one setup and one timed call.
+    pub fn iter_batched<I, R, S, F>(&mut self, mut setup: S, mut routine: F)
+    where
+        S: FnMut() -> I,
+        F: FnMut(I) -> R,
+    {
+        self.measure(|| {
+            let input = setup();
+            let t0 = Instant::now();
+            std::hint::black_box(routine(input));
+            t0.elapsed()
+        });
+    }
+
+    /// One warm-up `sample`, then the timed ones; `sample` returns the
+    /// time it measured.
+    fn measure(&mut self, mut sample: impl FnMut() -> Duration) {
+        sample();
         let budget_start = Instant::now();
         self.recorded.reserve(self.samples as usize);
         for _ in 0..self.samples {
-            let t0 = Instant::now();
-            std::hint::black_box(f());
-            let dt = t0.elapsed();
+            let dt = sample();
             self.total += dt;
             self.min = self.min.min(dt);
             self.recorded.push(dt);
@@ -360,6 +386,30 @@ mod tests {
         let m = &c.results[0];
         assert!(m.min_ns <= m.p50_ns, "{} > {}", m.min_ns, m.p50_ns);
         assert!(m.p50_ns <= m.p95_ns && m.p95_ns <= m.p99_ns);
+    }
+
+    #[test]
+    fn iter_batched_times_the_routine_not_the_setup() {
+        let mut c = Criterion::default();
+        let mut setups = 0;
+        {
+            let mut g = c.benchmark_group("g");
+            g.sample_size(4);
+            g.bench_function("batched", |b| {
+                b.iter_batched(
+                    || {
+                        setups += 1;
+                        std::thread::sleep(Duration::from_millis(20));
+                        setups
+                    },
+                    |n| assert!(n >= 1),
+                )
+            });
+            g.finish();
+        }
+        let m = &c.results[0];
+        assert_eq!(setups, m.iters + 1, "one setup per sample and the warm-up");
+        assert!(m.p99_ns < 10e6, "setup was timed: p99 {} ns", m.p99_ns);
     }
 
     #[test]
