@@ -370,6 +370,52 @@ fn bench_serving(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_workload(c: &mut Criterion) {
+    use wsdf::workload::tenancy::{build_jobs, ArrivalProcess, JobClass, Placement};
+
+    let mut g = c.benchmark_group("workload");
+    // perfbench's `serving_mix` at its seed 1 (arrival seed 104746): 200
+    // jobs, one every 50 cycles, over the 1312 chips of the full radix-16
+    // switch-based fabric, in three 16-chip classes. A sample
+    // materializes the job set and validates every job, the workload
+    // set-up a serving run does before its first cycle, and drops it.
+    let bench = Bench::switchbased(&SwParams::radix16(), RouteMode::Minimal);
+    let (chips, endpoints) = (bench.live_chips(), bench.endpoints());
+    let class = |name: &str, collective: &str, flits, microbatches, placement| JobClass {
+        name: name.into(),
+        collective: collective.into(),
+        flits,
+        microbatches,
+        participants: 16,
+        placement,
+        slo_cycles: 0,
+        weight: 1.0,
+    };
+    let spec = ServingSpec {
+        seed: 104_746,
+        arrivals: ArrivalProcess::Trace {
+            cycles: (0..200).map(|j| j * 50).collect(),
+        },
+        max_jobs: 200,
+        classes: vec![
+            class("allreduce", "ring_allreduce", 64, 1, Placement::Block),
+            class("pipeline", "pipeline", 32, 4, Placement::Strided),
+            class("shuffle", "all_to_all", 8, 1, Placement::Overlapping),
+        ],
+    };
+    let materialize = || {
+        let jobs = build_jobs(&spec, &chips).unwrap();
+        for job in &jobs {
+            job.workload.validate(endpoints).unwrap();
+        }
+        jobs
+    };
+    let messages: usize = materialize().iter().map(|j| j.workload.len()).sum();
+    g.meta("messages", messages);
+    g.bench_function("materialize_serving_mix", |b| b.iter(materialize));
+    g.finish();
+}
+
 fn bench_exchange(c: &mut Criterion) {
     let mut g = c.benchmark_group("exchange");
     g.sample_size(10);
@@ -435,6 +481,7 @@ criterion_group!(
     bench_resilience,
     bench_detour_build,
     bench_serving,
+    bench_workload,
     bench_idle,
     bench_exchange,
     bench_partition_quality

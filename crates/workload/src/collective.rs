@@ -14,10 +14,42 @@
 //! DAGs can be assembled with [`Workload::push`]. Messages carry a *phase*
 //! tag (e.g. reduce-scatter vs allgather) so reports can attribute time
 //! and bandwidth per phase.
+//!
+//! Storage is compressed rows ([`Rows`]): the predecessor lists of all
+//! messages are one offsets array and one ids array, and
+//! [`Workload::successors`] inverts them the same way in one counting
+//! pass. A built DAG holds 32 bytes per message — the 24-byte [`Message`],
+//! its 4-byte row offset and, since no builder gives a message more than
+//! one predecessor on average, one 4-byte predecessor id — in a fixed
+//! number of allocations: building, validating and admitting a DAG never
+//! allocates per message. The builders size those arrays up front from
+//! [`Workload::collective_len`]'s closed forms, and no workload may exceed
+//! [`MESSAGE_BUDGET`] messages.
 
-use crate::message::{packet_count, MAX_MESSAGES, MAX_PACKETS_PER_MESSAGE};
+use crate::message::{packet_count, MAX_PACKETS_PER_MESSAGE};
 use wsdf_sim::json::{read, Json, Value};
 use wsdf_sim::json_object;
+
+/// Most messages one run may hold, over all of its jobs: 2^22 =
+/// 4,194,304. At 32 bytes per built message (see the module docs) a DAG
+/// at the budget takes 128 MiB; validation adds 16 bytes per message while
+/// it runs (successor offsets and ids, waiting counts, the frontier) and a
+/// closed-loop driver keeps about 36 (successor rows, waiting count,
+/// reassembly counters, completion cycle), so a run at the budget stays
+/// under 300 MiB of workload state. It admits a ring allreduce over every
+/// chip of a full radix-16 fabric (2 · 1311 · 1312 = 3,437,664 messages),
+/// and message ids fit `u32` with room to spare.
+pub const MESSAGE_BUDGET: u64 = 1 << 22;
+
+/// `Err` when `messages` exceed [`MESSAGE_BUDGET`].
+pub(crate) fn check_budget(messages: u64) -> Result<(), String> {
+    if messages > MESSAGE_BUDGET {
+        return Err(format!(
+            "{messages} messages exceed the message budget ({MESSAGE_BUDGET})"
+        ));
+    }
+    Ok(())
+}
 
 /// One point-to-point message of a collective.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,6 +64,121 @@ pub struct Message {
     pub phase: u32,
 }
 
+/// Lists of ids in compressed rows: row `r` is `ids[start[r]..start[r + 1]]`,
+/// so any number of rows lives in two allocations.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Rows {
+    start: Vec<u32>,
+    ids: Vec<u32>,
+}
+
+impl Rows {
+    /// No rows, with room for `rows` rows of `ids` ids in all.
+    fn with_capacity(rows: usize, ids: usize) -> Rows {
+        let mut start = Vec::with_capacity(rows + 1);
+        start.push(0);
+        Rows {
+            start,
+            ids: Vec::with_capacity(ids),
+        }
+    }
+
+    /// Append a row.
+    fn push(&mut self, row: &[u32]) {
+        self.ids.extend_from_slice(row);
+        let end = u32::try_from(self.ids.len()).expect("rows hold more than u32::MAX ids");
+        self.start.push(end);
+    }
+
+    /// Row `r`.
+    pub fn row(&self, r: u32) -> &[u32] {
+        let r = r as usize;
+        &self.ids[self.start[r] as usize..self.start[r + 1] as usize]
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    /// True if there are no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The length of every row, in row order.
+    fn lens(&self) -> impl ExactSizeIterator<Item = u32> + '_ {
+        self.start.windows(2).map(|w| w[1] - w[0])
+    }
+
+    /// The transpose over `cols` columns: row `c` lists, ascending, every
+    /// row that holds `c`. One pass counts the rows' lengths and a second
+    /// fills them, O(rows + cols + ids).
+    ///
+    /// # Panics
+    /// If an id is not below `cols`.
+    fn transpose(&self, cols: usize) -> Rows {
+        let mut start = vec![0u32; cols + 1];
+        for &c in &self.ids {
+            start[c as usize + 1] += 1;
+        }
+        for c in 0..cols {
+            start[c + 1] += start[c];
+        }
+        // `start[c]` walks row `c` as it fills, ending where row `c + 1`
+        // starts; one shift by a row puts every start back.
+        let mut ids = vec![0u32; self.ids.len()];
+        for r in 0..self.len() as u32 {
+            for &c in self.row(r) {
+                let at = &mut start[c as usize];
+                ids[*at as usize] = r;
+                *at += 1;
+            }
+        }
+        start.copy_within(0..cols, 1);
+        start[0] = 0;
+        Rows { start, ids }
+    }
+}
+
+/// Messages and predecessor edges of collective `kind` over `p`
+/// participants, in closed form (`microbatches` counts for `pipeline`
+/// only). Products saturate, so an absurd size reads as over the budget.
+fn shape(kind: &str, p: u64, microbatches: u64) -> Result<(u64, u64), String> {
+    let links = p.saturating_sub(1);
+    Ok(match kind {
+        // 2(p − 1) steps of p messages; every step after the first
+        // depends on the one before.
+        "ring_allreduce" => {
+            let messages = links.saturating_mul(p).saturating_mul(2);
+            (messages, messages.saturating_sub(p))
+        }
+        "rd_allreduce" => {
+            if p < 2 || !p.is_power_of_two() {
+                return Err(format!(
+                    "recursive doubling needs a power-of-two participant count, got {p}"
+                ));
+            }
+            let messages = u64::from(p.trailing_zeros()) * p;
+            (messages, messages - p)
+        }
+        "all_to_all" => (p.saturating_mul(links), 0),
+        // A binomial tree: one message per non-root participant, and each
+        // feeds the next round, except the ⌈log2 p⌉ the root sends (or
+        // receives) itself.
+        "broadcast" | "reduce" => {
+            let rounds = u64::from(p.max(1).next_power_of_two().trailing_zeros());
+            (links, links.saturating_sub(rounds))
+        }
+        // Every link but the first waits on the one before, per microbatch.
+        "pipeline" => (
+            links.saturating_mul(microbatches),
+            p.saturating_sub(2).saturating_mul(microbatches),
+        ),
+        other => return Err(format!("unknown collective \"{other}\"")),
+    })
+}
+
 /// A dependency-aware collective workload (a message DAG).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Workload {
@@ -40,19 +187,39 @@ pub struct Workload {
     /// Phase labels, indexed by [`Message::phase`].
     pub phases: Vec<String>,
     msgs: Vec<Message>,
-    /// Predecessors per message (indices into `msgs`).
-    preds: Vec<Vec<u32>>,
+    /// Row `m` holds the predecessors of message `m` (indices into `msgs`).
+    preds: Rows,
 }
 
 impl Workload {
     /// An empty workload (assemble with [`push`](Self::push)).
     pub fn new(name: impl Into<String>) -> Self {
+        Workload::with_capacity(name.into(), 0, 0)
+    }
+
+    /// An empty workload with room for `messages` messages and `edges`
+    /// predecessor ids.
+    fn with_capacity(name: String, messages: usize, edges: usize) -> Self {
         Workload {
-            name: name.into(),
+            name,
             phases: Vec::new(),
-            msgs: Vec::new(),
-            preds: Vec::new(),
+            msgs: Vec::with_capacity(messages),
+            preds: Rows::with_capacity(messages, edges),
         }
+    }
+
+    /// An empty workload named `name`, sized for collective `kind` over
+    /// `p` participants.
+    ///
+    /// # Panics
+    /// If the collective exceeds [`MESSAGE_BUDGET`].
+    fn sized(name: &str, kind: &str, p: usize, microbatches: u32) -> Self {
+        let (messages, edges) =
+            shape(kind, p as u64, microbatches.into()).unwrap_or_else(|e| panic!("{e}"));
+        if let Err(e) = check_budget(messages) {
+            panic!("{name}: {e}");
+        }
+        Workload::with_capacity(name.into(), messages as usize, edges as usize)
     }
 
     /// Add (or find) a phase label, returning its index.
@@ -66,10 +233,13 @@ impl Workload {
     }
 
     /// Append a message with explicit predecessors; returns its id.
+    ///
+    /// # Panics
+    /// If the workload already holds `u32::MAX + 1` messages.
     pub fn push(&mut self, msg: Message, preds: &[u32]) -> u32 {
-        let id = self.msgs.len() as u32;
+        let id = u32::try_from(self.msgs.len()).expect("message ids exceed u32");
         self.msgs.push(msg);
-        self.preds.push(preds.to_vec());
+        self.preds.push(preds);
         id
     }
 
@@ -78,9 +248,14 @@ impl Workload {
         &self.msgs
     }
 
-    /// Predecessor ids of message `m`.
+    /// Predecessor ids of message `m`, in the order they were pushed.
     pub fn preds(&self, m: u32) -> &[u32] {
-        &self.preds[m as usize]
+        self.preds.row(m)
+    }
+
+    /// Predecessor count of every message, in id order.
+    pub(crate) fn pred_counts(&self) -> impl ExactSizeIterator<Item = u32> + '_ {
+        self.preds.lens()
     }
 
     /// Number of messages.
@@ -98,16 +273,14 @@ impl Workload {
         self.msgs.iter().map(|m| m.flits).sum()
     }
 
-    /// Structural validation: endpoint ids in range, no self-messages, no
-    /// zero-length messages, tag space not exceeded, dependencies in range
-    /// and acyclic (so the closed-loop run is guaranteed to make progress).
+    /// Structural validation: at most [`MESSAGE_BUDGET`] messages,
+    /// endpoint ids in range, no self-messages, no zero-length messages,
+    /// tag space not exceeded, dependencies in range and acyclic (so the
+    /// closed-loop run is guaranteed to make progress). Allocates the
+    /// same handful of arrays whatever the workload's size.
     pub fn validate(&self, endpoints: u32) -> Result<(), String> {
-        if self.msgs.len() as u64 > MAX_MESSAGES {
-            return Err(format!(
-                "{} messages exceed the tag space ({MAX_MESSAGES})",
-                self.msgs.len()
-            ));
-        }
+        let n = self.msgs.len();
+        check_budget(n as u64)?;
         for (i, m) in self.msgs.iter().enumerate() {
             if m.src >= endpoints || m.dst >= endpoints {
                 return Err(format!(
@@ -127,48 +300,46 @@ impl Workload {
             if m.phase as usize >= self.phases.len() {
                 return Err(format!("message {i}: phase {} unlabeled", m.phase));
             }
-            for &p in &self.preds[i] {
-                if p as usize >= self.msgs.len() {
+            for &p in self.preds(i as u32) {
+                if p as usize >= n {
                     return Err(format!("message {i}: predecessor {p} out of range"));
                 }
             }
         }
         // Kahn's algorithm: every message must be reachable from the
         // zero-predecessor frontier, otherwise the DAG has a cycle and the
-        // run would starve.
-        let mut waiting: Vec<u32> = self.preds.iter().map(|p| p.len() as u32).collect();
+        // run would starve. A message joins the frontier at most once.
         let succs = self.successors();
-        let mut frontier: Vec<u32> = (0..self.msgs.len() as u32)
-            .filter(|&i| waiting[i as usize] == 0)
-            .collect();
+        let mut waiting: Vec<u32> = self.pred_counts().collect();
+        let mut frontier: Vec<u32> = Vec::with_capacity(n);
+        frontier.extend((0..n as u32).filter(|&i| waiting[i as usize] == 0));
         let mut released = 0usize;
         while let Some(m) = frontier.pop() {
             released += 1;
-            for &s in &succs[m as usize] {
+            for &s in succs.row(m) {
                 waiting[s as usize] -= 1;
                 if waiting[s as usize] == 0 {
                     frontier.push(s);
                 }
             }
         }
-        if released != self.msgs.len() {
+        if released != n {
             return Err(format!(
-                "dependency cycle: only {released} of {} messages can ever run",
-                self.msgs.len()
+                "dependency cycle: only {released} of {n} messages can ever run"
             ));
         }
         Ok(())
     }
 
-    /// Successor lists (inverse of the predecessor lists).
-    pub(crate) fn successors(&self) -> Vec<Vec<u32>> {
-        let mut succs: Vec<Vec<u32>> = vec![Vec::new(); self.msgs.len()];
-        for (i, preds) in self.preds.iter().enumerate() {
-            for &p in preds {
-                succs[p as usize].push(i as u32);
-            }
-        }
-        succs
+    /// Successor lists (the inverse of the predecessor lists): row `m`
+    /// holds, ascending, every message that waits on message `m`. Built in
+    /// O(messages + edges).
+    ///
+    /// # Panics
+    /// If a predecessor id is out of range ([`validate`](Self::validate)
+    /// rejects those).
+    pub fn successors(&self) -> Rows {
+        self.preds.transpose(self.msgs.len())
     }
 
     // --- Collective builders ------------------------------------------------
@@ -188,7 +359,7 @@ impl Workload {
         let p = participants.len();
         assert!(p >= 2, "ring allreduce needs at least 2 participants");
         let chunk = data_flits.div_ceil(p as u64).max(1);
-        let mut wl = Workload::new("ring-allreduce");
+        let mut wl = Workload::sized("ring-allreduce", "ring_allreduce", p, 1);
         let rs = wl.phase("reduce-scatter");
         let ag = wl.phase("allgather");
         // msg id of (step s, node i) is s*p + i by construction.
@@ -230,11 +401,13 @@ impl Workload {
             ));
         }
         let rounds = p.trailing_zeros() as usize;
-        let mut wl = Workload::new("rd-allreduce");
+        let mut wl = Workload::sized("rd-allreduce", "rd_allreduce", p, 1);
         let flits = data_flits.max(1);
         let mid = |k: usize, i: usize| (k * p + i) as u32;
+        wl.phases.reserve_exact(rounds);
         for k in 0..rounds {
-            let phase = wl.phase(format!("xchg{k}"));
+            let phase = k as u32;
+            wl.phases.push(format!("xchg{k}"));
             for i in 0..p {
                 let partner = i ^ (1 << k);
                 let msg = Message {
@@ -265,7 +438,7 @@ impl Workload {
     pub fn all_to_all(participants: &[u32], flits_per_pair: u64) -> Workload {
         let p = participants.len();
         assert!(p >= 2, "all-to-all needs at least 2 participants");
-        let mut wl = Workload::new("all-to-all");
+        let mut wl = Workload::sized("all-to-all", "all_to_all", p, 1);
         let phase = wl.phase("exchange");
         let flits = flits_per_pair.max(1);
         for s in 1..p {
@@ -293,7 +466,7 @@ impl Workload {
     pub fn broadcast(participants: &[u32], data_flits: u64) -> Workload {
         let p = participants.len();
         assert!(p >= 2, "broadcast needs at least 2 participants");
-        let mut wl = Workload::new("broadcast");
+        let mut wl = Workload::sized("broadcast", "broadcast", p, 1);
         let phase = wl.phase("broadcast");
         let flits = data_flits.max(1);
         // recv[i] = id of the message that delivers the data to index i.
@@ -305,7 +478,6 @@ impl Workload {
                 if j >= p {
                     continue;
                 }
-                let deps: Vec<u32> = recv[i].into_iter().collect();
                 let id = wl.push(
                     Message {
                         src: participants[i],
@@ -313,7 +485,7 @@ impl Workload {
                         flits,
                         phase,
                     },
-                    &deps,
+                    recv[i].as_slice(),
                 );
                 recv[j] = Some(id);
             }
@@ -329,27 +501,32 @@ impl Workload {
     pub fn reduce(participants: &[u32], data_flits: u64) -> Workload {
         let p = participants.len();
         assert!(p >= 2, "reduce needs at least 2 participants");
-        let mut wl = Workload::new("reduce");
+        let mut wl = Workload::sized("reduce", "reduce", p, 1);
         let phase = wl.phase("reduce");
         let flits = data_flits.max(1);
         // Mirror the broadcast rounds in reverse: in the last broadcast
-        // round, leaves at distance `stride` send first.
-        let mut strides = Vec::new();
-        let mut s = 1usize;
-        while s < p {
-            strides.push(s);
-            s *= 2;
-        }
-        // recvd[i] = messages index i must have absorbed before sending.
-        let mut recvd: Vec<Vec<u32>> = vec![Vec::new(); p];
-        for &stride in strides.iter().rev() {
-            for i in 0..stride.min(p) {
+        // round, leaves at distance `stride` send first. Round `r` (the
+        // stride `2^r`, largest first) sends from index `i + stride` to
+        // `i` for every `i < min(stride, p − stride)`, as messages
+        // `first[r] + i`.
+        let rounds = p.next_power_of_two().trailing_zeros() as usize;
+        let mut first = [0u32; usize::BITS as usize];
+        let mut deps: Vec<u32> = Vec::with_capacity(rounds);
+        for r in (0..rounds).rev() {
+            let stride = 1usize << r;
+            first[r] = wl.len() as u32;
+            for i in 0..stride.min(p - stride) {
                 let j = i + stride;
-                if j >= p {
-                    continue;
-                }
-                let deps = recvd[j].clone();
-                let id = wl.push(
+                // Index j sends once it has absorbed what it received in
+                // every earlier (wider) round, in the order they came.
+                deps.clear();
+                deps.extend(
+                    (r + 1..rounds)
+                        .rev()
+                        .filter(|&q| j < (1 << q) && j + (1 << q) < p)
+                        .map(|q| first[q] + j as u32),
+                );
+                wl.push(
                     Message {
                         src: participants[j],
                         dst: participants[i],
@@ -358,7 +535,6 @@ impl Workload {
                     },
                     &deps,
                 );
-                recvd[i].push(id);
             }
         }
         wl
@@ -373,13 +549,17 @@ impl Workload {
         let n = stages.len();
         assert!(n >= 2, "pipeline needs at least 2 stages");
         assert!(microbatches >= 1, "pipeline needs at least 1 microbatch");
-        let mut wl = Workload::new("pipeline");
+        let mut wl = Workload::sized("pipeline", "pipeline", n, microbatches);
         let flits = flits_per_activation.max(1);
         let links = n - 1;
-        let mid = |j: usize, m: u32| j as u32 * microbatches + m;
+        let mb = microbatches as usize;
+        let mid = |j: usize, m: usize| (j * mb + m) as u32;
+        // Stage labels are unique: push them without `phase`'s search.
+        wl.phases.reserve_exact(links);
         for j in 0..links {
-            let phase = wl.phase(format!("s{j}\u{2192}s{}", j + 1));
-            for m in 0..microbatches {
+            let phase = j as u32;
+            wl.phases.push(format!("s{j}\u{2192}s{}", j + 1));
+            for m in 0..mb {
                 let msg = Message {
                     src: stages[j],
                     dst: stages[j + 1],
@@ -396,16 +576,34 @@ impl Workload {
         wl
     }
 
+    /// Messages in collective `kind` (one of [`COLLECTIVES`]) over
+    /// `participants` participants, in closed form without building it:
+    /// ring allreduce `2(p − 1)p`, recursive doubling `p·log2 p`,
+    /// all-to-all `p(p − 1)`, broadcast and reduce `p − 1`, and pipeline
+    /// `(p − 1)·microbatches`. Errors name an unknown collective or a
+    /// recursive doubling over a participant count that is not a power of
+    /// two.
+    pub fn collective_len(
+        kind: &str,
+        participants: usize,
+        microbatches: u32,
+    ) -> Result<u64, String> {
+        shape(kind, participants as u64, microbatches.into()).map(|(messages, _)| messages)
+    }
+
     /// Build the collective named `kind` (one of [`COLLECTIVES`]) over
     /// `participants`: `flits` is the builder's payload argument, and
     /// `microbatches` counts only for `pipeline`. Errors name an unknown
-    /// collective or carry the builder's own error.
+    /// collective, a size over [`MESSAGE_BUDGET`] (checked before anything
+    /// is built), or carry the builder's own error.
     pub fn collective(
         kind: &str,
         participants: &[u32],
         flits: u64,
         microbatches: u32,
     ) -> Result<Workload, String> {
+        let messages = Workload::collective_len(kind, participants.len(), microbatches)?;
+        check_budget(messages).map_err(|e| format!("{kind}: {e}"))?;
         match kind {
             "ring_allreduce" => Ok(Workload::ring_allreduce(participants, flits)),
             "rd_allreduce" => Workload::rd_allreduce(participants, flits),
@@ -413,7 +611,7 @@ impl Workload {
             "broadcast" => Ok(Workload::broadcast(participants, flits)),
             "reduce" => Ok(Workload::reduce(participants, flits)),
             "pipeline" => Ok(Workload::pipeline(participants, microbatches, flits)),
-            other => Err(format!("unknown collective \"{other}\"")),
+            other => unreachable!("collective_len accepted \"{other}\""),
         }
     }
 }
@@ -482,17 +680,19 @@ json_object!(Dag, Dag::default(); name, phases, messages);
 /// ranges and acyclicity.
 impl Json for Workload {
     fn write(&self, out: &mut String) {
-        let messages = self.msgs.iter().zip(&self.preds);
         Dag {
             name: self.name.clone(),
             phases: self.phases.clone(),
-            messages: messages
-                .map(|(m, preds)| DagMessage {
-                    src: m.src,
-                    dst: m.dst,
-                    flits: m.flits,
-                    phase: m.phase,
-                    preds: preds.clone(),
+            messages: (0..self.len() as u32)
+                .map(|m| {
+                    let msg = self.msgs[m as usize];
+                    DagMessage {
+                        src: msg.src,
+                        dst: msg.dst,
+                        flits: msg.flits,
+                        phase: msg.phase,
+                        preds: self.preds(m).to_vec(),
+                    }
                 })
                 .collect(),
         }
@@ -501,7 +701,8 @@ impl Json for Workload {
 
     fn read(v: &Value, path: &str) -> Result<Self, String> {
         let dag = Dag::read(v, path)?;
-        let mut wl = Workload::new(dag.name);
+        let edges = dag.messages.iter().map(|m| m.preds.len()).sum();
+        let mut wl = Workload::with_capacity(dag.name, dag.messages.len(), edges);
         wl.phases = dag.phases;
         for m in dag.messages {
             let msg = Message {
@@ -588,6 +789,59 @@ mod tests {
         // Second link's microbatch m depends on the first link's m.
         assert_eq!(wl.preds(2), &[0]);
         assert_eq!(wl.preds(3), &[1]);
+    }
+
+    #[test]
+    fn closed_form_sizes_match_the_builders() {
+        let sizes = (2..=66).chain([127, 128, 129, 255, 256, 1000]);
+        for p in sizes {
+            let ids: Vec<u32> = (0..p as u32).collect();
+            for kind in COLLECTIVES {
+                for mb in [1u32, 3, 8] {
+                    if mb > 1 && kind != "pipeline" {
+                        continue;
+                    }
+                    let len = Workload::collective_len(kind, p, mb);
+                    let built = Workload::collective(kind, &ids, 5, mb);
+                    let wl = match (len, built) {
+                        (Ok(len), Ok(wl)) => {
+                            assert_eq!(len, wl.len() as u64, "{kind} p={p} mb={mb}");
+                            wl
+                        }
+                        (Err(a), Err(b)) => {
+                            assert_eq!(a, b, "{kind} p={p}");
+                            assert_eq!(kind, "rd_allreduce");
+                            continue;
+                        }
+                        (len, built) => panic!("{kind} p={p}: {len:?} vs {:?}", built.err()),
+                    };
+                    // The builders are sized exactly: the closed-form edge
+                    // count is what they push.
+                    let (_, edges) = shape(kind, p as u64, mb.into()).unwrap();
+                    assert_eq!(edges, wl.preds.ids.len() as u64, "{kind} p={p} mb={mb}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sizes_over_the_budget_fail_before_building() {
+        let err = Workload::collective("pipeline", &[3, 1], 8, u32::MAX).unwrap_err();
+        assert_eq!(
+            err,
+            "pipeline: 4294967295 messages exceed the message budget (4194304)"
+        );
+        // All-to-all sits just under the budget at 2048 participants.
+        assert_eq!(
+            Workload::collective_len("all_to_all", 2048, 1),
+            Ok(2048 * 2047)
+        );
+        assert!(check_budget(2048 * 2047).is_ok());
+        assert!(check_budget(2049 * 2048).is_err());
+        assert_eq!(
+            Workload::collective_len("magic", 4, 1).unwrap_err(),
+            "unknown collective \"magic\""
+        );
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! the determinism matrix in `tests/workload_collectives.rs` pins this
 //! down.
 
-use crate::collective::Workload;
+use crate::collective::{Rows, Workload};
 use crate::message::{msg_of, packet_id, segments, Reassembly};
 use std::collections::BTreeSet;
 use wsdf_exec::BspPool;
@@ -57,6 +57,14 @@ pub struct WorkloadOutcome {
     pub message_completion: Vec<u64>,
 }
 
+/// The `ready` entry that stands for every root of a DAG, queued at the
+/// cycle the roots become eligible. Until a root completes, the roots are
+/// exactly the messages with no outstanding predecessor, so submitting
+/// those in id order when the entry comes up submits what one entry per
+/// root would have, in the same order, without an entry each. Message ids
+/// stay below the message budget, so no id is `u32::MAX`.
+pub(crate) const ROOTS: u32 = u32::MAX;
+
 /// Closed-loop scheduler state for one [`Workload`] run; implements the
 /// engine's [`WorkloadDriver`] hook.
 pub struct ClosedLoop<'a> {
@@ -64,12 +72,14 @@ pub struct ClosedLoop<'a> {
     packet_len: u8,
     /// Outstanding predecessor count per message.
     waiting: Vec<u32>,
-    succs: Vec<Vec<u32>>,
+    succs: Rows,
     reasm: Reassembly,
     /// Completion cycle per message (`u64::MAX` = not yet complete).
     completed_at: Vec<u64>,
     /// Eligible-but-not-yet-submitted messages, ordered by
     /// (eligible cycle, message id) — the deterministic submission order.
+    /// The roots are one [`ROOTS`] entry at cycle 0; every other message
+    /// becomes eligible at cycle 1 or later.
     ready: BTreeSet<(u64, u32)>,
     /// First-eligible cycle per phase (`u64::MAX` until a message of the
     /// phase becomes eligible).
@@ -81,25 +91,24 @@ impl<'a> ClosedLoop<'a> {
     /// Driver for `wl`, segmenting messages into packets of at most
     /// `packet_len` flits (use the run's `SimConfig::packet_len`).
     pub fn new(wl: &'a Workload, packet_len: u8) -> Self {
-        let sizes: Vec<u64> = wl.messages().iter().map(|m| m.flits).collect();
-        let waiting: Vec<u32> = (0..wl.len() as u32)
-            .map(|m| wl.preds(m).len() as u32)
-            .collect();
+        let waiting: Vec<u32> = wl.pred_counts().collect();
         let mut phase_start = vec![u64::MAX; wl.phases.len()];
-        let mut ready = BTreeSet::new();
         for (i, &w) in waiting.iter().enumerate() {
             if w == 0 {
-                ready.insert((0u64, i as u32));
                 let ph = wl.messages()[i].phase as usize;
                 phase_start[ph] = 0;
             }
+        }
+        let mut ready = BTreeSet::new();
+        if waiting.contains(&0) {
+            ready.insert((0u64, ROOTS));
         }
         ClosedLoop {
             wl,
             packet_len,
             waiting,
             succs: wl.successors(),
-            reasm: Reassembly::new(&sizes),
+            reasm: Reassembly::new(wl.messages().iter().map(|m| m.flits)),
             completed_at: vec![u64::MAX; wl.len()],
             ready,
             phase_start,
@@ -110,6 +119,14 @@ impl<'a> ClosedLoop<'a> {
     /// Messages completed so far.
     pub fn completed(&self) -> usize {
         self.completed
+    }
+
+    /// Queue every packet of message `m` at its source.
+    fn submit(&self, m: u32, inj: &mut Injector<'_>) {
+        let msg = self.wl.messages()[m as usize];
+        for (seq, len) in segments(msg.flits, self.packet_len) {
+            inj.submit(msg.src, msg.dst, packet_id(m, seq), len);
+        }
     }
 
     /// Consume the driver into a [`WorkloadOutcome`] (call after the
@@ -155,9 +172,14 @@ impl WorkloadDriver for ClosedLoop<'_> {
                 break;
             }
             self.ready.remove(&(at, m));
-            let msg = self.wl.messages()[m as usize];
-            for (seq, len) in segments(msg.flits, self.packet_len) {
-                inj.submit(msg.src, msg.dst, packet_id(m, seq), len);
+            if m != ROOTS {
+                self.submit(m, inj);
+                continue;
+            }
+            for r in 0..self.waiting.len() as u32 {
+                if self.waiting[r as usize] == 0 {
+                    self.submit(r, inj);
+                }
             }
         }
     }
@@ -170,7 +192,7 @@ impl WorkloadDriver for ClosedLoop<'_> {
             };
             self.completed_at[m as usize] = done_at;
             self.completed += 1;
-            for &s in &self.succs[m as usize] {
+            for &s in self.succs.row(m) {
                 let w = &mut self.waiting[s as usize];
                 *w -= 1;
                 if *w == 0 {

@@ -44,7 +44,7 @@ pub mod driver;
 pub mod message;
 pub mod tenancy;
 
-pub use collective::{read_collective, Message, Workload, COLLECTIVES};
+pub use collective::{read_collective, Message, Workload, COLLECTIVES, MESSAGE_BUDGET};
 pub use driver::{run_collective_traced_on, ClosedLoop, PhaseStat, WorkloadOutcome};
 pub use message::{packet_count, packet_id, segments, Reassembly};
 pub use tenancy::{

@@ -7,9 +7,14 @@
 //!
 //! ```text
 //!   bits 63..56   reserved (must stay clear; `Injector::submit` checks)
-//!   bits 55..20   message id            (up to 2^36 messages per run)
+//!   bits 55..20   message field         (36 bits)
 //!   bits 19..0    packet seq in message (up to 2^20 packets per message)
 //! ```
+//!
+//! A flat message id is a `u32`, so it fills at most the low 32 bits of
+//! the 36-bit field; no run holds more than
+//! [`MESSAGE_BUDGET`](crate::collective::MESSAGE_BUDGET) (2^22) messages
+//! in any case.
 //!
 //! At the destination the tag is all the reassembly state needed: the
 //! driver counts arrived flits per message id ([`Reassembly`]) and declares
@@ -33,8 +38,10 @@ pub const SEQ_BITS: u32 = 20;
 /// Maximum packets per message (`2^SEQ_BITS`).
 pub const MAX_PACKETS_PER_MESSAGE: u64 = 1 << SEQ_BITS;
 
-/// Maximum message ids per run (ids must leave the engine's top 8 id bits
-/// clear).
+/// Size of the message field of a packet id (it must leave the engine's
+/// top 8 id bits clear), which the job and intra-job fields tile. Flat
+/// message ids are `u32`, and a run holds at most
+/// [`MESSAGE_BUDGET`](crate::collective::MESSAGE_BUDGET) messages.
 pub const MAX_MESSAGES: u64 = 1 << (56 - SEQ_BITS);
 
 /// Pack (message id, packet seq) into a packet id.
@@ -123,11 +130,13 @@ pub struct Reassembly {
 }
 
 impl Reassembly {
-    /// Trackers for messages of the given sizes (flits).
-    pub fn new(sizes: &[u64]) -> Self {
+    /// Trackers for messages of the given sizes (flits), in message-id
+    /// order.
+    pub fn new(sizes: impl IntoIterator<Item = u64>) -> Self {
+        let remaining: Vec<u64> = sizes.into_iter().collect();
         Reassembly {
-            remaining: sizes.to_vec(),
-            last_arrival: vec![0; sizes.len()],
+            last_arrival: vec![0; remaining.len()],
+            remaining,
         }
     }
 
@@ -216,7 +225,7 @@ mod tests {
 
     #[test]
     fn reassembly_completes_at_last_arrival() {
-        let mut r = Reassembly::new(&[10, 4]);
+        let mut r = Reassembly::new([10, 4]);
         assert_eq!(r.on_packet(0, 4, 100), None);
         assert_eq!(r.on_packet(0, 4, 105), None);
         assert_eq!(r.remaining(0), 2);
@@ -229,7 +238,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "over-delivered")]
     fn reassembly_rejects_duplicates() {
-        let mut r = Reassembly::new(&[4]);
+        let mut r = Reassembly::new([4]);
         r.on_packet(0, 4, 10);
         r.on_packet(0, 4, 11);
     }

@@ -25,11 +25,12 @@
 //!   `job id | intra-job id | seq` ([`crate::message::job_packet_id`]),
 //!   keeping concurrent jobs' reassembly state disjoint.
 
-use crate::collective::{read_collective, Workload};
+use crate::collective::{check_budget, read_collective, Rows, Workload};
+use crate::driver::ROOTS;
 use crate::message::{
     job_msg_of, job_of, job_packet_id, segments, Reassembly, MAX_JOBS, MAX_JOB_MESSAGES,
 };
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use wsdf_exec::BspPool;
 use wsdf_sim::json::{read, Json, ObjectWriter, Value};
 use wsdf_sim::json_names;
@@ -203,15 +204,25 @@ impl Placement {
                     .collect()
             }
             Placement::Overlapping => {
-                // Partial Fisher–Yates over the index range, keyed by job.
+                // Partial Fisher–Yates over the index range `0..n`, keyed
+                // by job. Slot `x` of the shuffled range holds `moved[x]`,
+                // or `x` while no swap has touched it, so a draw costs
+                // O(participants) whatever `n`. Step `i` swaps slot `i`
+                // with a slot `j ≥ i` and never touches slot `i` again.
                 let mut rng = SplitMix64::for_agent(seed ^ PLACEMENT_STREAM, job_index);
-                let mut idx: Vec<usize> = (0..n).collect();
-                for i in 0..participants {
-                    let j = i + rng.next_below((n - i) as u64) as usize;
-                    idx.swap(i, j);
-                }
-                let mut picked: Vec<u32> =
-                    idx[..participants].iter().map(|&i| endpoints[i]).collect();
+                let mut moved: HashMap<usize, usize> = HashMap::with_capacity(participants);
+                let mut picked: Vec<u32> = (0..participants)
+                    .map(|i| {
+                        let j = i + rng.next_below((n - i) as u64) as usize;
+                        let at_i = moved.remove(&i).unwrap_or(i);
+                        let at_j = if j == i {
+                            at_i
+                        } else {
+                            moved.insert(j, at_i).unwrap_or(j)
+                        };
+                        endpoints[at_j]
+                    })
+                    .collect();
                 picked.sort_unstable();
                 picked
             }
@@ -332,8 +343,11 @@ pub struct JobInstance {
 
 /// Materialize a [`ServingSpec`] against the live endpoint list: draw the
 /// arrival cycles, assign a class to each job by weighted keyed draw, and
-/// resolve each job's placement. Errors are human-readable and stable
-/// (the scenario frontend forwards them verbatim).
+/// resolve each job's placement. Every job is sized in closed form before
+/// any DAG is built: one over [`MAX_JOB_MESSAGES`], or a job set over
+/// [`MESSAGE_BUDGET`](crate::collective::MESSAGE_BUDGET) in all, fails
+/// without allocating it. Errors are human-readable and stable (the
+/// scenario frontend forwards them verbatim).
 pub fn build_jobs(spec: &ServingSpec, endpoints: &[u32]) -> Result<Vec<JobInstance>, String> {
     if spec.classes.is_empty() {
         return Err("serving spec has no job classes".into());
@@ -352,8 +366,9 @@ pub fn build_jobs(spec: &ServingSpec, endpoints: &[u32]) -> Result<Vec<JobInstan
             "no job arrivals (raise rate_per_kcycle or horizon, or give a non-empty trace)".into(),
         );
     }
-    let mut jobs = Vec::with_capacity(arrivals.len());
-    for (k, &arrival) in arrivals.iter().enumerate() {
+    let mut drawn = Vec::with_capacity(arrivals.len());
+    let mut total = 0u64;
+    for k in 0..arrivals.len() {
         // Weighted class draw, keyed on the job index.
         let mut x =
             SplitMix64::for_agent(spec.seed ^ CLASS_STREAM, k as u64).next_f64() * total_weight;
@@ -381,17 +396,26 @@ pub fn build_jobs(spec: &ServingSpec, endpoints: &[u32]) -> Result<Vec<JobInstan
                 endpoints.len()
             ));
         }
+        let messages = Workload::collective_len(&class.collective, p, class.microbatches)
+            .map_err(|e| format!("class \"{}\": {e}", class.name))?;
+        if messages > MAX_JOB_MESSAGES {
+            return Err(format!(
+                "class \"{}\": {messages} messages exceed the per-job limit {MAX_JOB_MESSAGES}",
+                class.name
+            ));
+        }
+        total += messages;
+        drawn.push(ci);
+    }
+    check_budget(total).map_err(|e| format!("serving mix of {} jobs: {e}", drawn.len()))?;
+    let mut jobs = Vec::with_capacity(arrivals.len());
+    for (k, (&arrival, ci)) in arrivals.iter().zip(drawn).enumerate() {
+        let class = &spec.classes[ci];
+        let p = class.participants as usize;
         let ids = class.placement.resolve(spec.seed, k as u64, p, endpoints);
         let workload =
             Workload::collective(&class.collective, &ids, class.flits, class.microbatches)
                 .map_err(|e| format!("class \"{}\": {e}", class.name))?;
-        if workload.len() as u64 > MAX_JOB_MESSAGES {
-            return Err(format!(
-                "class \"{}\": {} messages exceed the per-job limit {MAX_JOB_MESSAGES}",
-                class.name,
-                workload.len()
-            ));
-        }
         jobs.push(JobInstance {
             id: k as u32,
             class: ci as u32,
@@ -417,7 +441,7 @@ pub struct MultiJobOutcome {
 struct JobState {
     /// Outstanding predecessor count per message.
     waiting: Vec<u32>,
-    succs: Vec<Vec<u32>>,
+    succs: Rows,
     reasm: Reassembly,
     /// Latest message-completion cycle seen (the job CT once all land).
     last_done: u64,
@@ -439,7 +463,8 @@ pub struct MultiJobDriver<'a> {
     states: Vec<Option<JobState>>,
     /// Eligible-but-not-yet-submitted messages, ordered by
     /// (eligible cycle, job id, message id) — the deterministic
-    /// submission order across all admitted jobs.
+    /// submission order across all admitted jobs. A job's roots are one
+    /// [`ROOTS`] entry at its arrival cycle, where it has no other entry.
     ready: BTreeSet<(u64, u32, u32)>,
     /// Completion cycle per job (`u64::MAX` = not yet complete).
     job_completion: Vec<u64>,
@@ -496,19 +521,14 @@ impl<'a> MultiJobDriver<'a> {
             let j = self.next_admit;
             let job = &self.jobs[j];
             let wl = &job.workload;
-            let sizes: Vec<u64> = wl.messages().iter().map(|m| m.flits).collect();
-            let waiting: Vec<u32> = (0..wl.len() as u32)
-                .map(|m| wl.preds(m).len() as u32)
-                .collect();
-            for (m, &w) in waiting.iter().enumerate() {
-                if w == 0 {
-                    self.ready.insert((job.arrival, j as u32, m as u32));
-                }
+            let waiting: Vec<u32> = wl.pred_counts().collect();
+            if waiting.contains(&0) {
+                self.ready.insert((job.arrival, j as u32, ROOTS));
             }
             self.states[j] = Some(JobState {
                 waiting,
                 succs: wl.successors(),
-                reasm: Reassembly::new(&sizes),
+                reasm: Reassembly::new(wl.messages().iter().map(|m| m.flits)),
                 last_done: 0,
                 completed: 0,
             });
@@ -523,6 +543,14 @@ impl<'a> MultiJobDriver<'a> {
                 });
             }
             self.next_admit += 1;
+        }
+    }
+
+    /// Queue every packet of message `m` of job `j` at its source.
+    fn submit(&self, j: u32, m: u32, inj: &mut Injector<'_>) {
+        let msg = self.jobs[j as usize].workload.messages()[m as usize];
+        for (seq, len) in segments(msg.flits, self.packet_len) {
+            inj.submit(msg.src, msg.dst, job_packet_id(j, m, seq), len);
         }
     }
 
@@ -549,9 +577,17 @@ impl WorkloadDriver for MultiJobDriver<'_> {
                 break;
             }
             self.ready.remove(&(at, j, m));
-            let msg = self.jobs[j as usize].workload.messages()[m as usize];
-            for (seq, len) in segments(msg.flits, self.packet_len) {
-                inj.submit(msg.src, msg.dst, job_packet_id(j, m, seq), len);
+            if m != ROOTS {
+                self.submit(j, m, inj);
+                continue;
+            }
+            let st = self.states[j as usize]
+                .as_ref()
+                .expect("roots of an unadmitted job");
+            for r in 0..st.waiting.len() as u32 {
+                if st.waiting[r as usize] == 0 {
+                    self.submit(j, r, inj);
+                }
             }
         }
     }
@@ -567,8 +603,7 @@ impl WorkloadDriver for MultiJobDriver<'_> {
             };
             st.completed += 1;
             st.last_done = st.last_done.max(done_at);
-            for si in 0..st.succs[m as usize].len() {
-                let s = st.succs[m as usize][si];
+            for &s in st.succs.row(m) {
                 let w = &mut st.waiting[s as usize];
                 *w -= 1;
                 if *w == 0 {

@@ -812,6 +812,49 @@ fn scenario_round_trip_preserves_report_digest() {
     }
 }
 
+/// A random layered DAG over endpoints `0..n`: `1..=max_layers` layers
+/// of `1..=max_width` messages, each message depending on each message of
+/// the layer before with probability `p`. Returns the workload and the
+/// predecessor list pushed for every message.
+fn any_layered_dag(
+    rng: &mut SplitMix64,
+    name: String,
+    n: u64,
+    (max_layers, max_width, p): (u64, u64, f64),
+) -> (wsdf::workload::Workload, Vec<Vec<u32>>) {
+    use wsdf::workload::{Message, Workload};
+    let mut wl = Workload::new(name);
+    let mut lists = Vec::new();
+    let layers = 1 + rng.next_below(max_layers);
+    let mut prev: Vec<u32> = Vec::new();
+    for l in 0..layers {
+        let phase = wl.phase(format!("layer{l}"));
+        let count = 1 + rng.next_below(max_width) as usize;
+        let mut layer = Vec::with_capacity(count);
+        for _ in 0..count {
+            let src = rng.next_below(n) as u32;
+            let mut dst = rng.next_below(n) as u32;
+            if dst == src {
+                dst = (dst + 1) % n as u32;
+            }
+            let flits = 1 + rng.next_below(19);
+            let deps: Vec<u32> = prev.iter().copied().filter(|_| rng.chance(p)).collect();
+            layer.push(wl.push(
+                Message {
+                    src,
+                    dst,
+                    flits,
+                    phase,
+                },
+                &deps,
+            ));
+            lists.push(deps);
+        }
+        prev = layer;
+    }
+    (wl, lists)
+}
+
 /// Closed-loop conservation over random workload DAGs: every message's
 /// flits are injected exactly once (`flits_injected == Σ size`), every
 /// message reassembles exactly once (over-delivery panics inside the
@@ -819,7 +862,7 @@ fn scenario_round_trip_preserves_report_digest() {
 /// completion respects the dependency order.
 #[test]
 fn workload_flit_conservation() {
-    use wsdf::workload::{packet_count, run_collective_traced_on, Message, Workload};
+    use wsdf::workload::{packet_count, run_collective_traced_on};
     let mut rng = SplitMix64::new(0x5EED_0009);
     for case in 0..10 {
         let p = draw(&mut rng, |r| {
@@ -827,35 +870,8 @@ fn workload_flit_conservation() {
         });
         let bench = Bench::switchless(&p, RouteMode::Minimal, VcScheme::Baseline);
         let n = bench.endpoints() as u64;
-        // A random layered DAG: each layer's messages depend on a random
-        // subset of the previous layer.
-        let mut wl = Workload::new(format!("random-{case}"));
-        let layers = 1 + rng.next_below(3);
-        let mut prev: Vec<u32> = Vec::new();
-        for l in 0..layers {
-            let phase = wl.phase(format!("layer{l}"));
-            let count = 1 + rng.next_below(6) as usize;
-            let mut layer = Vec::with_capacity(count);
-            for _ in 0..count {
-                let src = rng.next_below(n) as u32;
-                let mut dst = rng.next_below(n) as u32;
-                if dst == src {
-                    dst = (dst + 1) % n as u32;
-                }
-                let flits = 1 + rng.next_below(19);
-                let deps: Vec<u32> = prev.iter().copied().filter(|_| rng.chance(0.5)).collect();
-                layer.push(wl.push(
-                    Message {
-                        src,
-                        dst,
-                        flits,
-                        phase,
-                    },
-                    &deps,
-                ));
-            }
-            prev = layer;
-        }
+        let name = format!("random-{case}");
+        let (wl, _) = any_layered_dag(&mut rng, name, n, (3, 6, 0.5));
         let mut cfg = SimConfig::default();
         cfg.num_vcs = cfg.num_vcs.max(bench.num_vcs());
         let pool = wsdf::exec::global_pool();
@@ -893,6 +909,189 @@ fn workload_flit_conservation() {
                 );
             }
         }
+    }
+}
+
+/// `lists` as a workload with `wl`'s name, phases and messages.
+fn with_preds(wl: &wsdf::workload::Workload, lists: &[Vec<u32>]) -> wsdf::workload::Workload {
+    let mut out = wsdf::workload::Workload::new(wl.name.clone());
+    out.phases = wl.phases.clone();
+    for (msg, preds) in wl.messages().iter().zip(lists) {
+        out.push(*msg, preds);
+    }
+    out
+}
+
+/// Random layered DAGs over 16 endpoints, every third with a planted
+/// cycle (a message made to wait on one of its successors) and every
+/// fifth with a predecessor id out of range. Returns each DAG with its
+/// pushed predecessor lists.
+fn any_dags(seed: u64, cases: usize) -> Vec<(wsdf::workload::Workload, Vec<Vec<u32>>)> {
+    let mut rng = SplitMix64::new(seed);
+    (0..cases)
+        .map(|case| {
+            let name = format!("dag-{case}");
+            let (wl, mut lists) = any_layered_dag(&mut rng, name, 16, (6, 12, 0.3));
+            let n = lists.len() as u64;
+            if case % 3 == 0 {
+                // Close a cycle over a random edge u → v: u now waits on v.
+                let edges: Vec<(u32, u32)> = (0..n as u32)
+                    .flat_map(|v| lists[v as usize].iter().map(move |&u| (u, v)))
+                    .collect();
+                if !edges.is_empty() {
+                    let (u, v) = edges[rng.next_below(edges.len() as u64) as usize];
+                    lists[u as usize].push(v);
+                }
+            }
+            if case % 5 == 0 {
+                let m = rng.next_below(n) as usize;
+                lists[m].push((n + rng.next_below(3)) as u32);
+            }
+            (with_preds(&wl, &lists), lists)
+        })
+        .collect()
+}
+
+/// `Workload::validate` as it was written over one `Vec` per message: the
+/// per-message checks these DAGs can fail (endpoints, self-messages,
+/// phases, predecessor ids), then Kahn's algorithm over nested successor
+/// lists.
+fn nested_vec_validate(
+    wl: &wsdf::workload::Workload,
+    lists: &[Vec<u32>],
+    endpoints: u32,
+) -> Result<(), String> {
+    let n = wl.len();
+    for (i, m) in wl.messages().iter().enumerate() {
+        if m.src >= endpoints || m.dst >= endpoints {
+            return Err(format!(
+                "message {i}: {} -> {} out of range ({endpoints} endpoints)",
+                m.src, m.dst
+            ));
+        }
+        if m.src == m.dst {
+            return Err(format!("message {i}: self-message at endpoint {}", m.src));
+        }
+        if m.phase as usize >= wl.phases.len() {
+            return Err(format!("message {i}: phase {} unlabeled", m.phase));
+        }
+        for &p in &lists[i] {
+            if p as usize >= n {
+                return Err(format!("message {i}: predecessor {p} out of range"));
+            }
+        }
+    }
+    let mut succs: Vec<Vec<u32>> = vec![Vec::new(); n];
+    for (i, preds) in lists.iter().enumerate() {
+        for &p in preds {
+            succs[p as usize].push(i as u32);
+        }
+    }
+    let mut waiting: Vec<u32> = lists.iter().map(|p| p.len() as u32).collect();
+    let mut frontier: Vec<u32> = (0..n as u32)
+        .filter(|&i| waiting[i as usize] == 0)
+        .collect();
+    let mut released = 0usize;
+    while let Some(m) = frontier.pop() {
+        released += 1;
+        for &s in &succs[m as usize] {
+            waiting[s as usize] -= 1;
+            if waiting[s as usize] == 0 {
+                frontier.push(s);
+            }
+        }
+    }
+    if released != n {
+        return Err(format!(
+            "dependency cycle: only {released} of {n} messages can ever run"
+        ));
+    }
+    Ok(())
+}
+
+/// The compressed predecessor rows hand back exactly the pushed lists.
+#[test]
+fn workload_preds_are_the_pushed_lists() {
+    for (wl, lists) in any_dags(0x5EED_0031, 300) {
+        assert_eq!(wl.len(), lists.len(), "{}", wl.name);
+        for (m, list) in lists.iter().enumerate() {
+            assert_eq!(wl.preds(m as u32), &list[..], "{} message {m}", wl.name);
+        }
+    }
+}
+
+/// The successor rows are the inverse of the predecessor lists, each row
+/// ascending.
+#[test]
+fn workload_successor_rows_invert_the_preds() {
+    for (wl, mut lists) in any_dags(0x5EED_0032, 300) {
+        // Inverting needs every id in range.
+        let n = lists.len() as u32;
+        lists.iter_mut().for_each(|l| l.retain(|&p| p < n));
+        let wl = with_preds(&wl, &lists);
+        let succs = wl.successors();
+        let mut inverse: Vec<Vec<u32>> = vec![Vec::new(); lists.len()];
+        for (i, preds) in lists.iter().enumerate() {
+            for &p in preds {
+                inverse[p as usize].push(i as u32);
+            }
+        }
+        assert_eq!(succs.len(), lists.len(), "{}", wl.name);
+        for (m, row) in inverse.iter().enumerate() {
+            let got = succs.row(m as u32);
+            assert_eq!(got, &row[..], "{} message {m}", wl.name);
+            assert!(got.windows(2).all(|w| w[0] < w[1]), "{}", wl.name);
+        }
+    }
+}
+
+/// `validate` gives the verdict and the message of the nested-`Vec`
+/// reference, on acyclic DAGs, planted cycles and ids out of range.
+#[test]
+fn workload_validate_matches_a_nested_vec_kahn() {
+    let (mut cycles, mut ok) = (0, 0);
+    for (wl, lists) in any_dags(0x5EED_0033, 300) {
+        for endpoints in [16, 12] {
+            let want = nested_vec_validate(&wl, &lists, endpoints);
+            assert_eq!(wl.validate(endpoints), want, "{} at {endpoints}", wl.name);
+            cycles += want.as_ref().is_err_and(|e| e.contains("cycle")) as usize;
+            ok += want.is_ok() as usize;
+        }
+    }
+    assert!(cycles > 30 && ok > 30, "{cycles} cycles, {ok} valid DAGs");
+}
+
+/// `Placement::Overlapping` draws the same picks as the partial
+/// Fisher–Yates over a materialized `0..n` index array it replaced.
+#[test]
+fn overlapping_placement_matches_a_dense_fisher_yates() {
+    use wsdf::workload::tenancy::Placement;
+    // The placement stream's salt in `tenancy.rs`: pinning it here pins
+    // the picks themselves.
+    const PLACEMENT_STREAM: u64 = 0x7E4A_4C1D_0003;
+    let dense = |seed: u64, job: u64, p: usize, endpoints: &[u32]| {
+        let mut rng = SplitMix64::for_agent(seed ^ PLACEMENT_STREAM, job);
+        let mut idx: Vec<usize> = (0..endpoints.len()).collect();
+        for i in 0..p {
+            let j = i + rng.next_below((endpoints.len() - i) as u64) as usize;
+            idx.swap(i, j);
+        }
+        let mut picked: Vec<u32> = idx[..p].iter().map(|&i| endpoints[i]).collect();
+        picked.sort_unstable();
+        picked
+    };
+    let mut rng = SplitMix64::new(0x5EED_0034);
+    for case in 0..2_000 {
+        let seed = rng.next_u64();
+        let job = rng.next_below(1 << 16);
+        let n = 1 + rng.next_below(if case % 4 == 0 { 2_000 } else { 40 }) as usize;
+        let p = 1 + rng.next_below(n as u64) as usize;
+        let endpoints: Vec<u32> = (0..n as u32).map(|e| 3 * e + 1).collect();
+        assert_eq!(
+            Placement::Overlapping.resolve(seed, job, p, &endpoints),
+            dense(seed, job, p, &endpoints),
+            "seed {seed} job {job} n {n} p {p}"
+        );
     }
 }
 
